@@ -8,21 +8,16 @@ domain, 3 design failure, 4 blow-up, 5 degenerate initial data, 64 usage,
 from __future__ import annotations
 
 import argparse
-import copy
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import design as _design
 from . import dynamics as _dynamics
 from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
-from .config import RunConfig, load_config
+from .config import C_OMEGA_SOURCES, RunConfig, load_config
 from .errors import (
     BlowUpError,
     ConfigurationError,
@@ -57,22 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_c_omega(cfg: RunConfig, g: Grid) -> tuple[float, str]:
-    d = cfg.design
-    if d.comega_source == "user":
-        return float(d.comega_value), "user"
-    return poincare_constant(g, d.comega_source), d.comega_source
-
-
 def design_from_config(cfg: RunConfig, g: Grid) -> _design.StabilityCertificate:
-    c_omega, source = _resolve_c_omega(cfg, g)
+    d = cfg.design
+    c_omega = float(d.comega_value) if d.comega_source == "user" else poincare_constant(g, d.comega_source)
     inp = _design.DesignInput(
         alpha=cfg.alpha,
         c_omega=c_omega,
-        c_omega_source=source,
-        s_gamma0=cfg.design.s_gamma0,
-        s_gamma1=cfg.design.s_gamma1,
-        theta_margin=cfg.design.theta_margin,
+        c_omega_source=d.comega_source,
+        s_gamma0=d.s_gamma0,
+        s_gamma1=d.s_gamma1,
+        theta_margin=d.theta_margin,
     )
     return _design.build_certificate(inp)
 
@@ -88,24 +77,19 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
     reports: dict = {}
     ok = True
     event_mode = record.mode == "event-triggered"
+    checks = []
     if record.certificate is not None:
-        for check, gating in (
+        checks += [
             (_lyapunov.check_equivalence, True),
             (_lyapunov.check_vdot, event_mode),
             (_lyapunov.check_envelope, event_mode),
-        ):
-            rep = check(record)
-            d = rep.to_dict()
-            d["gating"] = gating
-            reports[rep.name] = d
-            if gating:
-                ok = ok and rep.passed
+        ]
     if event_mode:
-        rep = _lyapunov.check_trigger_invariant(record)
-        d = rep.to_dict()
-        d["gating"] = True
-        reports[rep.name] = d
-        ok = ok and rep.passed
+        checks.append((_lyapunov.check_trigger_invariant, True))
+    for check, gating in checks:
+        rep = check(record)
+        reports[rep.name] = {**rep.to_dict(), "gating": gating}
+        ok = ok and (rep.passed or not gating)
     if record.events is not None and len(record.events) > 0:
         stats = _trigger.zeno_report(record.events, horizon=float(record.t[-1]), dt=record.dt)
         dwell_ok = stats.event_count <= 1 or stats.min_dwell >= record.dt * (1.0 - 1e-12)
@@ -129,15 +113,16 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
     if cfg.mode != "uncontrolled":
         if cfg.certificate_path:
             certificate = _runio.read_certificate(cfg.certificate_path)
+            if certificate.alpha != cfg.alpha:
+                raise ConfigurationError(
+                    f"certificate {cfg.certificate_path} is for alpha = {certificate.alpha}, "
+                    f"the run has alpha = {cfg.alpha}"
+                )
         else:
             certificate = design_from_config(cfg, g)
         scale = _trigger.initial_threshold_scale(
             z0, z1, certificate.epsilon, cfg.alpha, g, variant=cfg.design.eta0_variant
         )
-        if scale <= _dynamics.DEGENERATE_REL * g.volume:
-            raise DegenerateInitialDataError(
-                f"initial data gives threshold scale {scale}; the trigger floor would vanish"
-            )
         trigger_params = _trigger.TriggerParams.from_certificate(certificate, scale)
         if cfg.mode == "periodic" and period is None:
             # like-for-like update counts: reuse the matched run's mean dwell
@@ -183,37 +168,24 @@ def _print_check_lines(reports: dict):
         print(f"{name}: {status} ({extra})")
 
 
+# Config keys settable from the command line, "section.key" when nested;
+# the last component is the argparse destination.
+_OVERRIDES = (
+    "alpha", "domain.length", "domain.n", "dt", "t_end", "mode", "period",
+    "design.eta0_variant", "design.comega_source", "design.comega_value", "certificate_path", "out",
+)
+
+
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    cfg = copy.deepcopy(cfg)
-    if getattr(args, "alpha", None) is not None:
-        cfg.alpha = args.alpha
-    if getattr(args, "length", None) is not None or getattr(args, "n", None) is not None:
-        base = cfg.domain if cfg.domain.get("kind") == "interval" else {"kind": "interval", "length": 1.0, "n": 199}
-        cfg.domain = dict(base)
-        if args.length is not None:
-            cfg.domain["length"] = args.length
-        if args.n is not None:
-            cfg.domain["n"] = args.n
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = args.dt
-    if getattr(args, "t_end", None) is not None:
-        cfg.t_end = args.t_end
-    if getattr(args, "mode", None) is not None:
-        cfg.mode = args.mode
-    if getattr(args, "period", None) is not None:
-        cfg.period = args.period
-    if getattr(args, "eta0_variant", None) is not None:
-        cfg.design.eta0_variant = args.eta0_variant
-    if getattr(args, "comega_source", None) is not None:
-        cfg.design.comega_source = args.comega_source
-    if getattr(args, "comega_value", None) is not None:
-        cfg.design.comega_value = args.comega_value
-    if getattr(args, "certificate", None) is not None:
-        cfg.certificate_path = args.certificate
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    # re-run validation on the mutated pieces
-    return RunConfig.from_dict(cfg.to_dict())
+    d = cfg.to_dict()
+    if (args.length is not None or args.n is not None) and d["domain"].get("kind") != "interval":
+        d["domain"] = RunConfig().domain
+    for key in _OVERRIDES:
+        *section, name = key.split(".")
+        value = getattr(args, name)
+        if value is not None:
+            (d[section[0]] if section else d)[name] = value
+    return RunConfig.from_dict(d)
 
 
 def _load_cfg(args) -> RunConfig:
@@ -258,24 +230,27 @@ def _parse_list(text: str, what: str) -> list[float]:
     return values
 
 
+_SWEEP_COLUMNS = ("alpha", "L", "C_Omega", "feasible", "delta", "K", "events", "delta_emp")
+
+
 def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> dict:
-    row = {"alpha": alpha, "L": length, "C_Omega": float("nan"), "feasible": 0,
-           "delta": float("nan"), "K": float("nan"), "events": 0, "delta_emp": float("nan")}
-    cell_cfg = copy.deepcopy(cfg)
-    cell_cfg.alpha = alpha
-    if cell_cfg.domain.get("kind") != "interval":
-        raise ConfigurationError("sweep varies interval length; domain must be an interval")
-    cell_cfg.domain = dict(cell_cfg.domain)
-    cell_cfg.domain["length"] = length
-    cell_cfg.out = str(out_root / f"cell_a{alpha:g}_L{length:g}")
-    g = cell_cfg.build_grid()
-    c_omega = discrete_poincare_constant(g)
-    row["C_Omega"] = c_omega
-    if c_omega >= _design.SQRT2:
-        return row  # infeasible cell, not an error
-    cell_cfg.design.comega_source = "user"
-    cell_cfg.design.comega_value = c_omega
+    """Design, simulate and check one cell.  A cell that cannot be run or
+    fails a gating check gets an ``error`` entry; an infeasible one does not."""
+    nan = float("nan")
+    row = {"alpha": alpha, "L": length, "C_Omega": nan, "feasible": 0,
+           "delta": nan, "K": nan, "events": 0, "delta_emp": nan}
+    d = cfg.to_dict()
+    d["alpha"] = alpha
+    d["domain"]["length"] = length
+    d["out"] = str(out_root / f"cell_a{alpha:g}_L{length:g}")
     try:
+        cell_cfg = RunConfig.from_dict(d)
+        c_omega = discrete_poincare_constant(cell_cfg.build_grid())
+        row["C_Omega"] = c_omega
+        if c_omega >= _design.SQRT2:
+            return row  # infeasible cell, not a failure
+        cell_cfg.design.comega_source = "user"
+        cell_cfg.design.comega_value = c_omega
         record, extra = run_from_config(cell_cfg)
         _runio.save_run(record, cell_cfg.out, summary_extra=extra)
     except WavetrigError as exc:
@@ -289,46 +264,36 @@ def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> 
         events=extra["update_count"],
         delta_emp=extra["delta_emp"],
     )
+    if not extra["checks_passed"]:
+        row["error"] = "a gating check failed"
     return row
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
+    if cfg.domain.get("kind") != "interval":
+        raise ConfigurationError("sweep varies interval length; domain must be an interval")
+    if cfg.certificate_path:
+        raise ConfigurationError("sweep designs a certificate per cell; a certificate cannot be given")
     alphas = _parse_list(args.alphas, "alpha")
     lengths = _parse_list(args.lengths, "length")
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    cells = [(a, L) for a in alphas for L in lengths]
-    env_cap = os.environ.get("WAVETRIG_THREADS")
-    workers = int(env_cap) if env_cap else min(8, os.cpu_count() or 1)
-    workers = max(1, min(workers, len(cells)))
-    rows: list[dict | None] = [None] * len(cells)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_sweep_cell, cfg, a, L, out_root): i for i, (a, L) in enumerate(cells)}
-        for fut, i in futures.items():
-            try:
-                rows[i] = fut.result()
-            except WavetrigError as exc:
-                a, L = cells[i]
-                rows[i] = {"alpha": a, "L": L, "C_Omega": float("nan"), "feasible": 0,
-                           "delta": float("nan"), "K": float("nan"), "events": 0,
-                           "delta_emp": float("nan"), "error": str(exc)}
+    rows = [_sweep_cell(cfg, a, L, out_root) for a in alphas for L in lengths]
     path = out_root / "sweep.csv"
     with open(path, "w") as fh:
-        fh.write("alpha,L,C_Omega,feasible,delta,K,events,delta_emp\n")
+        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                f"{_runio.fmt(row['alpha'])},{_runio.fmt(row['L'])},{_runio.fmt(row['C_Omega'])},"
-                f"{row['feasible']},{_runio.fmt(row['delta'])},{_runio.fmt(row['K'])},"
-                f"{row['events']},{_runio.fmt(row['delta_emp'])}\n"
-            )
-    n_ok = sum(1 for r in rows if "error" not in r)
+            fh.write(",".join(
+                str(row[name]) if name in ("feasible", "events") else _runio.fmt(row[name])
+                for name in _SWEEP_COLUMNS
+            ) + "\n")
+    failed = [r for r in rows if "error" in r]
     n_feasible = sum(r["feasible"] for r in rows)
-    print(f"sweep written to {path}: {len(rows)} cells, {n_feasible} feasible, {len(rows) - n_ok} errored")
-    for row in rows:
-        if "error" in row:
-            print(f"  cell alpha={row['alpha']:g} L={row['L']:g} failed: {row['error']}", file=sys.stderr)
-    return EXIT_OK if n_ok > 0 else EXIT_CHECK_FAILED
+    print(f"sweep written to {path}: {len(rows)} cells, {n_feasible} feasible, {len(failed)} failed")
+    for row in failed:
+        print(f"  cell alpha={row['alpha']:g} L={row['L']:g} failed: {row['error']}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -352,13 +317,12 @@ def build_parser() -> _Parser:
         p.add_argument("--n", type=int, help="interior node count override")
         p.add_argument("--dt", type=float)
         p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--mode", choices=("event-triggered", "continuous-damping", "periodic", "uncontrolled"))
+        p.add_argument("--mode", choices=_dynamics.MODES)
         p.add_argument("--period", type=float)
-        p.add_argument("--eta0-variant", dest="eta0_variant", choices=("v0", "reduced"))
-        p.add_argument("--comega-source", dest="comega_source",
-                       choices=("discrete", "dirichlet-closed-form", "wirtinger", "user"))
+        p.add_argument("--eta0-variant", dest="eta0_variant", choices=_trigger.ETA0_VARIANTS)
+        p.add_argument("--comega-source", dest="comega_source", choices=C_OMEGA_SOURCES)
         p.add_argument("--comega-value", dest="comega_value", type=float)
-        p.add_argument("--certificate", help="path to an existing certificate.json")
+        p.add_argument("--certificate", dest="certificate_path", help="path to an existing certificate.json")
         p.add_argument("--out")
 
     p_design = sub.add_parser("design", help="compute and write a stability certificate")

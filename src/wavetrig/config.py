@@ -4,17 +4,46 @@ damping gain, initial data, integration, design knobs, and run mode."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .dynamics import MODES
 from .errors import ConfigurationError
-from .grid import Grid, Interval, Rectangle, build_grid
+from .grid import POINCARE_SOURCES, Grid, Interval, Rectangle, build_grid
+from .trigger import ETA0_VARIANTS
 
-__all__ = ["DesignSpec", "RunConfig", "load_config", "save_config"]
+__all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "load_config", "save_config"]
 
-C_OMEGA_SOURCES = ("discrete", "dirichlet-closed-form", "wirtinger", "user")
-ETA0_VARIANTS = ("v0", "reduced")
-MODE_NAMES = ("event-triggered", "continuous-damping", "periodic", "uncontrolled")
+# "user" takes the constant from comega_value instead of computing it.
+C_OMEGA_SOURCES = (*POINCARE_SOURCES, "user")
+
+_JSON_TYPES = {"float": (int, float), "str": str, "dict": dict}
+
+
+def _check_types(obj) -> None:
+    """Refuse field values of the wrong JSON type (a bool is not a number)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        expected = _JSON_TYPES.get(kind)
+        if expected is None or (optional and value is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ConfigurationError(f"{f.name} must be of type {kind}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ConfigurationError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _from_dict(cls, d: dict, what: str):
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**d)
 
 
 @dataclass
@@ -27,14 +56,9 @@ class DesignSpec:
     eta0_variant: str = "v0"
 
     def __post_init__(self):
-        if self.comega_source not in C_OMEGA_SOURCES:
-            raise ConfigurationError(
-                f"comega_source must be one of {C_OMEGA_SOURCES}, got {self.comega_source!r}"
-            )
-        if self.eta0_variant not in ETA0_VARIANTS:
-            raise ConfigurationError(
-                f"eta0_variant must be one of {ETA0_VARIANTS}, got {self.eta0_variant!r}"
-            )
+        _check_types(self)
+        _check_choice("comega_source", self.comega_source, C_OMEGA_SOURCES)
+        _check_choice("eta0_variant", self.eta0_variant, ETA0_VARIANTS)
         if self.comega_source == "user" and self.comega_value is None:
             raise ConfigurationError("comega_source 'user' needs comega_value")
 
@@ -55,10 +79,10 @@ class RunConfig:
     out: str = "runs/run"
 
     def __post_init__(self):
-        if isinstance(self.design, dict):
-            self.design = DesignSpec(**self.design)
-        if self.mode not in MODE_NAMES:
-            raise ConfigurationError(f"mode must be one of {MODE_NAMES}, got {self.mode!r}")
+        if not isinstance(self.design, DesignSpec):
+            self.design = _from_dict(DesignSpec, self.design, "design")
+        _check_types(self)
+        _check_choice("mode", self.mode, MODES)
 
     def build_grid(self) -> Grid:
         d = dict(self.domain)
@@ -72,6 +96,8 @@ class RunConfig:
                 )
         except KeyError as exc:
             raise ConfigurationError(f"domain spec missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad domain spec {self.domain}: {exc}") from exc
         raise ConfigurationError(f"unknown domain kind {kind!r}")
 
     def to_dict(self) -> dict:
@@ -79,11 +105,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        return _from_dict(cls, d, "config")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as _grid
+from . import lyapunov as _lyapunov
 from . import trigger as _trigger
 from .design import StabilityCertificate
-from .errors import BlowUpError, ConfigurationError, DegenerateInitialDataError
-from .lyapunov import RunRecord
+from .errors import BlowUpError, ConfigurationError
 
 __all__ = [
     "WaveState",
@@ -30,11 +30,8 @@ __all__ = [
     "simulate",
 ]
 
+# Update policies of the hold; see simulate.
 MODES = ("event-triggered", "continuous-damping", "periodic", "uncontrolled")
-
-# Initial data whose Lyapunov value is this fraction of the domain volume or
-# less is refused: the trigger threshold would be identically ~0.
-DEGENERATE_REL = 1e-14
 
 
 @dataclass
@@ -167,50 +164,32 @@ def simulate(
     dt = config.resolve_dt(g)
     n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-9)))
 
-    nz = _grid.l2_norm_sq(z0, g)
-    nv = _grid.l2_norm_sq(z1, g)
-    ngz = _grid.h1_seminorm_sq(z0, g)
-    cross = _grid.inner_product(z0, z1, g)
-    e0 = 0.5 * (nv + ngz)
-    v0 = e0 + 0.5 * eps * a * nz + eps * cross
-    if v0 <= DEGENERATE_REL * g.volume:
-        raise DegenerateInitialDataError(
-            f"initial Lyapunov value {v0} is degenerate; the threshold floor would vanish"
-        )
-
-    state = WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
-
     m = n_steps + 1
     cols = {
-        name: np.empty(m)
-        for name in ("t", "E", "V", "nz", "nv", "ngz", "ne", "eta", "pred")
+        name: np.empty(m, dtype=bool if name == "event" else float)
+        for name in _lyapunov.RunRecord.COLUMNS
     }
-    ev = np.zeros(m, dtype=bool)
+    arrays = tuple(cols.values())
     events = None if uncontrolled else _trigger.EventLog()
 
-    def fill(i, t, nz, nv, ngz, ne, eta_t, pred):
-        cols["t"][i] = t
-        cols["nz"][i] = nz
-        cols["nv"][i] = nv
-        cols["ngz"][i] = ngz
-        cols["ne"][i] = ne
-        cols["eta"][i] = eta_t
-        cols["pred"][i] = pred
-        e = 0.5 * (nv + ngz)
-        cols["E"][i] = e
-        cols["V"][i] = e + 0.5 * eps * a * nz + eps * cross_val
+    def fill(i, t, nz, nv, ngz, cross, ne, eta_t, pred, fire):
+        e, v = _lyapunov.energy_lyapunov(nz, nv, ngz, cross, eps, a)
+        for arr, value in zip(arrays, (t, e, v, nz, nv, ngz, ne, eta_t, pred, fire)):
+            arr[i] = value
 
-    cross_val = cross
+    nz, nv, ngz, cross = _lyapunov.field_norms(z0, z1, g)
     if trigger_params is not None:
         eta_now = _trigger.eta0(0.0, trigger_params)
         pred_now = _trigger.predicate_from_norms(0.0, nz, nv, eta_now, trigger_params)
     else:
         eta_now = pred_now = float("nan")
-    fill(0, 0.0, nz, nv, ngz, 0.0 if not uncontrolled else float("nan"), eta_now, pred_now)
-    ev[0] = not uncontrolled
+    fill(0, 0.0, nz, nv, ngz, cross, 0.0 if not uncontrolled else float("nan"), eta_now, pred_now,
+         not uncontrolled)
+    _lyapunov.require_nondegenerate(float(cols["V"][0]), g, "Lyapunov value")
     if events is not None:
         events.append(0, 0.0, pred_now, 0.0, eta_now)
 
+    state = WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
     w = g.weight
     for i in range(1, m):
         try:
@@ -222,7 +201,7 @@ def simulate(
         nz = w * float(np.dot(zv, zv))
         nv = w * float(np.dot(vv, vv))
         ngz = _grid.h1_seminorm_sq(state.z, g)
-        cross_val = w * float(np.dot(zv, vv))
+        cross = w * float(np.dot(zv, vv))
         if uncontrolled:
             ne = eta_t = pred = float("nan")
             fire = False
@@ -240,25 +219,15 @@ def simulate(
                 fire = True
             else:  # periodic
                 fire = state.t - state.t_k >= period * (1.0 - 1e-12)
-        fill(i, state.t, nz, nv, ngz, ne, eta_t, pred)
-        ev[i] = fire
+        fill(i, state.t, nz, nv, ngz, cross, ne, eta_t, pred, fire)
         if fire:
             state = refresh_sample(state, state.t)
             events.append(state.k, state.t, pred, ne, eta_t)
         for hook in hooks:
             hook(i, state)
 
-    return RunRecord(
-        t=cols["t"],
-        energy=cols["E"],
-        lyapunov=cols["V"],
-        norm_z_sq=cols["nz"],
-        norm_v_sq=cols["nv"],
-        norm_gradz_sq=cols["ngz"],
-        norm_e_sq=cols["ne"],
-        eta0=cols["eta"],
-        trigger_value=cols["pred"],
-        event=ev,
+    return _lyapunov.RunRecord.from_columns(
+        cols,
         events=events,
         certificate=certificate,
         trigger=trigger_params,

@@ -37,6 +37,7 @@ __all__ = [
     "minus_laplacian_matrix",
     "smallest_laplacian_eigenpair",
     "discrete_poincare_constant",
+    "POINCARE_SOURCES",
     "poincare_constant",
 ]
 
@@ -267,6 +268,27 @@ def discrete_poincare_constant(g: Grid, rtol: float = 1e-10, max_iter: int = 100
     return float(1.0 / np.sqrt(lam_lower))
 
 
+def _dirichlet_closed_form(g: Grid) -> float:
+    if g.ndim == 1:
+        return g.shape.length / math.pi
+    a, b = g.shape.a, g.shape.b
+    return a * b / (math.pi * math.hypot(a, b))
+
+
+def _wirtinger(g: Grid) -> float:
+    if g.ndim != 1:
+        raise ConfigurationError("the wirtinger constant is defined for intervals only")
+    return g.shape.length / (2.0 * math.pi)
+
+
+# Provenances of the Poincare constant that are computed from the grid.
+POINCARE_SOURCES = {
+    "discrete": discrete_poincare_constant,
+    "dirichlet-closed-form": _dirichlet_closed_form,
+    "wirtinger": _wirtinger,
+}
+
+
 def poincare_constant(g: Grid, source: str = "discrete") -> float:
     """Poincare constant from one of the named provenances.
 
@@ -280,15 +302,6 @@ def poincare_constant(g: Grid, source: str = "discrete") -> float:
         small for fields that vanish at both ends; kept selectable so the
         resulting certificate violations can be demonstrated.
     """
-    if source == "discrete":
-        return discrete_poincare_constant(g)
-    if source == "dirichlet-closed-form":
-        if g.ndim == 1:
-            return g.shape.length / math.pi
-        a, b = g.shape.a, g.shape.b
-        return a * b / (math.pi * math.hypot(a, b))
-    if source == "wirtinger":
-        if g.ndim != 1:
-            raise ConfigurationError("the wirtinger constant is defined for intervals only")
-        return g.shape.length / (2.0 * math.pi)
-    raise ConfigurationError(f"unknown Poincare constant source {source!r}")
+    if source not in POINCARE_SOURCES:
+        raise ConfigurationError(f"unknown Poincare constant source {source!r}")
+    return POINCARE_SOURCES[source](g)

@@ -5,21 +5,25 @@ guarantees of its certificate."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from . import grid as _grid
 from .design import StabilityCertificate, vdot_bound_rhs
-from .errors import ConfigurationError
-from .trigger import EventLog, TriggerParams
+from .errors import ConfigurationError, DegenerateInitialDataError
 
 if TYPE_CHECKING:
     from .dynamics import WaveState
+    from .trigger import EventLog, TriggerParams
 
 __all__ = [
     "RunRecord",
     "CheckReport",
+    "DEGENERATE_REL",
+    "field_norms",
+    "energy_lyapunov",
+    "require_nondegenerate",
     "energy",
     "lyapunov_v",
     "check_equivalence",
@@ -28,21 +32,54 @@ __all__ = [
     "check_trigger_invariant",
 ]
 
+# Initial data whose Lyapunov value is this fraction of the domain volume or
+# less is refused: the trigger threshold would be identically ~0.
+DEGENERATE_REL = 1e-14
+
+
+def field_norms(z: _grid.Field, v: _grid.Field, g: _grid.Grid) -> tuple[float, float, float, float]:
+    """The norms E and V are built from: (||z||^2, ||v||^2, ||grad z||^2, <z, v>)."""
+    return (
+        _grid.l2_norm_sq(z, g),
+        _grid.l2_norm_sq(v, g),
+        _grid.h1_seminorm_sq(z, g),
+        _grid.inner_product(z, v, g),
+    )
+
+
+def energy_lyapunov(
+    norm_z_sq: float, norm_v_sq: float, norm_gradz_sq: float, cross: float, epsilon: float, alpha: float
+) -> tuple[float, float]:
+    """(E, V) from squared norms and the cross term <z, v>:
+    E = (||v||^2 + ||grad z||^2)/2 and V = E + (eps*alpha/2)||z||^2 + eps<z, v>.
+
+    The terms are summed in this order everywhere, so the recorded V column
+    and the eta0 scale agree to the last bit.
+    """
+    e = 0.5 * (norm_v_sq + norm_gradz_sq)
+    return e, e + 0.5 * epsilon * alpha * norm_z_sq + epsilon * cross
+
+
+def require_nondegenerate(value: float, g: _grid.Grid, what: str) -> float:
+    """Return ``value``; raise DegenerateInitialDataError when it is at most
+    DEGENERATE_REL times the domain volume."""
+    if value <= DEGENERATE_REL * g.volume:
+        raise DegenerateInitialDataError(
+            f"initial {what} {value} is degenerate; the trigger threshold would vanish"
+        )
+    return value
+
 
 def energy(state: "WaveState", g: _grid.Grid) -> float:
     """Wave energy: half the squared velocity norm plus half the squared
     gradient norm."""
-    return 0.5 * (_grid.l2_norm_sq(state.v, g) + _grid.h1_seminorm_sq(state.z, g))
+    return energy_lyapunov(*field_norms(state.z, state.v, g), 0.0, 0.0)[0]
 
 
 def lyapunov_v(state: "WaveState", epsilon: float, alpha: float, g: _grid.Grid) -> float:
     """Energy augmented with the weighted position norm and cross term:
     E + (eps*alpha/2)||z||^2 + eps<z, v>."""
-    return (
-        energy(state, g)
-        + 0.5 * epsilon * alpha * _grid.l2_norm_sq(state.z, g)
-        + epsilon * _grid.inner_product(state.z, state.v, g)
-    )
+    return energy_lyapunov(*field_norms(state.z, state.v, g), epsilon, alpha)[1]
 
 
 @dataclass
@@ -72,16 +109,32 @@ class RunRecord:
     dt: float
     meta: dict = field(default_factory=dict)
 
+    # series.csv column -> field, in file order.  Uncontrolled runs write the
+    # plant columns only; the trigger columns would be all NaN.
+    PLANT_COLUMNS: ClassVar[dict[str, str]] = {
+        "t": "t", "E": "energy", "V": "lyapunov", "norm_z_sq": "norm_z_sq",
+        "norm_v_sq": "norm_v_sq", "norm_gradz_sq": "norm_gradz_sq",
+    }
+    COLUMNS: ClassVar[dict[str, str]] = {
+        **PLANT_COLUMNS,
+        "norm_e_sq": "norm_e_sq", "eta0": "eta0", "trigger_value": "trigger_value", "event": "event",
+    }
+
     def __post_init__(self):
-        n = self.t.size
-        series = (
-            self.energy, self.lyapunov, self.norm_z_sq, self.norm_v_sq,
-            self.norm_gradz_sq, self.norm_e_sq, self.eta0, self.trigger_value, self.event,
-        )
-        if any(s.size != n for s in series):
+        series = [getattr(self, name) for name in self.COLUMNS.values()]
+        if any(s.size != self.t.size for s in series):
             raise ConfigurationError("run record series have mismatched lengths")
-        for arr in (self.t, *series):
+        for arr in series:
             arr.setflags(write=False)
+
+    @classmethod
+    def from_columns(cls, columns: dict[str, np.ndarray], **rest) -> "RunRecord":
+        """Build a record from series arrays keyed by CSV column name."""
+        return cls(**{name: columns[col] for col, name in cls.COLUMNS.items()}, **rest)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """Series arrays keyed by CSV column name, in file order."""
+        return {col: getattr(self, name) for col, name in self.COLUMNS.items()}
 
     @property
     def n_steps(self) -> int:

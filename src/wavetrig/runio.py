@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
 from .design import StabilityCertificate
 from .errors import DataFormatError
 from .lyapunov import RunRecord
@@ -30,11 +30,8 @@ __all__ = [
     "read_certificate",
 ]
 
-SERIES_COLUMNS = (
-    "t", "E", "V", "norm_z_sq", "norm_v_sq", "norm_gradz_sq",
-    "norm_e_sq", "eta0", "trigger_value", "event",
-)
-SERIES_COLUMNS_UNCONTROLLED = ("t", "E", "V", "norm_z_sq", "norm_v_sq", "norm_gradz_sq")
+SERIES_COLUMNS = tuple(RunRecord.COLUMNS)
+SERIES_COLUMNS_UNCONTROLLED = tuple(RunRecord.PLANT_COLUMNS)
 
 
 def fmt(x: float) -> str:
@@ -54,38 +51,19 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _record_columns(record: RunRecord) -> dict[str, np.ndarray]:
-    return {
-        "t": record.t,
-        "E": record.energy,
-        "V": record.lyapunov,
-        "norm_z_sq": record.norm_z_sq,
-        "norm_v_sq": record.norm_v_sq,
-        "norm_gradz_sq": record.norm_gradz_sq,
-        "norm_e_sq": record.norm_e_sq,
-        "eta0": record.eta0,
-        "trigger_value": record.trigger_value,
-        "event": record.event,
-    }
-
-
 def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None = None) -> Path:
     """Write series.csv, events.csv and summary.json into ``outdir``."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
-    columns = _record_columns(record)
+    columns = record.columns()
     with open(out / "series.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for i in range(record.t.size):
-            row = []
-            for name in names:
-                if name == "event":
-                    row.append(str(int(columns[name][i])))
-                else:
-                    row.append(fmt(columns[name][i]))
-            writer.writerow(row)
+            writer.writerow(
+                [str(int(columns[name][i])) if name == "event" else fmt(columns[name][i]) for name in names]
+            )
 
     with open(out / "events.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -103,16 +81,7 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
         "n_steps": record.n_steps,
         "event_count": len(record.events) if record.events is not None else 0,
         "certificate": record.certificate.to_dict() if record.certificate else None,
-        "trigger": (
-            {
-                "gamma0": record.trigger.gamma0,
-                "gamma1": record.trigger.gamma1,
-                "theta": record.trigger.theta,
-                "eta0_scale": record.trigger.eta0_scale,
-            }
-            if record.trigger
-            else None
-        ),
+        "trigger": asdict(record.trigger) if record.trigger else None,
         "meta": record.meta,
     }
     if summary_extra:
@@ -161,14 +130,13 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     certificate = StabilityCertificate.from_dict(cert) if cert else None
     trig = summary.get("trigger")
     trigger_params = TriggerParams(**trig) if trig else None
-    event = cols.get("event")
-    event_arr = event.astype(bool) if event is not None else np.zeros(n, dtype=bool)
+    columns = {name: cols.get(name, nan) for name in RunRecord.COLUMNS}
+    columns["event"] = columns["event"].astype(bool) if "event" in cols else np.zeros(n, dtype=bool)
 
     events = None
     if mode != "uncontrolled":
         events = EventLog()
-        idx = np.flatnonzero(event_arr)
-        for order, i in enumerate(idx):
+        for order, i in enumerate(np.flatnonzero(columns["event"])):
             events.append(
                 order,
                 float(cols["t"][i]),
@@ -177,27 +145,13 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
                 float(cols["eta0"][i]),
             )
 
-    t = cols["t"]
-    if n >= 2:
-        dt = float(t[1] - t[0])
-    else:
-        dt = float(summary.get("dt", 0.0))
-    record = RunRecord(
-        t=t,
-        energy=cols["E"],
-        lyapunov=cols["V"],
-        norm_z_sq=cols["norm_z_sq"],
-        norm_v_sq=cols["norm_v_sq"],
-        norm_gradz_sq=cols["norm_gradz_sq"],
-        norm_e_sq=cols.get("norm_e_sq", nan),
-        eta0=cols.get("eta0", nan),
-        trigger_value=cols.get("trigger_value", nan),
-        event=event_arr,
+    record = RunRecord.from_columns(
+        columns,
         events=events,
         certificate=certificate,
         trigger=trigger_params,
         mode=mode,
-        dt=dt,
+        dt=float(cols["t"][1] - cols["t"][0]),
         meta=summary.get("meta", {}),
     )
     return record, summary
@@ -219,6 +173,3 @@ def read_certificate(path: str | Path) -> StabilityCertificate:
     except (json.JSONDecodeError, TypeError) as exc:
         raise DataFormatError(f"cannot parse certificate {p}: {exc}") from exc
 
-
-def config_echo(cfg: RunConfig) -> dict:
-    return cfg.to_dict()

@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import grid as _grid
+from . import lyapunov as _lyapunov
 from .errors import ConfigurationError, PreconditionError, ShapeError
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
@@ -18,6 +19,7 @@ if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .dynamics import WaveState
 
 __all__ = [
+    "ETA0_VARIANTS",
     "TriggerParams",
     "EventLog",
     "DwellStats",
@@ -28,6 +30,9 @@ __all__ = [
     "initial_threshold_scale",
     "zeno_report",
 ]
+
+# Initial values that scale the threshold floor; see initial_threshold_scale.
+ETA0_VARIANTS = ("v0", "reduced")
 
 
 @dataclass(frozen=True)
@@ -163,19 +168,16 @@ def initial_threshold_scale(
     """eta0_scale from the initial data.
 
     ``v0`` is the full initial Lyapunov value; ``reduced`` omits its
-    (eps*alpha/2)*||z0||^2 term.  Both are kept because they genuinely
-    differ whenever z0 is nonzero; ``v0`` is the default.
+    (eps*alpha/2)*||z0||^2 term, i.e. it is V evaluated with alpha = 0.
+    Both are kept because they genuinely differ whenever z0 is nonzero;
+    ``v0`` is the default.  Raises DegenerateInitialDataError when the scale
+    is degenerate.
     """
-    base = (
-        0.5 * _grid.l2_norm_sq(z1, g)
-        + 0.5 * _grid.h1_seminorm_sq(z0, g)
-        + epsilon * _grid.inner_product(z0, z1, g)
-    )
-    if variant == "v0":
-        return base + 0.5 * epsilon * alpha * _grid.l2_norm_sq(z0, g)
-    if variant == "reduced":
-        return base
-    raise ConfigurationError(f"unknown eta0 variant {variant!r} (use 'v0' or 'reduced')")
+    if variant not in ETA0_VARIANTS:
+        raise ConfigurationError(f"unknown eta0 variant {variant!r}, expected one of {ETA0_VARIANTS}")
+    a = alpha if variant == "v0" else 0.0
+    _, scale = _lyapunov.energy_lyapunov(*_lyapunov.field_norms(z0, z1, g), epsilon, a)
+    return _lyapunov.require_nondegenerate(scale, g, "threshold scale")
 
 
 def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> DwellStats:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 import wavetrig as wt
-from wavetrig.cli import main
-from wavetrig.config import DesignSpec, RunConfig, load_config, save_config
+from wavetrig.cli import build_parser, main
+from wavetrig.config import C_OMEGA_SOURCES, DesignSpec, RunConfig, load_config, save_config
+from wavetrig.dynamics import MODES
 from wavetrig.errors import ConfigurationError
 from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
+from wavetrig.trigger import ETA0_VARIANTS
 
 
 def small_config(tmp_path, **overrides):
@@ -63,6 +66,28 @@ def test_config_validates_mode_and_sources():
         DesignSpec(comega_source="user")
     with pytest.raises(ConfigurationError):
         DesignSpec(eta0_variant="fancy")
+
+
+@pytest.mark.parametrize("bad", [
+    {"domain": {"kind": "interval", "length": 1.0, "n": "abc"}},
+    {"alpha": "x"},
+    {"design": {"bogus": 1}},
+])
+def test_malformed_config_exits_64(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 64
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_choices_are_the_owning_tuples():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("design", "simulate", "sweep"):
+        options = sub.choices[command]._option_string_actions
+        assert options["--mode"].choices is MODES
+        assert options["--comega-source"].choices is C_OMEGA_SOURCES
+        assert options["--eta0-variant"].choices is ETA0_VARIANTS
 
 
 # -------------------------------------------------------------------- design
@@ -203,6 +228,18 @@ def test_simulate_with_preloaded_certificate(tmp_path):
     assert summary["certificate"]["c_omega_source"] == "discrete"
 
 
+def test_simulate_refuses_certificate_for_another_alpha(tmp_path):
+    cfg, path = small_config(tmp_path)
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
+    code = main([
+        "simulate", "--config", str(path), "--alpha", "4",
+        "--certificate", str(tmp_path / "cert" / "certificate.json"),
+        "--out", str(tmp_path / "a4"),
+    ])
+    assert code == 64
+    assert not (tmp_path / "a4").exists()
+
+
 def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):
     cfg, path = small_config(tmp_path, mode="periodic", out=str(tmp_path / "per"))
     assert main(["simulate", "--config", str(path)]) == 0
@@ -235,8 +272,7 @@ def test_bump_and_file_initial_data(tmp_path):
 
 # --------------------------------------------------------------------- sweep
 
-def test_cmd_sweep_table(tmp_path, monkeypatch):
-    monkeypatch.setenv("WAVETRIG_THREADS", "2")
+def test_cmd_sweep_table(tmp_path):
     cfg, path = small_config(tmp_path, t_end=3.0)
     code = main([
         "sweep", "--config", str(path), "--alphas", "0.5,1,2", "--lengths", "1,5",
@@ -254,6 +290,30 @@ def test_cmd_sweep_table(tmp_path, monkeypatch):
         assert by_length[(alpha, 5.0)] == 0
     # per-cell run directories exist for feasible cells
     assert (tmp_path / "sweep" / "cell_a1_L1" / "series.csv").is_file()
+
+
+def test_cmd_sweep_exits_1_when_a_feasible_cell_fails_its_checks(tmp_path):
+    np.save(tmp_path / "z0.npy", np.random.default_rng(1).standard_normal(49))
+    cfg, path = small_config(tmp_path, t_end=3.0, z0={"kind": "file", "path": str(tmp_path / "z0.npy")})
+    code = main([
+        "sweep", "--config", str(path), "--alphas", "1,4", "--lengths", "1,3",
+        "--out", str(tmp_path / "sweep"),
+    ])
+    summary = json.loads((tmp_path / "sweep" / "cell_a1_L1" / "summary.json").read_text())
+    assert summary["checks"]["vdot"]["passed"] is False
+    assert code == 1
+
+
+def test_cmd_sweep_refuses_certificate(tmp_path):
+    cfg, path = small_config(tmp_path)
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
+    code = main([
+        "sweep", "--config", str(path), "--alphas", "1,4", "--lengths", "1,3",
+        "--certificate", str(tmp_path / "cert" / "certificate.json"),
+        "--out", str(tmp_path / "sweep"),
+    ])
+    assert code == 64
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 def test_cmd_sweep_empty_list_exits_64(tmp_path):
