@@ -87,28 +87,77 @@ def cfl_max_dt(g: _grid.Grid) -> float:
     return 2.0 / math.sqrt(bound)
 
 
-def step(s: WaveState, dt: float, alpha: float) -> WaveState:
-    """One velocity-Verlet step with the forcing -alpha * held frozen.
-
-    Accepts negative dt (the scheme is time reversible); |dt| must respect
-    the CFL limit.  Raises BlowUpError on non-finite output.
-    """
-    g = s.z.grid
+def _check_step(g: _grid.Grid, dt: float, alpha: float):
     if abs(dt) > cfl_max_dt(g) * (1.0 + 1e-12):
         raise ConfigurationError(f"|dt| = {abs(dt)} exceeds the CFL limit {cfl_max_dt(g)}")
     if alpha < 0:
         raise ConfigurationError(f"damping gain must be nonnegative, got {alpha}")
+
+
+class _Leapfrog:
+    """The step kernel: velocity Verlet in place on preallocated buffers.
+
+    z lives in the stencil's ghost-padded array; v, the forcing
+    -alpha * held and a scratch vector are flat arrays.  ``stencil.lap``
+    holds L z between steps: the L z_new that ends one step is the L z that
+    starts the next (first same as last), so a step applies the stencil
+    once.  Callers check dt and alpha (_check_step) and ignore floating-point
+    overflow and invalid operations; a blow-up shows as a failed advance.
+    """
+
+    def __init__(self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float):
+        self.stencil = _grid.Stencil(g)
+        self.stencil.load(z)
+        self.stencil.laplacian()
+        self.z = self.stencil.values
+        self.v = np.array(v, dtype=float)
+        self.alpha = alpha
+        self.forcing = np.empty_like(self.v)
+        self._buf = np.empty_like(self.v)
+        self.hold(held)
+
+    def hold(self, held: np.ndarray):
+        """Drive the forcing -alpha * held from now on; ``held`` is kept by
+        reference."""
+        self.held = held
+        np.multiply(held, -self.alpha, out=self.forcing)
+
+    def _kick(self, half: float):
+        # v += dt/2 * (L z + forcing)
+        np.add(self.stencil.lap, self.forcing, out=self._buf)
+        np.multiply(self._buf, half, out=self._buf)
+        np.add(self.v, self._buf, out=self.v)
+
+    def advance(self, dt: float) -> bool:
+        """One step of size dt; False when z or v is no longer finite."""
+        half = 0.5 * dt
+        self._kick(half)
+        np.multiply(self.v, dt, out=self._buf)
+        np.add(self.z, self._buf, out=self.z)
+        self.stencil.sync()
+        self.stencil.laplacian()  # L z_new, which the next step starts from
+        self._kick(half)
+        return bool(np.isfinite(self.z).all() and np.isfinite(self.v).all())
+
+
+def step(s: WaveState, dt: float, alpha: float) -> WaveState:
+    """One velocity-Verlet step with the forcing -alpha * held frozen.
+
+    Accepts negative dt (the scheme is time reversible); |dt| must respect
+    the CFL limit.  Raises BlowUpError on non-finite output.  A thin wrapper
+    over the kernel that simulate runs.
+    """
+    g = s.z.grid
+    _check_step(g, dt, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-        forcing = -alpha * s.held.values
-        v_half = s.v.values + 0.5 * dt * (g._laplacian_values(s.z.values) + forcing)
-        z_new = s.z.values + dt * v_half
-        v_new = v_half + 0.5 * dt * (g._laplacian_values(z_new) + forcing)
-    if not (np.isfinite(z_new).all() and np.isfinite(v_new).all()):
+        kernel = _Leapfrog(g, s.z.values, s.v.values, s.held.values, alpha)
+        finite = kernel.advance(dt)
+    if not finite:
         raise BlowUpError(f"non-finite state after step from t = {s.t}", time=s.t)
     return WaveState(
         t=s.t + dt,
-        z=_grid.Field(z_new, g, validate=False),
-        v=_grid.Field(v_new, g, validate=False),
+        z=_grid.Field(kernel.z, g, validate=False),
+        v=_grid.Field(kernel.v, g, validate=False),
         held=s.held,
         k=s.k,
         t_k=s.t_k,
@@ -144,7 +193,8 @@ def simulate(
     step the update policy of ``mode`` is evaluated on the post-step state
     and the hold is refreshed when it fires; recorded step values are the
     pre-refresh ones.  ``hooks`` are called as hook(step_index, state) after
-    each step.
+    each step, with a snapshot of the post-refresh state whose ``held``
+    array is the same object from one event to the next.
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
@@ -189,42 +239,54 @@ def simulate(
     if events is not None:
         events.append(0, 0.0, pred_now, 0.0, eta_now)
 
-    state = WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
+    _check_step(g, dt, a)
     w = g.weight
-    for i in range(1, m):
-        try:
-            state = step(state, dt, a)
-        except BlowUpError as exc:
-            raise BlowUpError(f"blow-up at step {i} (t = {i * dt})", step=i, time=i * dt) from exc
-        state.t = i * dt  # keep the time grid exactly uniform
-        zv, vv = state.z.values, state.v.values
-        nz = w * float(np.dot(zv, zv))
-        nv = w * float(np.dot(vv, vv))
-        ngz = _grid.h1_seminorm_sq(state.z, g)
-        cross = w * float(np.dot(zv, vv))
-        if uncontrolled:
-            ne = eta_t = pred = float("nan")
-            fire = False
-        else:
-            dev = vv - state.held.values
-            ne = w * float(np.dot(dev, dev))
-            if trigger_params is not None:
-                eta_t = _trigger.eta0(state.t, trigger_params)
-                pred = _trigger.predicate_from_norms(ne, nz, nv, eta_t, trigger_params)
+    k, t_k = 0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per step
+        kernel = _Leapfrog(g, z0.values, z1.values, z1.values.copy(), a)
+        stencil, zv, vv = kernel.stencil, kernel.z, kernel.v
+        dev = np.empty_like(vv)
+        for i in range(1, m):
+            if not kernel.advance(dt):
+                raise BlowUpError(f"blow-up at step {i} (t = {i * dt})", step=i, time=i * dt)
+            t = i * dt  # keep the time grid exactly uniform
+            nz = w * float(np.dot(zv, zv))
+            nv = w * float(np.dot(vv, vv))
+            ngz = stencil.h1()
+            cross = w * float(np.dot(zv, vv))
+            if uncontrolled:
+                ne = eta_t = pred = float("nan")
+                fire = False
             else:
-                eta_t = pred = float("nan")
-            if mode == "event-triggered":
-                fire = pred >= 0.0
-            elif mode == "continuous-damping":
-                fire = True
-            else:  # periodic
-                fire = state.t - state.t_k >= period * (1.0 - 1e-12)
-        fill(i, state.t, nz, nv, ngz, cross, ne, eta_t, pred, fire)
-        if fire:
-            state = refresh_sample(state, state.t)
-            events.append(state.k, state.t, pred, ne, eta_t)
-        for hook in hooks:
-            hook(i, state)
+                np.subtract(vv, kernel.held, out=dev)
+                ne = w * float(np.dot(dev, dev))
+                if trigger_params is not None:
+                    eta_t = _trigger.eta0(t, trigger_params)
+                    pred = _trigger.predicate_from_norms(ne, nz, nv, eta_t, trigger_params)
+                else:
+                    eta_t = pred = float("nan")
+                if mode == "event-triggered":
+                    fire = pred >= 0.0
+                elif mode == "continuous-damping":
+                    fire = True
+                else:  # periodic
+                    fire = t - t_k >= period * (1.0 - 1e-12)
+            fill(i, t, nz, nv, ngz, cross, ne, eta_t, pred, fire)
+            if fire:
+                kernel.hold(vv.copy())  # a new array: the old hold stays intact
+                k, t_k = k + 1, t
+                events.append(k, t, pred, ne, eta_t)
+            if hooks:
+                state = WaveState(
+                    t=t,
+                    z=_grid.Field(zv.copy(), g, validate=False),
+                    v=_grid.Field(vv.copy(), g, validate=False),
+                    held=_grid.Field(kernel.held, g, validate=False),
+                    k=k,
+                    t_k=t_k,
+                )
+                for hook in hooks:
+                    hook(i, state)
 
     return _lyapunov.RunRecord.from_columns(
         cols,

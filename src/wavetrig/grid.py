@@ -29,6 +29,7 @@ __all__ = [
     "Rectangle",
     "Grid",
     "Field",
+    "Stencil",
     "build_grid",
     "l2_norm_sq",
     "h1_seminorm_sq",
@@ -96,21 +97,81 @@ class Grid:
         y = dy * np.arange(1, self.counts[1] + 1)
         return np.meshgrid(x, y, indexing="ij")
 
-    # Internal stencil application on raw value arrays (flat, length M).
-    def _laplacian_values(self, vals: np.ndarray) -> np.ndarray:
-        if self.ndim == 1:
-            dx = self.spacings[0]
-            padded = np.zeros(vals.size + 2)
-            padded[1:-1] = vals
-            return (padded[:-2] - 2.0 * vals + padded[2:]) / (dx * dx)
-        nx, ny = self.counts
-        dx, dy = self.spacings
-        padded = np.zeros((nx + 2, ny + 2))
-        padded[1:-1, 1:-1] = vals.reshape(nx, ny)
-        core = padded[1:-1, 1:-1]
-        out = (padded[:-2, 1:-1] - 2.0 * core + padded[2:, 1:-1]) / (dx * dx)
-        out += (padded[1:-1, :-2] - 2.0 * core + padded[1:-1, 2:]) / (dy * dy)
-        return out.ravel()
+
+def _along(a: np.ndarray, axis: int, s: slice) -> np.ndarray:
+    """View of a padded array: ``s`` along ``axis``, the interior along the others."""
+    index = [slice(1, -1)] * a.ndim
+    index[axis] = s
+    return a[tuple(index)]
+
+
+class Stencil:
+    """Caller-owned buffers for the Laplacian stencil and the gradient
+    seminorm on one grid.
+
+    The field sits inside ``padded``, a zero-ghost array one node wider on
+    every side.  ``values`` is the flat interior the caller writes: on an
+    interval it is a view of ``padded`` itself; on a rectangle the interior
+    is not contiguous, so ``values`` is a separate buffer that :meth:`sync`
+    copies in.  :meth:`laplacian` and :meth:`h1` read ``padded`` as of the
+    last :meth:`sync` and allocate nothing.
+    """
+
+    def __init__(self, g: Grid):
+        self.grid = g
+        self.padded = np.zeros(tuple(c + 2 for c in g.counts))
+        self._core = self.padded[(slice(1, -1),) * g.ndim]
+        self.values = self._core if g.ndim == 1 else np.zeros(g.num_interior)
+        self._lap = np.empty(g.counts)
+        self.lap = self._lap.ravel()  # flat view
+        self._scratch = np.empty(g.counts)  # the second axis' term
+        # per axis: the neighbours one node back and forward with the squared
+        # spacing (stencil), and a buffer for the forward differences over
+        # every edge with the two ends of each edge and the spacing (seminorm)
+        self._axes = []
+        self._edges = []
+        p = self.padded
+        for axis, h in enumerate(g.spacings):
+            self._axes.append((_along(p, axis, slice(None, -2)), _along(p, axis, slice(2, None)), h * h))
+            upper = _along(p, axis, slice(1, None))
+            self._edges.append((np.empty(upper.shape), upper, _along(p, axis, slice(None, -1)), h))
+
+    def load(self, vals: np.ndarray):
+        """Set the field to ``vals`` (flat, one value per interior node)."""
+        self.values[...] = vals
+        self.sync()
+
+    def sync(self):
+        """Bring ``padded`` up to date after ``values`` was written in place."""
+        if self.values is not self._core:
+            self._core[...] = self.values.reshape(self._core.shape)
+
+    def laplacian(self) -> np.ndarray:
+        """Second-order stencil into the flat buffer ``lap``, which is returned:
+        (back - 2 z + forward) / h^2 per axis, the axes summed in order."""
+        for j, (back, forward, h2) in enumerate(self._axes):
+            out = self._lap if j == 0 else self._scratch
+            np.multiply(self._core, 2.0, out=out)
+            np.subtract(back, out, out=out)
+            np.add(out, forward, out=out)
+            np.divide(out, h2, out=out)
+            if j:
+                self._lap += out
+        return self.lap
+
+    def h1(self) -> float:
+        """Squared discrete gradient norm; see :func:`h1_seminorm_sq`."""
+        g = self.grid
+        if g.ndim == 1:
+            ((d, upper, lower, dx),) = self._edges
+            np.subtract(upper, lower, out=d)
+            return g.weight * float(np.dot(d, d)) / (dx * dx)
+        for d, upper, lower, h in self._edges:
+            np.subtract(upper, lower, out=d)
+            np.divide(d, h, out=d)
+            np.multiply(d, d, out=d)
+        (ddx, *_), (ddy, *_) = self._edges
+        return g.weight * float(np.sum(ddx) + np.sum(ddy))
 
 
 @dataclass
@@ -180,25 +241,17 @@ def h1_seminorm_sq(f: Field, g: Grid) -> float:
     so the result vanishes only for the zero field.
     """
     _check(f, g)
-    if g.ndim == 1:
-        dx = g.spacings[0]
-        padded = np.zeros(f.values.size + 2)
-        padded[1:-1] = f.values
-        d = np.diff(padded)
-        return g.weight * float(np.dot(d, d)) / (dx * dx)
-    nx, ny = g.counts
-    dx, dy = g.spacings
-    padded = np.zeros((nx + 2, ny + 2))
-    padded[1:-1, 1:-1] = f.values.reshape(nx, ny)
-    ddx = np.diff(padded[:, 1:-1], axis=0) / dx
-    ddy = np.diff(padded[1:-1, :], axis=1) / dy
-    return g.weight * float(np.sum(ddx * ddx) + np.sum(ddy * ddy))
+    st = Stencil(g)
+    st.load(f.values)
+    return st.h1()
 
 
 def apply_laplacian(f: Field, g: Grid) -> Field:
     """Second-order Laplacian stencil with zero ghost boundary values."""
     _check(f, g)
-    return Field(g._laplacian_values(f.values), g)
+    st = Stencil(g)
+    st.load(f.values)
+    return Field(st.laplacian(), g)
 
 
 def minus_laplacian_matrix(g: Grid) -> sp.csc_matrix:

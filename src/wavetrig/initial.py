@@ -63,7 +63,10 @@ def build_field(g: Grid, spec: dict) -> Field:
     if kind == "zero":
         return Field(np.zeros(g.num_interior), g)
     if kind == "sine":
-        return sine_mode(g, int(spec.get("k", 1)))
+        k = spec.get("k", 1)
+        if isinstance(k, bool) or not (isinstance(k, int) or (isinstance(k, float) and k.is_integer())):
+            raise ConfigurationError(f"sine mode number must be an integer, got {k!r}")
+        return sine_mode(g, int(k))
     if kind == "bump":
         return bump(g)
     if kind == "file":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,10 +33,11 @@ __all__ = [
 
 SERIES_COLUMNS = tuple(RunRecord.COLUMNS)
 SERIES_COLUMNS_UNCONTROLLED = tuple(RunRecord.PLANT_COLUMNS)
+_FLOAT_FORMAT = "%.17e"
 
 
 def fmt(x: float) -> str:
-    return format(float(x), ".17e")
+    return _FLOAT_FORMAT % float(x)
 
 
 def _json_default(obj):
@@ -57,13 +59,11 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
     out.mkdir(parents=True, exist_ok=True)
     names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
     columns = record.columns()
+    # one %-format per row, with the line ending csv.writer uses
+    row = ",".join("%d" if name == "event" else _FLOAT_FORMAT for name in names) + "\r\n"
     with open(out / "series.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(record.t.size):
-            writer.writerow(
-                [str(int(columns[name][i])) if name == "event" else fmt(columns[name][i]) for name in names]
-            )
+        fh.write(",".join(names) + "\r\n")
+        fh.writelines(row % cells for cells in zip(*(columns[name].tolist() for name in names)))
 
     with open(out / "events.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -95,18 +95,18 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
 def _parse_series(path: Path) -> dict[str, np.ndarray]:
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = list(reader)
-    except (OSError, StopIteration) as exc:
+            header = fh.readline().rstrip("\r\n").split(",")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise DataFormatError(f"cannot read series file {path}: {exc}") from exc
     if header not in (list(SERIES_COLUMNS), list(SERIES_COLUMNS_UNCONTROLLED)):
         raise DataFormatError(f"unexpected series header in {path}: {header}")
     try:
-        data = np.array([[float(x) for x in row] for row in rows])
-    except ValueError as exc:
-        raise DataFormatError(f"non-numeric entry in {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file is refused below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    except ValueError as exc:  # a non-numeric cell or a ragged row
+        raise DataFormatError(f"malformed series table in {path}: {exc}") from exc
+    if data.shape[0] < 2 or data.shape[1] != len(header):
         raise DataFormatError(f"malformed series table in {path}")
     return {name: data[:, j] for j, name in enumerate(header)}
 

@@ -72,6 +72,8 @@ def test_config_validates_mode_and_sources():
     {"domain": {"kind": "interval", "length": 1.0, "n": "abc"}},
     {"alpha": "x"},
     {"design": {"bogus": 1}},
+    {"z0": {"kind": "sine", "k": "x"}},
+    {"z0": {"kind": "sine", "k": 1.5}},
 ])
 def test_malformed_config_exits_64(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -183,12 +185,17 @@ def test_cmd_verify_corrupted_energy_exits_1(tmp_path):
     assert main(["verify", str(tmp_path / "c-run")]) == 1
 
 
-def test_cmd_verify_malformed_series_exits_65(tmp_path):
+@pytest.mark.parametrize("corrupt", [
+    lambda line: line.replace("e-", "x-", 1),  # non-numeric cell
+    lambda line: line.split(",", 1)[1],  # ragged row
+    lambda line: "#" + line,  # a comment is not a row
+], ids=["non-numeric", "ragged", "comment"])
+def test_cmd_verify_malformed_series_exits_65(tmp_path, corrupt):
     cfg, path = small_config(tmp_path, out=str(tmp_path / "m-run"))
     assert main(["simulate", "--config", str(path)]) == 0
     series = tmp_path / "m-run" / "series.csv"
     lines = series.read_text().splitlines(True)
-    lines[3] = lines[3].replace("e-", "x-", 1)
+    lines[3] = corrupt(lines[3])
     series.write_text("".join(lines))
     assert main(["verify", str(tmp_path / "m-run")]) == 65
 

@@ -4,7 +4,7 @@ import pytest
 import wavetrig as wt
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError
 from wavetrig.grid import Field
-from wavetrig.initial import sine_mode
+from wavetrig.initial import bump, sine_mode
 
 
 def zero_field(g):
@@ -276,3 +276,29 @@ def test_wavestate_validation():
         wt.WaveState(t=0.0, z=sine_mode(g, 1), v=sine_mode(other, 1), held=zero_field(g), k=0, t_k=0.0)
     with pytest.raises(ConfigurationError):
         wt.WaveState(t=1.0, z=sine_mode(g, 1), v=zero_field(g), held=zero_field(g), k=0, t_k=2.0)
+
+
+@pytest.mark.parametrize(
+    "shape", [wt.Interval(1.0, 49), wt.Rectangle(1.0, 0.8, 15, 11)], ids=["interval", "rectangle"]
+)
+def test_simulate_and_public_step_share_one_kernel(shape):
+    # replaying an event-triggered run with the public step/refresh_sample
+    # calls reproduces every recorded state bit for bit
+    g = wt.build_grid(shape)
+    z0, z1 = sine_mode(g, 1), bump(g)
+    params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
+    integ = wt.IntegratorConfig(t_end=2.0)
+    snapshots = []
+    rec = wt.simulate(
+        z0, z1, 1.0, g, integ, params,
+        hooks=(lambda i, s: snapshots.append((s.z.values, s.v.values, s.held.values)),),
+    )
+    assert 3 <= len(rec.events) < rec.n_steps // 5
+    s = wt.WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
+    for i, recorded in enumerate(snapshots, start=1):
+        s = wt.step(s, rec.dt, 1.0)
+        s.t = rec.t[i]
+        if rec.event[i]:
+            s = wt.refresh_sample(s, s.t)
+        for got, want in zip((s.z.values, s.v.values, s.held.values), recorded):
+            assert got.tobytes() == want.tobytes(), f"step {i}"
