@@ -4,6 +4,7 @@ damping gain, initial data, integration, design knobs, and run mode."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from .errors import ConfigurationError
 from .grid import POINCARE_SOURCES, Grid, Interval, Rectangle, build_grid
 from .trigger import ETA0_VARIANTS
 
-__all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "load_config", "save_config"]
+__all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "load_config", "save_config"]
 
 # "user" takes the constant from comega_value instead of computing it.
 C_OMEGA_SOURCES = (*POINCARE_SOURCES, "user")
@@ -30,6 +31,16 @@ def _check_types(obj) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, expected):
             raise ConfigurationError(f"{f.name} must be of type {kind}, got {value!r}")
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int when it is an integer or an integer-valued float
+    such as ``49.0``; anything else (``49.7``, a bool, a string) is refused."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_choice(name: str, value, choices: tuple) -> None:
@@ -89,11 +100,10 @@ class RunConfig:
         kind = d.pop("kind", "interval")
         try:
             if kind == "interval":
-                return build_grid(Interval(length=float(d["length"]), n=int(d["n"])))
+                return build_grid(Interval(length=float(d["length"]), n=integer("n", d["n"])))
             if kind == "rectangle":
-                return build_grid(
-                    Rectangle(a=float(d["a"]), b=float(d["b"]), nx=int(d["nx"]), ny=int(d["ny"]))
-                )
+                nx, ny = integer("nx", d["nx"]), integer("ny", d["ny"])
+                return build_grid(Rectangle(a=float(d["a"]), b=float(d["b"]), nx=nx, ny=ny))
         except KeyError as exc:
             raise ConfigurationError(f"domain spec missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -95,24 +95,32 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
 
 
 class _Leapfrog:
-    """The step kernel: velocity Verlet in place on preallocated buffers.
+    """The step kernel: velocity Verlet of step dt in place on preallocated
+    buffers.
 
     z lives in the stencil's ghost-padded array; v, the forcing
-    -alpha * held and a scratch vector are flat arrays.  ``stencil.lap``
-    holds L z between steps: the L z_new that ends one step is the L z that
-    starts the next (first same as last), so a step applies the stencil
-    once.  Callers check dt and alpha (_check_step) and ignore floating-point
-    overflow and invalid operations; a blow-up shows as a failed advance.
+    -alpha * held, the half kick dt/2 * (L z + forcing) and a scratch
+    vector are flat arrays.  ``stencil.lap`` holds L z between steps, and
+    the half kick that closes one step is the one that opens the next
+    (first same as last), so a step applies the stencil once and forms the
+    kick once; :meth:`hold` re-forms it when the forcing changes.  Callers
+    check dt and alpha (_check_step) and ignore floating-point overflow and
+    invalid operations; :meth:`finite` tells whether the state blew up.
     """
 
-    def __init__(self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float):
+    def __init__(
+        self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float
+    ):
         self.stencil = _grid.Stencil(g)
         self.stencil.load(z)
         self.stencil.laplacian()
         self.z = self.stencil.values
         self.v = np.array(v, dtype=float)
         self.alpha = alpha
+        self.dt = dt
+        self._half = 0.5 * dt
         self.forcing = np.empty_like(self.v)
+        self.kick = np.empty_like(self.v)
         self._buf = np.empty_like(self.v)
         self.hold(held)
 
@@ -121,22 +129,25 @@ class _Leapfrog:
         reference."""
         self.held = held
         np.multiply(held, -self.alpha, out=self.forcing)
+        self._form_kick()
 
-    def _kick(self, half: float):
-        # v += dt/2 * (L z + forcing)
-        np.add(self.stencil.lap, self.forcing, out=self._buf)
-        np.multiply(self._buf, half, out=self._buf)
-        np.add(self.v, self._buf, out=self.v)
+    def _form_kick(self):
+        # kick = dt/2 * (L z + forcing)
+        np.add(self.stencil.lap, self.forcing, out=self.kick)
+        np.multiply(self.kick, self._half, out=self.kick)
 
-    def advance(self, dt: float) -> bool:
-        """One step of size dt; False when z or v is no longer finite."""
-        half = 0.5 * dt
-        self._kick(half)
-        np.multiply(self.v, dt, out=self._buf)
+    def advance(self):
+        """One step; afterwards ``stencil.lap`` holds L z of the new z."""
+        np.add(self.v, self.kick, out=self.v)
+        np.multiply(self.v, self.dt, out=self._buf)
         np.add(self.z, self._buf, out=self.z)
         self.stencil.sync()
         self.stencil.laplacian()  # L z_new, which the next step starts from
-        self._kick(half)
+        self._form_kick()
+        np.add(self.v, self.kick, out=self.v)
+
+    def finite(self) -> bool:
+        """Whether every entry of z and v is finite."""
         return bool(np.isfinite(self.z).all() and np.isfinite(self.v).all())
 
 
@@ -150,9 +161,9 @@ def step(s: WaveState, dt: float, alpha: float) -> WaveState:
     g = s.z.grid
     _check_step(g, dt, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-        kernel = _Leapfrog(g, s.z.values, s.v.values, s.held.values, alpha)
-        finite = kernel.advance(dt)
-    if not finite:
+        kernel = _Leapfrog(g, s.z.values, s.v.values, s.held.values, alpha, dt)
+        kernel.advance()
+    if not kernel.finite():
         raise BlowUpError(f"non-finite state after step from t = {s.t}", time=s.t)
     return WaveState(
         t=s.t + dt,
@@ -243,16 +254,19 @@ def simulate(
     w = g.weight
     k, t_k = 0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per step
-        kernel = _Leapfrog(g, z0.values, z1.values, z1.values.copy(), a)
-        stencil, zv, vv = kernel.stencil, kernel.z, kernel.v
+        kernel = _Leapfrog(g, z0.values, z1.values, z1.values.copy(), a, dt)
+        lap, zv, vv = kernel.stencil.lap, kernel.z, kernel.v
         dev = np.empty_like(vv)
         for i in range(1, m):
-            if not kernel.advance(dt):
-                raise BlowUpError(f"blow-up at step {i} (t = {i * dt})", step=i, time=i * dt)
+            kernel.advance()
             t = i * dt  # keep the time grid exactly uniform
             nz = w * float(np.dot(zv, zv))
             nv = w * float(np.dot(vv, vv))
-            ngz = stencil.h1()
+            # a non-finite entry makes its norm non-finite; the entrywise
+            # test runs only then, as norms of huge finite fields overflow
+            if not (math.isfinite(nz) and math.isfinite(nv)) and not kernel.finite():
+                raise BlowUpError(f"blow-up at step {i} (t = {t})", step=i, time=t)
+            ngz = -(w * float(np.dot(lap, zv)))  # summation by parts: -w <L z, z>
             cross = w * float(np.dot(zv, vv))
             if uncontrolled:
                 ne = eta_t = pred = float("nan")

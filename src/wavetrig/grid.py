@@ -106,15 +106,15 @@ def _along(a: np.ndarray, axis: int, s: slice) -> np.ndarray:
 
 
 class Stencil:
-    """Caller-owned buffers for the Laplacian stencil and the gradient
-    seminorm on one grid.
+    """Caller-owned buffers for the Laplacian stencil on one grid, which
+    also gives the gradient seminorm.
 
     The field sits inside ``padded``, a zero-ghost array one node wider on
     every side.  ``values`` is the flat interior the caller writes: on an
     interval it is a view of ``padded`` itself; on a rectangle the interior
     is not contiguous, so ``values`` is a separate buffer that :meth:`sync`
     copies in.  :meth:`laplacian` and :meth:`h1` read ``padded`` as of the
-    last :meth:`sync` and allocate nothing.
+    last :meth:`sync`; :meth:`laplacian` allocates nothing.
     """
 
     def __init__(self, g: Grid):
@@ -125,16 +125,12 @@ class Stencil:
         self._lap = np.empty(g.counts)
         self.lap = self._lap.ravel()  # flat view
         self._scratch = np.empty(g.counts)  # the second axis' term
-        # per axis: the neighbours one node back and forward with the squared
-        # spacing (stencil), and a buffer for the forward differences over
-        # every edge with the two ends of each edge and the spacing (seminorm)
-        self._axes = []
-        self._edges = []
+        # per axis: the neighbours one node back and forward, the squared spacing
         p = self.padded
-        for axis, h in enumerate(g.spacings):
-            self._axes.append((_along(p, axis, slice(None, -2)), _along(p, axis, slice(2, None)), h * h))
-            upper = _along(p, axis, slice(1, None))
-            self._edges.append((np.empty(upper.shape), upper, _along(p, axis, slice(None, -1)), h))
+        self._axes = [
+            (_along(p, axis, slice(None, -2)), _along(p, axis, slice(2, None)), h * h)
+            for axis, h in enumerate(g.spacings)
+        ]
 
     def load(self, vals: np.ndarray):
         """Set the field to ``vals`` (flat, one value per interior node)."""
@@ -162,16 +158,17 @@ class Stencil:
     def h1(self) -> float:
         """Squared discrete gradient norm; see :func:`h1_seminorm_sq`."""
         g = self.grid
+        p = self.padded
         if g.ndim == 1:
-            ((d, upper, lower, dx),) = self._edges
-            np.subtract(upper, lower, out=d)
+            d = np.subtract(p[1:], p[:-1])  # every edge, the boundary ones included
+            dx = g.spacings[0]
             return g.weight * float(np.dot(d, d)) / (dx * dx)
-        for d, upper, lower, h in self._edges:
-            np.subtract(upper, lower, out=d)
+        squares = []
+        for axis, h in enumerate(g.spacings):
+            d = np.subtract(_along(p, axis, slice(1, None)), _along(p, axis, slice(None, -1)))
             np.divide(d, h, out=d)
-            np.multiply(d, d, out=d)
-        (ddx, *_), (ddy, *_) = self._edges
-        return g.weight * float(np.sum(ddx) + np.sum(ddy))
+            squares.append(np.multiply(d, d, out=d))
+        return g.weight * float(np.sum(squares[0]) + np.sum(squares[1]))
 
 
 @dataclass

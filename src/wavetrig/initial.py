@@ -3,9 +3,12 @@ supported bump, and nodal values loaded from a file."""
 
 from __future__ import annotations
 
+import tokenize
+
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .config import integer
+from .errors import ConfigurationError, DataFormatError
 from .grid import Field, Grid
 
 __all__ = ["sine_mode", "bump", "load_nodal", "build_field"]
@@ -42,18 +45,28 @@ def bump(g: Grid) -> Field:
 
 
 def load_nodal(g: Grid, path: str) -> Field:
-    """Nodal values from a .npy file or whitespace-separated text."""
-    if str(path).endswith(".npy"):
-        vals = np.load(path)
-    else:
-        vals = np.loadtxt(path)
-    vals = np.asarray(vals, dtype=float)
+    """Nodal values from a .npy file or whitespace-separated text.
+
+    A file that does not parse, or holds the wrong number of values or a
+    non-finite one, raises DataFormatError.
+    """
+    try:
+        if str(path).endswith(".npy"):
+            vals = np.load(path)
+        else:
+            vals = np.loadtxt(path)
+        vals = np.asarray(vals, dtype=float)
+    except (ValueError, EOFError, tokenize.TokenError) as exc:
+        # a corrupt .npy header fails in numpy's header tokenizer
+        raise DataFormatError(f"cannot read nodal values from {path}: {exc}") from exc
     if vals.ndim == 2 and g.ndim == 2 and vals.shape == tuple(g.counts):
         vals = vals.ravel()
     if vals.ndim != 1 or vals.size != g.num_interior:
-        raise ShapeError(
+        raise DataFormatError(
             f"file {path} holds {vals.shape} values, grid expects {g.num_interior} interior nodes"
         )
+    if not np.isfinite(vals).all():
+        raise DataFormatError(f"file {path} holds non-finite values")
     return Field(vals, g)
 
 
@@ -63,10 +76,7 @@ def build_field(g: Grid, spec: dict) -> Field:
     if kind == "zero":
         return Field(np.zeros(g.num_interior), g)
     if kind == "sine":
-        k = spec.get("k", 1)
-        if isinstance(k, bool) or not (isinstance(k, int) or (isinstance(k, float) and k.is_integer())):
-            raise ConfigurationError(f"sine mode number must be an integer, got {k!r}")
-        return sine_mode(g, int(k))
+        return sine_mode(g, integer("sine mode number", spec.get("k", 1)))
     if kind == "bump":
         return bump(g)
     if kind == "file":

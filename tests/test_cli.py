@@ -74,12 +74,21 @@ def test_config_validates_mode_and_sources():
     {"design": {"bogus": 1}},
     {"z0": {"kind": "sine", "k": "x"}},
     {"z0": {"kind": "sine", "k": 1.5}},
+    {"domain": {"kind": "interval", "length": 1.0, "n": 49.7}},
+    {"domain": {"kind": "interval", "length": 1.0, "n": True}},
+    {"domain": {"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 15.5, "ny": 11}},
 ])
 def test_malformed_config_exits_64(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 64
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_integer_valued_float_node_counts_are_accepted():
+    assert RunConfig(domain={"kind": "interval", "length": 1.0, "n": 49.0}).build_grid().counts == (49,)
+    rect = RunConfig(domain={"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 15.0, "ny": 11})
+    assert rect.build_grid().counts == (15, 11)
 
 
 def test_cli_choices_are_the_owning_tuples():
@@ -275,6 +284,31 @@ def test_bump_and_file_initial_data(tmp_path):
         out=str(tmp_path / "filerun"),
     )
     assert main(["simulate", "--config", str(path)]) == 0
+
+
+def _corrupt_npy(edit):
+    def write(path):
+        np.save(path, np.ones(49))
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+@pytest.mark.parametrize("name, write", [
+    ("z0.txt", lambda p: p.write_text("a b c\n")),
+    ("z0.txt", lambda p: p.write_text("1 2\n3\n")),
+    ("z0.npy", _corrupt_npy(lambda b: b[:-8])),
+    ("z0.npy", _corrupt_npy(lambda b: b[:10] + b"X" * 20 + b[30:])),
+    ("z0.npy", _corrupt_npy(lambda b: b"")),
+    ("z0.npy", _corrupt_npy(lambda b: b"not an array")),
+    ("z0.npy", lambda p: np.save(p, np.ones(48))),
+    ("z0.txt", lambda p: p.write_text("nan " * 49)),
+], ids=["text-non-numeric", "text-ragged", "npy-truncated", "npy-bad-header", "npy-empty", "npy-garbage",
+        "wrong-size", "non-finite"])
+def test_malformed_initial_data_file_exits_65(tmp_path, capsys, name, write):
+    write(tmp_path / name)
+    cfg, path = small_config(tmp_path, z0={"kind": "file", "path": str(tmp_path / name)})
+    assert main(["simulate", "--config", str(path)]) == 65
+    assert "data format error" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- sweep

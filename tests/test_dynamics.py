@@ -266,7 +266,23 @@ def test_simulate_blowup_reports_step_index(small_setup):
     g, cert, params, z0, z1, integ = small_setup
     with pytest.raises(BlowUpError) as err:
         wt.simulate(z0, z1, 5000.0, g, integ, mode="continuous-damping")
-    assert err.value.step is not None and err.value.step > 0
+    assert err.value.step == 183
+    assert err.value.time == 183 * integ.dt
+
+
+def test_simulate_runs_on_when_only_the_norms_overflow(small_setup):
+    # entries near 1e160 are finite, their squared norms overflow to inf:
+    # that is not a blow-up of the state, so the run goes on
+    g, cert, params, z0, z1, integ = small_setup
+    big = Field(1e160 * z0.values, g)
+    states = []
+    short = wt.IntegratorConfig(t_end=5 * integ.dt, dt=integ.dt)
+    with np.errstate(over="ignore"):  # the t = 0 norms overflow too
+        rec = wt.simulate(big, z1, 1.0, g, short, mode="uncontrolled", hooks=(lambda i, s: states.append(s),))
+    assert rec.n_steps == 5 and len(states) == 5
+    assert np.isinf(rec.norm_z_sq).all() and np.isinf(rec.energy).all()
+    for s in states:
+        assert np.isfinite(s.z.values).all() and np.isfinite(s.v.values).all()
 
 
 def test_wavestate_validation():
@@ -302,3 +318,24 @@ def test_simulate_and_public_step_share_one_kernel(shape):
             s = wt.refresh_sample(s, s.t)
         for got, want in zip((s.z.values, s.v.values, s.held.values), recorded):
             assert got.tobytes() == want.tobytes(), f"step {i}"
+
+
+@pytest.mark.parametrize(
+    "shape", [wt.Interval(1.0, 49), wt.Rectangle(1.0, 0.8, 15, 11)], ids=["interval", "rectangle"]
+)
+def test_simulate_records_the_gradient_norm_of_each_state(shape):
+    # the recorded norm_gradz_sq comes from summation by parts against the
+    # L z the kernel holds; it must be the seminorm of that step's z
+    g = wt.build_grid(shape)
+    z0, z1 = sine_mode(g, 1), bump(g)
+    params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
+    seminorms = []
+    rec = wt.simulate(
+        z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params,
+        hooks=(lambda i, s: seminorms.append((i, wt.h1_seminorm_sq(s.z, g))),),
+    )
+    assert len(rec.events) >= 3
+    assert [i for i, _ in seminorms] == list(range(1, rec.n_steps + 1))
+    assert rec.norm_gradz_sq[0] == wt.h1_seminorm_sq(z0, g)
+    for i, want in seminorms:
+        assert abs(rec.norm_gradz_sq[i] - want) <= 1e-12 * want, f"step {i}"
