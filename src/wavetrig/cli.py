@@ -25,6 +25,7 @@ from .errors import (
     DegenerateInitialDataError,
     DesignFailureError,
     InfeasibleDomainError,
+    PreconditionError,
     WavetrigError,
 )
 from .grid import Grid, discrete_poincare_constant, poincare_constant
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_DATAERR
-    except ConfigurationError as exc:
+    except (ConfigurationError, PreconditionError) as exc:  # a config value out of range
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

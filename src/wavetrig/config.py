@@ -4,6 +4,7 @@ damping gain, initial data, integration, design knobs, and run mode."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -13,23 +14,24 @@ from .errors import ConfigurationError
 from .grid import POINCARE_SOURCES, Grid, Interval, Rectangle, build_grid
 from .trigger import ETA0_VARIANTS
 
-__all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "load_config", "save_config"]
+__all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "load_config", "save_config"]
 
 # "user" takes the constant from comega_value instead of computing it.
 C_OMEGA_SOURCES = (*POINCARE_SOURCES, "user")
 
-_JSON_TYPES = {"float": (int, float), "str": str, "dict": dict}
+_JSON_TYPES = {"str": str, "dict": dict}
 
 
 def _check_types(obj) -> None:
-    """Refuse field values of the wrong JSON type (a bool is not a number)."""
+    """Refuse field values of the wrong JSON type and non-finite numbers."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         kind, _, optional = f.type.partition(" | ")
-        expected = _JSON_TYPES.get(kind)
-        if expected is None or (optional and value is None):
+        if optional and value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, expected):
+        if kind == "float":
+            finite(f.name, value)
+        elif kind in _JSON_TYPES and not isinstance(value, _JSON_TYPES[kind]):
             raise ConfigurationError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
@@ -41,6 +43,18 @@ def integer(name: str, value) -> int:
     ):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def finite(name: str, value) -> float:
+    """``value`` as a float when it is a finite int or float; a bool, a
+    string, NaN, an infinity or an int too large for a float is refused."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _check_choice(name: str, value, choices: tuple) -> None:
@@ -100,10 +114,10 @@ class RunConfig:
         kind = d.pop("kind", "interval")
         try:
             if kind == "interval":
-                return build_grid(Interval(length=float(d["length"]), n=integer("n", d["n"])))
+                return build_grid(Interval(length=finite("length", d["length"]), n=integer("n", d["n"])))
             if kind == "rectangle":
                 nx, ny = integer("nx", d["nx"]), integer("ny", d["ny"])
-                return build_grid(Rectangle(a=float(d["a"]), b=float(d["b"]), nx=nx, ny=ny))
+                return build_grid(Rectangle(a=finite("a", d["a"]), b=finite("b", d["b"]), nx=nx, ny=ny))
         except KeyError as exc:
             raise ConfigurationError(f"domain spec missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -99,11 +99,11 @@ class _Leapfrog:
     buffers.
 
     z lives in the stencil's ghost-padded array; v, the forcing
-    -alpha * held, the half kick dt/2 * (L z + forcing) and a scratch
-    vector are flat arrays.  ``stencil.lap`` holds L z between steps, and
-    the half kick that closes one step is the one that opens the next
-    (first same as last), so a step applies the stencil once and forms the
-    kick once; :meth:`hold` re-forms it when the forcing changes.  Callers
+    -alpha * held and the half kick dt/2 * (L z + forcing) are flat
+    arrays.  ``stencil.lap`` holds L z between steps, and the half kick
+    that closes one step is the one that opens the next (first same as
+    last), so a step applies the stencil once and forms the kick once;
+    :meth:`hold` re-forms it when the forcing changes.  Callers
     check dt and alpha (_check_step) and ignore floating-point overflow and
     invalid operations; :meth:`finite` tells whether the state blew up.
     """
@@ -121,7 +121,6 @@ class _Leapfrog:
         self._half = 0.5 * dt
         self.forcing = np.empty_like(self.v)
         self.kick = np.empty_like(self.v)
-        self._buf = np.empty_like(self.v)
         self.hold(held)
 
     def hold(self, held: np.ndarray):
@@ -139,8 +138,8 @@ class _Leapfrog:
     def advance(self):
         """One step; afterwards ``stencil.lap`` holds L z of the new z."""
         np.add(self.v, self.kick, out=self.v)
-        np.multiply(self.v, self.dt, out=self._buf)
-        np.add(self.z, self._buf, out=self.z)
+        np.multiply(self.v, self.dt, out=self.kick)  # the kick is spent until _form_kick
+        np.add(self.z, self.kick, out=self.z)
         self.stencil.sync()
         self.stencil.laplacian()  # L z_new, which the next step starts from
         self._form_kick()
@@ -196,16 +195,13 @@ def simulate(
     certificate: StabilityCertificate | None = None,
     mode: str = "event-triggered",
     period: float | None = None,
-    hooks: tuple = (),
 ) -> RunRecord:
     """Run the closed loop to the horizon and record per-step series.
 
-    An unconditional event fires at t = 0 (k = 0, held := z1).  After every
-    step the update policy of ``mode`` is evaluated on the post-step state
-    and the hold is refreshed when it fires; recorded step values are the
-    pre-refresh ones.  ``hooks`` are called as hook(step_index, state) after
-    each step, with a snapshot of the post-refresh state whose ``held``
-    array is the same object from one event to the next.
+    An unconditional event fires at t = 0 (held := z1).  After every step
+    the update policy of ``mode`` is evaluated on the post-step state and
+    the hold is refreshed when it fires; recorded step values are the
+    pre-refresh ones.
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
@@ -226,33 +222,23 @@ def simulate(
     n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-9)))
 
     m = n_steps + 1
-    cols = {
-        name: np.empty(m, dtype=bool if name == "event" else float)
-        for name in _lyapunov.RunRecord.COLUMNS
-    }
-    arrays = tuple(cols.values())
-    events = None if uncontrolled else _trigger.EventLog()
+    # the series columns, written in place by the loop; cross is <z, v>
+    nz, nv, ngz, cross, ne, eta, pred = (np.full(m, np.nan) for _ in range(7))
+    event = np.zeros(m, dtype=bool)
 
-    def fill(i, t, nz, nv, ngz, cross, ne, eta_t, pred, fire):
-        e, v = _lyapunov.energy_lyapunov(nz, nv, ngz, cross, eps, a)
-        for arr, value in zip(arrays, (t, e, v, nz, nv, ngz, ne, eta_t, pred, fire)):
-            arr[i] = value
-
-    nz, nv, ngz, cross = _lyapunov.field_norms(z0, z1, g)
+    norms = _lyapunov.field_norms(z0, z1, g)
+    _lyapunov.require_nondegenerate(_lyapunov.energy_lyapunov(*norms, eps, a)[1], g, "Lyapunov value")
+    nz[0], nv[0], ngz[0], cross[0] = norms
     if trigger_params is not None:
-        eta_now = _trigger.eta0(0.0, trigger_params)
-        pred_now = _trigger.predicate_from_norms(0.0, nz, nv, eta_now, trigger_params)
-    else:
-        eta_now = pred_now = float("nan")
-    fill(0, 0.0, nz, nv, ngz, cross, 0.0 if not uncontrolled else float("nan"), eta_now, pred_now,
-         not uncontrolled)
-    _lyapunov.require_nondegenerate(float(cols["V"][0]), g, "Lyapunov value")
-    if events is not None:
-        events.append(0, 0.0, pred_now, 0.0, eta_now)
+        eta[0] = eta_0 = _trigger.eta0(0.0, trigger_params)
+        pred[0] = _trigger.predicate_from_norms(0.0, norms[0], norms[1], eta_0, trigger_params)
+    if not uncontrolled:
+        ne[0] = 0.0
+        event[0] = True
 
     _check_step(g, dt, a)
     w = g.weight
-    k, t_k = 0, 0.0
+    t_k = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per step
         kernel = _Leapfrog(g, z0.values, z1.values, z1.values.copy(), a, dt)
         lap, zv, vv = kernel.stencil.lap, kernel.z, kernel.v
@@ -260,51 +246,46 @@ def simulate(
         for i in range(1, m):
             kernel.advance()
             t = i * dt  # keep the time grid exactly uniform
-            nz = w * float(np.dot(zv, zv))
-            nv = w * float(np.dot(vv, vv))
+            nz_i = w * float(np.dot(zv, zv))
+            nv_i = w * float(np.dot(vv, vv))
             # a non-finite entry makes its norm non-finite; the entrywise
             # test runs only then, as norms of huge finite fields overflow
-            if not (math.isfinite(nz) and math.isfinite(nv)) and not kernel.finite():
+            if not (math.isfinite(nz_i) and math.isfinite(nv_i)) and not kernel.finite():
                 raise BlowUpError(f"blow-up at step {i} (t = {t})", step=i, time=t)
-            ngz = -(w * float(np.dot(lap, zv)))  # summation by parts: -w <L z, z>
-            cross = w * float(np.dot(zv, vv))
+            nz[i], nv[i] = nz_i, nv_i
+            ngz[i] = -(w * float(np.dot(lap, zv)))  # summation by parts: -w <L z, z>
+            cross[i] = w * float(np.dot(zv, vv))
             if uncontrolled:
-                ne = eta_t = pred = float("nan")
-                fire = False
-            else:
-                np.subtract(vv, kernel.held, out=dev)
-                ne = w * float(np.dot(dev, dev))
-                if trigger_params is not None:
-                    eta_t = _trigger.eta0(t, trigger_params)
-                    pred = _trigger.predicate_from_norms(ne, nz, nv, eta_t, trigger_params)
-                else:
-                    eta_t = pred = float("nan")
-                if mode == "event-triggered":
-                    fire = pred >= 0.0
-                elif mode == "continuous-damping":
-                    fire = True
-                else:  # periodic
-                    fire = t - t_k >= period * (1.0 - 1e-12)
-            fill(i, t, nz, nv, ngz, cross, ne, eta_t, pred, fire)
+                continue
+            np.subtract(vv, kernel.held, out=dev)
+            ne[i] = ne_i = w * float(np.dot(dev, dev))
+            if trigger_params is not None:
+                eta[i] = eta_i = _trigger.eta0(t, trigger_params)
+                pred[i] = pred_i = _trigger.predicate_from_norms(ne_i, nz_i, nv_i, eta_i, trigger_params)
+            if mode == "event-triggered":
+                fire = pred_i >= 0.0
+            elif mode == "continuous-damping":
+                fire = True
+            else:  # periodic
+                fire = t - t_k >= period * (1.0 - 1e-12)
             if fire:
+                event[i] = True
                 kernel.hold(vv.copy())  # a new array: the old hold stays intact
-                k, t_k = k + 1, t
-                events.append(k, t, pred, ne, eta_t)
-            if hooks:
-                state = WaveState(
-                    t=t,
-                    z=_grid.Field(zv.copy(), g, validate=False),
-                    v=_grid.Field(vv.copy(), g, validate=False),
-                    held=_grid.Field(kernel.held, g, validate=False),
-                    k=k,
-                    t_k=t_k,
-                )
-                for hook in hooks:
-                    hook(i, state)
+                t_k = t
+        # numpy warns on 0 * inf in V where Python floats did not
+        energy, lyap = _lyapunov.energy_lyapunov(nz, nv, ngz, cross, eps, a)
 
-    return _lyapunov.RunRecord.from_columns(
-        cols,
-        events=events,
+    return _lyapunov.RunRecord(
+        t=np.arange(m) * dt,
+        energy=energy,
+        lyapunov=lyap,
+        norm_z_sq=nz,
+        norm_v_sq=nv,
+        norm_gradz_sq=ngz,
+        norm_e_sq=ne,
+        eta0=eta,
+        trigger_value=pred,
+        event=event,
         certificate=certificate,
         trigger=trigger_params,
         mode=mode,

@@ -1,10 +1,11 @@
-"""Energy and Lyapunov functionals, the per-run time series record, and the
-certificate checkers that validate a recorded trajectory against the
-guarantees of its certificate."""
+"""Energy and Lyapunov functionals, the per-run time series record with the
+event log it holds, and the certificate checkers that validate a recorded
+trajectory against the guarantees of its certificate."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -15,9 +16,10 @@ from .errors import ConfigurationError, DegenerateInitialDataError
 
 if TYPE_CHECKING:
     from .dynamics import WaveState
-    from .trigger import EventLog, TriggerParams
+    from .trigger import TriggerParams
 
 __all__ = [
+    "EventLog",
     "RunRecord",
     "CheckReport",
     "DEGENERATE_REL",
@@ -82,6 +84,25 @@ def lyapunov_v(state: "WaveState", epsilon: float, alpha: float, g: _grid.Grid) 
     return energy_lyapunov(*field_norms(state.z, state.v, g), epsilon, alpha)[1]
 
 
+@dataclass(frozen=True)
+class EventLog:
+    """The sampling events of a run: its event rows, in order, so entry k
+    is event k.
+
+    Entry 0 is the unconditional event at t = 0; every later entry holds
+    the pre-refresh predicate, deviation norm and threshold floor at the
+    firing step.
+    """
+
+    times: np.ndarray
+    predicate_values: np.ndarray
+    norm_e_sq_values: np.ndarray
+    eta0_values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.times.size
+
+
 @dataclass
 class RunRecord:
     """Per-step time series of a completed simulation.
@@ -89,7 +110,8 @@ class RunRecord:
     All arrays share one length; ``t`` is uniform with spacing ``dt``.  The
     deviation/threshold/predicate columns hold NaN for uncontrolled runs.
     Values at an event step are the pre-refresh ones, so the predicate
-    column is the value that caused the firing.
+    column is the value that caused the firing.  The columns are the whole
+    record: ``events`` is a view of the event rows.
     """
 
     t: np.ndarray
@@ -102,7 +124,6 @@ class RunRecord:
     eta0: np.ndarray
     trigger_value: np.ndarray
     event: np.ndarray
-    events: EventLog | None
     certificate: StabilityCertificate | None
     trigger: TriggerParams | None
     mode: str
@@ -142,6 +163,14 @@ class RunRecord:
 
     def event_indices(self) -> np.ndarray:
         return np.flatnonzero(self.event)
+
+    @cached_property
+    def events(self) -> EventLog | None:
+        """The event rows as an EventLog; None for an uncontrolled run."""
+        if self.mode == "uncontrolled":
+            return None
+        rows = self.event_indices()
+        return EventLog(self.t[rows], self.trigger_value[rows], self.norm_e_sq[rows], self.eta0[rows])
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from .design import StabilityCertificate
 from .errors import DataFormatError
 from .lyapunov import RunRecord
-from .trigger import EventLog, TriggerParams
+from .trigger import TriggerParams
 
 __all__ = [
     "SERIES_COLUMNS",
@@ -70,7 +70,7 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
         writer.writerow(("k", "t_k", "dwell"))
         if record.events is not None:
             prev = None
-            for k, t in zip(record.events.ks, record.events.times):
+            for k, t in enumerate(record.events.times.tolist()):
                 dwell = float("nan") if prev is None else t - prev
                 writer.writerow((str(k), fmt(t), fmt(dwell)))
                 prev = t
@@ -132,22 +132,8 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     trigger_params = TriggerParams(**trig) if trig else None
     columns = {name: cols.get(name, nan) for name in RunRecord.COLUMNS}
     columns["event"] = columns["event"].astype(bool) if "event" in cols else np.zeros(n, dtype=bool)
-
-    events = None
-    if mode != "uncontrolled":
-        events = EventLog()
-        for order, i in enumerate(np.flatnonzero(columns["event"])):
-            events.append(
-                order,
-                float(cols["t"][i]),
-                float(cols["trigger_value"][i]),
-                float(cols["norm_e_sq"][i]),
-                float(cols["eta0"][i]),
-            )
-
     record = RunRecord.from_columns(
         columns,
-        events=events,
         certificate=certificate,
         trigger=trigger_params,
         mode=mode,

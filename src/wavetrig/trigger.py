@@ -1,11 +1,11 @@
 """The event-triggering mechanism: velocity deviation since the last
-sample, the decaying threshold floor eta0, the firing predicate, the event
-log, and dwell-time diagnostics."""
+sample, the decaying threshold floor eta0, the firing predicate, and
+dwell-time diagnostics over a run's event log."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -13,6 +13,7 @@ import numpy as np
 from . import grid as _grid
 from . import lyapunov as _lyapunov
 from .errors import ConfigurationError, PreconditionError, ShapeError
+from .lyapunov import EventLog
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .design import StabilityCertificate
@@ -63,36 +64,6 @@ class TriggerParams:
                 f"theta = {cert.theta} does not exceed beta/c2 = {cert.beta / cert.c2}"
             )
         return cls(gamma0=cert.gamma0, gamma1=cert.gamma1, theta=cert.theta, eta0_scale=eta0_scale)
-
-
-@dataclass
-class EventLog:
-    """Append-only record of sampling events.
-
-    The run seeds it with the unconditional event at t = 0; every later
-    entry stores the pre-refresh predicate, deviation norm and threshold
-    floor at the firing step.
-    """
-
-    times: list[float] = field(default_factory=list)
-    ks: list[int] = field(default_factory=list)
-    predicate_values: list[float] = field(default_factory=list)
-    norm_e_sq_values: list[float] = field(default_factory=list)
-    eta0_values: list[float] = field(default_factory=list)
-
-    def append(self, k: int, t: float, predicate: float, norm_e_sq: float, eta0_value: float):
-        self.times.append(t)
-        self.ks.append(k)
-        self.predicate_values.append(predicate)
-        self.norm_e_sq_values.append(norm_e_sq)
-        self.eta0_values.append(eta0_value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def dwell_times(self) -> np.ndarray:
-        return np.diff(np.asarray(self.times))
 
 
 @dataclass(frozen=True)
@@ -190,7 +161,7 @@ def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> Dwell
     """
     if len(log) == 0:
         raise ConfigurationError("empty event log: degenerate run")
-    times = np.asarray(log.times)
+    times = log.times
     if times[0] != 0.0 or (len(times) > 1 and not (np.diff(times) > 0).all()):
         raise ConfigurationError("event log must start at t = 0 with strictly increasing times")
     dwells = np.diff(times)
@@ -208,10 +179,7 @@ def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> Dwell
         hist, bin_edges = np.histogram(dwells, bins=bins)
         edges = tuple(float(x) for x in bin_edges)
         counts = tuple(int(x) for x in hist)
-    floor_violations = 0
-    for ne, et in zip(log.norm_e_sq_values[1:], log.eta0_values[1:]):
-        if ne < et * (1.0 - 1e-12):
-            floor_violations += 1
+    floor_violations = int(np.count_nonzero(log.norm_e_sq_values[1:] < log.eta0_values[1:] * (1.0 - 1e-12)))
     return DwellStats(
         event_count=len(log),
         min_dwell=min_d,

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -77,6 +78,18 @@ def test_config_validates_mode_and_sources():
     {"domain": {"kind": "interval", "length": 1.0, "n": 49.7}},
     {"domain": {"kind": "interval", "length": 1.0, "n": True}},
     {"domain": {"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 15.5, "ny": 11}},
+    {"domain": {"kind": "interval", "length": True, "n": 49}},
+    {"domain": {"kind": "interval", "length": "1.0", "n": 49}},
+    {"domain": {"kind": "interval", "length": math.inf, "n": 49}},
+    {"domain": {"kind": "rectangle", "a": True, "b": 1.0, "nx": 15, "ny": 11}},
+    {"domain": {"kind": "rectangle", "a": 1.0, "b": "1.0", "nx": 15, "ny": 11}},
+    {"domain": {"kind": "rectangle", "a": 1.0, "b": math.inf, "nx": 15, "ny": 11}},
+    {"alpha": 0},
+    {"alpha": -1},
+    {"alpha": math.nan},
+    {"design": {"s_gamma0": 2}},
+    {"design": {"theta_margin": 0.5}},
+    {"t_end": math.inf},
 ])
 def test_malformed_config_exits_64(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"

@@ -129,7 +129,7 @@ def _synthetic_record(t, energy, lyap, eta, cert, events_at=()):
     return RunRecord(
         t=t, energy=energy, lyapunov=lyap, norm_z_sq=nan.copy(), norm_v_sq=nan.copy(),
         norm_gradz_sq=nan.copy(), norm_e_sq=nan.copy(), eta0=eta,
-        trigger_value=nan.copy(), event=ev, events=None, certificate=cert,
+        trigger_value=nan.copy(), event=ev, certificate=cert,
         trigger=None, mode="event-triggered", dt=float(t[1] - t[0]),
     )
 
@@ -225,7 +225,7 @@ def test_checks_reject_degenerate_series():
         t=t, energy=one.copy(), lyapunov=one.copy(), norm_z_sq=one.copy(),
         norm_v_sq=one.copy(), norm_gradz_sq=one.copy(), norm_e_sq=one.copy(),
         eta0=one.copy(), trigger_value=one.copy(), event=np.zeros(1, dtype=bool),
-        events=None, certificate=CERT, trigger=None, mode="event-triggered", dt=0.1,
+        certificate=CERT, trigger=None, mode="event-triggered", dt=0.1,
     )
     for check in (wt.check_equivalence, wt.check_vdot, wt.check_envelope):
         with pytest.raises(ConfigurationError):
@@ -239,7 +239,7 @@ def test_run_record_validates_lengths():
             t=t, energy=np.zeros(10), lyapunov=np.zeros(11), norm_z_sq=np.zeros(11),
             norm_v_sq=np.zeros(11), norm_gradz_sq=np.zeros(11), norm_e_sq=np.zeros(11),
             eta0=np.zeros(11), trigger_value=np.zeros(11), event=np.zeros(11, dtype=bool),
-            events=None, certificate=None, trigger=None, mode="uncontrolled", dt=0.1,
+            certificate=None, trigger=None, mode="uncontrolled", dt=0.1,
         )
 
 

@@ -44,7 +44,7 @@ def test_series_writer_matches_csv_writer(columns, uncontrolled):
     names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
     expected = reference_series(names, columns)
     record = RunRecord.from_columns(
-        columns, events=None, certificate=None, trigger=None, mode=mode, dt=1.0
+        columns, certificate=None, trigger=None, mode=mode, dt=1.0
     )
     with tempfile.TemporaryDirectory() as tmp:
         save_run(record, tmp)

@@ -145,14 +145,18 @@ def test_threshold_scale_v0_is_initial_lyapunov():
 
 # -------------------------------------------------------------------- zeno
 
+def event_log(*rows):
+    """An EventLog of (t, predicate, ||e||^2, eta0) rows."""
+    return EventLog(*np.array(rows, dtype=float).reshape(-1, 4).T)
+
+
 def test_zeno_empty_log_is_degenerate():
     with pytest.raises(ConfigurationError):
-        wt.zeno_report(EventLog(), horizon=1.0)
+        wt.zeno_report(event_log(), horizon=1.0)
 
 
 def test_zeno_single_event_reports_horizon_dwell():
-    log = EventLog()
-    log.append(0, 0.0, -1.0, 0.0, 1.0)
+    log = event_log((0.0, -1.0, 0.0, 1.0))
     stats = wt.zeno_report(log, horizon=7.5, dt=0.1)
     assert stats.event_count == 1
     assert stats.min_dwell == stats.mean_dwell == stats.max_dwell == 7.5
@@ -160,28 +164,24 @@ def test_zeno_single_event_reports_horizon_dwell():
 
 
 def test_zeno_floor_violation_counted():
-    log = EventLog()
-    log.append(0, 0.0, -1.0, 0.0, 1.0)
-    log.append(1, 0.5, 0.2, 0.9, 0.4)   # fine: ||e||^2 = 0.9 >= eta0 = 0.4
-    log.append(2, 1.5, 0.1, 0.3, 0.35)  # violation: 0.3 < 0.35
+    log = event_log(
+        (0.0, -1.0, 0.0, 1.0),
+        (0.5, 0.2, 0.9, 0.4),   # fine: ||e||^2 = 0.9 >= eta0 = 0.4
+        (1.5, 0.1, 0.3, 0.35),  # violation: 0.3 < 0.35
+    )
     stats = wt.zeno_report(log, horizon=2.0, dt=0.5)
     assert stats.floor_violations == 1
     assert not stats.floor_ok
 
 
 def test_zeno_requires_increasing_times():
-    log = EventLog()
-    log.append(0, 0.0, -1.0, 0.0, 1.0)
-    log.append(1, 1.0, 0.0, 1.0, 0.5)
-    log.append(2, 0.5, 0.0, 1.0, 0.5)
+    log = event_log((0.0, -1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.5), (0.5, 0.0, 1.0, 0.5))
     with pytest.raises(ConfigurationError):
         wt.zeno_report(log, horizon=2.0)
 
 
 def test_zeno_constant_dwell_histogram():
-    log = EventLog()
-    for k in range(5):
-        log.append(k, 0.25 * k, 0.0, 1.0, 0.5)
+    log = event_log(*((0.25 * k, 0.0, 1.0, 0.5) for k in range(5)))
     stats = wt.zeno_report(log, horizon=1.0, dt=0.25)
     assert sum(stats.histogram_counts) == 4
     assert stats.min_dwell == pytest.approx(0.25)
