@@ -14,12 +14,16 @@ from .errors import ConfigurationError
 from .grid import POINCARE_SOURCES, Grid, Interval, Rectangle, build_grid
 from .trigger import ETA0_VARIANTS
 
-__all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "load_config", "save_config"]
+__all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "known_keys", "check_choice",
+           "load_config", "save_config"]
 
 # "user" takes the constant from comega_value instead of computing it.
 C_OMEGA_SOURCES = (*POINCARE_SOURCES, "user")
 
 _JSON_TYPES = {"str": str, "dict": dict}
+
+# The keys each domain kind takes besides "kind".
+_DOMAIN_KEYS = {"interval": ("length", "n"), "rectangle": ("a", "b", "nx", "ny")}
 
 
 def _check_types(obj) -> None:
@@ -57,7 +61,17 @@ def finite(name: str, value) -> float:
     return float(value)
 
 
-def _check_choice(name: str, value, choices: tuple) -> None:
+def known_keys(what: str, spec: dict, keys) -> None:
+    """Refuse keys of ``spec`` outside ``keys``: a misspelt key would
+    otherwise be ignored and the run go ahead on the default."""
+    unknown = set(spec) - set(keys)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """Refuse a ``value`` not in ``choices``; a tuple is searched by ``==``,
+    so an unhashable value is refused too."""
     if value not in choices:
         raise ConfigurationError(f"{name} must be one of {choices}, got {value!r}")
 
@@ -65,9 +79,7 @@ def _check_choice(name: str, value, choices: tuple) -> None:
 def _from_dict(cls, d: dict, what: str):
     if not isinstance(d, dict):
         raise ConfigurationError(f"{what} must be a JSON object, got {d!r}")
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    known_keys(what, d, (f.name for f in fields(cls)))
     return cls(**d)
 
 
@@ -82,8 +94,8 @@ class DesignSpec:
 
     def __post_init__(self):
         _check_types(self)
-        _check_choice("comega_source", self.comega_source, C_OMEGA_SOURCES)
-        _check_choice("eta0_variant", self.eta0_variant, ETA0_VARIANTS)
+        check_choice("comega_source", self.comega_source, C_OMEGA_SOURCES)
+        check_choice("eta0_variant", self.eta0_variant, ETA0_VARIANTS)
         if self.comega_source == "user" and self.comega_value is None:
             raise ConfigurationError("comega_source 'user' needs comega_value")
 
@@ -107,22 +119,20 @@ class RunConfig:
         if not isinstance(self.design, DesignSpec):
             self.design = _from_dict(DesignSpec, self.design, "design")
         _check_types(self)
-        _check_choice("mode", self.mode, MODES)
+        check_choice("mode", self.mode, MODES)
 
     def build_grid(self) -> Grid:
-        d = dict(self.domain)
-        kind = d.pop("kind", "interval")
+        d = self.domain
+        kind = d.get("kind", "interval")
+        check_choice("domain kind", kind, tuple(_DOMAIN_KEYS))
+        known_keys(f"{kind} domain", d, ("kind", *_DOMAIN_KEYS[kind]))
         try:
             if kind == "interval":
                 return build_grid(Interval(length=finite("length", d["length"]), n=integer("n", d["n"])))
-            if kind == "rectangle":
-                nx, ny = integer("nx", d["nx"]), integer("ny", d["ny"])
-                return build_grid(Rectangle(a=finite("a", d["a"]), b=finite("b", d["b"]), nx=nx, ny=ny))
+            nx, ny = integer("nx", d["nx"]), integer("ny", d["ny"])
+            return build_grid(Rectangle(a=finite("a", d["a"]), b=finite("b", d["b"]), nx=nx, ny=ny))
         except KeyError as exc:
             raise ConfigurationError(f"domain spec missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad domain spec {self.domain}: {exc}") from exc
-        raise ConfigurationError(f"unknown domain kind {kind!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

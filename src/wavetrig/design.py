@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from .errors import DesignFailureError, InfeasibleDomainError, PreconditionError
+from .errors import DataFormatError, DesignFailureError, InfeasibleDomainError, PreconditionError, WavetrigError
 
 __all__ = [
     "DesignInput",
@@ -21,6 +21,7 @@ __all__ = [
     "gamma_bounds",
     "epsilon_interval",
     "margins",
+    "certified_constants",
     "build_certificate",
     "vdot_bound_rhs",
     "SQRT2",
@@ -115,7 +116,26 @@ class StabilityCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StabilityCertificate":
-        return cls(**d)
+        """A certificate read from a file.  Raises DataFormatError unless it
+        keeps the invariants, its gammas lie below ``gamma_bounds``, epsilon
+        lies in ``epsilon_interval`` and ``certified_constants`` re-derives
+        every stored number exactly."""
+        try:
+            cert = cls(**d)
+            point = (cert.alpha, cert.c_omega, cert.gamma0, cert.gamma1)
+            g0_sup, g1_sup = gamma_bounds(cert.alpha, cert.c_omega)
+            lo, hi = epsilon_interval(*point)
+            derived = certified_constants(*point, cert.epsilon, cert.theta)
+        except (TypeError, ArithmeticError, WavetrigError) as exc:
+            raise DataFormatError(f"not a valid certificate: {exc}") from exc
+        mismatched = sorted(name for name, value in derived.items() if getattr(cert, name) != value)
+        if mismatched:
+            raise DataFormatError(f"certificate values {mismatched} differ from their re-derivation")
+        if not (cert.gamma0 < g0_sup and cert.gamma1 < g1_sup and lo < cert.epsilon < hi):
+            raise DataFormatError(
+                f"certificate outside gamma bounds ({g0_sup}, {g1_sup}) or epsilon interval ({lo}, {hi})"
+            )
+        return cert
 
 
 def gamma_bounds(alpha: float, c_omega: float) -> tuple[float, float]:
@@ -172,6 +192,17 @@ def margins(alpha: float, c_omega: float, gamma0: float, gamma1: float, eps: flo
     return nu0, nu1, min(nu0, nu1)
 
 
+def certified_constants(alpha: float, c_omega: float, gamma0: float, gamma1: float, eps: float, theta: float) -> dict:
+    """nu0, nu1, beta, c1, c2, mu, overshoot and decay_rate of the certificate
+    at this design point."""
+    nu0, nu1, beta = margins(alpha, c_omega, gamma0, gamma1, eps)
+    c1 = 1.0 - eps * c_omega
+    c2 = 1.0 + eps * c_omega + eps * alpha * c_omega * c_omega
+    mu = alpha * (1.0 + eps) / (2.0 * (theta - beta / c2))
+    return dict(nu0=nu0, nu1=nu1, beta=beta, c1=c1, c2=c2, mu=mu,
+                overshoot=(c2 / c1) * (1.0 + mu), decay_rate=beta / c2)
+
+
 def _interval_feasible(lo: float, hi: float) -> bool:
     return bool(hi - lo > _MIN_REL_WIDTH * max(hi, abs(lo)))
 
@@ -215,18 +246,14 @@ def build_certificate(inp: DesignInput) -> StabilityCertificate:
         )
 
     eps = 0.5 * (lo + hi)
-    nu0, nu1, beta = margins(alpha, c, gamma0, gamma1, eps)
-    if not (nu0 > 0 and nu1 > 0):
+    # everything but mu is independent of theta, which is placed from beta/c2
+    d = certified_constants(alpha, c, gamma0, gamma1, eps, math.inf)
+    if not (d["nu0"] > 0 and d["nu1"] > 0):
         raise DesignFailureError(
-            f"margins not positive at interval midpoint: nu0={nu0}, nu1={nu1} "
+            f"margins not positive at interval midpoint: nu0={d['nu0']}, nu1={d['nu1']} "
             f"(alpha={alpha}, C_Omega={c}, gamma0={gamma0}, gamma1={gamma1}, eps={eps})"
         )
-    c1 = 1.0 - eps * c
-    c2 = 1.0 + eps * c + eps * alpha * c * c
-    theta = inp.theta_margin * beta / c2
-    mu = alpha * (1.0 + eps) / (2.0 * (theta - beta / c2))
-    overshoot = (c2 / c1) * (1.0 + mu)
-    decay_rate = beta / c2
+    theta = inp.theta_margin * d["beta"] / d["c2"]
     hi_uncapped = alpha * (1.0 - gamma1) / (2.0 + alpha * alpha * gamma1)
     diagnostics = {
         "interval_lo": lo,
@@ -245,15 +272,8 @@ def build_certificate(inp: DesignInput) -> StabilityCertificate:
         gamma0=gamma0,
         gamma1=gamma1,
         epsilon=eps,
-        nu0=nu0,
-        nu1=nu1,
-        beta=beta,
-        c1=c1,
-        c2=c2,
         theta=theta,
-        mu=mu,
-        overshoot=overshoot,
-        decay_rate=decay_rate,
+        **certified_constants(alpha, c, gamma0, gamma1, eps, theta),
         s_gamma0=inp.s_gamma0,
         s_gamma1=inp.s_gamma1,
         theta_margin=inp.theta_margin,

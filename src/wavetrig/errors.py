@@ -14,7 +14,7 @@ class ShapeError(WavetrigError):
 
 
 class NumericalError(WavetrigError):
-    """A numerical procedure failed (non-convergence, invalid values)."""
+    """A numerical procedure produced invalid values."""
 
 
 class BlowUpError(NumericalError):

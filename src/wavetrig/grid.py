@@ -11,6 +11,10 @@ summation-by-parts identity
 
 holds exactly, so energy bookkeeping on the grid mirrors the continuous
 integration-by-parts computations with no identity-level slack.
+
+The discrete Poincare constant needs no solver: the stencil's smallest
+eigenvalue lam1 is known in closed form, and C = 1/sqrt(lam1) is raised by a
+relative margin that covers the rounding of the computed norms.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 
@@ -35,9 +37,10 @@ __all__ = [
     "h1_seminorm_sq",
     "inner_product",
     "apply_laplacian",
-    "minus_laplacian_matrix",
+    "sine_mode",
     "smallest_laplacian_eigenpair",
     "discrete_poincare_constant",
+    "POINCARE_MARGIN",
     "POINCARE_SOURCES",
     "poincare_constant",
 ]
@@ -251,71 +254,43 @@ def apply_laplacian(f: Field, g: Grid) -> Field:
     return Field(st.laplacian(), g)
 
 
-def minus_laplacian_matrix(g: Grid) -> sp.csc_matrix:
-    """Sparse symmetric positive definite matrix of the negated stencil."""
-
-    def one_dim(n: int, dx: float) -> sp.csr_matrix:
-        main = np.full(n, 2.0 / (dx * dx))
-        off = np.full(n - 1, -1.0 / (dx * dx))
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
+def sine_mode(g: Grid, k: int = 1) -> Field:
+    """sin(k pi x / L), or the product sin(k pi x / a) sin(k pi y / b)."""
+    if k < 1:
+        raise ConfigurationError(f"mode number must be >= 1, got {k}")
     if g.ndim == 1:
-        return one_dim(g.counts[0], g.spacings[0]).tocsc()
-    nx, ny = g.counts
-    dx, dy = g.spacings
-    ax = one_dim(nx, dx)
-    ay = one_dim(ny, dy)
-    return (sp.kron(ax, sp.identity(ny, format="csr")) + sp.kron(sp.identity(nx, format="csr"), ay)).tocsc()
+        x = g.coords()
+        return Field(np.sin(k * np.pi * x / g.shape.length), g)
+    xx, yy = g.coords()
+    vals = np.sin(k * np.pi * xx / g.shape.a) * np.sin(k * np.pi * yy / g.shape.b)
+    return Field(vals.ravel(), g)
 
 
-def smallest_laplacian_eigenpair(
-    g: Grid, rtol: float = 1e-10, max_iter: int = 100_000, residual_tol: float = 1e-8
-):
-    """Smallest eigenvalue of the negated discrete Laplacian by inverse
-    power iteration (deterministic all-ones start vector).
-
-    Iterates until the Rayleigh quotient stagnates to ``rtol`` *and* the
-    eigenpair residual ||A v - lam v|| (unit v) is below ``residual_tol``.
-    Returns ``(lam, eigvec_field, residual)``.
-    """
-    a = minus_laplacian_matrix(g)
-    lu = spla.splu(a)
-    v = np.ones(g.num_interior)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (a @ v))
-    resid = float("inf")
-    for _ in range(max_iter):
-        w = lu.solve(v)
-        w /= np.linalg.norm(w)
-        aw = a @ w
-        lam_new = float(w @ aw)
-        resid = float(np.linalg.norm(aw - lam_new * w))
-        converged = abs(lam_new - lam) <= rtol * abs(lam_new) and resid <= residual_tol
-        v, lam = w, lam_new
-        if converged:
-            break
-    else:
-        raise NumericalError(
-            f"inverse power iteration did not converge in {max_iter} iterations "
-            f"(eigenvalue estimate {lam}, residual {resid:.3e})"
-        )
-    return lam, Field(v, g), resid
+# Relative margin by which lam1 is lowered for C_Omega: at the exact
+# eigenvector the computed l2/h1 exceeds 1/lam1 by a few ulp (up to 8.9e-16
+# relative on intervals with n <= 3199 and rectangles up to 127x127).
+POINCARE_MARGIN = 1e-12
 
 
-def discrete_poincare_constant(g: Grid, rtol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Poincare constant 1/sqrt(lam1) of the discrete operator.
+def _lam1(g: Grid) -> float:
+    # sum over axes of (4/h^2) sin^2(pi h / (2 L)), with pi h / L = pi / (n+1)
+    return sum(4.0 / (h * h) * math.sin(math.pi / (2 * (n + 1))) ** 2 for h, n in zip(g.spacings, g.counts))
 
-    The Rayleigh quotient approaches lam1 from above, which would put the
-    returned constant on the invalid side of the inequality; the residual
-    bound ``lam1 >= lam - resid`` (symmetric operator) corrects for that,
-    so every field on ``g`` satisfies
-    ``l2_norm_sq(f) <= C**2 * h1_seminorm_sq(f)``.
-    """
-    lam, _, resid = smallest_laplacian_eigenpair(g, rtol=rtol, max_iter=max_iter)
-    lam_lower = lam - resid
-    if lam_lower <= 0:
-        raise NumericalError(f"eigenvalue enclosure degenerate: {lam} - {resid}")
-    return float(1.0 / np.sqrt(lam_lower))
+
+def smallest_laplacian_eigenpair(g: Grid):
+    """Smallest eigenvalue of the negated stencil, in closed form, its
+    eigenvector (sine mode 1, unit norm) and the pair's floating-point
+    residual ||A v - lam v||: ``(lam, eigvec_field, residual)``."""
+    lam = _lam1(g)
+    v = sine_mode(g, 1)
+    v.values /= np.linalg.norm(v.values)
+    return lam, v, float(np.linalg.norm(apply_laplacian(v, g).values + lam * v.values))
+
+
+def discrete_poincare_constant(g: Grid) -> float:
+    """1/sqrt(lam1 (1 - POINCARE_MARGIN)), so that every field on ``g``
+    satisfies ``l2_norm_sq(f) <= C**2 * h1_seminorm_sq(f)``."""
+    return 1.0 / math.sqrt(_lam1(g) * (1.0 - POINCARE_MARGIN))
 
 
 def _dirichlet_closed_form(g: Grid) -> float:
@@ -343,7 +318,8 @@ def poincare_constant(g: Grid, source: str = "discrete") -> float:
     """Poincare constant from one of the named provenances.
 
     ``discrete``
-        from the grid operator's smallest eigenvalue (valid for discrete
+        1/sqrt(lam1) from the closed-form smallest eigenvalue of the grid
+        operator, lowered by ``POINCARE_MARGIN`` (valid for discrete
         norms; the default everywhere a certificate is built).
     ``dirichlet-closed-form``
         continuous Dirichlet value: L/pi, or ab/(pi*sqrt(a^2+b^2)).

@@ -1,4 +1,5 @@
-"""Named initial-data builders: standing-wave modes, a smooth compactly
+"""Named initial-data builders: standing-wave modes (``grid.sine_mode``,
+the one definition shared with the Poincare eigenvector), a smooth compactly
 supported bump, and nodal values loaded from a file."""
 
 from __future__ import annotations
@@ -7,23 +8,11 @@ import tokenize
 
 import numpy as np
 
-from .config import integer
+from .config import check_choice, integer, known_keys
 from .errors import ConfigurationError, DataFormatError
-from .grid import Field, Grid
+from .grid import Field, Grid, sine_mode
 
 __all__ = ["sine_mode", "bump", "load_nodal", "build_field"]
-
-
-def sine_mode(g: Grid, k: int = 1) -> Field:
-    """sin(k pi x / L), or the product sin(k pi x / a) sin(k pi y / b)."""
-    if k < 1:
-        raise ConfigurationError(f"mode number must be >= 1, got {k}")
-    if g.ndim == 1:
-        x = g.coords()
-        return Field(np.sin(k * np.pi * x / g.shape.length), g)
-    xx, yy = g.coords()
-    vals = np.sin(k * np.pi * xx / g.shape.a) * np.sin(k * np.pi * yy / g.shape.b)
-    return Field(vals.ravel(), g)
 
 
 def _bump_profile(x: np.ndarray, length: float) -> np.ndarray:
@@ -70,17 +59,21 @@ def load_nodal(g: Grid, path: str) -> Field:
     return Field(vals, g)
 
 
+# The keys each kind of initial data takes besides "kind".
+_FIELD_KEYS = {"zero": (), "sine": ("k",), "bump": (), "file": ("path",)}
+
+
 def build_field(g: Grid, spec: dict) -> Field:
     """Build a field from a spec dict: {'kind': 'zero'|'sine'|'bump'|'file', ...}."""
     kind = spec.get("kind", "zero")
+    check_choice("initial data kind", kind, tuple(_FIELD_KEYS))
+    known_keys(f"{kind} initial data", spec, ("kind", *_FIELD_KEYS[kind]))
     if kind == "zero":
         return Field(np.zeros(g.num_interior), g)
     if kind == "sine":
         return sine_mode(g, integer("sine mode number", spec.get("k", 1)))
     if kind == "bump":
         return bump(g)
-    if kind == "file":
-        if "path" not in spec:
-            raise ConfigurationError("file initial data needs a 'path' entry")
-        return load_nodal(g, spec["path"])
-    raise ConfigurationError(f"unknown initial data kind {kind!r}")
+    if "path" not in spec:
+        raise ConfigurationError("file initial data needs a 'path' entry")
+    return load_nodal(g, spec["path"])

@@ -156,6 +156,6 @@ def read_certificate(path: str | Path) -> StabilityCertificate:
         raise FileNotFoundError(f"certificate file not found: {p}")
     try:
         return StabilityCertificate.from_dict(json.loads(p.read_text()))
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise DataFormatError(f"cannot parse certificate {p}: {exc}") from exc
+    except (json.JSONDecodeError, DataFormatError) as exc:
+        raise DataFormatError(f"cannot use certificate {p}: {exc}") from exc
 

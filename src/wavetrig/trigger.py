@@ -57,12 +57,8 @@ class TriggerParams:
 
     @classmethod
     def from_certificate(cls, cert: "StabilityCertificate", eta0_scale: float) -> "TriggerParams":
-        # theta > beta/c2 is what makes the threshold decay slower than the
-        # certified Lyapunov rate; the designer guarantees it, re-check here.
-        if not cert.theta > cert.beta / cert.c2:
-            raise ConfigurationError(
-                f"theta = {cert.theta} does not exceed beta/c2 = {cert.beta / cert.c2}"
-            )
+        # theta > beta/c2, which makes the threshold decay slower than the
+        # certified Lyapunov rate, is an invariant of every certificate
         return cls(gamma0=cert.gamma0, gamma1=cert.gamma1, theta=cert.theta, eta0_scale=eta0_scale)
 
 

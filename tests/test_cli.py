@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 import wavetrig as wt
 from wavetrig.cli import build_parser, main
 from wavetrig.config import C_OMEGA_SOURCES, DesignSpec, RunConfig, load_config, save_config
+from wavetrig.design import certified_constants
 from wavetrig.dynamics import MODES
 from wavetrig.errors import ConfigurationError
 from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
@@ -90,6 +92,12 @@ def test_config_validates_mode_and_sources():
     {"design": {"s_gamma0": 2}},
     {"design": {"theta_margin": 0.5}},
     {"t_end": math.inf},
+    {"domain": {"kind": "interval", "length": 1.0, "n": 49, "lenght": 9}},
+    {"domain": {"kind": "interval", "length": 1.0, "n": 49, "nx": 15}},
+    {"domain": {"kind": ["interval"], "length": 1.0, "n": 49}},
+    {"z0": {"kind": "sine", "k": 1, "amplitude": 5}},
+    {"z1": {"kind": "zero", "k": 2}},
+    {"z1": {"kind": {"sine": 1}}},
 ])
 def test_malformed_config_exits_64(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -269,6 +277,51 @@ def test_simulate_refuses_certificate_for_another_alpha(tmp_path):
     assert not (tmp_path / "a4").exists()
 
 
+def _resealed(cert: dict, **point) -> dict:
+    """``cert`` moved to another design point, with theta and every derived
+    number recomputed, so that only the admissibility checks can refuse it."""
+    d = dict(cert, **point)
+    args = [d[k] for k in ("alpha", "c_omega", "gamma0", "gamma1", "epsilon")]
+    free = certified_constants(*args, math.inf)
+    d["theta"] = 1.5 * free["beta"] / free["c2"]
+    return {**d, **certified_constants(*args, d["theta"])}
+
+
+CERTIFICATE_TAMPERS = {
+    "decay-x50": lambda c: dict(c, decay_rate=50 * c["decay_rate"], overshoot=1.01),
+    "gamma1-at-sup": lambda c: _resealed(c, gamma0=0.1, gamma1=0.5, epsilon=0.1),
+    "theta-at-floor": lambda c: dict(c, theta=c["beta"] / c["c2"]),
+    # consistent with the stored margins, but theta - beta/c2 is 0 once re-derived
+    "theta-at-rederived-floor": lambda c: dict(
+        c, nu0=c["beta"] / 2, nu1=c["beta"] / 2, beta=c["beta"] / 2, theta=c["beta"] / c["c2"]
+    ),
+    "missing-key": lambda c: {k: v for k, v in c.items() if k != "mu"},
+}
+
+
+@pytest.mark.parametrize("tamper", CERTIFICATE_TAMPERS.values(), ids=CERTIFICATE_TAMPERS.keys())
+def test_simulate_refuses_a_tampered_certificate(tmp_path, capsys, tamper):
+    cfg, path = small_config(tmp_path)
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
+    cert_path = tmp_path / "cert" / "certificate.json"
+    cert_path.write_text(json.dumps(tamper(json.loads(cert_path.read_text()))))
+    code = main(["simulate", "--config", str(path), "--certificate", str(cert_path), "--out", str(tmp_path / "t")])
+    assert code == 65
+    assert "data format error" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("tamper", CERTIFICATE_TAMPERS.values(), ids=CERTIFICATE_TAMPERS.keys())
+def test_verify_refuses_a_tampered_certificate_in_the_summary(sim_run, tmp_path, capsys, tamper):
+    _, cfg, run_root = sim_run
+    rundir = shutil.copytree(run_root / "run", tmp_path / "run")
+    summary = json.loads((rundir / "summary.json").read_text())
+    summary["certificate"] = tamper(summary["certificate"])
+    (rundir / "summary.json").write_text(json.dumps(summary))
+    assert main(["verify", str(rundir)]) == 65
+    assert "data format error" in capsys.readouterr().err
+
+
 def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):
     cfg, path = small_config(tmp_path, mode="periodic", out=str(tmp_path / "per"))
     assert main(["simulate", "--config", str(path)]) == 0
@@ -381,6 +434,13 @@ def test_cmd_sweep_requires_lists(tmp_path):
 
 
 # ----------------------------------------------------------------- subprocess
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, wavetrig.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 def test_cli_subprocess_smoke(tmp_path):
     cfg, path = small_config(tmp_path, out=str(tmp_path / "sub"))

@@ -18,6 +18,15 @@ moved the last bits of the ``E``, ``V`` and ``norm_gradz_sq`` columns (at
 most 3.3e-15 relative on these cases) and the check margins in the summary
 computed from them; every other column, every ``events.csv`` and every check
 verdict stayed bit-identical.
+
+They were re-recorded again when the discrete Poincare constant came from
+the closed-form smallest eigenvalue of the stencil, lowered by a 1e-12
+relative margin, instead of an inverse power iteration corrected by its
+residual.  C_Omega fell by 3.9e-10 relative on the interval and by 9.9e-11
+on the rectangle, so every certificate number moved, and with them the
+``eta0``, ``trigger_value`` and (with a cross term) ``V`` columns and the
+summary.  The ``uncontrolled`` case, which builds no certificate, kept all
+three hashes; every ``events.csv`` and every check verdict stayed the same.
 """
 
 import hashlib
@@ -48,24 +57,24 @@ CASES = {
 # sha256 of (series.csv, events.csv, summary.json); every case exits 0
 GOLDEN = {
     "event-triggered": (
-        "bab38169ad3f201d8e6306485ddcc5113f6291545fdadd3c172b7889b0e71e7d",
+        "3fe15092a3e98dddbf21e589a77e720d5886210115f95178c78d8ad07a4dd0c1",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "96156242d59e51ae01809f19b8bba7c6008d0a37184f38cc46956c27e9ccab45",
+        "cd1e8bc3613e6e241afe40088f70875e00e294fcad35fa5e613351238dab0214",
     ),
     "continuous-damping": (
-        "1a481202660475089ed9a8834d2058929e6edfd0d4463a3c681f1bef315d3955",
+        "2c76f708f62b33a46fe6dfa0137e1d8b51931facd318d820539d7ab5faead9e5",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "519c900d4b65335dea78181122dafde71514de560214fb7a1c5dda5ff1978740",
+        "966c265676e9cea5fa5a7d92a4e8a59f3920a1377309b1437bd4af243ffdca87",
     ),
     "periodic-matched": (
-        "3b3b28e04f485aeff7b7d63da31ec756ce24fdcc83f833d53825a83a7056f350",
+        "d3490c8f63315703cfec459dc91937b0f9668b82e04a205bccd6273ab63cb594",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "e760b146245389d7aa07e889225ac2323f95522cf8a91a5ddf8cc66385fedbb6",
+        "57b9f48150992966989a1dcb28702d42234004a298c7b9170b9e69a5885fa689",
     ),
     "periodic-fixed": (
-        "f64d1bd75390b9b6c2e03084c3e64f83752696ee9368746515e0aeabbfd8cc80",
+        "fca7b6f034b8ca87bd551bfcd43b77bced02d1aaf2429ec2b4f9bbafcd47b854",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "f0d4254fb4b932314d69e083558f727c58a992fa0b5b132d63aff05ad5300f62",
+        "ee452604dafc420cff8ab0f2ed02a94e743079d55af8563b4e3246cdcf744946",
     ),
     "uncontrolled": (
         "6f23a61364df7b1ac89ffaa89ecb1de9a814e87e511ea2a688fce13a4f486f27",
@@ -73,34 +82,34 @@ GOLDEN = {
         "b491554e38337db5bb789a04143da696b8ec948ad659e08d7ea43c9e06b366b2",
     ),
     "v0-cross": (
-        "cbdf79ae9f71192f6185a907324fcb302e67b4e5767b388b07fc1b6f07429cfe",
+        "93487d517ffc50228d71f87e53f7ea118340672cf3f530beed6ca538680931e3",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "54afa2e538c67c487af8a9ae984cf46bbe2fe2d224828f24a8a17568b8b61e4e",
+        "2eb37511f8a814ecc097cee72cd4e174075406df07dbd801ea13f840fceaa0e4",
     ),
     "reduced-cross": (
-        "8c9d4e12256e8eeb065f0097b77523d4336a8ad203e991e91ba04e0677dcdba2",
+        "b3571bcb779de09e0b43c3c2a018e518ece9f6edc45abf109ad02044057f1c62",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "f0d09d73dd11cf9f3a6aa3650e11d6349a79b9222f93d10c9601da1c0c5a2437",
+        "9798dc80aa5e7d8587be501829a1f07a661ce13498915306e7108873e23ac2b9",
     ),
     "reduced": (
-        "ebdb49c772568fb1aebdff83cc1666815cb0435154a1ea0ed22acc329254eb8a",
+        "333d2cc727c5e615001156f89c3f48e5572a9911bb8a71bbaeb6ab874b0c5a7e",
         "5672aed8f0dd8da4fbafbaf2e101beec9b1c54ca44831c547c9d4de5f6067e15",
-        "843f8de7c53c43731d2ee477f6525f3a8331ad66d157bae1fd20ff11b34f257a",
+        "2ee2b15d7bc84c4a828f437b6421062313ec2521f64248c91d074d9d4592f52c",
     ),
     "rectangle": (
-        "83a1ec7dfaecfbf589846558ce76c2ea9fed23fa60a22d4d9b348e19d6d4c56f",
+        "bf55603519ca17c31756c77977935cda9486c38fb5605717e8e0c350f9c2712a",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "2a0e8e53000567388065e594c44ac7f1fca794555730c7446243054e4f4eaab3",
+        "523bd6d1f69ff173114074bb2752c6b28cf080a3c2c330432c973ac43e6a6758",
     ),
     "file": (
-        "8062573824d9426fd224d3afb0e3c95433e5a3e347435592b2254df5ca1bcd8e",
+        "efc4c1c37828443174be4a4775a33863e84bc4d222b65ab0e46055d4adaddfed",
         "32776535309ed3bf568d6e59a9a45b0b6adaa2b7835da151a40dde8c7e1b9858",
-        "ffaa559aac8e71d59ea128bfc77deb53534d3cd3d2e6d049a06b601d38bbd459",
+        "a06dccd0f5e735b9808438106f77798e9c45c03ac65c62f48c913030b147e19c",
     ),
     "certificate": (
-        "bab38169ad3f201d8e6306485ddcc5113f6291545fdadd3c172b7889b0e71e7d",
+        "3fe15092a3e98dddbf21e589a77e720d5886210115f95178c78d8ad07a4dd0c1",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "397916118255b98e3292ad3f37b707ef9b94b9ec51d24ba153fee1cd98970d2a",
+        "bff92dce6050b9156fc3c66177802eccf3b046557cac0cb71418e21d7cfe61e2",
     ),
 }
 

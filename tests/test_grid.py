@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 import wavetrig as wt
 from wavetrig.errors import ConfigurationError, ShapeError
-from wavetrig.grid import Field, smallest_laplacian_eigenpair
+from wavetrig.grid import POINCARE_MARGIN, Field, sine_mode, smallest_laplacian_eigenpair
 
 
 def interval(L, n):
@@ -164,13 +162,47 @@ def test_poincare_monotone_in_n_and_convergent():
 
 
 def test_eigenpair_residual_small():
-    for n in (49, 199):
-        g = interval(1.0, n)
+    eps = np.finfo(float).eps
+    for g in (interval(1.0, 49), interval(1.0, 199), wt.build_grid(wt.Rectangle(1.0, 0.7, 9, 7))):
         lam, vec, resid = smallest_laplacian_eigenpair(g)
-        assert resid <= 1e-8  # ||A v - lam v|| for unit v
-        dx = g.spacings[0]
-        lam_exact = (4 / dx ** 2) * math.sin(math.pi * dx / 2) ** 2
-        assert lam == pytest.approx(lam_exact, rel=1e-9)
+        assert np.linalg.norm(vec.values) == pytest.approx(1.0, rel=1e-15)
+        # ||A v - lam v|| of the exact pair is rounding only, eps * ||A||
+        norm_a = sum(4 / h ** 2 for h in g.spacings)
+        assert resid <= 8 * eps * norm_a
+        assert wt.discrete_poincare_constant(g) ** 2 * lam == pytest.approx(1 + POINCARE_MARGIN, rel=1e-14)
+
+
+def dense_minus_laplacian(g):
+    """The negated stencil as a dense matrix, one column per unit vector."""
+    return -np.column_stack([wt.apply_laplacian(Field(e, g), g).values for e in np.eye(g.num_interior)])
+
+
+@pytest.mark.parametrize("shape", [
+    wt.Interval(1.0, 2),
+    wt.Interval(1.0, 3),
+    wt.Interval(2.0, 20),
+    wt.Interval(0.7, 49),
+    wt.Rectangle(2.0, 0.7, 9, 7),
+], ids=["n2", "n3", "L2-n20", "L0.7-n49", "rect-9x7"])
+def test_closed_form_eigenvalue_matches_dense_eigvalsh(shape):
+    g = wt.build_grid(shape)
+    a = dense_minus_laplacian(g)
+    lam = smallest_laplacian_eigenpair(g)[0]
+    assert abs(lam - np.linalg.eigvalsh(a)[0]) <= 8 * np.finfo(float).eps * np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("shape", [
+    wt.Interval(1.0, 78),
+    wt.Interval(2.0, 799),
+    wt.Rectangle(1.0, 1.0, 63, 63),
+], ids=["n78", "L2-n799", "rect-63x63"])
+def test_poincare_inequality_holds_at_the_exact_eigenvector(shape):
+    # on these grids the computed norms of sine mode 1 exceed 1/lam1 by a
+    # few ulp, which POINCARE_MARGIN has to cover
+    g = wt.build_grid(shape)
+    f = sine_mode(g, 1)
+    c = wt.discrete_poincare_constant(g)
+    assert wt.l2_norm_sq(f, g) <= c ** 2 * wt.h1_seminorm_sq(f, g)
 
 
 def test_poincare_closed_form_sources():
