@@ -114,10 +114,14 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
     if cfg.mode != "uncontrolled":
         if cfg.certificate_path:
             certificate = _runio.read_certificate(cfg.certificate_path)
-            if certificate.alpha != cfg.alpha:
+            # a grid-derived C_Omega must be this grid's, a user one at least its discrete one
+            source, c_omega = certificate.c_omega_source, certificate.c_omega
+            user = source == "user"
+            c_grid = discrete_poincare_constant(g) if user else poincare_constant(g, source)
+            if certificate.alpha != cfg.alpha or not (c_omega >= c_grid if user else c_omega == c_grid):
                 raise ConfigurationError(
-                    f"certificate {cfg.certificate_path} is for alpha = {certificate.alpha}, "
-                    f"the run has alpha = {cfg.alpha}"
+                    f"certificate {cfg.certificate_path} (alpha = {certificate.alpha}, C_Omega = {c_omega}, "
+                    f"{source}) was not made for this run (alpha = {cfg.alpha}, C_Omega = {c_grid} on {g.shape})"
                 )
         else:
             certificate = design_from_config(cfg, g)

@@ -98,21 +98,21 @@ class _Leapfrog:
     """The step kernel: velocity Verlet of step dt in place on preallocated
     buffers.
 
-    z lives in the stencil's ghost-padded array; v, the forcing
-    -alpha * held and the half kick dt/2 * (L z + forcing) are flat
-    arrays.  ``stencil.lap`` holds L z between steps, and the half kick
-    that closes one step is the one that opens the next (first same as
-    last), so a step applies the stencil once and forms the kick once;
-    :meth:`hold` re-forms it when the forcing changes.  Callers
-    check dt and alpha (_check_step) and ignore floating-point overflow and
-    invalid operations; :meth:`finite` tells whether the state blew up.
+    z is the stencil's ``values``, so a step writes the stencil's input in
+    place; v, the forcing -alpha * held and the half kick
+    dt/2 * (L z + forcing) are flat arrays of the same length.
+    ``stencil.lap`` holds L z between steps, and the half kick that closes
+    one step is the one that opens the next (first same as last), so a
+    step applies the stencil once and forms the kick once; :meth:`hold`
+    re-forms it when the forcing changes.  Callers check dt and alpha
+    (_check_step) and ignore floating-point overflow and invalid
+    operations; :meth:`finite` tells whether the state blew up.
     """
 
     def __init__(
         self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float
     ):
-        self.stencil = _grid.Stencil(g)
-        self.stencil.load(z)
+        self.stencil = _grid.Stencil(g, z)
         self.stencil.laplacian()
         self.z = self.stencil.values
         self.v = np.array(v, dtype=float)
@@ -140,7 +140,6 @@ class _Leapfrog:
         np.add(self.v, self.kick, out=self.v)
         np.multiply(self.v, self.dt, out=self.kick)  # the kick is spent until _form_kick
         np.add(self.z, self.kick, out=self.z)
-        self.stencil.sync()
         self.stencil.laplacian()  # L z_new, which the next step starts from
         self._form_kick()
         np.add(self.v, self.kick, out=self.v)

@@ -12,6 +12,11 @@ summation-by-parts identity
 holds exactly, so energy bookkeeping on the grid mirrors the continuous
 integration-by-parts computations with no identity-level slack.
 
+A field is a flat array, one value per interior node, x the slow index on
+a rectangle.  :class:`Stencil` applies the Laplacian to it in place as
+neighbour sums weighted by the reciprocal squared spacings, on contiguous
+slices of that flat array, with no padded copy.
+
 The discrete Poincare constant needs no solver: the stencil's smallest
 eigenvalue lam1 is known in closed form, and C = 1/sqrt(lam1) is raised by a
 relative margin that covers the rounding of the computed norms.
@@ -101,77 +106,68 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
 
-def _along(a: np.ndarray, axis: int, s: slice) -> np.ndarray:
-    """View of a padded array: ``s`` along ``axis``, the interior along the others."""
-    index = [slice(1, -1)] * a.ndim
-    index[axis] = s
-    return a[tuple(index)]
-
-
 class Stencil:
     """Caller-owned buffers for the Laplacian stencil on one grid, which
     also gives the gradient seminorm.
 
-    The field sits inside ``padded``, a zero-ghost array one node wider on
-    every side.  ``values`` is the flat interior the caller writes: on an
-    interval it is a view of ``padded`` itself; on a rectangle the interior
-    is not contiguous, so ``values`` is a separate buffer that :meth:`sync`
-    copies in.  :meth:`laplacian` and :meth:`h1` read ``padded`` as of the
-    last :meth:`sync`; :meth:`laplacian` allocates nothing.
+    ``values`` is the flat field, one entry per interior node in C order,
+    and the contiguous interior of a zero buffer one ghost row longer at
+    each end of the first axis.  The first axis' neighbours are then the
+    buffer shifted by one row either way; on a rectangle the second axis'
+    neighbours are ``values`` shifted by one entry, except in the first and
+    last columns, where the neighbour across the row seam is a boundary
+    zero and the sum is the one interior neighbour.  Every view is built
+    here; :meth:`laplacian` allocates nothing and divides by nothing.
     """
 
-    def __init__(self, g: Grid):
+    def __init__(self, g: Grid, vals: np.ndarray):
+        """The stencil of ``g`` with the field set to ``vals`` (flat)."""
         self.grid = g
-        self.padded = np.zeros(tuple(c + 2 for c in g.counts))
-        self._core = self.padded[(slice(1, -1),) * g.ndim]
-        self.values = self._core if g.ndim == 1 else np.zeros(g.num_interior)
-        self._lap = np.empty(g.counts)
-        self.lap = self._lap.ravel()  # flat view
-        self._scratch = np.empty(g.counts)  # the second axis' term
-        # per axis: the neighbours one node back and forward, the squared spacing
-        p = self.padded
-        self._axes = [
-            (_along(p, axis, slice(None, -2)), _along(p, axis, slice(2, None)), h * h)
-            for axis, h in enumerate(g.spacings)
-        ]
-
-    def load(self, vals: np.ndarray):
-        """Set the field to ``vals`` (flat, one value per interior node)."""
+        n = g.num_interior
+        row = n // g.counts[0]  # 1 on an interval
+        self._buf = np.zeros(n + 2 * row)
+        self.values = self._buf[row:-row]
+        self.lap = np.empty(n)
+        self._scratch = np.empty(n)  # the second axis' term, then c_center * z
+        self._c = [1.0 / (h * h) for h in g.spacings]
+        self._c_center = 2.0 * sum(self._c)
+        self._back, self._forward = self._buf[:n], self._buf[2 * row:]
+        self._seams = ()
+        if g.ndim == 2:
+            s, v = self._scratch.reshape(g.counts), self.values.reshape(g.counts)
+            self._cols = (self.values[:-2], self.values[2:], self._scratch[1:-1])
+            self._seams = ((s[:, 0], v[:, 1]), (s[:, -1], v[:, -2]))
         self.values[...] = vals
-        self.sync()
-
-    def sync(self):
-        """Bring ``padded`` up to date after ``values`` was written in place."""
-        if self.values is not self._core:
-            self._core[...] = self.values.reshape(self._core.shape)
 
     def laplacian(self) -> np.ndarray:
         """Second-order stencil into the flat buffer ``lap``, which is returned:
-        (back - 2 z + forward) / h^2 per axis, the axes summed in order."""
-        for j, (back, forward, h2) in enumerate(self._axes):
-            out = self._lap if j == 0 else self._scratch
-            np.multiply(self._core, 2.0, out=out)
-            np.subtract(back, out, out=out)
-            np.add(out, forward, out=out)
-            np.divide(out, h2, out=out)
-            if j:
-                self._lap += out
-        return self.lap
+        sum over axes of (back + forward) / h^2, less 2 z sum 1/h^2."""
+        lap, tmp = self.lap, self._scratch
+        np.add(self._back, self._forward, out=lap)
+        np.multiply(lap, self._c[0], out=lap)
+        if self._seams:  # a rectangle's second axis
+            back, forward, inner = self._cols
+            np.add(back, forward, out=inner)
+            for seam, neighbour in self._seams:
+                np.copyto(seam, neighbour)
+            np.multiply(tmp, self._c[1], out=tmp)
+            np.add(lap, tmp, out=lap)
+        np.multiply(self.values, self._c_center, out=tmp)
+        np.subtract(lap, tmp, out=lap)
+        return lap
 
     def h1(self) -> float:
         """Squared discrete gradient norm; see :func:`h1_seminorm_sq`."""
         g = self.grid
-        p = self.padded
         if g.ndim == 1:
-            d = np.subtract(p[1:], p[:-1])  # every edge, the boundary ones included
+            d = np.subtract(self._buf[1:], self._buf[:-1])  # every edge, the boundary ones included
             dx = g.spacings[0]
             return g.weight * float(np.dot(d, d)) / (dx * dx)
-        squares = []
-        for axis, h in enumerate(g.spacings):
-            d = np.subtract(_along(p, axis, slice(1, None)), _along(p, axis, slice(None, -1)))
-            np.divide(d, h, out=d)
-            squares.append(np.multiply(d, d, out=d))
-        return g.weight * float(np.sum(squares[0]) + np.sum(squares[1]))
+        rows = self._buf.reshape(g.counts[0] + 2, g.counts[1])
+        dx, dy = g.spacings
+        d0 = np.diff(rows, axis=0) / dx
+        d1 = np.diff(rows[1:-1], axis=1, prepend=0.0, append=0.0) / dy
+        return g.weight * float(np.sum(d0 * d0) + np.sum(d1 * d1))
 
 
 @dataclass
@@ -241,17 +237,13 @@ def h1_seminorm_sq(f: Field, g: Grid) -> float:
     so the result vanishes only for the zero field.
     """
     _check(f, g)
-    st = Stencil(g)
-    st.load(f.values)
-    return st.h1()
+    return Stencil(g, f.values).h1()
 
 
 def apply_laplacian(f: Field, g: Grid) -> Field:
     """Second-order Laplacian stencil with zero ghost boundary values."""
     _check(f, g)
-    st = Stencil(g)
-    st.load(f.values)
-    return Field(st.laplacian(), g)
+    return Field(Stencil(g, f.values).laplacian(), g)
 
 
 def sine_mode(g: Grid, k: int = 1) -> Field:

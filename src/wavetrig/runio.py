@@ -1,7 +1,7 @@
 """Run persistence: CSV time series, CSV event log, JSON summary and
 certificate files.
 
-Floats are written in scientific notation with 17 significant digits so a
+Floats are written in scientific notation with 18 significant digits so a
 write/read cycle is bit-exact and identical runs produce byte-identical
 series files.
 """

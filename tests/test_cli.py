@@ -277,6 +277,38 @@ def test_simulate_refuses_certificate_for_another_alpha(tmp_path):
     assert not (tmp_path / "a4").exists()
 
 
+def test_simulate_refuses_certificate_for_another_grid(tmp_path, capsys):
+    # designed for length 0.3 (C_Omega 0.0955); the length 1 run needs 0.318
+    cfg, path = small_config(tmp_path)
+    assert main(["design", "--config", str(path), "--length", "0.3", "--out", str(tmp_path / "cert")]) == 0
+    code = main([
+        "simulate", "--config", str(path), "--length", "1",
+        "--certificate", str(tmp_path / "cert" / "certificate.json"),
+        "--out", str(tmp_path / "L1"),
+    ])
+    assert code == 64
+    assert "was not made for this run" in capsys.readouterr().err
+    assert not (tmp_path / "L1").exists()
+
+
+@pytest.mark.parametrize("c_omega_scale, code", [(1.0, 0), (1.5, 0), (1 - 1e-9, 64)],
+                         ids=["equal", "larger", "smaller"])
+def test_simulate_user_certificate_needs_at_least_the_discrete_c_omega(tmp_path, c_omega_scale, code):
+    cfg, path = small_config(tmp_path)
+    g = cfg.build_grid()
+    cfg.design.comega_source = "user"
+    cfg.design.comega_value = c_omega_scale * wt.discrete_poincare_constant(g)
+    save_config(cfg, tmp_path / "user.json")
+    assert main(["design", "--config", str(tmp_path / "user.json"), "--out", str(tmp_path / "cert")]) == 0
+    got = main([
+        "simulate", "--config", str(path),
+        "--certificate", str(tmp_path / "cert" / "certificate.json"),
+        "--out", str(tmp_path / "u"),
+    ])
+    assert got == code
+    assert (tmp_path / "u").exists() == (code == 0)
+
+
 def _resealed(cert: dict, **point) -> dict:
     """``cert`` moved to another design point, with theta and every derived
     number recomputed, so that only the admissibility checks can refuse it."""

@@ -27,6 +27,18 @@ on the rectangle, so every certificate number moved, and with them the
 ``eta0``, ``trigger_value`` and (with a cross term) ``V`` columns and the
 summary.  The ``uncontrolled`` case, which builds no certificate, kept all
 three hashes; every ``events.csv`` and every check verdict stayed the same.
+
+They were re-recorded a third time when the stencil became
+reciprocal-weighted neighbour sums, ``sum (back + forward) / h^2 - 2 z
+sum 1/h^2``, on contiguous slices of the flat field, in place of
+``(back - 2 z + forward) / h^2`` per axis on a ghost-padded copy.  The
+largest change of any ``series.csv`` entry, relative to the largest
+magnitude in its column, was 3.2e-14 (``norm_e_sq``; ``E``, ``V`` and
+``norm_gradz_sq`` 2.0e-14, ``trigger_value`` 9.0e-15, ``norm_z_sq`` and
+``norm_v_sq`` 3.7e-15; ``t``, ``eta0`` and ``event`` unchanged), and the
+summary's check margins moved with them.  Every ``events.csv`` hash,
+every exit code and every check verdict stayed the same, and so did the
+``uncontrolled`` summary, which has no check margins.
 """
 
 import hashlib
@@ -57,59 +69,59 @@ CASES = {
 # sha256 of (series.csv, events.csv, summary.json); every case exits 0
 GOLDEN = {
     "event-triggered": (
-        "3fe15092a3e98dddbf21e589a77e720d5886210115f95178c78d8ad07a4dd0c1",
+        "3ebc10b34e10ddfae748b2c463f91accd45c7d991782ab81a4f0857cf9ff1679",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "cd1e8bc3613e6e241afe40088f70875e00e294fcad35fa5e613351238dab0214",
+        "a753505c86a19e8365feef2dcb5e307908c11d0e81891835cb9ff7c55191edba",
     ),
     "continuous-damping": (
-        "2c76f708f62b33a46fe6dfa0137e1d8b51931facd318d820539d7ab5faead9e5",
+        "480f6a0fa1d7b1cde1230932ff3b77d12a500cf64200e8f309a67342efac987d",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "966c265676e9cea5fa5a7d92a4e8a59f3920a1377309b1437bd4af243ffdca87",
+        "3112008ac335991e1c32b53240e448af3c228f2701169ad53cf12c27c8a15cd0",
     ),
     "periodic-matched": (
-        "d3490c8f63315703cfec459dc91937b0f9668b82e04a205bccd6273ab63cb594",
+        "64919e3f0458124c743acc8e467fb5045aa451fd000f5dfa0bf038591cfb2ff7",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "57b9f48150992966989a1dcb28702d42234004a298c7b9170b9e69a5885fa689",
+        "ac786e8880450f30c5f229fa38371f97623e614df10fedfd62d38ea474c8f08f",
     ),
     "periodic-fixed": (
-        "fca7b6f034b8ca87bd551bfcd43b77bced02d1aaf2429ec2b4f9bbafcd47b854",
+        "22f84125d1e610b431d30aa0822b3610635ea7cf0a462abcd5bc25d218781eae",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "ee452604dafc420cff8ab0f2ed02a94e743079d55af8563b4e3246cdcf744946",
+        "1eb6f43fd76be321a189a0f65013250df8b74e0cfd6738663ed2a75d6018d8fe",
     ),
     "uncontrolled": (
-        "6f23a61364df7b1ac89ffaa89ecb1de9a814e87e511ea2a688fce13a4f486f27",
+        "622d4d2cc59f3b3140ffef2d154b334437386bf12849cbcf3fa69853a554236b",
         "06296cb6887fc937be326eac6773c49c7146f672eb3e3a8cae8d839a8f05b551",
         "b491554e38337db5bb789a04143da696b8ec948ad659e08d7ea43c9e06b366b2",
     ),
     "v0-cross": (
-        "93487d517ffc50228d71f87e53f7ea118340672cf3f530beed6ca538680931e3",
+        "5b1bdc6b90de9d74053b74401b155d6eeea338bd0ce023f0f99c2b0e175725e0",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "2eb37511f8a814ecc097cee72cd4e174075406df07dbd801ea13f840fceaa0e4",
+        "5c89d1d0ca1a7d74784219824f6195310c27c4fa55e13a59b16f2f61b59c3cee",
     ),
     "reduced-cross": (
-        "b3571bcb779de09e0b43c3c2a018e518ece9f6edc45abf109ad02044057f1c62",
+        "b60e456d887f1b7b03f90defda6d08cd8db28c8fe914eeafeb65c7450998a7f9",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "9798dc80aa5e7d8587be501829a1f07a661ce13498915306e7108873e23ac2b9",
+        "27860a468d04a5d1f54f6452c340eb15605f2ff60877783ab03d05cecb023003",
     ),
     "reduced": (
-        "333d2cc727c5e615001156f89c3f48e5572a9911bb8a71bbaeb6ab874b0c5a7e",
+        "facc8e57c9cd6e2bd237822198aad005da8a48b971940504f60578fdd9e64eb8",
         "5672aed8f0dd8da4fbafbaf2e101beec9b1c54ca44831c547c9d4de5f6067e15",
-        "2ee2b15d7bc84c4a828f437b6421062313ec2521f64248c91d074d9d4592f52c",
+        "662e9490fe0f4658b9bb9efb1a5e97f1fc86ae27607555949a22315907966b7f",
     ),
     "rectangle": (
-        "bf55603519ca17c31756c77977935cda9486c38fb5605717e8e0c350f9c2712a",
+        "958bd2a2313e112e2f16efb28ce0a583b8183a470ab89c57f6b989c54fc0b678",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "523bd6d1f69ff173114074bb2752c6b28cf080a3c2c330432c973ac43e6a6758",
+        "a4cdc3e7bf3abd0e5e58091e6ef6fdfc4114806adb9d5b8fc11bcfdc40bc402a",
     ),
     "file": (
-        "efc4c1c37828443174be4a4775a33863e84bc4d222b65ab0e46055d4adaddfed",
+        "285cdfc358cd67594cfdd58b742b5c779fb11d460208c3ae06a64386de5d7a2f",
         "32776535309ed3bf568d6e59a9a45b0b6adaa2b7835da151a40dde8c7e1b9858",
-        "a06dccd0f5e735b9808438106f77798e9c45c03ac65c62f48c913030b147e19c",
+        "ebeec933ca4c1199d4834d30de9222fdb285f60e236c5b884dee50be6faa08b8",
     ),
     "certificate": (
-        "3fe15092a3e98dddbf21e589a77e720d5886210115f95178c78d8ad07a4dd0c1",
+        "3ebc10b34e10ddfae748b2c463f91accd45c7d991782ab81a4f0857cf9ff1679",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "bff92dce6050b9156fc3c66177802eccf3b046557cac0cb71418e21d7cfe61e2",
+        "c2beb53de4e960eca6844ea8397afb22567c6cf75742ee71afbbdede456e6a91",
     ),
 }
 

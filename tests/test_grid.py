@@ -139,6 +139,38 @@ def test_laplacian_eigenfunction_2d():
     np.testing.assert_allclose(out.values, -2 * np.pi ** 2 * f.values, rtol=1e-2)
 
 
+def kronecker_minus_laplacian(g):
+    """The negated stencil built independently of grid.py: a Kronecker sum
+    of 1-D Dirichlet second-difference matrices, x the slow index."""
+    def second_difference(n, h):
+        return (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / (h * h)
+
+    if g.ndim == 1:
+        return second_difference(g.counts[0], g.spacings[0])
+    (nx, ny), (dx, dy) = g.counts, g.spacings
+    return np.kron(second_difference(nx, dx), np.eye(ny)) + np.kron(np.eye(nx), second_difference(ny, dy))
+
+
+@pytest.mark.parametrize("shape", [
+    wt.Interval(1.0, 2),
+    wt.Interval(1.0, 3),
+    wt.Interval(0.7, 49),
+    wt.Rectangle(1.0, 0.7, 2, 5),
+    wt.Rectangle(0.6, 1.3, 6, 2),
+    wt.Rectangle(1.0, 1.0, 2, 2),
+    wt.Rectangle(2.0, 0.7, 9, 13),
+], ids=["n2", "n3", "n49", "rect-nx2", "rect-ny2", "rect-2x2", "rect-9x13"])
+def test_laplacian_matches_kronecker_sum(shape):
+    g = wt.build_grid(shape)
+    a = kronecker_minus_laplacian(g)
+    bound = 8 * np.finfo(float).eps * np.linalg.norm(a, 2)
+    rng = np.random.default_rng(g.num_interior)
+    for _ in range(5):
+        f = rng.standard_normal(g.num_interior)
+        got = -wt.apply_laplacian(Field(f, g), g).values
+        assert np.linalg.norm(got - a @ f) <= bound * np.linalg.norm(f)
+
+
 # ---------------------------------------------------------- Poincare constant
 
 def test_poincare_unit_interval():
