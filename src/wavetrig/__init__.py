@@ -29,17 +29,13 @@ from .lyapunov import (
     check_equivalence,
     check_trigger_invariant,
     check_vdot,
-    energy,
-    lyapunov_v,
 )
 from .trigger import (
     DwellStats,
     EventLog,
     TriggerParams,
-    deviation,
     eta0,
     initial_threshold_scale,
-    trigger_value,
     zeno_report,
 )
 
@@ -53,7 +49,6 @@ __all__ = [
     "discrete_poincare_constant", "h1_seminorm_sq", "inner_product", "l2_norm_sq",
     "poincare_constant",
     "CheckReport", "RunRecord", "check_envelope", "check_equivalence",
-    "check_trigger_invariant", "check_vdot", "energy", "lyapunov_v",
-    "DwellStats", "EventLog", "TriggerParams", "deviation", "eta0",
-    "initial_threshold_scale", "trigger_value", "zeno_report",
+    "check_trigger_invariant", "check_vdot",
+    "DwellStats", "EventLog", "TriggerParams", "eta0", "initial_threshold_scale", "zeno_report",
 ]

@@ -53,12 +53,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _c_omega(cfg: RunConfig, g: Grid) -> float:
+    """The configured C_Omega: ``comega_value`` for the ``user`` source, else
+    computed on ``g`` by its source."""
+    d = cfg.design
+    return float(d.comega_value) if d.comega_source == "user" else poincare_constant(g, d.comega_source)
+
+
 def design_from_config(cfg: RunConfig, g: Grid) -> _design.StabilityCertificate:
     d = cfg.design
-    c_omega = float(d.comega_value) if d.comega_source == "user" else poincare_constant(g, d.comega_source)
     inp = _design.DesignInput(
         alpha=cfg.alpha,
-        c_omega=c_omega,
+        c_omega=_c_omega(cfg, g),
         c_omega_source=d.comega_source,
         s_gamma0=d.s_gamma0,
         s_gamma1=d.s_gamma1,
@@ -250,14 +256,11 @@ def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> 
     d["out"] = str(out_root / f"cell_a{alpha:g}_L{length:g}")
     try:
         cell_cfg = RunConfig.from_dict(d)
-        c_omega = discrete_poincare_constant(cell_cfg.build_grid())
-        row["C_Omega"] = c_omega
-        if c_omega >= _design.SQRT2:
-            return row  # infeasible cell, not a failure
-        cell_cfg.design.comega_source = "user"
-        cell_cfg.design.comega_value = c_omega
+        row["C_Omega"] = _c_omega(cell_cfg, cell_cfg.build_grid())
         record, extra = run_from_config(cell_cfg)
         _runio.save_run(record, cell_cfg.out, summary_extra=extra)
+    except InfeasibleDomainError:
+        return row  # infeasible cell, not a failure
     except WavetrigError as exc:
         row["error"] = str(exc)
         return row

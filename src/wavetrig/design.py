@@ -161,6 +161,11 @@ def gamma_bounds(alpha: float, c_omega: float) -> tuple[float, float]:
     return g0, g1
 
 
+def _epsilon_hi_uncapped(alpha: float, gamma1: float) -> float:
+    # the cross-weight at which the velocity margin nu1 vanishes
+    return alpha * (1.0 - gamma1) / (2.0 + alpha * alpha * gamma1)
+
+
 def epsilon_interval(alpha: float, c_omega: float, gamma0: float, gamma1: float) -> tuple[float, float]:
     """Open interval of admissible Lyapunov cross-weights.
 
@@ -176,7 +181,7 @@ def epsilon_interval(alpha: float, c_omega: float, gamma0: float, gamma1: float)
             f"position weight {gamma0} too large: 2 - C^2(1 + alpha^2 gamma0) = {den} <= 0"
         )
     lo = alpha * gamma0 * csq / den
-    hi = min(alpha * (1.0 - gamma1) / (2.0 + alpha * alpha * gamma1), 1.0 / c_omega)
+    hi = min(_epsilon_hi_uncapped(alpha, gamma1), 1.0 / c_omega)
     return lo, hi
 
 
@@ -254,11 +259,10 @@ def build_certificate(inp: DesignInput) -> StabilityCertificate:
             f"(alpha={alpha}, C_Omega={c}, gamma0={gamma0}, gamma1={gamma1}, eps={eps})"
         )
     theta = inp.theta_margin * d["beta"] / d["c2"]
-    hi_uncapped = alpha * (1.0 - gamma1) / (2.0 + alpha * alpha * gamma1)
     diagnostics = {
         "interval_lo": lo,
         "interval_hi": hi,
-        "interval_hi_uncapped": hi_uncapped,
+        "interval_hi_uncapped": _epsilon_hi_uncapped(alpha, gamma1),
         "shrink_iterations": shrink,
         "gamma0_sup": g0_sup,
         "gamma1_sup": g1_sup,

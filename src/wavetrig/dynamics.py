@@ -200,7 +200,8 @@ def simulate(
     An unconditional event fires at t = 0 (held := z1).  After every step
     the update policy of ``mode`` is evaluated on the post-step state and
     the hold is refreshed when it fires; recorded step values are the
-    pre-refresh ones.
+    pre-refresh ones.  Every row, the t = 0 one included, is taken from
+    the step kernel's buffers by one loop body.
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
@@ -225,25 +226,17 @@ def simulate(
     nz, nv, ngz, cross, ne, eta, pred = (np.full(m, np.nan) for _ in range(7))
     event = np.zeros(m, dtype=bool)
 
-    norms = _lyapunov.field_norms(z0, z1, g)
-    _lyapunov.require_nondegenerate(_lyapunov.energy_lyapunov(*norms, eps, a)[1], g, "Lyapunov value")
-    nz[0], nv[0], ngz[0], cross[0] = norms
-    if trigger_params is not None:
-        eta[0] = eta_0 = _trigger.eta0(0.0, trigger_params)
-        pred[0] = _trigger.predicate_from_norms(0.0, norms[0], norms[1], eta_0, trigger_params)
-    if not uncontrolled:
-        ne[0] = 0.0
-        event[0] = True
-
     _check_step(g, dt, a)
     w = g.weight
     t_k = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per step
+        # the hold starts as a copy of z1, so row 0's deviation is zero
         kernel = _Leapfrog(g, z0.values, z1.values, z1.values.copy(), a, dt)
         lap, zv, vv = kernel.stencil.lap, kernel.z, kernel.v
         dev = np.empty_like(vv)
-        for i in range(1, m):
-            kernel.advance()
+        for i in range(m):  # row 0 is the initial state: its pass takes no step
+            if i:
+                kernel.advance()
             t = i * dt  # keep the time grid exactly uniform
             nz_i = w * float(np.dot(zv, zv))
             nv_i = w * float(np.dot(vv, vv))
@@ -252,8 +245,12 @@ def simulate(
             if not (math.isfinite(nz_i) and math.isfinite(nv_i)) and not kernel.finite():
                 raise BlowUpError(f"blow-up at step {i} (t = {t})", step=i, time=t)
             nz[i], nv[i] = nz_i, nv_i
-            ngz[i] = -(w * float(np.dot(lap, zv)))  # summation by parts: -w <L z, z>
-            cross[i] = w * float(np.dot(zv, vv))
+            ngz[i] = ngz_i = -(w * float(np.dot(lap, zv)))  # summation by parts: -w <L z, z>
+            cross[i] = cross_i = w * float(np.dot(zv, vv))
+            if not i:  # t = 0: refuse degenerate data; the event there is unconditional
+                v_0 = _lyapunov.energy_lyapunov(nz_i, nv_i, ngz_i, cross_i, eps, a)[1]
+                _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
+                event[0] = not uncontrolled
             if uncontrolled:
                 continue
             np.subtract(vv, kernel.held, out=dev)

@@ -15,7 +15,6 @@ from .design import StabilityCertificate, vdot_bound_rhs
 from .errors import ConfigurationError, DegenerateInitialDataError
 
 if TYPE_CHECKING:
-    from .dynamics import WaveState
     from .trigger import TriggerParams
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "field_norms",
     "energy_lyapunov",
     "require_nondegenerate",
-    "energy",
-    "lyapunov_v",
     "check_equivalence",
     "check_vdot",
     "check_envelope",
@@ -40,13 +37,16 @@ DEGENERATE_REL = 1e-14
 
 
 def field_norms(z: _grid.Field, v: _grid.Field, g: _grid.Grid) -> tuple[float, float, float, float]:
-    """The norms E and V are built from: (||z||^2, ||v||^2, ||grad z||^2, <z, v>)."""
-    return (
-        _grid.l2_norm_sq(z, g),
-        _grid.l2_norm_sq(v, g),
-        _grid.h1_seminorm_sq(z, g),
-        _grid.inner_product(z, v, g),
-    )
+    """The norms E and V are built from: (||z||^2, ||v||^2, ||grad z||^2, <z, v>).
+
+    ||grad z||^2 is -w <L z, z> (summation by parts) on a Stencil, the
+    arithmetic of the step kernel, so V of the initial data here is the
+    recorded V[0] to the last bit.
+    """
+    nz, nv = _grid.l2_norm_sq(z, g), _grid.l2_norm_sq(v, g)
+    stencil = _grid.Stencil(g, z.values)
+    ngz = -(g.weight * float(np.dot(stencil.laplacian(), stencil.values)))
+    return nz, nv, ngz, _grid.inner_product(z, v, g)
 
 
 def energy_lyapunov(
@@ -70,18 +70,6 @@ def require_nondegenerate(value: float, g: _grid.Grid, what: str) -> float:
             f"initial {what} {value} is degenerate; the trigger threshold would vanish"
         )
     return value
-
-
-def energy(state: "WaveState", g: _grid.Grid) -> float:
-    """Wave energy: half the squared velocity norm plus half the squared
-    gradient norm."""
-    return energy_lyapunov(*field_norms(state.z, state.v, g), 0.0, 0.0)[0]
-
-
-def lyapunov_v(state: "WaveState", epsilon: float, alpha: float, g: _grid.Grid) -> float:
-    """Energy augmented with the weighted position norm and cross term:
-    E + (eps*alpha/2)||z||^2 + eps<z, v>."""
-    return energy_lyapunov(*field_norms(state.z, state.v, g), epsilon, alpha)[1]
 
 
 @dataclass(frozen=True)

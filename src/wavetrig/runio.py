@@ -8,7 +8,6 @@ series files.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import asdict
@@ -66,14 +65,12 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
         fh.writelines(row % cells for cells in zip(*(columns[name].tolist() for name in names)))
 
     with open(out / "events.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("k", "t_k", "dwell"))
+        fh.write("k,t_k,dwell\r\n")
         if record.events is not None:
-            prev = None
-            for k, t in enumerate(record.events.times.tolist()):
-                dwell = float("nan") if prev is None else t - prev
-                writer.writerow((str(k), fmt(t), fmt(dwell)))
-                prev = t
+            times = record.events.times.tolist()
+            dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]
+            row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
+            fh.writelines(row % (k, t, dwell) for k, (t, dwell) in enumerate(zip(times, dwells)))
 
     summary = {
         "mode": record.mode,

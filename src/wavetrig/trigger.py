@@ -1,32 +1,29 @@
-"""The event-triggering mechanism: velocity deviation since the last
-sample, the decaying threshold floor eta0, the firing predicate, and
-dwell-time diagnostics over a run's event log."""
+"""The event-triggering mechanism: the decaying threshold floor eta0, the
+firing predicate on squared norms, the threshold scale from the initial
+data, and dwell-time diagnostics over a run's event log."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import grid as _grid
 from . import lyapunov as _lyapunov
-from .errors import ConfigurationError, PreconditionError, ShapeError
+from .errors import ConfigurationError, PreconditionError
 from .lyapunov import EventLog
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .design import StabilityCertificate
-    from .dynamics import WaveState
 
 __all__ = [
     "ETA0_VARIANTS",
     "TriggerParams",
     "EventLog",
     "DwellStats",
-    "deviation",
     "eta0",
-    "trigger_value",
     "predicate_from_norms",
     "initial_threshold_scale",
     "zeno_report",
@@ -77,24 +74,7 @@ class DwellStats:
     quantization_dt: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "event_count": self.event_count,
-            "min_dwell": self.min_dwell,
-            "mean_dwell": self.mean_dwell,
-            "max_dwell": self.max_dwell,
-            "histogram_edges": list(self.histogram_edges),
-            "histogram_counts": list(self.histogram_counts),
-            "floor_violations": self.floor_violations,
-            "floor_ok": self.floor_ok,
-            "quantization_dt": self.quantization_dt,
-        }
-
-
-def deviation(state: "WaveState") -> _grid.Field:
-    """Velocity deviation e_k = v - held since the last sample."""
-    if state.v.grid != state.held.grid:
-        raise ShapeError("state fields live on different grids")
-    return _grid.Field(state.v.values - state.held.values, state.v.grid)
+        return asdict(self)  # the histogram tuples serialise as JSON lists
 
 
 def eta0(t: float, params: TriggerParams) -> float:
@@ -110,18 +90,6 @@ def predicate_from_norms(
 ) -> float:
     """Firing predicate from precomputed squared norms; fires iff >= 0."""
     return norm_e_sq - params.gamma0 * norm_z_sq - params.gamma1 * norm_v_sq - eta0_value
-
-
-def trigger_value(state: "WaveState", params: TriggerParams, g: _grid.Grid) -> float:
-    """Firing predicate at the given state (squared norms throughout)."""
-    e = deviation(state)
-    return predicate_from_norms(
-        _grid.l2_norm_sq(e, g),
-        _grid.l2_norm_sq(state.z, g),
-        _grid.l2_norm_sq(state.v, g),
-        eta0(state.t, params),
-        params,
-    )
 
 
 def initial_threshold_scale(

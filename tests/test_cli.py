@@ -443,6 +443,27 @@ def test_cmd_sweep_exits_1_when_a_feasible_cell_fails_its_checks(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("options, source, c_omega", [
+    (["--comega-source", "dirichlet-closed-form"], "dirichlet-closed-form", 1.0 / math.pi),
+    (["--comega-source", "user", "--comega-value", "0.6"], "user", 0.6),
+    (["--comega-source", "user", "--comega-value", "1.5"], "user", 1.5),  # above sqrt(2): infeasible
+], ids=["dirichlet-closed-form", "user", "user-infeasible"])
+def test_cmd_sweep_uses_the_configured_c_omega(tmp_path, options, source, c_omega):
+    cfg, path = small_config(tmp_path, t_end=3.0)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(path), "--alphas", "1", "--lengths", "1", *options, "--out", str(out)])
+    assert code == 0
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert float(row[2]) == c_omega
+    feasible = c_omega < math.sqrt(2)
+    assert int(row[3]) == feasible
+    if feasible:
+        cert = json.loads((out / "cell_a1_L1" / "summary.json").read_text())["certificate"]
+        assert (cert["c_omega"], cert["c_omega_source"]) == (c_omega, source)
+    else:
+        assert not (out / "cell_a1_L1").exists()
+
+
 def test_cmd_sweep_refuses_certificate(tmp_path):
     cfg, path = small_config(tmp_path)
     assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0

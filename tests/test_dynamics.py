@@ -5,6 +5,7 @@ import wavetrig as wt
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError
 from wavetrig.grid import Field
 from wavetrig.initial import bump, sine_mode
+from wavetrig.trigger import predicate_from_norms
 
 
 def zero_field(g):
@@ -188,9 +189,10 @@ def replay(rec, z0, z1, alpha):
     step/refresh_sample calls, the hold refreshed at the record's events;
     each state is yielded before its refresh, as the record's rows are."""
     s = wt.WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
-    for i in range(1, rec.n_steps + 1):
-        s = wt.step(s, rec.dt, alpha)
-        s.t = rec.t[i]
+    for i in range(rec.n_steps + 1):
+        if i:  # row 0 is the initial state
+            s = wt.step(s, rec.dt, alpha)
+            s.t = rec.t[i]
         yield i, s
         if rec.event[i]:
             s = wt.refresh_sample(s, s.t)
@@ -286,7 +288,7 @@ def test_simulate_runs_on_when_only_the_norms_overflow(small_setup):
     assert np.isinf(rec.norm_z_sq).all() and np.isinf(rec.energy).all()
     # public step() raises on a non-finite entry; the replay takes all 5 steps
     replayed = [i for i, s in replay(rec, big, z1, 0.0)]
-    assert replayed == [1, 2, 3, 4, 5]
+    assert replayed == [0, 1, 2, 3, 4, 5]
 
 
 def test_wavestate_validation():
@@ -315,15 +317,13 @@ SHAPES = pytest.mark.parametrize(
 @SHAPES
 def test_simulate_and_public_step_share_one_kernel(shape):
     # replaying an event-triggered run with the public step/refresh_sample
-    # calls reproduces every recorded norm and predicate bit for bit
+    # calls reproduces every recorded norm and predicate, row 0 included,
+    # bit for bit
     g, z0, z1, params, rec = triggered_run(shape)
     for i, s in replay(rec, z0, z1, 1.0):
-        got = (
-            wt.l2_norm_sq(s.z, g),
-            wt.l2_norm_sq(s.v, g),
-            wt.l2_norm_sq(wt.deviation(s), g),
-            wt.trigger_value(s, params, g),
-        )
+        nz, nv = wt.l2_norm_sq(s.z, g), wt.l2_norm_sq(s.v, g)
+        ne = wt.l2_norm_sq(Field(s.v.values - s.held.values, g), g)
+        got = (nz, nv, ne, predicate_from_norms(ne, nz, nv, wt.eta0(s.t, params), params))
         want = (rec.norm_z_sq[i], rec.norm_v_sq[i], rec.norm_e_sq[i], rec.trigger_value[i])
         assert np.array(got).tobytes() == np.array(want).tobytes(), f"step {i}"
 
@@ -331,9 +331,23 @@ def test_simulate_and_public_step_share_one_kernel(shape):
 @SHAPES
 def test_simulate_records_the_gradient_norm_of_each_state(shape):
     # the recorded norm_gradz_sq comes from summation by parts against the
-    # L z the kernel holds; it must be the seminorm of that step's z
+    # L z the kernel holds; it must be the seminorm of that step's z, the
+    # initial z0 of row 0 included
     g, z0, z1, params, rec = triggered_run(shape)
-    assert rec.norm_gradz_sq[0] == wt.h1_seminorm_sq(z0, g)
     for i, s in replay(rec, z0, z1, 1.0):
         want = wt.h1_seminorm_sq(s.z, g)
         assert abs(rec.norm_gradz_sq[i] - want) <= 1e-12 * want, f"step {i}"
+
+
+@SHAPES
+def test_v0_threshold_scale_is_the_recorded_v0(shape):
+    # the eta0 scale (field_norms of the initial data) and row 0 (the step
+    # kernel's buffers) take every norm by the same arithmetic
+    g = wt.build_grid(shape)
+    z0, z1 = sine_mode(g, 1), bump(g)  # a nonzero cross term <z, v>
+    cert = wt.build_certificate(wt.DesignInput(alpha=1.0, c_omega=wt.discrete_poincare_constant(g)))
+    params = wt.TriggerParams.from_certificate(
+        cert, wt.initial_threshold_scale(z0, z1, cert.epsilon, 1.0, g, "v0")
+    )
+    rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=0.1), params, cert)
+    assert rec.eta0[0].tobytes() == rec.lyapunov[0].tobytes()

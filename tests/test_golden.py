@@ -39,6 +39,17 @@ magnitude in its column, was 3.2e-14 (``norm_e_sq``; ``E``, ``V`` and
 summary's check margins moved with them.  Every ``events.csv`` hash,
 every exit code and every check verdict stayed the same, and so did the
 ``uncontrolled`` summary, which has no check margins.
+
+They were re-recorded a fourth time when the ``t = 0`` row came from the
+step kernel's buffers, like every other row, and the initial-data norms
+behind the eta0 scale took the gradient norm by the kernel's summation by
+parts, ``-w <L z, z>``, instead of summing squared forward differences.
+Row 0 of ``E``, ``V`` and ``norm_gradz_sq`` moved, and every row of
+``eta0`` and ``trigger_value`` with the scale; the largest change relative
+to its column's largest magnitude was 4.7e-15.  ``V[0]`` still equals
+``eta0[0]`` bit for bit on the ``v0`` cases.  Every ``events.csv`` hash,
+every exit code and every check verdict stayed the same, and so did the
+``uncontrolled`` summary.
 """
 
 import hashlib
@@ -69,59 +80,59 @@ CASES = {
 # sha256 of (series.csv, events.csv, summary.json); every case exits 0
 GOLDEN = {
     "event-triggered": (
-        "3ebc10b34e10ddfae748b2c463f91accd45c7d991782ab81a4f0857cf9ff1679",
+        "f1d0fc9f72733ed471f9eab72d5f20b1c85fcccdbaf742dcbde7d53e79d42dee",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "a753505c86a19e8365feef2dcb5e307908c11d0e81891835cb9ff7c55191edba",
+        "9326dfbf4f50523681aa9a530e056fac72d58708173af92d43f451d6eb88376f",
     ),
     "continuous-damping": (
-        "480f6a0fa1d7b1cde1230932ff3b77d12a500cf64200e8f309a67342efac987d",
+        "5cbb6623d4dd1915621a0f9c6bd2c3a229653df25e44966a1eac1cf7e1c5193c",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "3112008ac335991e1c32b53240e448af3c228f2701169ad53cf12c27c8a15cd0",
+        "5f897666b824f9dba2f9fadf89ad95c9f5b92c955ef086e322d56c513908d2a2",
     ),
     "periodic-matched": (
-        "64919e3f0458124c743acc8e467fb5045aa451fd000f5dfa0bf038591cfb2ff7",
+        "8f09a8ebf1858625a8dc0f8e4912d14a627357605d9f8bcab11c6cb9d88b5d2b",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "ac786e8880450f30c5f229fa38371f97623e614df10fedfd62d38ea474c8f08f",
+        "e9c29cd4a42a9b632b0c79bbc6981d29e20892428a49aaf2cc86673341cc5c9c",
     ),
     "periodic-fixed": (
-        "22f84125d1e610b431d30aa0822b3610635ea7cf0a462abcd5bc25d218781eae",
+        "21fa72c45b734671e0f3f24d7b800706579488b687f2816103f0b86b055aa0b6",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "1eb6f43fd76be321a189a0f65013250df8b74e0cfd6738663ed2a75d6018d8fe",
+        "28fd29200f74bfdaee5f641e55415095d9e08207408cd954471d15428af80baa",
     ),
     "uncontrolled": (
-        "622d4d2cc59f3b3140ffef2d154b334437386bf12849cbcf3fa69853a554236b",
+        "80bd00a6beeed79bd5bdfb54f09ff1287700578ece4b1fdeda954c08369f962c",
         "06296cb6887fc937be326eac6773c49c7146f672eb3e3a8cae8d839a8f05b551",
         "b491554e38337db5bb789a04143da696b8ec948ad659e08d7ea43c9e06b366b2",
     ),
     "v0-cross": (
-        "5b1bdc6b90de9d74053b74401b155d6eeea338bd0ce023f0f99c2b0e175725e0",
+        "b258e4631e300c9a7a69f87c35f3f5cfbebe88fa5d4e157db39a9ad38649e2bd",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "5c89d1d0ca1a7d74784219824f6195310c27c4fa55e13a59b16f2f61b59c3cee",
+        "beefb3df79e2703e62512600f6ce834fd96c3f9b7887d863bd2b8d03c31dc036",
     ),
     "reduced-cross": (
-        "b60e456d887f1b7b03f90defda6d08cd8db28c8fe914eeafeb65c7450998a7f9",
+        "dd8472a16ccd889943bdd542a983a93557385df55817b8a3af77880c1cbbb5af",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "27860a468d04a5d1f54f6452c340eb15605f2ff60877783ab03d05cecb023003",
+        "289c5dbeff81ed8f29b5427a1ecd8e43e346163e1365fd89429c1108fd1e8fa6",
     ),
     "reduced": (
-        "facc8e57c9cd6e2bd237822198aad005da8a48b971940504f60578fdd9e64eb8",
+        "c75877707421988687fc98abc7e3900c87735e36b4e66afec442c1ba6f6427df",
         "5672aed8f0dd8da4fbafbaf2e101beec9b1c54ca44831c547c9d4de5f6067e15",
-        "662e9490fe0f4658b9bb9efb1a5e97f1fc86ae27607555949a22315907966b7f",
+        "ae4d0deed8225aaceb3f0983598f4383df13b69afb379041977b2d74aba071ec",
     ),
     "rectangle": (
-        "958bd2a2313e112e2f16efb28ce0a583b8183a470ab89c57f6b989c54fc0b678",
+        "badf81d6cd36f75fffb65e03d7a72baec52ca8f99ff602d07c60eb9bd7305298",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "a4cdc3e7bf3abd0e5e58091e6ef6fdfc4114806adb9d5b8fc11bcfdc40bc402a",
+        "5e0e135ba0fd74b370515fd34b0acea47914ca86fc456e1b34700cb693b1dd30",
     ),
     "file": (
-        "285cdfc358cd67594cfdd58b742b5c779fb11d460208c3ae06a64386de5d7a2f",
+        "860ea82eb46c5cbb970e41b66a5be80d738c3d66c274e78435ff9e99e5221af7",
         "32776535309ed3bf568d6e59a9a45b0b6adaa2b7835da151a40dde8c7e1b9858",
-        "ebeec933ca4c1199d4834d30de9222fdb285f60e236c5b884dee50be6faa08b8",
+        "b2996b4abd43972c27673bf972bf14be9deb85a6705d3a47a8d7b50cf6d7259f",
     ),
     "certificate": (
-        "3ebc10b34e10ddfae748b2c463f91accd45c7d991782ab81a4f0857cf9ff1679",
+        "f1d0fc9f72733ed471f9eab72d5f20b1c85fcccdbaf742dcbde7d53e79d42dee",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "c2beb53de4e960eca6844ea8397afb22567c6cf75742ee71afbbdede456e6a91",
+        "63c53d2510151c72959a4208fa876d6c6843f538c6fb344bc4a5a82e392eca20",
     ),
 }
 

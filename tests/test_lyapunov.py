@@ -11,7 +11,7 @@ import wavetrig as wt
 from wavetrig.errors import ConfigurationError
 from wavetrig.grid import Field
 from wavetrig.initial import sine_mode
-from wavetrig.lyapunov import RunRecord
+from wavetrig.lyapunov import RunRecord, energy_lyapunov, field_norms
 
 
 GRID = wt.build_grid(wt.Interval(1.0, 49))
@@ -22,29 +22,30 @@ finite_floats = st.floats(-1e2, 1e2, allow_nan=False, allow_infinity=False, widt
 field_values = hnp.arrays(np.float64, GRID.num_interior, elements=finite_floats)
 
 
-def state_from(zv, vv):
-    return wt.WaveState(t=0.0, z=Field(zv, GRID), v=Field(vv, GRID), held=Field(vv, GRID), k=0, t_k=0.0)
+def e_and_v(z, v, g, eps=0.0, alpha=0.0):
+    """(E, V) of the state (z, v) on ``g``."""
+    return energy_lyapunov(*field_norms(z, v, g), eps, alpha)
+
+
+def fields_from(zv, vv):
+    return Field(zv, GRID), Field(vv, GRID)
 
 
 # -------------------------------------------------------------- functionals
 
 def test_energy_zero_state():
-    s = state_from(np.zeros(49), np.zeros(49))
-    assert wt.energy(s, GRID) == 0.0
+    z, v = fields_from(np.zeros(49), np.zeros(49))
+    assert e_and_v(z, v, GRID)[0] == 0.0
 
 
 def test_energy_potential_only():
     g = wt.build_grid(wt.Interval(1.0, 999))
-    s = wt.WaveState(t=0.0, z=sine_mode(g, 1), v=Field(np.zeros(999), g),
-                     held=Field(np.zeros(999), g), k=0, t_k=0.0)
-    assert wt.energy(s, g) == pytest.approx(np.pi ** 2 / 4, rel=1e-3)
+    assert e_and_v(sine_mode(g, 1), Field(np.zeros(999), g), g)[0] == pytest.approx(np.pi ** 2 / 4, rel=1e-3)
 
 
 def test_energy_kinetic_only():
     g = wt.build_grid(wt.Interval(1.0, 999))
-    s = wt.WaveState(t=0.0, z=Field(np.zeros(999), g), v=sine_mode(g, 1),
-                     held=sine_mode(g, 1), k=0, t_k=0.0)
-    assert wt.energy(s, g) == pytest.approx(0.25, rel=1e-6)
+    assert e_and_v(Field(np.zeros(999), g), sine_mode(g, 1), g)[0] == pytest.approx(0.25, rel=1e-6)
 
 
 def test_lyapunov_term_by_term():
@@ -52,39 +53,36 @@ def test_lyapunov_term_by_term():
     # V = 1/4 + pi^2/4 + 0.1 * 1/2 + 0.2 * 1/2
     g = wt.build_grid(wt.Interval(1.0, 999))
     f = sine_mode(g, 1)
-    s = wt.WaveState(t=0.0, z=f, v=f, held=f, k=0, t_k=0.0)
     expected = 0.25 + np.pi ** 2 / 4 + 0.05 + 0.1
-    assert wt.lyapunov_v(s, 0.2, 1.0, g) == pytest.approx(expected, rel=1e-3)
+    assert e_and_v(f, f, g, 0.2, 1.0)[1] == pytest.approx(expected, rel=1e-3)
 
 
 def test_lyapunov_zero_state():
-    s = state_from(np.zeros(49), np.zeros(49))
-    assert wt.lyapunov_v(s, 0.2, 1.0, GRID) == 0.0
+    z, v = fields_from(np.zeros(49), np.zeros(49))
+    assert e_and_v(z, v, GRID, 0.2, 1.0)[1] == 0.0
 
 
 def test_lyapunov_dominates_energy_without_velocity():
-    s = state_from(sine_mode(GRID, 1).values, np.zeros(49))
-    assert wt.lyapunov_v(s, 0.2, 1.0, GRID) >= wt.energy(s, GRID)
+    z, v = fields_from(sine_mode(GRID, 1).values, np.zeros(49))
+    e, lyap = e_and_v(z, v, GRID, 0.2, 1.0)
+    assert lyap >= e
 
 
 @settings(max_examples=100, deadline=None)
 @given(zv=field_values, vv=field_values)
 def test_lyapunov_minus_energy_identity(zv, vv):
-    s = state_from(zv, vv)
+    z, v = fields_from(zv, vv)
     eps, alpha = 0.3, 1.2
-    e = wt.energy(s, GRID)
-    v = wt.lyapunov_v(s, eps, alpha, GRID)
-    rhs = 0.5 * eps * alpha * wt.l2_norm_sq(s.z, GRID) + eps * wt.inner_product(s.z, s.v, GRID)
-    # exact identity; the difference v - e cancels, so scale by the operands
-    assert abs((v - e) - rhs) <= 1e-12 * max(1.0, abs(v), abs(e))
+    e, lyap = e_and_v(z, v, GRID, eps, alpha)
+    rhs = 0.5 * eps * alpha * wt.l2_norm_sq(z, GRID) + eps * wt.inner_product(z, v, GRID)
+    # exact identity; the difference lyap - e cancels, so scale by the operands
+    assert abs((lyap - e) - rhs) <= 1e-12 * max(1.0, abs(lyap), abs(e))
 
 
 @settings(max_examples=100, deadline=None)
 @given(zv=field_values, vv=field_values)
 def test_sandwich_holds_for_every_state_with_discrete_constant(zv, vv):
-    s = state_from(zv, vv)
-    e = wt.energy(s, GRID)
-    v = wt.lyapunov_v(s, CERT.epsilon, CERT.alpha, GRID)
+    e, v = e_and_v(*fields_from(zv, vv), GRID, CERT.epsilon, CERT.alpha)
     assert CERT.c1 * e <= v * (1 + 1e-12) + 1e-300
     assert v <= CERT.c2 * e * (1 + 1e-12) + 1e-300
 
