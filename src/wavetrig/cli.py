@@ -283,6 +283,8 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("sweep varies interval length; domain must be an interval")
     if cfg.certificate_path:
         raise ConfigurationError("sweep designs a certificate per cell; a certificate cannot be given")
+    if cfg.mode == "uncontrolled":
+        raise ConfigurationError("sweep tabulates each cell's certificate; an uncontrolled run has none")
     alphas = _parse_list(args.alphas, "alpha")
     lengths = _parse_list(args.lengths, "length")
     out_root = Path(cfg.out)

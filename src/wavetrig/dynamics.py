@@ -95,39 +95,39 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
 
 
 class _Leapfrog:
-    """The step kernel: velocity Verlet of step dt in place on preallocated
-    buffers.
+    """The step kernel: velocity Verlet of step dt in place on seven flat
+    buffers carved from one block by :func:`grid.carve`.
 
-    z is the stencil's ``values``, so a step writes the stencil's input in
-    place; v, the forcing -alpha * held and the half kick
-    dt/2 * (L z + forcing) are flat arrays of the same length.
-    ``stencil.lap`` holds L z between steps, and the half kick that closes
-    one step is the one that opens the next (first same as last), so a
-    step applies the stencil once and forms the kick once; :meth:`hold`
-    re-forms it when the forcing changes.  Callers check dt and alpha
-    (_check_step) and ignore floating-point overflow and invalid
+    The stencil's buffer (z and its ghost rows), ``lap`` and ``scratch``, v,
+    the forcing -alpha * held, the half kick dt/2 * (L z + forcing) and the
+    hold start 512 bytes apart modulo 4096 (4K aliasing: at 127x127 a step
+    took about 100 us so, and 116-142 us with ``lap``, v and the kick 32
+    bytes apart).  z is the stencil's ``values``; ``stencil.lap`` holds L z
+    between steps, and the half kick that closes one step opens the next
+    (first same as last), so a step applies the stencil once and forms the
+    kick once; :meth:`hold` re-forms it when the forcing changes.  Callers
+    check dt and alpha (_check_step) and ignore overflow and invalid
     operations; :meth:`finite` tells whether the state blew up.
     """
 
     def __init__(
         self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float
     ):
-        self.stencil = _grid.Stencil(g, z)
+        bufs = _grid.carve(g, 7)
+        self.stencil = _grid.Stencil(g, z, bufs)
         self.stencil.laplacian()
         self.z = self.stencil.values
-        self.v = np.array(v, dtype=float)
+        self.v, self.forcing, self.kick, self.held = bufs[3:]
+        self.v[...] = v
         self.alpha = alpha
         self.dt = dt
         self._half = 0.5 * dt
-        self.forcing = np.empty_like(self.v)
-        self.kick = np.empty_like(self.v)
         self.hold(held)
 
     def hold(self, held: np.ndarray):
-        """Drive the forcing -alpha * held from now on; ``held`` is kept by
-        reference."""
-        self.held = held
-        np.multiply(held, -self.alpha, out=self.forcing)
+        """Drive the forcing -alpha * held from now on (``held`` is copied)."""
+        np.copyto(self.held, held)
+        np.multiply(self.held, -self.alpha, out=self.forcing)
         self._form_kick()
 
     def _form_kick(self):
@@ -154,7 +154,7 @@ def step(s: WaveState, dt: float, alpha: float) -> WaveState:
 
     Accepts negative dt (the scheme is time reversible); |dt| must respect
     the CFL limit.  Raises BlowUpError on non-finite output.  A thin wrapper
-    over the kernel that simulate runs.
+    over the kernel that simulate runs; the state's z and v own their memory.
     """
     g = s.z.grid
     _check_step(g, dt, alpha)
@@ -165,8 +165,8 @@ def step(s: WaveState, dt: float, alpha: float) -> WaveState:
         raise BlowUpError(f"non-finite state after step from t = {s.t}", time=s.t)
     return WaveState(
         t=s.t + dt,
-        z=_grid.Field(kernel.z, g, validate=False),
-        v=_grid.Field(kernel.v, g, validate=False),
+        z=_grid.Field(kernel.z.copy(), g, validate=False),  # copies: a kept state
+        v=_grid.Field(kernel.v.copy(), g, validate=False),  # must not pin the block
         held=s.held,
         k=s.k,
         t_k=s.t_k,
@@ -231,9 +231,9 @@ def simulate(
     t_k = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per step
         # the hold starts as a copy of z1, so row 0's deviation is zero
-        kernel = _Leapfrog(g, z0.values, z1.values, z1.values.copy(), a, dt)
+        kernel = _Leapfrog(g, z0.values, z1.values, z1.values, a, dt)
         lap, zv, vv = kernel.stencil.lap, kernel.z, kernel.v
-        dev = np.empty_like(vv)
+        dev = kernel.stencil.scratch  # free until the next step's laplacian()
         for i in range(m):  # row 0 is the initial state: its pass takes no step
             if i:
                 kernel.advance()
@@ -266,7 +266,7 @@ def simulate(
                 fire = t - t_k >= period * (1.0 - 1e-12)
             if fire:
                 event[i] = True
-                kernel.hold(vv.copy())  # a new array: the old hold stays intact
+                kernel.hold(vv)
                 t_k = t
         # numpy warns on 0 * inf in V where Python floats did not
         energy, lyap = _lyapunov.energy_lyapunov(nz, nv, ngz, cross, eps, a)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "Grid",
     "Field",
     "Stencil",
+    "carve",
     "build_grid",
     "l2_norm_sq",
     "h1_seminorm_sq",
@@ -106,43 +108,59 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
 
+# carve's buffers start this many bytes apart modulo a page, against 4K aliasing
+_STAGGER = 512
+
+
+def carve(g: Grid, count: int) -> list[np.ndarray]:
+    """``count`` uninitialised flat buffers for fields on ``g`` from one block,
+    the first a :class:`Stencil`'s (with its ghost rows); buffer i starts
+    ``i * _STAGGER`` bytes past a page (512 floats)."""
+    n = g.num_interior
+    sizes = [n + 2 * (n // g.counts[0])] + [n] * (count - 1)
+    starts = list(accumulate((-(-k // 512) * 512 + _STAGGER // 8 for k in sizes), initial=0))
+    block = np.empty(starts[-1] + 512)  # starts[-1] is the carved length
+    base = -block.ctypes.data % 4096 // 8
+    return [block[base + s:base + s + k] for s, k in zip(starts, sizes)]
+
+
 class Stencil:
-    """Caller-owned buffers for the Laplacian stencil on one grid, which
-    also gives the gradient seminorm.
+    """The Laplacian stencil on one grid, which also gives the gradient
+    seminorm, on the first three of ``bufs`` (:func:`carve`) or its own.
 
     ``values`` is the flat field, one entry per interior node in C order,
-    and the contiguous interior of a zero buffer one ghost row longer at
-    each end of the first axis.  The first axis' neighbours are then the
+    and the contiguous interior of the first buffer, with one zero ghost row
+    at each end of the first axis.  The first axis' neighbours are then that
     buffer shifted by one row either way; on a rectangle the second axis'
     neighbours are ``values`` shifted by one entry, except in the first and
-    last columns, where the neighbour across the row seam is a boundary
-    zero and the sum is the one interior neighbour.  Every view is built
-    here; :meth:`laplacian` allocates nothing and divides by nothing.
+    last columns, where the neighbour across the row seam is a boundary zero
+    and the sum is the one interior neighbour.  Every view is built here;
+    :meth:`laplacian` allocates and divides by nothing, and ``scratch`` is
+    free between two calls.
     """
 
-    def __init__(self, g: Grid, vals: np.ndarray):
+    def __init__(self, g: Grid, vals: np.ndarray, bufs: list[np.ndarray] | None = None):
         """The stencil of ``g`` with the field set to ``vals`` (flat)."""
         self.grid = g
         n = g.num_interior
         row = n // g.counts[0]  # 1 on an interval
-        self._buf = np.zeros(n + 2 * row)
+        self._buf, self.lap, self.scratch = (bufs or carve(g, 3))[:3]
+        self._buf[:row] = self._buf[-row:] = 0.0
         self.values = self._buf[row:-row]
-        self.lap = np.empty(n)
-        self._scratch = np.empty(n)  # the second axis' term, then c_center * z
         self._c = [1.0 / (h * h) for h in g.spacings]
         self._c_center = 2.0 * sum(self._c)
         self._back, self._forward = self._buf[:n], self._buf[2 * row:]
         self._seams = ()
         if g.ndim == 2:
-            s, v = self._scratch.reshape(g.counts), self.values.reshape(g.counts)
-            self._cols = (self.values[:-2], self.values[2:], self._scratch[1:-1])
+            s, v = self.scratch.reshape(g.counts), self.values.reshape(g.counts)
+            self._cols = (self.values[:-2], self.values[2:], self.scratch[1:-1])
             self._seams = ((s[:, 0], v[:, 1]), (s[:, -1], v[:, -2]))
         self.values[...] = vals
 
     def laplacian(self) -> np.ndarray:
         """Second-order stencil into the flat buffer ``lap``, which is returned:
         sum over axes of (back + forward) / h^2, less 2 z sum 1/h^2."""
-        lap, tmp = self.lap, self._scratch
+        lap, tmp = self.lap, self.scratch
         np.add(self._back, self._forward, out=lap)
         np.multiply(lap, self._c[0], out=lap)
         if self._seams:  # a rectangle's second axis

@@ -476,6 +476,18 @@ def test_cmd_sweep_refuses_certificate(tmp_path):
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
+def test_cmd_sweep_refuses_uncontrolled_mode(tmp_path, capsys):
+    # an uncontrolled cell has no certificate to fill delta and K from
+    cfg, path = small_config(tmp_path)
+    code = main([
+        "sweep", "--config", str(path), "--alphas", "1", "--lengths", "1", "--mode", "uncontrolled",
+        "--out", str(tmp_path / "sweep"),
+    ])
+    assert code == 64
+    assert "uncontrolled" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_cmd_sweep_empty_list_exits_64(tmp_path):
     cfg, path = small_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--alphas", "", "--lengths", "1"]) == 64

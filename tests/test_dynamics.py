@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import wavetrig as wt
+from wavetrig.cli import run_from_config
+from wavetrig.config import RunConfig
+from wavetrig.dynamics import _Leapfrog
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError
 from wavetrig.grid import Field
 from wavetrig.initial import bump, sine_mode
@@ -75,6 +78,20 @@ def test_step_keeps_hold_by_reference():
     s2 = wt.step(s, 0.005, 1.0)
     assert s2.held is s.held
     assert (s2.k, s2.t_k) == (s.k, s.t_k)
+
+
+def test_step_states_own_their_memory():
+    # the kernel's buffers are views of one block; a kept state must not pin it
+    g = wt.build_grid(wt.Rectangle(1.0, 0.8, 15, 11))
+    s0 = wt.WaveState(t=0.0, z=sine_mode(g, 1), v=bump(g), held=zero_field(g), k=0, t_k=0.0)
+    s1 = wt.step(s0, 0.01, 1.0)
+    s2 = wt.step(s1, 0.01, 1.0)
+    for s in (s1, s2):
+        assert s.z.values.flags.owndata and s.v.values.flags.owndata
+    for a in (s1.z, s1.v):
+        for b in (s2.z, s2.v, s2.held):
+            assert not np.shares_memory(a.values, b.values)
+    assert not np.shares_memory(s2.z.values, s2.v.values)
 
 
 def test_step_rejects_dt_above_cfl():
@@ -351,3 +368,46 @@ def test_v0_threshold_scale_is_the_recorded_v0(shape):
     )
     rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=0.1), params, cert)
     assert rec.eta0[0].tobytes() == rec.lyapunov[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [wt.Interval(1.0, 199), wt.Rectangle(1.0, 1.0, 127, 127)], ids=["interval", "rect-127"]
+)
+def test_kernel_buffers_are_one_block_at_staggered_page_offsets(shape):
+    # buffers whose starts agree in their low 12 bits stall each other (4K
+    # aliasing), so the kernel carves them from one block, spread over the page
+    g = wt.build_grid(shape)
+    z0 = sine_mode(g, 1).values
+    kernel = _Leapfrog(g, z0, bump(g).values, z0, 1.0, 0.5 * wt.cfl_max_dt(g))
+    st = kernel.stencil
+    bufs = (st._buf, st.lap, st.scratch, kernel.v, kernel.forcing, kernel.kick, kernel.held)
+    base = bufs[0].base
+    assert base is not None and all(b.base is base for b in bufs + (kernel.z,))
+    offsets = [b.ctypes.data % 4096 for b in bufs]
+    for i, a in enumerate(offsets):
+        for b in offsets[i + 1:]:
+            assert min((a - b) % 4096, (b - a) % 4096) >= 256, offsets
+    np.testing.assert_array_equal(kernel.z, z0)
+    for _ in range(3):
+        kernel.advance()
+    row = g.num_interior // g.counts[0]
+    assert not st._buf[:row].any() and not st._buf[-row:].any()
+
+
+@pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])
+def test_in_place_hold_matches_a_replay_with_fresh_samples(mode):
+    # the kernel copies each new sample into its one hold buffer; the replay
+    # through step/refresh_sample keeps a fresh array per sample
+    cfg = RunConfig(domain={"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 31, "ny": 31}, mode=mode)
+    rec, _ = run_from_config(cfg)
+    assert rec.event.sum() >= 10
+    g = cfg.build_grid()
+    z0, z1 = sine_mode(g, 1), zero_field(g)
+    ne, fired = [], []
+    for i, s in replay(rec, z0, z1, cfg.alpha):
+        nz, nv = wt.l2_norm_sq(s.z, g), wt.l2_norm_sq(s.v, g)
+        ne.append(wt.l2_norm_sq(Field(s.v.values - s.held.values, g), g))
+        eta = wt.eta0(s.t, rec.trigger)
+        fired.append(i == 0 or mode != "event-triggered" or predicate_from_norms(ne[-1], nz, nv, eta, rec.trigger) >= 0)
+    assert np.array(ne).tobytes() == rec.norm_e_sq.tobytes()
+    np.testing.assert_array_equal(fired, rec.event)
