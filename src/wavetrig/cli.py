@@ -1,8 +1,15 @@
 """Command line interface: design / simulate / sweep / verify.
 
-Exit codes: 0 success (all checks pass), 1 check failure, 2 infeasible
-domain, 3 design failure, 4 blow-up, 5 degenerate initial data, 64 usage,
-65 bad data format, 66 missing input.
+Exit codes; from 2 up each is the ``exit_code`` of a ``wavetrig.errors`` class:
+  0   every gating check passed
+  1   a gating check failed (sweep: a cell errored or failed one)
+  2   infeasible domain, C_Omega >= sqrt(2)
+  3   design failure
+  4   blow-up: non-finite values
+  5   degenerate initial data
+  64  usage or configuration error; a config file missing, unreadable or not UTF-8 JSON
+  65  malformed data: a certificate, summary, series or initial-data file unreadable or invalid
+  66  missing input: a certificate, run directory or initial-data file that does not exist
 """
 
 from __future__ import annotations
@@ -18,16 +25,7 @@ from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
 from .config import C_OMEGA_SOURCES, RunConfig, load_config
-from .errors import (
-    BlowUpError,
-    ConfigurationError,
-    DataFormatError,
-    DegenerateInitialDataError,
-    DesignFailureError,
-    InfeasibleDomainError,
-    PreconditionError,
-    WavetrigError,
-)
+from .errors import ConfigurationError, InfeasibleDomainError, UsageError, WavetrigError
 from .grid import Grid, discrete_poincare_constant, poincare_constant
 from .initial import build_field
 
@@ -35,17 +33,6 @@ __all__ = ["main", "entrypoint", "run_from_config", "design_from_config"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_INFEASIBLE = 2
-EXIT_DESIGN_FAILURE = 3
-EXIT_BLOWUP = 4
-EXIT_DEGENERATE = 5
-EXIT_USAGE = 64
-EXIT_DATAERR = 65
-EXIT_NOINPUT = 66
-
-
-class UsageError(WavetrigError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,8 +174,9 @@ _OVERRIDES = (
 )
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    d = cfg.to_dict()
+def _load_cfg(args) -> RunConfig:
+    """The config file, or the defaults, with the command-line overrides."""
+    d = (RunConfig() if args.config is None else load_config(args.config)).to_dict()
     if (args.length is not None or args.n is not None) and d["domain"].get("kind") != "interval":
         d["domain"] = RunConfig().domain
     for key in _OVERRIDES:
@@ -197,14 +185,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         if value is not None:
             (d[section[0]] if section else d)[name] = value
     return RunConfig.from_dict(d)
-
-
-def _load_cfg(args) -> RunConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    return _apply_overrides(cfg, args)
 
 
 def cmd_design(args) -> int:
@@ -317,7 +297,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="wavetrig", description=__doc__)
+    parser = _Parser(prog="wavetrig", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -357,35 +337,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        missing = str(exc)
-        print(f"error: {missing}", file=sys.stderr)
-        return EXIT_USAGE if "config" in missing else EXIT_NOINPUT
-    except InfeasibleDomainError as exc:
-        print(f"infeasible domain: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DesignFailureError as exc:
-        print(f"design failure: {exc}", file=sys.stderr)
-        return EXIT_DESIGN_FAILURE
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except DegenerateInitialDataError as exc:
-        print(f"degenerate initial data: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DataFormatError as exc:
-        print(f"data format error: {exc}", file=sys.stderr)
-        return EXIT_DATAERR
-    except (ConfigurationError, PreconditionError) as exc:  # a config value out of range
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except WavetrigError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entrypoint():

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import MODES
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UsageError
 from .grid import POINCARE_SOURCES, Grid, Interval, Rectangle, build_grid
 from .trigger import ETA0_VARIANTS
 
@@ -143,13 +143,12 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
+        data = json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise UsageError(f"config file not found: {path}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return RunConfig.from_dict(data)
 
 

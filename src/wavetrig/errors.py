@@ -1,12 +1,28 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The ``exit_code`` and stderr ``label`` class attributes are the one place
+where the command line's exit codes from 2 up are defined; a subclass
+without its own takes its parent's.  Exit 0 and 1 are check verdicts.
+"""
 
 
 class WavetrigError(Exception):
     """Base class for all errors raised by wavetrig."""
 
+    exit_code = 64
+    label = "error"
+
+
+class UsageError(WavetrigError):
+    """Bad command-line arguments, or a config file that does not exist."""
+
+    label = "usage error"
+
 
 class ConfigurationError(WavetrigError):
     """Invalid user-supplied configuration (geometry, parameters, modes)."""
+
+    label = "configuration error"
 
 
 class ShapeError(WavetrigError):
@@ -16,9 +32,14 @@ class ShapeError(WavetrigError):
 class NumericalError(WavetrigError):
     """A numerical procedure produced invalid values."""
 
+    exit_code = 4
+    label = "numerical error"
+
 
 class BlowUpError(NumericalError):
     """The time integration produced non-finite values."""
+
+    label = "blow-up"
 
     def __init__(self, message, step=None, time=None):
         super().__init__(message)
@@ -30,19 +51,39 @@ class DegenerateInitialDataError(ConfigurationError):
     """Initial data with vanishing Lyapunov value; the trigger threshold
     would be identically zero and force an event at every step."""
 
+    exit_code = 5
+    label = "degenerate initial data"
+
 
 class InfeasibleDomainError(WavetrigError):
     """The Poincare constant is >= sqrt(2); no certificate exists."""
+
+    exit_code = 2
+    label = "infeasible domain"
 
 
 class DesignFailureError(WavetrigError):
     """The parameter search exhausted its shrink budget without finding a
     feasible weight interval."""
 
+    exit_code = 3
+    label = "design failure"
+
 
 class PreconditionError(WavetrigError):
     """An operation was called with arguments outside its admissible range."""
 
+    label = "configuration error"
+
 
 class DataFormatError(WavetrigError):
-    """A persisted run artifact could not be parsed."""
+    """A data file (certificate, run artifact, initial data) cannot be read or parsed, or is invalid."""
+
+    exit_code = 65
+    label = "data format error"
+
+
+class MissingInputError(WavetrigError, FileNotFoundError):
+    """A certificate, run directory or initial-data file does not exist."""
+
+    exit_code = 66

@@ -9,7 +9,7 @@ import tokenize
 import numpy as np
 
 from .config import check_choice, integer, known_keys
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, MissingInputError
 from .grid import Field, Grid, sine_mode
 
 __all__ = ["sine_mode", "bump", "load_nodal", "build_field"]
@@ -45,7 +45,9 @@ def load_nodal(g: Grid, path: str) -> Field:
         else:
             vals = np.loadtxt(path)
         vals = np.asarray(vals, dtype=float)
-    except (ValueError, EOFError, tokenize.TokenError) as exc:
+    except FileNotFoundError as exc:
+        raise MissingInputError(f"initial data file not found: {path}") from exc
+    except (OSError, ValueError, EOFError, tokenize.TokenError) as exc:
         # a corrupt .npy header fails in numpy's header tokenizer
         raise DataFormatError(f"cannot read nodal values from {path}: {exc}") from exc
     if vals.ndim == 2 and g.ndim == 2 and vals.shape == tuple(g.counts):
@@ -74,6 +76,6 @@ def build_field(g: Grid, spec: dict) -> Field:
         return sine_mode(g, integer("sine mode number", spec.get("k", 1)))
     if kind == "bump":
         return bump(g)
-    if "path" not in spec:
-        raise ConfigurationError("file initial data needs a 'path' entry")
+    if not isinstance(spec.get("path"), str):
+        raise ConfigurationError(f"file initial data needs a 'path' string, got {spec.get('path')!r}")
     return load_nodal(g, spec["path"])

@@ -233,18 +233,13 @@ def check_vdot(record: RunRecord, c_tol: float = 10.0) -> CheckReport:
     quotient straddles the jump.  Tolerance is c_tol * dt^2 * max|V|.
     """
     cert = _require_certificate(record)
-    v, e, eta = record.lyapunov, record.energy, record.eta0
-    n = v.size
+    v, e, eta, ev = record.lyapunov, record.energy, record.eta0, record.event
     dt = record.dt
     if np.isnan(eta).any():
         raise ConfigurationError("vdot check needs the threshold series (controlled run)")
     vdot = (v[2:] - v[:-2]) / (2.0 * dt)  # index i+1 in the full series
     rhs = vdot_bound_rhs(cert, e[1:-1], eta[1:-1])  # broadcasts over the series
-    usable = np.ones(n - 2, dtype=bool)
-    for j in record.event_indices():
-        for i in (j - 1, j, j + 1):
-            if 1 <= i <= n - 2:
-                usable[i - 1] = False
+    usable = ~(ev[:-2] | ev[1:-1] | ev[2:])  # no event at index i, i+1 or i+2
     tol = c_tol * dt * dt * float(np.max(np.abs(v)))
     margin = vdot - rhs
     checked = int(np.count_nonzero(usable))

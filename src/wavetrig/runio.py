@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .design import StabilityCertificate
-from .errors import DataFormatError
+from .dynamics import MODES
+from .errors import DataFormatError, MissingInputError, WavetrigError
 from .lyapunov import RunRecord
 from .trigger import TriggerParams
 
@@ -41,12 +42,8 @@ def fmt(x: float) -> str:
 
 def _json_default(obj):
     # numpy scalars/arrays show up in check details and diagnostics
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
@@ -114,19 +111,27 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     series_path = d / "series.csv"
     summary_path = d / "summary.json"
     if not series_path.is_file() or not summary_path.is_file():
-        raise FileNotFoundError(f"run directory {d} lacks series.csv or summary.json")
+        raise MissingInputError(f"run directory {d} lacks series.csv or summary.json")
     try:
         summary = json.loads(summary_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"summary.json is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise DataFormatError(f"cannot read {summary_path}: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise DataFormatError(f"{summary_path} is not a JSON object")
     cols = _parse_series(series_path)
     n = cols["t"].size
     nan = np.full(n, np.nan)
-    mode = summary.get("mode", "event-triggered")
+    mode = summary.get("mode")
+    # an uncontrolled run, and only one, is written with the plant columns alone
+    if mode not in MODES or (mode == "uncontrolled") != ("event" not in cols):
+        raise DataFormatError(f"summary mode {mode!r} does not fit the series header of {d}")
     cert = summary.get("certificate")
-    certificate = StabilityCertificate.from_dict(cert) if cert else None
+    certificate = StabilityCertificate.from_dict(cert) if cert is not None else None
     trig = summary.get("trigger")
-    trigger_params = TriggerParams(**trig) if trig else None
+    try:
+        trigger_params = TriggerParams(**trig) if trig is not None else None
+    except (TypeError, WavetrigError) as exc:
+        raise DataFormatError(f"summary trigger {trig!r} is not valid: {exc}") from exc
     columns = {name: cols.get(name, nan) for name in RunRecord.COLUMNS}
     columns["event"] = columns["event"].astype(bool) if "event" in cols else np.zeros(n, dtype=bool)
     record = RunRecord.from_columns(
@@ -148,11 +153,10 @@ def write_certificate(cert: StabilityCertificate, path: str | Path):
 
 
 def read_certificate(path: str | Path) -> StabilityCertificate:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"certificate file not found: {p}")
     try:
-        return StabilityCertificate.from_dict(json.loads(p.read_text()))
-    except (json.JSONDecodeError, DataFormatError) as exc:
-        raise DataFormatError(f"cannot use certificate {p}: {exc}") from exc
+        return StabilityCertificate.from_dict(json.loads(Path(path).read_text()))
+    except FileNotFoundError as exc:
+        raise MissingInputError(f"certificate file not found: {path}") from exc
+    except (OSError, ValueError, DataFormatError) as exc:  # unreadable, not UTF-8, not JSON or not valid
+        raise DataFormatError(f"cannot use certificate {path}: {exc}") from exc
 

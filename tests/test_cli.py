@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import wavetrig as wt
+import wavetrig.cli as wavetrig_cli
 from wavetrig.cli import build_parser, main
 from wavetrig.config import C_OMEGA_SOURCES, DesignSpec, RunConfig, load_config, save_config
 from wavetrig.design import certified_constants
 from wavetrig.dynamics import MODES
-from wavetrig.errors import ConfigurationError
+from wavetrig.errors import ConfigurationError, WavetrigError
 from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
 from wavetrig.trigger import ETA0_VARIANTS
 
@@ -141,12 +143,63 @@ def test_cmd_design_infeasible_domain_exits_2(tmp_path):
     assert code == 2
 
 
-def test_cmd_design_missing_config_exits_64(tmp_path):
+def test_cmd_design_missing_config_exits_64(tmp_path, capsys):
     assert main(["design", "--config", str(tmp_path / "absent.json")]) == 64
+    assert capsys.readouterr().err.startswith("usage error: config file not found")
 
 
 def test_usage_error_exits_64():
     assert main(["simulate", "--mode", "florp"]) == 64
+
+
+def _error_classes(cls=WavetrigError) -> list:
+    return [cls, *(c for sub in cls.__subclasses__() for c in _error_classes(sub))]
+
+
+def test_error_classes_carry_the_exit_codes_the_cli_documents():
+    documented = {int(code) for code in re.findall(r"^  (\d+) ", wavetrig_cli.__doc__, re.M)}
+    assert documented == {0, 1, 2, 3, 4, 5, 64, 65, 66}
+    assert {cls.exit_code for cls in _error_classes()} == documented - {0, 1}
+
+
+@pytest.mark.parametrize("missing", ["certificate", "run-directory", "initial-data"])
+def test_missing_input_under_a_configs_directory_exits_66(tmp_path, capsys, missing):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    z0 = {"kind": "file", "path": str(configs / "z0.npy")} if missing == "initial-data" else {"kind": "sine", "k": 1}
+    _, path = small_config(tmp_path, z0=z0)
+    argv = {
+        "certificate": ["simulate", "--config", str(path), "--certificate", str(configs / "cert.json")],
+        "run-directory": ["verify", str(configs / "run1")],
+        "initial-data": ["simulate", "--config", str(path)],
+    }[missing]
+    assert main(argv) == 66
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("unreadable, code, label", [
+    ("config", 64, "configuration error"),
+    ("certificate", 65, "data format error"),
+    ("summary", 65, "data format error"),
+    ("initial-data", 65, "data format error"),
+])
+def test_unreadable_input_exits_with_its_code(sim_run, tmp_path, capsys, unreadable, code, label):
+    # a file that is not UTF-8; initial data whose path is a directory
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    (rundir / "summary.json").write_bytes(not_utf8.read_bytes())
+    z0 = {"kind": "file", "path": str(tmp_path)} if unreadable == "initial-data" else {"kind": "sine", "k": 1}
+    _, path = small_config(tmp_path, z0=z0, out=str(tmp_path / "out"))
+    argv = {
+        "config": ["simulate", "--config", str(not_utf8)],
+        "certificate": ["simulate", "--config", str(path), "--certificate", str(not_utf8)],
+        "summary": ["verify", str(rundir)],
+        "initial-data": ["simulate", "--config", str(path)],
+    }[unreadable]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"{label}: ")
 
 
 # ------------------------------------------------------------------ simulate
@@ -352,6 +405,50 @@ def test_verify_refuses_a_tampered_certificate_in_the_summary(sim_run, tmp_path,
     (rundir / "summary.json").write_text(json.dumps(summary))
     assert main(["verify", str(rundir)]) == 65
     assert "data format error" in capsys.readouterr().err
+
+
+SUMMARY_TAMPERS = {
+    "not-an-object": lambda s: [1, 2],
+    "trigger-not-an-object": lambda s: dict(s, trigger="x"),
+    "trigger-unknown-key": lambda s: dict(s, trigger=dict(s["trigger"], delta=1.0)),
+    "trigger-negative-gamma0": lambda s: dict(s, trigger=dict(s["trigger"], gamma0=-1)),
+    "empty-certificate": lambda s: dict(s, certificate={}),
+    "unknown-mode": lambda s: dict(s, mode="bogus-mode"),
+    "no-mode": lambda s: {k: v for k, v in s.items() if k != "mode"},
+    "uncontrolled-with-event-columns": lambda s: dict(s, mode="uncontrolled"),
+}
+
+
+@pytest.mark.parametrize("tamper", SUMMARY_TAMPERS.values(), ids=SUMMARY_TAMPERS.keys())
+def test_verify_refuses_a_malformed_summary(sim_run, tmp_path, capsys, tamper):
+    _, cfg, run_root = sim_run
+    rundir = shutil.copytree(run_root / "run", tmp_path / "run")
+    summary = json.loads((rundir / "summary.json").read_text())
+    (rundir / "summary.json").write_text(json.dumps(tamper(summary)))
+    assert main(["verify", str(rundir)]) == 65
+    assert "data format error" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_controlled_mode_on_a_plant_only_series(tmp_path):
+    cfg, path = small_config(tmp_path, mode="uncontrolled", t_end=1.0)
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    (tmp_path / "run" / "summary.json").write_text(json.dumps(dict(summary, mode="event-triggered")))
+    assert main(["verify", str(tmp_path / "run")]) == 65
+
+
+def test_verify_fails_a_flipped_event_flag_whatever_the_summary_mode(sim_run, tmp_path):
+    # an unknown mode would turn the trigger invariant off; it is refused instead
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    lines = (rundir / "series.csv").read_text().splitlines()
+    cells = lines[10].split(",")
+    cells[-1] = str(1 - int(cells[-1]))  # the event column
+    lines[10] = ",".join(cells)
+    (rundir / "series.csv").write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(rundir)]) == 1
+    summary = json.loads((rundir / "summary.json").read_text())
+    (rundir / "summary.json").write_text(json.dumps(dict(summary, mode="bogus-mode")))
+    assert main(["verify", str(rundir)]) == 65
 
 
 def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):

@@ -160,6 +160,16 @@ def test_check_vdot_excludes_event_neighborhoods():
     assert rep.details["excluded_steps"] >= 3
 
 
+@settings(max_examples=100, deadline=None)
+@given(ev=hnp.arrays(bool, st.integers(3, 12)))
+def test_check_vdot_skips_exactly_the_interior_steps_next_to_an_event(ev):
+    n = ev.size
+    t = np.linspace(0.0, 1.0, n)
+    rec = _synthetic_record(t, np.ones(n), np.ones(n), np.ones(n), CERT, events_at=np.flatnonzero(ev))
+    skipped = {i for j in np.flatnonzero(ev) for i in (j - 1, j, j + 1) if 1 <= i <= n - 2}
+    assert wt.check_vdot(rec).details["excluded_steps"] == len(skipped)
+
+
 def test_check_vdot_zero_tolerance_reports_count(a1_record):
     rep = wt.check_vdot(a1_record, c_tol=0.0)
     assert rep.n_checked > 0
