@@ -25,7 +25,7 @@ from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
 from .config import C_OMEGA_SOURCES, RunConfig, load_config
-from .errors import ConfigurationError, InfeasibleDomainError, UsageError, WavetrigError
+from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, UsageError, WavetrigError
 from .grid import Grid, discrete_poincare_constant, poincare_constant
 from .initial import build_field
 
@@ -191,8 +191,7 @@ def cmd_design(args) -> int:
     cfg = _load_cfg(args)
     g = cfg.build_grid()
     cert = design_from_config(cfg, g)
-    out = Path(cfg.out)
-    path = out / "certificate.json"
+    path = Path(cfg.out) / "certificate.json"
     _runio.write_certificate(cert, path)
     print(
         f"certificate written to {path}: alpha={cert.alpha:.6g} "
@@ -227,9 +226,7 @@ _SWEEP_COLUMNS = ("alpha", "L", "C_Omega", "feasible", "delta", "K", "events", "
 def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> dict:
     """Design, simulate and check one cell.  A cell that cannot be run or
     fails a gating check gets an ``error`` entry; an infeasible one does not."""
-    nan = float("nan")
-    row = {"alpha": alpha, "L": length, "C_Omega": nan, "feasible": 0,
-           "delta": nan, "K": nan, "events": 0, "delta_emp": nan}
+    row = dict.fromkeys(_SWEEP_COLUMNS, float("nan")) | {"alpha": alpha, "L": length, "feasible": 0, "events": 0}
     d = cfg.to_dict()
     d["alpha"] = alpha
     d["domain"]["length"] = length
@@ -241,6 +238,8 @@ def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> 
         _runio.save_run(record, cell_cfg.out, summary_extra=extra)
     except InfeasibleDomainError:
         return row  # infeasible cell, not a failure
+    except (MissingInputError, DataFormatError):
+        raise  # the initial data every cell reads: the sweep's input, not one cell's
     except WavetrigError as exc:
         row["error"] = str(exc)
         return row

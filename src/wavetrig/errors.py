@@ -48,8 +48,7 @@ class BlowUpError(NumericalError):
 
 
 class DegenerateInitialDataError(ConfigurationError):
-    """Initial data with vanishing Lyapunov value; the trigger threshold
-    would be identically zero and force an event at every step."""
+    """Initial data with V = 0: the trigger threshold would be zero and fire an event at every step."""
 
     exit_code = 5
     label = "degenerate initial data"
@@ -63,8 +62,7 @@ class InfeasibleDomainError(WavetrigError):
 
 
 class DesignFailureError(WavetrigError):
-    """The parameter search exhausted its shrink budget without finding a
-    feasible weight interval."""
+    """The parameter search ran out of its shrink budget before finding a feasible weight interval."""
 
     exit_code = 3
     label = "design failure"

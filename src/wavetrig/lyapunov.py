@@ -233,7 +233,7 @@ def check_vdot(record: RunRecord, c_tol: float = 10.0) -> CheckReport:
     quotient straddles the jump.  Tolerance is c_tol * dt^2 * max|V|.
     """
     cert = _require_certificate(record)
-    v, e, eta, ev = record.lyapunov, record.energy, record.eta0, record.event
+    v, e, eta, ev = record.lyapunov, record.energy, record.eta0, record.event.astype(bool)
     dt = record.dt
     if np.isnan(eta).any():
         raise ConfigurationError("vdot check needs the threshold series (controlled run)")

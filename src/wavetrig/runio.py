@@ -42,8 +42,12 @@ def fmt(x: float) -> str:
 
 def _json_default(obj):
     # numpy scalars/arrays show up in check details and diagnostics
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return obj.item()
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")

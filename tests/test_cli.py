@@ -585,6 +585,23 @@ def test_cmd_sweep_refuses_uncontrolled_mode(tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("z0_file, code", [("missing", 66), ("directory", 65), ("garbage", 65)])
+def test_cmd_sweep_initial_data_error_is_the_sweeps_not_a_cells(tmp_path, capsys, z0_file, code):
+    # every cell reads the same initial data, so its error ends the sweep with
+    # the code simulate gives it, not as a failed cell (exit 1)
+    z0 = tmp_path / "z0.npy"
+    if z0_file == "directory":
+        z0.mkdir()
+    elif z0_file == "garbage":
+        z0.write_bytes(b"not an npy file")
+    cfg, path = small_config(tmp_path, z0={"kind": "file", "path": str(z0)})
+    assert main(["simulate", "--config", str(path)]) == code
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--alphas", "1,2", "--lengths", "1", "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cmd_sweep_empty_list_exits_64(tmp_path):
     cfg, path = small_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--alphas", "", "--lengths", "1"]) == 64

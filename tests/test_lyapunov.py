@@ -168,6 +168,9 @@ def test_check_vdot_skips_exactly_the_interior_steps_next_to_an_event(ev):
     rec = _synthetic_record(t, np.ones(n), np.ones(n), np.ones(n), CERT, events_at=np.flatnonzero(ev))
     skipped = {i for j in np.flatnonzero(ev) for i in (j - 1, j, j + 1) if 1 <= i <= n - 2}
     assert wt.check_vdot(rec).details["excluded_steps"] == len(skipped)
+    # an event column of 0/1 integers marks the same steps
+    as_ints = dataclasses.replace(rec, event=ev.astype(np.int64))
+    assert wt.check_vdot(as_ints).details["excluded_steps"] == len(skipped)
 
 
 def test_check_vdot_zero_tolerance_reports_count(a1_record):
