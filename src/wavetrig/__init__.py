@@ -1,10 +1,11 @@
 """Event-triggered damping control of the linear wave equation.
 
-A leapfrog field solver with sample-and-hold velocity feedback, an event
-trigger that refreshes the sample only when the measured deviation outgrows
-a state-dependent allowance, a designer that turns the damping gain and the
-domain's Poincare constant into a certified exponential-decay guarantee,
-and checkers that validate that guarantee on recorded trajectories.
+A field solver, exact in time in the grid's sine basis, with sample-and-hold
+velocity feedback, an event trigger that refreshes the sample only when the
+measured deviation outgrows a state-dependent allowance, a designer that
+turns the damping gain and the domain's Poincare constant into a certified
+exponential-decay guarantee, and checkers that validate that guarantee on
+recorded trajectories.
 """
 
 from .design import DesignInput, StabilityCertificate, build_certificate, epsilon_interval, gamma_bounds, margins, vdot_bound_rhs

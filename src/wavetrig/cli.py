@@ -10,6 +10,7 @@ Exit codes; from 2 up each is the ``exit_code`` of a ``wavetrig.errors`` class:
   64  usage or configuration error; a config file missing, unreadable or not UTF-8 JSON
   65  malformed data: a certificate, summary, series or initial-data file unreadable or invalid
   66  missing input: a certificate, run directory or initial-data file that does not exist
+  73  output error: an --out directory or a file in it that cannot be created or written
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
 from .config import C_OMEGA_SOURCES, RunConfig, load_config
-from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, UsageError, WavetrigError
+from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, OutputError, UsageError, WavetrigError
 from .grid import Grid, discrete_poincare_constant, poincare_constant
 from .initial import build_field
 
@@ -238,8 +239,8 @@ def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> 
         _runio.save_run(record, cell_cfg.out, summary_extra=extra)
     except InfeasibleDomainError:
         return row  # infeasible cell, not a failure
-    except (MissingInputError, DataFormatError):
-        raise  # the initial data every cell reads: the sweep's input, not one cell's
+    except (MissingInputError, DataFormatError, OutputError):
+        raise  # the initial data every cell reads, or the sweep's output: not one cell's
     except WavetrigError as exc:
         row["error"] = str(exc)
         return row
@@ -267,10 +268,11 @@ def cmd_sweep(args) -> int:
     alphas = _parse_list(args.alphas, "alpha")
     lengths = _parse_list(args.lengths, "length")
     out_root = Path(cfg.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    with _runio.writing(out_root):
+        out_root.mkdir(parents=True, exist_ok=True)
     rows = [_sweep_cell(cfg, a, L, out_root) for a in alphas for L in lengths]
     path = out_root / "sweep.csv"
-    with open(path, "w") as fh:
+    with _runio.writing(path), open(path, "w") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(

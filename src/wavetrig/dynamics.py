@@ -1,10 +1,11 @@
-"""Leapfrog (velocity Verlet) time integration of the closed-loop wave
-equation with sample-and-hold velocity feedback.
+"""Exact-in-time integration of the semi-discrete closed-loop wave equation
+with sample-and-hold velocity feedback.
 
-The forcing -alpha * held is exactly piecewise constant: the held sample
-changes only at events, events are resolved at step boundaries, and the
-integrator never interpolates the forcing, so the hold introduces no
-scheme-level error at event instants.
+Between events the forcing -alpha * held is constant, so each mode of the
+stencil's sine basis (``grid.sine_transform``) is an oscillator with a
+constant force, z_hat'' = -lam z_hat - alpha held_hat, solved in closed
+form: a step adds no time-discretisation error, and events, which are
+resolved at step boundaries, change the forcing exactly where the hold does.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ class IntegratorConfig:
 
 
 def cfl_max_dt(g: _grid.Grid) -> float:
-    """Stability limit 2/sqrt(lam_max) from the stencil bound
-    lam_max <= 4/dx^2 (+ 4/dy^2)."""
+    """The CFL bound 2/sqrt(lam_max), from the stencil bound
+    lam_max <= 4/dx^2 (+ 4/dy^2), that step and simulate hold |dt| to.  The
+    exact flow is stable at any dt; dt sets how often the trigger samples."""
     bound = sum(4.0 / (h * h) for h in g.spacings)
     return 2.0 / math.sqrt(bound)
 
@@ -94,79 +96,80 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
         raise ConfigurationError(f"damping gain must be nonnegative, got {alpha}")
 
 
-class _Leapfrog:
-    """The step kernel: velocity Verlet of step dt in place on seven flat
-    buffers carved from one block by :func:`grid.carve`.
+class _Modal:
+    """The step kernel: the exact flow of step dt in the stencil's eigenbasis.
 
-    The stencil's buffer (z and its ghost rows), ``lap`` and ``scratch``, v,
-    the forcing -alpha * held, the half kick dt/2 * (L z + forcing) and the
-    hold start 512 bytes apart modulo 4096 (4K aliasing: at 127x127 a step
-    took about 100 us so, and 116-142 us with ``lap``, v and the kick 32
-    bytes apart).  z is the stencil's ``values``; ``stencil.lap`` holds L z
-    between steps, and the half kick that closes one step opens the next
-    (first same as last), so a step applies the stencil once and forms the
-    kick once; :meth:`hold` re-forms it when the forcing changes.  Callers
-    check dt and alpha (_check_step) and ignore overflow and invalid
-    operations; :meth:`finite` tells whether the state blew up.
+    With w = sqrt(lam) and the mode's rest point p = -alpha held_hat / lam,
+    q = w (z_hat - p) + i v_hat turns as q' = -i w q, so a step is the one
+    in-place product ``q *= exp(-i w dt)``.  ``rows`` holds the state the
+    norms are read from, rebuilt after every step: z_hat, w z_hat, v_hat and
+    the deviation e_hat = v_hat - held_hat.  :meth:`hold` samples v_hat into
+    the hold and shifts Re q to the new rest point.  Callers check dt and
+    alpha (_check_step) and ignore overflow and invalid operations;
+    :meth:`finite` tells whether the state blew up.
     """
 
-    def __init__(
-        self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float
-    ):
-        bufs = _grid.carve(g, 7)
-        self.stencil = _grid.Stencil(g, z, bufs)
-        self.stencil.laplacian()
-        self.z = self.stencil.values
-        self.v, self.forcing, self.kick, self.held = bufs[3:]
-        self.v[...] = v
-        self.alpha = alpha
-        self.dt = dt
-        self._half = 0.5 * dt
-        self.hold(held)
+    def __init__(self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float):
+        """The kernel at the flat fields z, v and the hold ``held``."""
+        w = np.sqrt(_grid.eigenvalues(g))
+        self.held = _grid.sine_transform(held, g)
+        self.rows = _lyapunov.modal_rows(g, z, v, w)
+        self.zh, self.wz, self.vh, self.eh = self.rows
+        np.subtract(self.vh, self.held, out=self.eh)
+        self._wp = np.multiply(w, -dt)  # the phase -w dt, until _shift makes it w p
+        self._rot = np.empty(w.size, dtype=complex)  # exp(-i w dt), built in place
+        np.cos(self._wp, out=self._rot.real)
+        np.sin(self._wp, out=self._rot.imag)
+        self._winv = np.divide(1.0, w, out=w)
+        self.q = np.empty_like(self._rot)
+        self._re, self._im = self.q.real, self.q.imag
+        self._alpha = alpha
+        self._shift()
+        np.copyto(self._im, self.vh)
 
-    def hold(self, held: np.ndarray):
-        """Drive the forcing -alpha * held from now on (``held`` is copied)."""
-        np.copyto(self.held, held)
-        np.multiply(self.held, -self.alpha, out=self.forcing)
-        self._form_kick()
+    def _shift(self):  # w p = -alpha held_hat / w, and Re q = w z_hat - w p
+        np.multiply(self.held, self._winv, out=self._wp)
+        np.multiply(self._wp, -self._alpha, out=self._wp)
+        np.subtract(self.wz, self._wp, out=self._re)
 
-    def _form_kick(self):
-        # kick = dt/2 * (L z + forcing)
-        np.add(self.stencil.lap, self.forcing, out=self.kick)
-        np.multiply(self.kick, self._half, out=self.kick)
+    def hold(self):
+        """Drive the forcing -alpha * v_hat from now on."""
+        np.copyto(self.held, self.vh)
+        self._shift()
 
     def advance(self):
-        """One step; afterwards ``stencil.lap`` holds L z of the new z."""
-        np.add(self.v, self.kick, out=self.v)
-        np.multiply(self.v, self.dt, out=self.kick)  # the kick is spent until _form_kick
-        np.add(self.z, self.kick, out=self.z)
-        self.stencil.laplacian()  # L z_new, which the next step starts from
-        self._form_kick()
-        np.add(self.v, self.kick, out=self.v)
+        """One step, then the rows of the new state."""
+        np.multiply(self.q, self._rot, out=self.q)
+        np.add(self._re, self._wp, out=self.wz)
+        np.multiply(self.wz, self._winv, out=self.zh)
+        np.copyto(self.vh, self._im)
+        np.subtract(self.vh, self.held, out=self.eh)
 
     def finite(self) -> bool:
-        """Whether every entry of z and v is finite."""
-        return bool(np.isfinite(self.z).all() and np.isfinite(self.v).all())
+        """Whether every coefficient of z and v is finite."""
+        return bool(np.isfinite(self.rows[::2]).all())
 
 
 def step(s: WaveState, dt: float, alpha: float) -> WaveState:
-    """One velocity-Verlet step with the forcing -alpha * held frozen.
+    """One exact step with the forcing -alpha * held frozen.
 
-    Accepts negative dt (the scheme is time reversible); |dt| must respect
+    Accepts negative dt (the flow is time reversible); |dt| must respect
     the CFL limit.  Raises BlowUpError on non-finite output.  A thin wrapper
-    over the kernel that simulate runs; the state's z and v own their memory.
+    over the kernel that simulate runs: it transforms the state into the
+    sine basis, steps there and transforms back.
     """
     g = s.z.grid
     _check_step(g, dt, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-        kernel = _Leapfrog(g, s.z.values, s.v.values, s.held.values, alpha, dt)
+        kernel = _Modal(g, s.z.values, s.v.values, s.held.values, alpha, dt)
         kernel.advance()
-    if not kernel.finite():
+        z, v = _grid.sine_transform(kernel.zh, g), _grid.sine_transform(kernel.vh, g)
+    if not (np.isfinite(z).all() and np.isfinite(v).all()):
         raise BlowUpError(f"non-finite state after step from t = {s.t}", time=s.t)
     return WaveState(
         t=s.t + dt,
-        z=_grid.Field(kernel.z.copy(), g, validate=False),  # copies: a kept state
-        v=_grid.Field(kernel.v.copy(), g, validate=False),  # must not pin the block
+        z=_grid.Field(z, g, validate=False),
+        v=_grid.Field(v, g, validate=False),
         held=s.held,
         k=s.k,
         t_k=s.t_k,
@@ -227,34 +230,41 @@ def simulate(
     event = np.zeros(m, dtype=bool)
 
     _check_step(g, dt, a)
+    # lam1 and the margin by which C_Omega = 1/sqrt(lam1 (1 - margin)) is raised
+    grid_meta = {
+        "counts": list(g.counts),
+        "spacings": list(g.spacings),
+        "lam1": float(_grid.eigenvalues(g)[0]),
+        "poincare_margin": _grid.POINCARE_MARGIN,
+    }
     w = g.weight
     t_k = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per step
-        # the hold starts as a copy of z1, so row 0's deviation is zero
-        kernel = _Leapfrog(g, z0.values, z1.values, z1.values, a, dt)
-        lap, zv, vv = kernel.stencil.lap, kernel.z, kernel.v
-        dev = kernel.stencil.scratch  # free until the next step's laplacian()
+        # the hold starts as z1, so row 0's deviation is zero
+        kernel = _Modal(g, z0.values, z1.values, z1.values, a, dt)
+        rows, zh, vh = kernel.rows, kernel.zh, kernel.vh
+        sums = np.empty(len(rows))
         for i in range(m):  # row 0 is the initial state: its pass takes no step
             if i:
                 kernel.advance()
             t = i * dt  # keep the time grid exactly uniform
-            nz_i = w * float(np.dot(zv, zv))
-            nv_i = w * float(np.dot(vv, vv))
+            # the norms by Parseval, in the arithmetic of lyapunov.field_norms
+            s_z, s_gz, s_v, s_e = np.vecdot(rows, rows, out=sums).tolist()
+            nz_i, nv_i = w * s_z, w * s_v
             # a non-finite entry makes its norm non-finite; the entrywise
             # test runs only then, as norms of huge finite fields overflow
             if not (math.isfinite(nz_i) and math.isfinite(nv_i)) and not kernel.finite():
                 raise BlowUpError(f"blow-up at step {i} (t = {t})", step=i, time=t)
             nz[i], nv[i] = nz_i, nv_i
-            ngz[i] = ngz_i = -(w * float(np.dot(lap, zv)))  # summation by parts: -w <L z, z>
-            cross[i] = cross_i = w * float(np.dot(zv, vv))
+            ngz[i] = ngz_i = w * s_gz
+            cross[i] = cross_i = w * float(np.dot(zh, vh))
             if not i:  # t = 0: refuse degenerate data; the event there is unconditional
                 v_0 = _lyapunov.energy_lyapunov(nz_i, nv_i, ngz_i, cross_i, eps, a)[1]
                 _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
                 event[0] = not uncontrolled
             if uncontrolled:
                 continue
-            np.subtract(vv, kernel.held, out=dev)
-            ne[i] = ne_i = w * float(np.dot(dev, dev))
+            ne[i] = ne_i = w * s_e
             if trigger_params is not None:
                 eta[i] = eta_i = _trigger.eta0(t, trigger_params)
                 pred[i] = pred_i = _trigger.predicate_from_norms(ne_i, nz_i, nv_i, eta_i, trigger_params)
@@ -266,7 +276,7 @@ def simulate(
                 fire = t - t_k >= period * (1.0 - 1e-12)
             if fire:
                 event[i] = True
-                kernel.hold(vv)
+                kernel.hold()
                 t_k = t
         # numpy warns on 0 * inf in V where Python floats did not
         energy, lyap = _lyapunov.energy_lyapunov(nz, nv, ngz, cross, eps, a)
@@ -291,6 +301,6 @@ def simulate(
             "n_steps": n_steps,
             "t_end": config.t_end,
             "period": period,
-            "grid": {"counts": list(g.counts), "spacings": list(g.spacings)},
+            "grid": grid_meta,
         },
     )

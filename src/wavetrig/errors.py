@@ -85,3 +85,10 @@ class MissingInputError(WavetrigError, FileNotFoundError):
     """A certificate, run directory or initial-data file does not exist."""
 
     exit_code = 66
+
+
+class OutputError(WavetrigError):
+    """An output directory or file cannot be created or written."""
+
+    exit_code = 73
+    label = "output error"

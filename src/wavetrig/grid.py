@@ -13,12 +13,17 @@ holds exactly, so energy bookkeeping on the grid mirrors the continuous
 integration-by-parts computations with no identity-level slack.
 
 A field is a flat array, one value per interior node, x the slow index on
-a rectangle.  :class:`Stencil` applies the Laplacian to it in place as
-neighbour sums weighted by the reciprocal squared spacings, on contiguous
-slices of that flat array, with no padded copy.
+a rectangle.  :class:`Stencil` applies the Laplacian to it as neighbour sums
+weighted by the reciprocal squared spacings, on contiguous slices of that
+flat array; it is the reference the tests hold the sine basis against.
 
-The discrete Poincare constant needs no solver: the stencil's smallest
-eigenvalue lam1 is known in closed form, and C = 1/sqrt(lam1) is raised by a
+The orthonormal sine transform (DST-I, axis by axis) diagonalises the
+stencil exactly: :func:`sine_transform` gives a field's coefficients in the
+stencil's eigenbasis and :func:`eigenvalues` the negated stencil's
+eigenvalue for each, in closed form.  By Parseval every norm above is then
+a weighted dot product of coefficients, which is how the step kernel and
+the initial-data norms take them.  The discrete Poincare constant needs no
+solver: C = 1/sqrt(lam1), with lam1 the table's smallest entry, raised by a
 relative margin that covers the rounding of the computed norms.
 """
 
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -38,13 +42,14 @@ __all__ = [
     "Grid",
     "Field",
     "Stencil",
-    "carve",
     "build_grid",
     "l2_norm_sq",
     "h1_seminorm_sq",
     "inner_product",
     "apply_laplacian",
     "sine_mode",
+    "sine_transform",
+    "eigenvalues",
     "smallest_laplacian_eigenpair",
     "discrete_poincare_constant",
     "POINCARE_MARGIN",
@@ -108,30 +113,14 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
 
-# carve's buffers start this many bytes apart modulo a page, against 4K aliasing
-_STAGGER = 512
-
-
-def carve(g: Grid, count: int) -> list[np.ndarray]:
-    """``count`` uninitialised flat buffers for fields on ``g`` from one block,
-    the first a :class:`Stencil`'s (with its ghost rows); buffer i starts
-    ``i * _STAGGER`` bytes past a page (512 floats)."""
-    n = g.num_interior
-    sizes = [n + 2 * (n // g.counts[0])] + [n] * (count - 1)
-    starts = list(accumulate((-(-k // 512) * 512 + _STAGGER // 8 for k in sizes), initial=0))
-    block = np.empty(starts[-1] + 512)  # starts[-1] is the carved length
-    base = -block.ctypes.data % 4096 // 8
-    return [block[base + s:base + s + k] for s, k in zip(starts, sizes)]
-
-
 class Stencil:
     """The Laplacian stencil on one grid, which also gives the gradient
-    seminorm, on the first three of ``bufs`` (:func:`carve`) or its own.
+    seminorm.
 
     ``values`` is the flat field, one entry per interior node in C order,
-    and the contiguous interior of the first buffer, with one zero ghost row
-    at each end of the first axis.  The first axis' neighbours are then that
-    buffer shifted by one row either way; on a rectangle the second axis'
+    and the contiguous interior of a buffer with one zero ghost row at each
+    end of the first axis.  The first axis' neighbours are then that buffer
+    shifted by one row either way; on a rectangle the second axis'
     neighbours are ``values`` shifted by one entry, except in the first and
     last columns, where the neighbour across the row seam is a boundary zero
     and the sum is the one interior neighbour.  Every view is built here;
@@ -139,13 +128,13 @@ class Stencil:
     free between two calls.
     """
 
-    def __init__(self, g: Grid, vals: np.ndarray, bufs: list[np.ndarray] | None = None):
+    def __init__(self, g: Grid, vals: np.ndarray):
         """The stencil of ``g`` with the field set to ``vals`` (flat)."""
         self.grid = g
         n = g.num_interior
         row = n // g.counts[0]  # 1 on an interval
-        self._buf, self.lap, self.scratch = (bufs or carve(g, 3))[:3]
-        self._buf[:row] = self._buf[-row:] = 0.0
+        self._buf = np.zeros(n + 2 * row)
+        self.lap, self.scratch = np.empty(n), np.empty(n)
         self.values = self._buf[row:-row]
         self._c = [1.0 / (h * h) for h in g.spacings]
         self._c_center = 2.0 * sum(self._c)
@@ -276,6 +265,41 @@ def sine_mode(g: Grid, k: int = 1) -> Field:
     return Field(vals.ravel(), g)
 
 
+def sine_transform(values: np.ndarray, g: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I of a flat field, axis by axis, into ``out`` (flat;
+    a new array by default): its coefficients in the stencil's eigenbasis,
+    in the order of :func:`eigenvalues`.  The transform is its own inverse.
+
+    Along an axis of n nodes, coefficient k (1 <= k <= n) is
+    sqrt(2/(n+1)) sum_j f_j sin(pi j k/(n+1)), read off ``np.fft.rfft`` of
+    the odd extension (0, -f, 0, reversed f), whose imaginary part is twice
+    that sum.
+    """
+    a = values.reshape(g.counts)
+    for axis, n in enumerate(g.counts):
+        a = np.moveaxis(a, axis, -1)
+        ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+        np.negative(a, out=ext[..., 1:n + 1])
+        ext[..., n + 2:] = a[..., ::-1]
+        a = np.moveaxis(np.fft.rfft(ext).imag[..., 1:n + 1], -1, axis)
+        del ext  # before the next axis allocates its own
+    out = np.empty(g.num_interior) if out is None else out
+    np.multiply(a, math.prod(1.0 / math.sqrt(2 * n + 2) for n in g.counts), out=out.reshape(g.counts))
+    return out
+
+
+def eigenvalues(g: Grid) -> np.ndarray:
+    """The negated stencil's eigenvalues, one per coefficient of
+    :func:`sine_transform` (increasing along each axis): for mode k of an
+    axis of n nodes and spacing h, (4/h^2) sin^2(pi k / (2 (n+1))), summed
+    over the axes.  Entry 0 is lam1, the smallest."""
+    axes = [
+        np.array([4.0 / (h * h) * math.sin(math.pi * k / (2 * (n + 1))) ** 2 for k in range(1, n + 1)])
+        for h, n in zip(g.spacings, g.counts)
+    ]
+    return axes[0] if g.ndim == 1 else np.add.outer(*axes).ravel()
+
+
 # Relative margin by which lam1 is lowered for C_Omega: at the exact
 # eigenvector the computed l2/h1 exceeds 1/lam1 by a few ulp (up to 8.9e-16
 # relative on intervals with n <= 3199 and rectangles up to 127x127).
@@ -283,8 +307,7 @@ POINCARE_MARGIN = 1e-12
 
 
 def _lam1(g: Grid) -> float:
-    # sum over axes of (4/h^2) sin^2(pi h / (2 L)), with pi h / L = pi / (n+1)
-    return sum(4.0 / (h * h) * math.sin(math.pi / (2 * (n + 1))) ** 2 for h, n in zip(g.spacings, g.counts))
+    return float(eigenvalues(g)[0])
 
 
 def smallest_laplacian_eigenpair(g: Grid):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .design import StabilityCertificate
 from .dynamics import MODES
-from .errors import DataFormatError, MissingInputError, WavetrigError
+from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
 from .lyapunov import RunRecord
 from .trigger import TriggerParams
 
@@ -25,6 +26,7 @@ __all__ = [
     "SERIES_COLUMNS",
     "SERIES_COLUMNS_UNCONTROLLED",
     "fmt",
+    "writing",
     "save_run",
     "load_run",
     "write_certificate",
@@ -53,40 +55,50 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+@contextmanager
+def writing(path: str | Path):
+    """Raise an OSError met while creating or writing ``path`` as an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None = None) -> Path:
     """Write series.csv, events.csv and summary.json into ``outdir``."""
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
-    columns = record.columns()
-    # one %-format per row, with the line ending csv.writer uses
-    row = ",".join("%d" if name == "event" else _FLOAT_FORMAT for name in names) + "\r\n"
-    with open(out / "series.csv", "w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
-        fh.writelines(row % cells for cells in zip(*(columns[name].tolist() for name in names)))
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
+        columns = record.columns()
+        # one %-format per row, with the line ending csv.writer uses
+        row = ",".join("%d" if name == "event" else _FLOAT_FORMAT for name in names) + "\r\n"
+        with open(out / "series.csv", "w", newline="") as fh:
+            fh.write(",".join(names) + "\r\n")
+            fh.writelines(row % cells for cells in zip(*(columns[name].tolist() for name in names)))
 
-    with open(out / "events.csv", "w", newline="") as fh:
-        fh.write("k,t_k,dwell\r\n")
-        if record.events is not None:
-            times = record.events.times.tolist()
-            dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]
-            row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
-            fh.writelines(row % (k, t, dwell) for k, (t, dwell) in enumerate(zip(times, dwells)))
+        with open(out / "events.csv", "w", newline="") as fh:
+            fh.write("k,t_k,dwell\r\n")
+            if record.events is not None:
+                times = record.events.times.tolist()
+                dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]
+                row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
+                fh.writelines(row % (k, t, dwell) for k, (t, dwell) in enumerate(zip(times, dwells)))
 
-    summary = {
-        "mode": record.mode,
-        "dt": record.dt,
-        "n_steps": record.n_steps,
-        "event_count": len(record.events) if record.events is not None else 0,
-        "certificate": record.certificate.to_dict() if record.certificate else None,
-        "trigger": asdict(record.trigger) if record.trigger else None,
-        "meta": record.meta,
-    }
-    if summary_extra:
-        summary.update(summary_extra)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        summary = {
+            "mode": record.mode,
+            "dt": record.dt,
+            "n_steps": record.n_steps,
+            "event_count": len(record.events) if record.events is not None else 0,
+            "certificate": record.certificate.to_dict() if record.certificate else None,
+            "trigger": asdict(record.trigger) if record.trigger else None,
+            "meta": record.meta,
+        }
+        if summary_extra:
+            summary.update(summary_extra)
+        with open(out / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
+            fh.write("\n")
     return out
 
 
@@ -150,10 +162,11 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
 
 
 def write_certificate(cert: StabilityCertificate, path: str | Path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(cert.to_dict(), fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    with writing(path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(cert.to_dict(), fh, indent=2, sort_keys=True, default=_json_default)
+            fh.write("\n")
 
 
 def read_certificate(path: str | Path) -> StabilityCertificate:

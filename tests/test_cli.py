@@ -158,8 +158,20 @@ def _error_classes(cls=WavetrigError) -> list:
 
 def test_error_classes_carry_the_exit_codes_the_cli_documents():
     documented = {int(code) for code in re.findall(r"^  (\d+) ", wavetrig_cli.__doc__, re.M)}
-    assert documented == {0, 1, 2, 3, 4, 5, 64, 65, 66}
+    assert documented == {0, 1, 2, 3, 4, 5, 64, 65, 66, 73}
     assert {cls.exit_code for cls in _error_classes()} == documented - {0, 1}
+
+
+@pytest.mark.parametrize("command", ["simulate", "design", "sweep"])
+def test_an_out_that_cannot_be_created_exits_73(tmp_path, capsys, command):
+    # a directory cannot be made under a regular file
+    _, path = small_config(tmp_path, t_end=1.0)
+    (tmp_path / "file").write_text("")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "file" / "x")]
+    if command == "sweep":
+        argv += ["--alphas", "1", "--lengths", "1"]
+    assert main(argv) == 73
+    assert capsys.readouterr().err.startswith(f"output error: cannot write {tmp_path / 'file' / 'x'}")
 
 
 @pytest.mark.parametrize("missing", ["certificate", "run-directory", "initial-data"])
@@ -231,6 +243,11 @@ def test_summary_contents(sim_run):
     assert summary["certificate"]["decay_rate"] > 0
     assert summary["config"]["alpha"] == 1.0
     assert {"equivalence", "vdot", "envelope", "trigger-invariant", "zeno"} <= set(summary["checks"])
+    # how C_Omega was bounded: 1/sqrt(lam1 (1 - margin)) on this grid
+    grid = summary["meta"]["grid"]
+    assert grid["lam1"] == wt.grid.eigenvalues(cfg.build_grid())[0]
+    assert grid["poincare_margin"] == wt.grid.POINCARE_MARGIN
+    assert summary["certificate"]["c_omega"] == 1.0 / math.sqrt(grid["lam1"] * (1.0 - grid["poincare_margin"]))
 
 
 def test_cmd_verify_round_trip(sim_run, capsys):
@@ -529,14 +546,14 @@ def test_cmd_sweep_table(tmp_path):
 
 
 def test_cmd_sweep_exits_1_when_a_feasible_cell_fails_its_checks(tmp_path):
-    np.save(tmp_path / "z0.npy", np.random.default_rng(1).standard_normal(49))
-    cfg, path = small_config(tmp_path, t_end=3.0, z0={"kind": "file", "path": str(tmp_path / "z0.npy")})
+    # the undersized wirtinger constant breaks the sandwich c1 E <= V <= c2 E
+    cfg, path = small_config(tmp_path, t_end=3.0)
     code = main([
         "sweep", "--config", str(path), "--alphas", "1,4", "--lengths", "1,3",
-        "--out", str(tmp_path / "sweep"),
+        "--comega-source", "wirtinger", "--out", str(tmp_path / "sweep"),
     ])
     summary = json.loads((tmp_path / "sweep" / "cell_a1_L1" / "summary.json").read_text())
-    assert summary["checks"]["vdot"]["passed"] is False
+    assert summary["checks"]["equivalence"]["passed"] is False
     assert code == 1
 
 

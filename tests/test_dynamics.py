@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import wavetrig as wt
 from wavetrig.cli import run_from_config
 from wavetrig.config import RunConfig
-from wavetrig.dynamics import _Leapfrog
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError
-from wavetrig.grid import Field
+from wavetrig.grid import Field, eigenvalues
 from wavetrig.initial import bump, sine_mode
 from wavetrig.trigger import predicate_from_norms
 
@@ -68,8 +69,10 @@ def test_step_time_reversible():
         s = wt.step(s, dt, 0.0)
     for _ in range(2):
         s = wt.step(s, -dt, 0.0)
+    # each step transforms in and out of the sine basis: a mode's rounding
+    # reaches v multiplied by its frequency, up to 2/h
     np.testing.assert_allclose(s.z.values, s0.z.values, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(s.v.values, s0.v.values, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(s.v.values, s0.v.values, rtol=1e-12, atol=1e-13)
 
 
 def test_step_keeps_hold_by_reference():
@@ -125,6 +128,33 @@ def test_zero_gain_conserves_energy_even_with_trigger_active():
     rec = wt.simulate(sine_mode(g, 1), zero_field(g), 0.0, g, integ, params, mode="event-triggered")
     drift = np.max(np.abs(rec.energy - rec.energy[0])) / rec.energy[0]
     assert drift < 1e-3
+
+
+def test_flow_is_exact_in_time():
+    # undamped, sine mode 3 is a stencil eigenvector: it stays cos(w3 t)
+    # times itself, and dt and dt/2 reach the same state; a leapfrog's z
+    # misses by 4e-5 at t = 1
+    g = wt.build_grid(wt.Interval(1.0, 49))
+    phi = sine_mode(g, 3).values
+    w3 = math.sqrt(eigenvalues(g)[2])
+    dt = 0.5 * g.spacings[0]
+
+    def run(h, steps):
+        s = wt.WaveState(t=0.0, z=Field(phi, g), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
+        for _ in range(steps):
+            s = wt.step(s, h, 0.0)
+        return s
+
+    coarse, fine = run(dt, 100), run(dt / 2, 200)
+    t = 100 * dt
+    np.testing.assert_allclose(coarse.z.values, math.cos(w3 * t) * phi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(coarse.v.values, -w3 * math.sin(w3 * t) * phi, rtol=0, atol=1e-12 * w3)
+    np.testing.assert_allclose(fine.z.values, coarse.z.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fine.v.values, coarse.v.values, rtol=0, atol=1e-12 * w3)
+    # simulate's kernel: ||z||^2 = cos^2(w3 t) ||phi||^2 at every row
+    rec = wt.simulate(Field(phi, g), zero_field(g), 0.0, g, wt.IntegratorConfig(t_end=t, dt=dt), mode="uncontrolled")
+    want = np.cos(w3 * rec.t) ** 2 * wt.l2_norm_sq(Field(phi, g), g)
+    np.testing.assert_allclose(rec.norm_z_sq, want, rtol=0, atol=1e-12 * want[0])
 
 
 # -------------------------------------------------------------- convergence
@@ -334,22 +364,26 @@ SHAPES = pytest.mark.parametrize(
 @SHAPES
 def test_simulate_and_public_step_share_one_kernel(shape):
     # replaying an event-triggered run with the public step/refresh_sample
-    # calls reproduces every recorded norm and predicate, row 0 included,
-    # bit for bit
+    # calls reproduces every recorded norm, row 0 included, to 1e-12
+    # relative, and the predicate to 1e-12 of the terms it sums: the public
+    # step transforms in and out of the sine basis on every call
     g, z0, z1, params, rec = triggered_run(shape)
     for i, s in replay(rec, z0, z1, 1.0):
         nz, nv = wt.l2_norm_sq(s.z, g), wt.l2_norm_sq(s.v, g)
         ne = wt.l2_norm_sq(Field(s.v.values - s.held.values, g), g)
-        got = (nz, nv, ne, predicate_from_norms(ne, nz, nv, wt.eta0(s.t, params), params))
-        want = (rec.norm_z_sq[i], rec.norm_v_sq[i], rec.norm_e_sq[i], rec.trigger_value[i])
-        assert np.array(got).tobytes() == np.array(want).tobytes(), f"step {i}"
+        eta = wt.eta0(s.t, params)
+        got = np.array((nz, nv, ne))
+        want = np.array((rec.norm_z_sq[i], rec.norm_v_sq[i], rec.norm_e_sq[i]))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"step {i}")
+        scale = ne + params.gamma0 * nz + params.gamma1 * nv + eta
+        assert abs(predicate_from_norms(ne, nz, nv, eta, params) - rec.trigger_value[i]) <= 1e-12 * scale, f"step {i}"
 
 
 @SHAPES
 def test_simulate_records_the_gradient_norm_of_each_state(shape):
-    # the recorded norm_gradz_sq comes from summation by parts against the
-    # L z the kernel holds; it must be the seminorm of that step's z, the
-    # initial z0 of row 0 included
+    # the recorded norm_gradz_sq is w_q sum lam z_hat^2 (Parseval); it must be
+    # the forward-difference seminorm of that step's z, the initial z0 of
+    # row 0 included
     g, z0, z1, params, rec = triggered_run(shape)
     for i, s in replay(rec, z0, z1, 1.0):
         want = wt.h1_seminorm_sq(s.z, g)
@@ -370,30 +404,6 @@ def test_v0_threshold_scale_is_the_recorded_v0(shape):
     assert rec.eta0[0].tobytes() == rec.lyapunov[0].tobytes()
 
 
-@pytest.mark.parametrize(
-    "shape", [wt.Interval(1.0, 199), wt.Rectangle(1.0, 1.0, 127, 127)], ids=["interval", "rect-127"]
-)
-def test_kernel_buffers_are_one_block_at_staggered_page_offsets(shape):
-    # buffers whose starts agree in their low 12 bits stall each other (4K
-    # aliasing), so the kernel carves them from one block, spread over the page
-    g = wt.build_grid(shape)
-    z0 = sine_mode(g, 1).values
-    kernel = _Leapfrog(g, z0, bump(g).values, z0, 1.0, 0.5 * wt.cfl_max_dt(g))
-    st = kernel.stencil
-    bufs = (st._buf, st.lap, st.scratch, kernel.v, kernel.forcing, kernel.kick, kernel.held)
-    base = bufs[0].base
-    assert base is not None and all(b.base is base for b in bufs + (kernel.z,))
-    offsets = [b.ctypes.data % 4096 for b in bufs]
-    for i, a in enumerate(offsets):
-        for b in offsets[i + 1:]:
-            assert min((a - b) % 4096, (b - a) % 4096) >= 256, offsets
-    np.testing.assert_array_equal(kernel.z, z0)
-    for _ in range(3):
-        kernel.advance()
-    row = g.num_interior // g.counts[0]
-    assert not st._buf[:row].any() and not st._buf[-row:].any()
-
-
 @pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])
 def test_in_place_hold_matches_a_replay_with_fresh_samples(mode):
     # the kernel copies each new sample into its one hold buffer; the replay
@@ -409,5 +419,8 @@ def test_in_place_hold_matches_a_replay_with_fresh_samples(mode):
         ne.append(wt.l2_norm_sq(Field(s.v.values - s.held.values, g), g))
         eta = wt.eta0(s.t, rec.trigger)
         fired.append(i == 0 or mode != "event-triggered" or predicate_from_norms(ne[-1], nz, nv, eta, rec.trigger) >= 0)
-    assert np.array(ne).tobytes() == rec.norm_e_sq.tobytes()
+    # v - held cancels, and the rounding of v is relative to the energy,
+    # sqrt(||v||^2 + ||grad z||^2), not to ||e||
+    bound = 1e-12 * (rec.norm_e_sq + np.sqrt(rec.norm_e_sq * rec.energy))
+    assert (np.abs(np.array(ne) - rec.norm_e_sq) <= bound).all()
     np.testing.assert_array_equal(fired, rec.event)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import wavetrig as wt
 from wavetrig.errors import ConfigurationError, ShapeError
-from wavetrig.grid import POINCARE_MARGIN, Field, sine_mode, smallest_laplacian_eigenpair
+from wavetrig.grid import POINCARE_MARGIN, Field, _lam1, eigenvalues, sine_mode, sine_transform, smallest_laplacian_eigenpair
 
 
 def interval(L, n):
@@ -221,6 +223,42 @@ def test_closed_form_eigenvalue_matches_dense_eigvalsh(shape):
     a = dense_minus_laplacian(g)
     lam = smallest_laplacian_eigenpair(g)[0]
     assert abs(lam - np.linalg.eigvalsh(a)[0]) <= 8 * np.finfo(float).eps * np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("shape", [
+    wt.Interval(1.0, 2),
+    wt.Interval(1.0, 49),
+    wt.Interval(0.7, 200),
+    wt.Rectangle(2.0, 0.7, 9, 13),
+    wt.Rectangle(1.0, 0.8, 15, 11),
+], ids=["n2", "n49", "n200", "rect-9x13", "rect-15x11"])
+def test_sine_transform_is_orthonormal_and_diagonalises_the_stencil(shape):
+    g = wt.build_grid(shape)
+    s = np.column_stack([sine_transform(e, g) for e in np.eye(g.num_interior)])
+    assert np.abs(s @ s.T - np.eye(g.num_interior)).max() <= 1e-13
+    np.testing.assert_allclose(s, s.T, rtol=0, atol=1e-15)  # its own inverse
+    lam = eigenvalues(g)
+    diagonal = s @ dense_minus_laplacian(g) @ s
+    assert np.abs(diagonal - np.diag(lam)).max() <= 1e-13 * lam.max()
+
+
+@pytest.mark.parametrize("shape", [
+    wt.Interval(1.0, 2),
+    wt.Interval(2.0, 799),
+    wt.Interval(0.7, 3199),
+    wt.Rectangle(1.0, 1.0, 127, 127),
+    wt.Rectangle(2.0, 0.7, 9, 13),
+], ids=["n2", "L2-n799", "n3199", "rect-127", "rect-9x13"])
+def test_eigenvalue_table_starts_at_the_closed_form_lam1(shape):
+    # the table's first entry is the smallest, and bit for bit the closed
+    # form sum (4/h^2) sin^2(pi/(2(n+1))), so C_Omega and every certificate
+    # built on it keep their bytes
+    g = wt.build_grid(shape)
+    closed_form = sum(4.0 / (h * h) * math.sin(math.pi / (2 * (n + 1))) ** 2 for h, n in zip(g.spacings, g.counts))
+    lam = eigenvalues(g)
+    assert lam.size == g.num_interior
+    assert lam.min() == lam[0] == _lam1(g) == closed_form
+    assert wt.discrete_poincare_constant(g) == 1.0 / math.sqrt(closed_form * (1.0 - POINCARE_MARGIN))
 
 
 @pytest.mark.parametrize("shape", [

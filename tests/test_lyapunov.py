@@ -208,11 +208,21 @@ def test_check_envelope_fails_for_conservative_run(grid199, a1_certificate):
     assert rec.t[first_violation] == pytest.approx(t_cross, rel=0.05)
 
 
-def test_check_envelope_strict_v_mode(a1_record):
-    rep = wt.check_envelope(a1_record, strict_v=True)
+def test_check_envelope_checks_the_v_bound(a1_record):
+    rep = wt.check_envelope(a1_record)
     assert rep.passed
-    assert rep.details["strict_v_violations"] == 0
-    assert rep.details["strict_v_worst"] <= 1.0 + 1e-9
+    assert rep.details["v_violations"] == 0
+    assert rep.details["v_worst"] <= 1.0 + 1e-9
+    # V alone above its bound fails the check, with E inside its envelope
+    cert = a1_record.certificate
+    t = a1_record.t
+    v_env = a1_record.lyapunov[0] * ((1 + cert.mu) * np.exp(-cert.decay_rate * t) - cert.mu * np.exp(-cert.theta * t))
+    bumped = a1_record.lyapunov.copy()
+    bumped[-1] = 1.01 * v_env[-1]
+    rep = wt.check_envelope(dataclasses.replace(a1_record, lyapunov=bumped))
+    assert not rep.passed
+    assert rep.n_violations == rep.details["v_violations"] == 1
+    assert rep.worst <= 1.0
 
 
 def test_check_trigger_invariant_on_flagship_run(a1_record):
