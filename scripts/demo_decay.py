@@ -42,7 +42,7 @@ def main():
     env = wt.check_envelope(rec)
     eq = wt.check_equivalence(rec)
     vd = wt.check_vdot(rec)
-    stats = wt.zeno_report(rec.events, horizon=float(rec.t[-1]), dt=rec.dt)
+    stats = wt.zeno_report(rec.events, horizon=float(rec.t[-1]))
     print(f"run: {rec.n_steps} steps, {stats.event_count} events "
           f"(update ratio {stats.event_count / rec.n_steps:.4f}), "
           f"dwell min/mean/max = {stats.min_dwell:.3g}/{stats.mean_dwell:.3g}/{stats.max_dwell:.3g}")

@@ -86,7 +86,7 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
         reports[rep.name] = {**rep.to_dict(), "gating": gating}
         ok = ok and (rep.passed or not gating)
     if record.events is not None and len(record.events) > 0:
-        stats = _trigger.zeno_report(record.events, horizon=float(record.t[-1]), dt=record.dt)
+        stats = _trigger.zeno_report(record.events, horizon=float(record.t[-1]))
         dwell_ok = stats.event_count <= 1 or stats.min_dwell >= record.dt * (1.0 - 1e-12)
         if event_mode:
             dwell_ok = dwell_ok and stats.floor_ok
@@ -128,7 +128,7 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
             matched = _dynamics.simulate(
                 z0, z1, cfg.alpha, g, integ, trigger_params, certificate, mode="event-triggered"
             )
-            stats = _trigger.zeno_report(matched.events, horizon=float(matched.t[-1]), dt=matched.dt)
+            stats = _trigger.zeno_report(matched.events, horizon=float(matched.t[-1]))
             period = stats.mean_dwell
 
     t0 = time.perf_counter()

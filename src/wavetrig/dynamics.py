@@ -6,6 +6,12 @@ stencil's sine basis (``grid.sine_transform``) is an oscillator with a
 constant force, z_hat'' = -lam z_hat - alpha held_hat, solved in closed
 form: a step adds no time-discretisation error, and events, which are
 resolved at step boundaries, change the forcing exactly where the hold does.
+
+Since the flow up to the next event is known, :func:`simulate` advances it
+a block of steps at a time and tests the trigger on every row of the block
+before it goes back to the kernel; an event cuts the block.  Every row is
+computed as a loop of one step a block computes it, so the record is the
+same bit for bit whatever the block sizes; :func:`step` is a block of one.
 """
 
 from __future__ import annotations
@@ -96,58 +102,91 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
         raise ConfigurationError(f"damping gain must be nonnegative, got {alpha}")
 
 
+# Bytes the block buffers of the step kernel may take: a complex q and the
+# four real rows, 48 bytes per coefficient and step.  That is 41 steps at
+# n = 199 and one step (the floor) on 127x127, where a step is array-bound.
+_BLOCK_BYTES = 3 << 17
+
+
 class _Modal:
     """The step kernel: the exact flow of step dt in the stencil's eigenbasis.
 
     With w = sqrt(lam) and the mode's rest point p = -alpha held_hat / lam,
-    q = w (z_hat - p) + i v_hat turns as q' = -i w q, so a step is the one
-    in-place product ``q *= exp(-i w dt)``.  ``rows`` holds the state the
-    norms are read from, rebuilt after every step: z_hat, w z_hat, v_hat and
-    the deviation e_hat = v_hat - held_hat.  :meth:`hold` samples v_hat into
-    the hold and shifts Re q to the new rest point.  Callers check dt and
-    alpha (_check_step) and ignore overflow and invalid operations;
-    :meth:`finite` tells whether the state blew up.
+    q = w (z_hat - p) + i v_hat turns as q' = -i w q, so a step is one
+    product ``q * exp(-i w dt)``.  The kernel holds up to ``size`` states at
+    once, one block row each: ``q[j]`` and ``rows[:, j]``, the state the
+    norms are read from: z_hat, w z_hat, v_hat and the deviation
+    e_hat = v_hat - held_hat.  Block row 0 starts as the state given.
+    :meth:`advance` steps a block on from one of its rows, :meth:`hold`
+    samples a row's v_hat into the hold and shifts that row's Re q to the
+    new rest point.  Callers check dt and alpha (_check_step) and ignore
+    overflow and invalid operations; :meth:`finite` tells whether a row
+    blew up.
     """
 
-    def __init__(self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float):
-        """The kernel at the flat fields z, v and the hold ``held``."""
+    def __init__(
+        self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float, size: int = 1
+    ):
+        """The kernel at the flat fields z, v and the hold ``held``, with
+        room for ``size`` states."""
         w = np.sqrt(_grid.eigenvalues(g))
         self.held = _grid.sine_transform(held, g)
-        self.rows = _lyapunov.modal_rows(g, z, v, w)
-        self.zh, self.wz, self.vh, self.eh = self.rows
-        np.subtract(self.vh, self.held, out=self.eh)
+        self.rows = np.empty((4, size, w.size))
+        _lyapunov.modal_rows(g, z, v, w, out=self.rows[:, 0])
+        np.subtract(self.rows[2, 0], self.held, out=self.rows[3, 0])
         self._wp = np.multiply(w, -dt)  # the phase -w dt, until _shift makes it w p
         self._rot = np.empty(w.size, dtype=complex)  # exp(-i w dt), built in place
         np.cos(self._wp, out=self._rot.real)
         np.sin(self._wp, out=self._rot.imag)
         self._winv = np.divide(1.0, w, out=w)
-        self.q = np.empty_like(self._rot)
-        self._re, self._im = self.q.real, self.q.imag
+        self.q = np.empty((size, w.size), dtype=complex)
+        self._sums = np.empty((5, size))
         self._alpha = alpha
-        self._shift()
-        np.copyto(self._im, self.vh)
+        self._shift(0)
+        np.copyto(self.q[0].imag, self.rows[2, 0])
 
-    def _shift(self):  # w p = -alpha held_hat / w, and Re q = w z_hat - w p
+    def _shift(self, j: int):  # w p = -alpha held_hat / w, and Re q = w z_hat - w p
         np.multiply(self.held, self._winv, out=self._wp)
         np.multiply(self._wp, -self._alpha, out=self._wp)
-        np.subtract(self.wz, self._wp, out=self._re)
+        np.subtract(self.rows[1, j], self._wp, out=self.q[j].real)
 
-    def hold(self):
-        """Drive the forcing -alpha * v_hat from now on."""
-        np.copyto(self.held, self.vh)
-        self._shift()
+    def hold(self, j: int):
+        """Drive the forcing -alpha * v_hat of block row j from there on."""
+        np.copyto(self.held, self.rows[2, j])
+        self._shift(j)
 
-    def advance(self):
-        """One step, then the rows of the new state."""
-        np.multiply(self.q, self._rot, out=self.q)
-        np.add(self._re, self._wp, out=self.wz)
-        np.multiply(self.wz, self._winv, out=self.zh)
-        np.copyto(self.vh, self._im)
-        np.subtract(self.vh, self.held, out=self.eh)
+    def advance(self, k: int = 1, start: int = 0) -> np.ndarray:
+        """k steps on from block row ``start`` into block rows 0 to k-1;
+        returns their rows, ``rows[:, :k]``.
 
-    def finite(self) -> bool:
-        """Whether every coefficient of z and v is finite."""
-        return bool(np.isfinite(self.rows[::2]).all())
+        q turns one block row at a time: ``np.multiply.accumulate`` along the
+        block would be one call, but its products differ from the
+        contiguous ones in the last bit from the second row on, and the
+        record must not depend on the block size.
+        """
+        q, rows = self.q[:k], self.rows[:, :k]
+        np.multiply(self.q[start], self._rot, out=q[0])
+        for j in range(1, k):
+            np.multiply(q[j - 1], self._rot, out=q[j])
+        np.add(q.real, self._wp, out=rows[1])
+        np.multiply(rows[1], self._winv, out=rows[0])
+        np.copyto(rows[2], q.imag)
+        np.subtract(rows[2], self.held, out=rows[3])
+        return rows
+
+    def sums(self, k: int) -> np.ndarray:
+        """The squared sums of the rows of block rows 0 to k-1, then the
+        sums of z_hat v_hat, as one (5, k) array: the grid weight times them
+        is ||z||^2, ||grad z||^2, ||v||^2, ||e||^2 and <z, v>
+        (``lyapunov.modal_rows``)."""
+        rows, sums = self.rows[:, :k], self._sums[:, :k]
+        np.vecdot(rows, rows, out=sums[:4])
+        np.vecdot(rows[0], rows[2], out=sums[4])
+        return sums
+
+    def finite(self, j: int) -> bool:
+        """Whether every coefficient of z and v in block row j is finite."""
+        return bool(np.isfinite(self.rows[::2, j]).all())
 
 
 def step(s: WaveState, dt: float, alpha: float) -> WaveState:
@@ -161,9 +200,8 @@ def step(s: WaveState, dt: float, alpha: float) -> WaveState:
     g = s.z.grid
     _check_step(g, dt, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
-        kernel = _Modal(g, s.z.values, s.v.values, s.held.values, alpha, dt)
-        kernel.advance()
-        z, v = _grid.sine_transform(kernel.zh, g), _grid.sine_transform(kernel.vh, g)
+        rows = _Modal(g, s.z.values, s.v.values, s.held.values, alpha, dt).advance()
+        z, v = _grid.sine_transform(rows[0, 0], g), _grid.sine_transform(rows[2, 0], g)
     if not (np.isfinite(z).all() and np.isfinite(v).all()):
         raise BlowUpError(f"non-finite state after step from t = {s.t}", time=s.t)
     return WaveState(
@@ -206,6 +244,20 @@ def simulate(
     pre-refresh ones.  Every row, the t = 0 one included, is taken from
     the step kernel's buffers by one loop body.
 
+    The loop works on blocks of steps.  Between events the hold is fixed
+    and the flow is known, so the kernel takes a whole block of steps and
+    reads the block's norms in two ``np.vecdot`` calls, and one array
+    product writes them into the series columns.  A scan over the block's
+    rows then tests the update policy, as Python floats, and cuts the block
+    after the first row that fires; the rows after it are dropped, and the
+    next block goes on from that row under the new hold.  A block is one
+    step after each event and doubles, up to what ``_BLOCK_BYTES`` holds;
+    under continuous damping every block is one step.  Each row is
+    computed by the arithmetic of a loop of one step a block, so the record
+    does not depend on the block sizes, bit for bit.  The eta0 column is
+    computed up front and the predicate column after the loop, in one array
+    call of the formula the scan tested.
+
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
     alpha = 0 and record NaN deviation/threshold/predicate columns.
@@ -225,9 +277,15 @@ def simulate(
     n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-9)))
 
     m = n_steps + 1
-    # the series columns, written in place by the loop; cross is <z, v>
-    nz, nv, ngz, cross, ne, eta, pred = (np.full(m, np.nan) for _ in range(7))
+    # the series columns, written in place by the loop, in the order of the
+    # kernel's norm sums; cross is <z, v>
+    cols = np.full((7, m), np.nan)
+    nz, ngz, nv, ne, cross, eta, pred = cols
     event = np.zeros(m, dtype=bool)
+    triggered = trigger_params is not None and not uncontrolled
+    if triggered:
+        eta_l = [_trigger.eta0(i * dt, trigger_params) for i in range(m)]
+        eta[:] = eta_l
 
     _check_step(g, dt, a)
     # lam1 and the margin by which C_Omega = 1/sqrt(lam1 (1 - margin)) is raised
@@ -239,45 +297,48 @@ def simulate(
     }
     w = g.weight
     t_k = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per step
+    size = max(1, _BLOCK_BYTES // (48 * g.num_interior))
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per row
         # the hold starts as z1, so row 0's deviation is zero
-        kernel = _Modal(g, z0.values, z1.values, z1.values, a, dt)
-        rows, zh, vh = kernel.rows, kernel.zh, kernel.vh
-        sums = np.empty(len(rows))
-        for i in range(m):  # row 0 is the initial state: its pass takes no step
+        kernel = _Modal(g, z0.values, z1.values, z1.values, a, dt, size)
+        i, n, j = 0, 1, 0  # the block's first row, its length and the block row it goes on from
+        while i < m:  # the first block is row 0, the initial state: it takes no step
             if i:
-                kernel.advance()
-            t = i * dt  # keep the time grid exactly uniform
+                kernel.advance(n, j)
+            block = cols[:5, i:i + n]
             # the norms by Parseval, in the arithmetic of lyapunov.field_norms
-            s_z, s_gz, s_v, s_e = np.vecdot(rows, rows, out=sums).tolist()
-            nz_i, nv_i = w * s_z, w * s_v
-            # a non-finite entry makes its norm non-finite; the entrywise
-            # test runs only then, as norms of huge finite fields overflow
-            if not (math.isfinite(nz_i) and math.isfinite(nv_i)) and not kernel.finite():
-                raise BlowUpError(f"blow-up at step {i} (t = {t})", step=i, time=t)
-            nz[i], nv[i] = nz_i, nv_i
-            ngz[i] = ngz_i = w * s_gz
-            cross[i] = cross_i = w * float(np.dot(zh, vh))
+            np.multiply(kernel.sums(n), w, out=block)
             if not i:  # t = 0: refuse degenerate data; the event there is unconditional
-                v_0 = _lyapunov.energy_lyapunov(nz_i, nv_i, ngz_i, cross_i, eps, a)[1]
+                v_0 = _lyapunov.energy_lyapunov(nz[0], nv[0], ngz[0], cross[0], eps, a)[1]
                 _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
                 event[0] = not uncontrolled
-            if uncontrolled:
-                continue
-            ne[i] = ne_i = w * s_e
-            if trigger_params is not None:
-                eta[i] = eta_i = _trigger.eta0(t, trigger_params)
-                pred[i] = pred_i = _trigger.predicate_from_norms(ne_i, nz_i, nv_i, eta_i, trigger_params)
-            if mode == "event-triggered":
-                fire = pred_i >= 0.0
-            elif mode == "continuous-damping":
-                fire = True
-            else:  # periodic
-                fire = t - t_k >= period * (1.0 - 1e-12)
-            if fire:
-                event[i] = True
-                kernel.hold()
-                t_k = t
+            # the block ends at its first row that fires; a scan over Python
+            # floats, which at one row a block costs less than array calls
+            nz_b, _, nv_b, ne_b, _ = block.tolist()
+            for j, (nz_j, nv_j, ne_j) in enumerate(zip(nz_b, nv_b, ne_b)):
+                row = i + j
+                # a non-finite entry makes its norm non-finite; the entrywise
+                # test runs only then, as norms of huge finite fields overflow
+                if not (math.isfinite(nz_j) and math.isfinite(nv_j)) and not kernel.finite(j):
+                    raise BlowUpError(f"blow-up at step {row} (t = {row * dt})", step=row, time=row * dt)
+                if mode == "event-triggered":
+                    fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_l[row], trigger_params) >= 0.0
+                elif mode == "periodic":
+                    fire = row * dt - t_k >= period * (1.0 - 1e-12)
+                else:
+                    fire = mode == "continuous-damping"
+                if fire:
+                    event[row] = True
+                    kernel.hold(j)
+                    t_k = row * dt
+                    break
+            # the next block starts at one step after an event and doubles to the budget
+            n = min(1 if event[row] else 2 * n, size, m - row - 1)
+            i = row + 1
+        if triggered:  # the column of the values the scan tested
+            pred[:] = _trigger.predicate_from_norms(ne, nz, nv, eta, trigger_params)
+        if uncontrolled:  # no hold acts, so there is no deviation to record
+            ne.fill(np.nan)
         # numpy warns on 0 * inf in V where Python floats did not
         energy, lyap = _lyapunov.energy_lyapunov(nz, nv, ngz, cross, eps, a)
 

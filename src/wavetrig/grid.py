@@ -29,6 +29,7 @@ relative margin that covers the rounding of the computed norms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -288,16 +289,22 @@ def sine_transform(values: np.ndarray, g: Grid, out: np.ndarray | None = None) -
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def eigenvalues(g: Grid) -> np.ndarray:
     """The negated stencil's eigenvalues, one per coefficient of
     :func:`sine_transform` (increasing along each axis): for mode k of an
     axis of n nodes and spacing h, (4/h^2) sin^2(pi k / (2 (n+1))), summed
-    over the axes.  Entry 0 is lam1, the smallest."""
+    over the axes.  Entry 0 is lam1, the smallest.
+
+    The table is kept per grid and shared by every caller, so it is
+    read-only."""
     axes = [
         np.array([4.0 / (h * h) * math.sin(math.pi * k / (2 * (n + 1))) ** 2 for k in range(1, n + 1)])
         for h, n in zip(g.spacings, g.counts)
     ]
-    return axes[0] if g.ndim == 1 else np.add.outer(*axes).ravel()
+    lam = axes[0] if g.ndim == 1 else np.add.outer(*axes).ravel()
+    lam.setflags(write=False)
+    return lam
 
 
 # Relative margin by which lam1 is lowered for C_Omega: at the exact

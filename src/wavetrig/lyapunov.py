@@ -37,18 +37,21 @@ __all__ = [
 DEGENERATE_REL = 1e-14
 
 
-def modal_rows(g: _grid.Grid, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The rows every norm is read from, one (4, M) array: the sine
-    coefficients z_hat, w z_hat and v_hat of the flat fields z and v
-    (``grid.sine_transform``), with w = sqrt(lam) the modes' frequencies
-    (``grid.eigenvalues``), and a zero row for the deviation
+def modal_rows(
+    g: _grid.Grid, z: np.ndarray, v: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The rows every norm is read from, one (4, M) array (``out``, or a new
+    one): the sine coefficients z_hat, w z_hat and v_hat of the flat fields
+    z and v (``grid.sine_transform``), with w = sqrt(lam) the modes'
+    frequencies (``grid.eigenvalues``), and a zero row for the deviation
     v_hat - held_hat, which a holder fills in.
 
     By Parseval, with w_q the grid weight, w_q times the rows' squared sums
     (``np.vecdot(rows, rows)``) are ||z||^2, ||grad z||^2 = -w_q <L z, z>,
     ||v||^2 and ||e||^2, and w_q times the dot of rows 0 and 2 is <z, v>.
     """
-    rows = np.zeros((4, g.num_interior))
+    rows = np.empty((4, g.num_interior)) if out is None else out
+    rows[3] = 0.0
     _grid.sine_transform(z, g, out=rows[0])
     np.multiply(rows[0], w, out=rows[1])
     _grid.sine_transform(v, g, out=rows[2])

@@ -71,7 +71,6 @@ class DwellStats:
     histogram_counts: tuple[int, ...]
     floor_violations: int
     floor_ok: bool
-    quantization_dt: float | None
 
     def to_dict(self) -> dict:
         return asdict(self)  # the histogram tuples serialise as JSON lists
@@ -121,7 +120,10 @@ def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> Dwell
     At every event after the initial one the firing predicate was
     nonnegative, which forces ||e_k||^2 >= eta0 there; ``floor_violations``
     counts events where that fails beyond rounding.  Event times are
-    quantized to step boundaries (recorded in ``quantization_dt``).
+    quantized to step boundaries, the run's ``dt``.
+
+    ``dt`` is ignored; it is accepted only because ``perfbench/pipeline.py``
+    still passes it.
     """
     if len(log) == 0:
         raise ConfigurationError("empty event log: degenerate run")
@@ -153,5 +155,4 @@ def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> Dwell
         histogram_counts=counts,
         floor_violations=floor_violations,
         floor_ok=floor_violations == 0,
-        quantization_dt=dt,
     )

@@ -184,7 +184,7 @@ def test_a6_poincare_convergence_and_wirtinger_counterexample():
 # ------------------------------------------------------------------------ A7
 
 def test_a7_zeno_diagnostics(a1_record):
-    stats = wt.zeno_report(a1_record.events, horizon=float(a1_record.t[-1]), dt=a1_record.dt)
+    stats = wt.zeno_report(a1_record.events, horizon=float(a1_record.t[-1]))
     dwell_ok = stats.min_dwell >= a1_record.dt * (1 - 1e-12)
     idx = a1_record.event_indices()
     pred = a1_record.trigger_value

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavetrig as wt
+from wavetrig import dynamics
 from wavetrig.cli import run_from_config
 from wavetrig.config import RunConfig
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError
@@ -313,14 +314,23 @@ def test_simulate_rejects_event_mode_without_params(small_setup):
         wt.simulate(z0, z1, 1.0, g, integ, mode="event-triggered")
 
 
-def test_simulate_blowup_reports_step_index(small_setup):
+# budgets of the simulate loop's block buffers: one step a block, ten steps
+# on n = 49 and three on the 15x11 rectangle, and the default
+BUDGETS = pytest.mark.parametrize("budget", [0, 48 * 165 * 3, dynamics._BLOCK_BYTES], ids=["k1", "small", "default"])
+
+
+@BUDGETS
+@pytest.mark.parametrize("mode, period, step", [("continuous-damping", None, 183), ("periodic", 0.05, 646)])
+def test_simulate_blowup_reports_step_index(small_setup, monkeypatch, budget, mode, period, step):
     # sample-and-hold damping far beyond 2/dt is unstable and must be
-    # reported as a blow-up with the failing step, not as NaN output
+    # reported as a blow-up with the failing step, not as NaN output; a
+    # periodic hold blows up inside a block of more than one step
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
     g, cert, params, z0, z1, integ = small_setup
     with pytest.raises(BlowUpError) as err:
-        wt.simulate(z0, z1, 5000.0, g, integ, mode="continuous-damping")
-    assert err.value.step == 183
-    assert err.value.time == 183 * integ.dt
+        wt.simulate(z0, z1, 5000.0, g, integ, mode=mode, period=period)
+    assert err.value.step == step
+    assert err.value.time == step * integ.dt
 
 
 def test_simulate_runs_on_when_only_the_norms_overflow(small_setup):
@@ -402,6 +412,28 @@ def test_v0_threshold_scale_is_the_recorded_v0(shape):
     )
     rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=0.1), params, cert)
     assert rec.eta0[0].tobytes() == rec.lyapunov[0].tobytes()
+
+
+@BUDGETS
+@pytest.mark.parametrize("mode", dynamics.MODES)
+@SHAPES
+def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypatch):
+    # every row is computed by the arithmetic of a one-step loop, so each
+    # column is the one-step-block record's, bit for bit
+    g = wt.build_grid(shape)
+    z0, z1 = sine_mode(g, 1), bump(g)
+    params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
+
+    def run():
+        return wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params, mode=mode, period=0.1)
+
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 0)
+    want = run()
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
+    got = run()
+    assert (want.event[1:].sum() >= 2) == (mode != "uncontrolled")  # events after t = 0 cut blocks
+    for name in wt.RunRecord.COLUMNS.values():
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
 @pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])

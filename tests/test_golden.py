@@ -69,6 +69,12 @@ envelope check reports the bound on ``V`` (``v_violations``, ``v_worst``)
 and ``meta.grid`` gives ``lam1`` and ``poincare_margin``.  Every exit code
 and every check verdict stayed the same, and the bound on ``V`` holds on
 every case with a certificate.
+
+The ``summary.json`` hashes of the ten cases with events were re-recorded
+when the ``zeno`` report lost its ``quantization_dt`` entry, which always
+repeated the run's ``dt``.  With that one entry put back, each new summary
+hashes to its old value; every ``series.csv`` and ``events.csv`` hash, and
+the ``uncontrolled`` summary, stayed the same.
 """
 
 import hashlib
@@ -101,22 +107,22 @@ GOLDEN = {
     "event-triggered": (
         "87213ab299b6e213dcb6d31a96aa7ac90d6593ed61404314133b69a5c918edb9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "715a240ab5ee675d083d93519b466e56189b822024bbb80361ac89660bf4e28d",
+        "964745fdd05154e69463acf3e3cb5c819d357b5cfffca7ff33a35a8b1e6c8062",
     ),
     "continuous-damping": (
         "fb47925f29b88c2e90dcc0f95fc8c3c632047a0101cfab37ccf1cc41ef1a2e96",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "b2afb89e614d9d45c96007ccc36cf805a56b00fb3609f7765b67a5d051485aeb",
+        "dcabe9ddcffa5ad9f3a028d97f14c828ebb0ae7d0f35b7331b34af7633d3da2b",
     ),
     "periodic-matched": (
         "dc78f9bf01162b2ec57ee20ae4be8d8df95080cad372fcd687f0675ce2ce0d45",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "f597dc95f44d52ff002f3f214a51aa2137897609451948f090de73136c164915",
+        "3bd3d15524caa4b89191fa2bd2762236c69fecb0d191c69fdab71af4a20d30f2",
     ),
     "periodic-fixed": (
         "6077b1d789886177c2666d8f9bd92d905c965a945fb37f18ecbf37bc3a67b74e",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "319b72e40a3812a3e8df39ea3afb0c5a7f88a91d5d12cf3b8c8553b11b557e89",
+        "4e5329409f409bc07d982727d9742fccd38dacc702c3144f5a27abde7bc0de1b",
     ),
     "uncontrolled": (
         "719ca0915e5723677c5f7770144426e6ed75aca843fbc20e4b4f876d6690179f",
@@ -126,32 +132,32 @@ GOLDEN = {
     "v0-cross": (
         "96a67d61cb1e0e10fac3719d483cf1b9e111a05a517432d0cabd9e6b7ae1cba9",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "f897f3d009c6766f557545c9e829840140f1d432a7ee1f26bff809a85f94de1b",
+        "9d7eab3e65660b9bd3ff3790cda44dc78f0b3e49b115d703d8614933efc6355d",
     ),
     "reduced-cross": (
         "c79a86bc14da29f11ebac1e626dd6710a753d1288cbbab0e655a7f8f21f2d465",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "e0d121c54676472450eba9578913a814c5a56e9f283afa35c15c361f8bc9d764",
+        "54aee651c91b46fd6fabfb977d285dc5fa324e07bda6f4f2da96958beb031aee",
     ),
     "reduced": (
         "91d174ec82e3fc336ebee5ce03108b4147bc5c45b556a11146c8dff88584850d",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
-        "10d298bd7d0590f83e0d6520f6b8adb61c852f42d3938766297f1381e1c58040",
+        "2eb4661c5579c4e47d619b1b330adc4a7be56ed7c52bf1641a0c52cd64cae537",
     ),
     "rectangle": (
         "8369fe01174e388748c48d7c12f2a2ed913be4f30de898a61c4f86253b3f1387",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "a1ff80b348938742dd06c83478ac2bdf57d7ceaa01a3ea141e2f111be7a92ae3",
+        "2d861c06c9264d90fb1b3dea4e18a9522f56b1a2f8877d8227df50846ca2e6b5",
     ),
     "file": (
         "4a210d76041abb21d576a32b8484a6311a5e79bdd66f56ec00b476309cca4e5a",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
-        "44c044f489457bee1cf7747a1402ce002a7083cba43f3443f4a699f410ddac77",
+        "428c4a59bcf295b37933325aba06b6a3ed06cb15241d81cdb90a812fc3b38f23",
     ),
     "certificate": (
         "87213ab299b6e213dcb6d31a96aa7ac90d6593ed61404314133b69a5c918edb9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "611a2f6a66f264ecc74d5ed647f40c6a7133245c96601e827fd6b68bd1d5183b",
+        "b97d9317267f09140c22f4b1e885971bd767424f71eabf32d2ea527bc7f23d29",
     ),
 }
 

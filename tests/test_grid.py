@@ -261,6 +261,15 @@ def test_eigenvalue_table_starts_at_the_closed_form_lam1(shape):
     assert wt.discrete_poincare_constant(g) == 1.0 / math.sqrt(closed_form * (1.0 - POINCARE_MARGIN))
 
 
+def test_eigenvalue_table_is_shared_per_grid_and_read_only():
+    # every caller of one grid gets the same table, so none may write to it
+    lam = eigenvalues(wt.build_grid(wt.Rectangle(1.0, 0.8, 15, 11)))
+    assert eigenvalues(wt.build_grid(wt.Rectangle(1.0, 0.8, 15, 11))) is lam
+    assert eigenvalues(wt.build_grid(wt.Rectangle(1.0, 0.8, 15, 13))) is not lam
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+
+
 @pytest.mark.parametrize("shape", [
     wt.Interval(1.0, 78),
     wt.Interval(2.0, 799),

@@ -161,10 +161,9 @@ def test_zeno_empty_log_is_degenerate():
 
 def test_zeno_single_event_reports_horizon_dwell():
     log = event_log((0.0, -1.0, 0.0, 1.0))
-    stats = wt.zeno_report(log, horizon=7.5, dt=0.1)
+    stats = wt.zeno_report(log, horizon=7.5)
     assert stats.event_count == 1
     assert stats.min_dwell == stats.mean_dwell == stats.max_dwell == 7.5
-    assert stats.quantization_dt == 0.1
 
 
 def test_zeno_floor_violation_counted():
@@ -173,7 +172,7 @@ def test_zeno_floor_violation_counted():
         (0.5, 0.2, 0.9, 0.4),   # fine: ||e||^2 = 0.9 >= eta0 = 0.4
         (1.5, 0.1, 0.3, 0.35),  # violation: 0.3 < 0.35
     )
-    stats = wt.zeno_report(log, horizon=2.0, dt=0.5)
+    stats = wt.zeno_report(log, horizon=2.0)
     assert stats.floor_violations == 1
     assert not stats.floor_ok
 
@@ -186,6 +185,6 @@ def test_zeno_requires_increasing_times():
 
 def test_zeno_constant_dwell_histogram():
     log = event_log(*((0.25 * k, 0.0, 1.0, 0.5) for k in range(5)))
-    stats = wt.zeno_report(log, horizon=1.0, dt=0.25)
+    stats = wt.zeno_report(log, horizon=1.0)
     assert sum(stats.histogram_counts) == 4
     assert stats.min_dwell == pytest.approx(0.25)
