@@ -87,7 +87,8 @@ def eta0(t: float, params: TriggerParams) -> float:
 def predicate_from_norms(
     norm_e_sq: float, norm_z_sq: float, norm_v_sq: float, eta0_value: float, params: TriggerParams
 ) -> float:
-    """Firing predicate from precomputed squared norms; fires iff >= 0."""
+    """Firing predicate from precomputed squared norms; fires iff >= 0.
+    Takes floats, or arrays of them, with the same result entry by entry."""
     return norm_e_sq - params.gamma0 * norm_z_sq - params.gamma1 * norm_v_sq - eta0_value
 
 
