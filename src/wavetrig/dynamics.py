@@ -113,15 +113,13 @@ class _Modal:
 
     With w = sqrt(lam) and the mode's rest point p = -alpha held_hat / lam,
     q = w (z_hat - p) + i v_hat turns as q' = -i w q, so a step is one
-    product ``q * exp(-i w dt)``.  The kernel holds up to ``size`` states at
-    once, one block row each: ``q[j]`` and ``rows[:, j]``, the state the
-    norms are read from: z_hat, w z_hat, v_hat and the deviation
-    e_hat = v_hat - held_hat.  Block row 0 starts as the state given.
-    :meth:`advance` steps a block on from one of its rows, :meth:`hold`
-    samples a row's v_hat into the hold and shifts that row's Re q to the
-    new rest point.  Callers check dt and alpha (_check_step) and ignore
-    overflow and invalid operations; :meth:`finite` tells whether a row
-    blew up.
+    product ``q * exp(-i w dt)``.  The kernel holds ``size`` states, one
+    block row each: ``q[j]`` and ``rows[:, j]``, the rows the norms are read
+    from (z_hat, w z_hat, v_hat and the deviation e_hat = v_hat - held_hat).
+    Block row 0 starts as the state given.  :meth:`hold` samples a row's
+    v_hat into the hold and shifts that row's Re q to the new rest point.
+    Callers check dt and alpha (_check_step) and ignore overflow and
+    invalid operations; :meth:`finite` tells whether a row blew up.
     """
 
     def __init__(
@@ -140,7 +138,8 @@ class _Modal:
         np.sin(self._wp, out=self._rot.imag)
         self._winv = np.divide(1.0, w, out=w)
         self.q = np.empty((size, w.size), dtype=complex)
-        self._sums = np.empty((5, size))
+        self._q = list(self.q)  # its block rows
+        self._k = 0  # the block length of _views
         self._alpha = alpha
         self._shift(0)
         np.copyto(self.q[0].imag, self.rows[2, 0])
@@ -164,25 +163,34 @@ class _Modal:
         contiguous ones in the last bit from the second row on, and the
         record must not depend on the block size.
         """
-        q, rows = self.q[:k], self.rows[:, :k]
-        np.multiply(self.q[start], self._rot, out=q[0])
+        q = self._q
+        np.multiply(q[start], self._rot, out=q[0])
         for j in range(1, k):
             np.multiply(q[j - 1], self._rot, out=q[j])
-        np.add(q.real, self._wp, out=rows[1])
-        np.multiply(rows[1], self._winv, out=rows[0])
-        np.copyto(rows[2], q.imag)
-        np.subtract(rows[2], self.held, out=rows[3])
+        re, im, rows, zh, wz, vh, eh = self._block(k)
+        np.add(re, self._wp, out=wz)
+        np.multiply(wz, self._winv, out=zh)
+        np.copyto(vh, im)
+        np.subtract(vh, self.held, out=eh)
         return rows
 
-    def sums(self, k: int) -> np.ndarray:
-        """The squared sums of the rows of block rows 0 to k-1, then the
-        sums of z_hat v_hat, as one (5, k) array: the grid weight times them
-        is ||z||^2, ||grad z||^2, ||v||^2, ||e||^2 and <z, v>
+    def sums(self, k: int, out: np.ndarray):
+        """Into the (5, k) ``out``: the squared sums of the rows of block
+        rows 0 to k-1, then the sums of z_hat v_hat.  The grid weight times
+        them is ||z||^2, ||grad z||^2, ||v||^2, ||e||^2 and <z, v>
         (``lyapunov.modal_rows``)."""
-        rows, sums = self.rows[:, :k], self._sums[:, :k]
-        np.vecdot(rows, rows, out=sums[:4])
-        np.vecdot(rows[0], rows[2], out=sums[4])
-        return sums
+        _, _, rows, zh, _, vh, _ = self._block(k)
+        np.vecdot(rows, rows, out=out[:4])
+        np.vecdot(zh, vh, out=out[4])
+
+    def _block(self, k: int) -> tuple:
+        # views of the first k block rows, made again only when k changes;
+        # at one step a block, making them each step cost 4 of 14 us a step
+        # on a small grid
+        if k != self._k:
+            q, rows = self.q[:k], self.rows[:, :k]
+            self._k, self._views = k, (q.real, q.imag, rows, *rows)
+        return self._views
 
     def finite(self, j: int) -> bool:
         """Whether every coefficient of z and v in block row j is finite."""
@@ -244,19 +252,16 @@ def simulate(
     pre-refresh ones.  Every row, the t = 0 one included, is taken from
     the step kernel's buffers by one loop body.
 
-    The loop works on blocks of steps.  Between events the hold is fixed
-    and the flow is known, so the kernel takes a whole block of steps and
-    reads the block's norms in two ``np.vecdot`` calls, and one array
-    product writes them into the series columns.  A scan over the block's
-    rows then tests the update policy, as Python floats, and cuts the block
-    after the first row that fires; the rows after it are dropped, and the
+    The loop takes blocks of steps: the kernel steps a block at once and
+    reads its norms in two ``np.vecdot`` calls, one array product writes
+    them into the series columns, and a scan of the block's rows, as
+    Python floats, cuts the block after the first row that fires.  The
     next block goes on from that row under the new hold.  A block is one
-    step after each event and doubles, up to what ``_BLOCK_BYTES`` holds;
-    under continuous damping every block is one step.  Each row is
-    computed by the arithmetic of a loop of one step a block, so the record
-    does not depend on the block sizes, bit for bit.  The eta0 column is
-    computed up front and the predicate column after the loop, in one array
-    call of the formula the scan tested.
+    step after each event and doubles up to what ``_BLOCK_BYTES`` holds, so
+    continuous damping stays at one.  Every row is computed as with one
+    step a block, so the record does not depend on the block sizes, bit
+    for bit.  eta0 is computed before the loop and the predicate column
+    after it, by the formula the scan tested.
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
@@ -284,8 +289,7 @@ def simulate(
     event = np.zeros(m, dtype=bool)
     triggered = trigger_params is not None and not uncontrolled
     if triggered:
-        eta_l = [_trigger.eta0(i * dt, trigger_params) for i in range(m)]
-        eta[:] = eta_l
+        eta[:] = np.fromiter((_trigger.eta0(i * dt, trigger_params) for i in range(m)), float, m)
 
     _check_step(g, dt, a)
     # lam1 and the margin by which C_Omega = 1/sqrt(lam1 (1 - margin)) is raised
@@ -305,24 +309,24 @@ def simulate(
         while i < m:  # the first block is row 0, the initial state: it takes no step
             if i:
                 kernel.advance(n, j)
-            block = cols[:5, i:i + n]
-            # the norms by Parseval, in the arithmetic of lyapunov.field_norms
-            np.multiply(kernel.sums(n), w, out=block)
-            if not i:  # t = 0: refuse degenerate data; the event there is unconditional
-                v_0 = _lyapunov.energy_lyapunov(nz[0], nv[0], ngz[0], cross[0], eps, a)[1]
-                _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
-                event[0] = not uncontrolled
+            block = cols[:, i:i + n]
+            kernel.sums(n, out=block[:5])  # w times them are the norms, by Parseval
             # the block ends at its first row that fires; a scan over Python
             # floats, which at one row a block costs less than array calls
-            nz_b, _, nv_b, ne_b, _ = block.tolist()
-            for j, (nz_j, nv_j, ne_j) in enumerate(zip(nz_b, nv_b, ne_b)):
+            s_z, s_gz, s_v, s_e, s_zv, eta_b, _ = block.tolist()
+            for j, (nz_j, nv_j, ne_j, eta_j) in enumerate(zip(s_z, s_v, s_e, eta_b)):
                 row = i + j
+                nz_j, nv_j, ne_j = w * nz_j, w * nv_j, w * ne_j  # as lyapunov.field_norms
                 # a non-finite entry makes its norm non-finite; the entrywise
                 # test runs only then, as norms of huge finite fields overflow
                 if not (math.isfinite(nz_j) and math.isfinite(nv_j)) and not kernel.finite(j):
                     raise BlowUpError(f"blow-up at step {row} (t = {row * dt})", step=row, time=row * dt)
+                if not row:  # t = 0: refuse degenerate data; the event there is unconditional
+                    v_0 = _lyapunov.energy_lyapunov(nz_j, nv_j, w * s_gz[0], w * s_zv[0], eps, a)[1]
+                    _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
+                    event[0] = not uncontrolled
                 if mode == "event-triggered":
-                    fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_l[row], trigger_params) >= 0.0
+                    fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_j, trigger_params) >= 0.0
                 elif mode == "periodic":
                     fire = row * dt - t_k >= period * (1.0 - 1e-12)
                 else:
@@ -335,6 +339,7 @@ def simulate(
             # the next block starts at one step after an event and doubles to the budget
             n = min(1 if event[row] else 2 * n, size, m - row - 1)
             i = row + 1
+        np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums
         if triggered:  # the column of the values the scan tested
             pred[:] = _trigger.predicate_from_norms(ne, nz, nv, eta, trigger_params)
         if uncontrolled:  # no hold acts, so there is no deviation to record
