@@ -253,15 +253,16 @@ def simulate(
     the step kernel's buffers by one loop body.
 
     The loop takes blocks of steps: the kernel steps a block at once and
-    reads its norms in two ``np.vecdot`` calls, one array product writes
-    them into the series columns, and a scan of the block's rows, as
-    Python floats, cuts the block after the first row that fires.  The
-    next block goes on from that row under the new hold.  A block is one
-    step after each event and doubles up to what ``_BLOCK_BYTES`` holds, so
-    continuous damping stays at one.  Every row is computed as with one
-    step a block, so the record does not depend on the block sizes, bit
-    for bit.  eta0 is computed before the loop and the predicate column
-    after it, by the formula the scan tested.
+    writes the block's norm sums into the series columns with two
+    ``np.vecdot`` calls, and a scan of the block's rows, as Python floats,
+    cuts the block after the first row that fires.  The next block goes on
+    from that row under the new hold.  A block is one step after each
+    event and doubles up to what ``_BLOCK_BYTES`` holds, so continuous
+    damping stays at one.  Every row is computed as with one step a block,
+    so the record does not depend on the block sizes, bit for bit.  The
+    eta0 column is filled before the loop; after it, one product scales
+    the sums to the norms and the predicate column is formed by the
+    formula the scan tested.
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
