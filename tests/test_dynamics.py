@@ -314,6 +314,16 @@ def test_simulate_rejects_event_mode_without_params(small_setup):
         wt.simulate(z0, z1, 1.0, g, integ, mode="event-triggered")
 
 
+def test_simulate_blowup_reports_step_index(small_setup):
+    # sample-and-hold damping far beyond 2/dt is unstable and must be
+    # reported as a blow-up with the failing step, not as NaN output
+    g, cert, params, z0, z1, integ = small_setup
+    with pytest.raises(BlowUpError) as err:
+        wt.simulate(z0, z1, 5000.0, g, integ, mode="continuous-damping")
+    assert err.value.step == 183
+    assert err.value.time == 183 * integ.dt
+
+
 # budgets of the simulate loop's block buffers: one step a block, ten steps
 # on n = 49 and three on the 15x11 rectangle, and the default
 BUDGETS = pytest.mark.parametrize("budget", [0, 48 * 165 * 3, dynamics._BLOCK_BYTES], ids=["k1", "small", "default"])
@@ -321,10 +331,9 @@ BUDGETS = pytest.mark.parametrize("budget", [0, 48 * 165 * 3, dynamics._BLOCK_BY
 
 @BUDGETS
 @pytest.mark.parametrize("mode, period, step", [("continuous-damping", None, 183), ("periodic", 0.05, 646)])
-def test_simulate_blowup_reports_step_index(small_setup, monkeypatch, budget, mode, period, step):
-    # sample-and-hold damping far beyond 2/dt is unstable and must be
-    # reported as a blow-up with the failing step, not as NaN output; a
-    # periodic hold blows up inside a block of more than one step
+def test_blowup_step_does_not_depend_on_the_block_size(small_setup, monkeypatch, budget, mode, period, step):
+    # the blow-up above at each budget; a periodic hold with a five-step
+    # period blows up inside a block of two steps
     monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
     g, cert, params, z0, z1, integ = small_setup
     with pytest.raises(BlowUpError) as err:
