@@ -423,12 +423,12 @@ def test_v0_threshold_scale_is_the_recorded_v0(shape):
     assert rec.eta0[0].tobytes() == rec.lyapunov[0].tobytes()
 
 
-@BUDGETS
+@pytest.mark.parametrize("budget", [48 * 165 * 3, dynamics._BLOCK_BYTES], ids=["small", "default"])
 @pytest.mark.parametrize("mode", dynamics.MODES)
 @SHAPES
 def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypatch):
     # every row is computed by the arithmetic of a one-step loop, so each
-    # column is the one-step-block record's, bit for bit
+    # column is the record of one step a block (budget 0), bit for bit
     g = wt.build_grid(shape)
     z0, z1 = sine_mode(g, 1), bump(g)
     params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
