@@ -214,8 +214,8 @@ def step(s: WaveState, dt: float, alpha: float) -> WaveState:
         raise BlowUpError(f"non-finite state after step from t = {s.t}", time=s.t)
     return WaveState(
         t=s.t + dt,
-        z=_grid.Field(z, g, validate=False),
-        v=_grid.Field(v, g, validate=False),
+        z=_grid.Field(z, g),
+        v=_grid.Field(v, g),
         held=s.held,
         k=s.k,
         t_k=s.t_k,

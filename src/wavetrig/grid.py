@@ -13,9 +13,10 @@ holds exactly, so energy bookkeeping on the grid mirrors the continuous
 integration-by-parts computations with no identity-level slack.
 
 A field is a flat array, one value per interior node, x the slow index on
-a rectangle.  :class:`Stencil` applies the Laplacian to it as neighbour sums
-weighted by the reciprocal squared spacings, on contiguous slices of that
-flat array; it is the reference the tests hold the sine basis against.
+a rectangle.  :func:`apply_laplacian` and :func:`h1_seminorm_sq` take it as
+a ``counts``-shaped array with the zero boundary padded on, and sum second
+and squared first differences along each axis.  No run calls this plain
+nodal stencil; it is the reference the tests hold the sine basis against.
 
 The orthonormal sine transform (DST-I, axis by axis) diagonalises the
 stencil exactly: :func:`sine_transform` gives a field's coefficients in the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ __all__ = [
     "Rectangle",
     "Grid",
     "Field",
-    "Stencil",
     "build_grid",
     "l2_norm_sq",
     "h1_seminorm_sq",
@@ -114,77 +114,12 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
 
-class Stencil:
-    """The Laplacian stencil on one grid, which also gives the gradient
-    seminorm.
-
-    ``values`` is the flat field, one entry per interior node in C order,
-    and the contiguous interior of a buffer with one zero ghost row at each
-    end of the first axis.  The first axis' neighbours are then that buffer
-    shifted by one row either way; on a rectangle the second axis'
-    neighbours are ``values`` shifted by one entry, except in the first and
-    last columns, where the neighbour across the row seam is a boundary zero
-    and the sum is the one interior neighbour.  Every view is built here;
-    :meth:`laplacian` allocates and divides by nothing, and ``scratch`` is
-    free between two calls.
-    """
-
-    def __init__(self, g: Grid, vals: np.ndarray):
-        """The stencil of ``g`` with the field set to ``vals`` (flat)."""
-        self.grid = g
-        n = g.num_interior
-        row = n // g.counts[0]  # 1 on an interval
-        self._buf = np.zeros(n + 2 * row)
-        self.lap, self.scratch = np.empty(n), np.empty(n)
-        self.values = self._buf[row:-row]
-        self._c = [1.0 / (h * h) for h in g.spacings]
-        self._c_center = 2.0 * sum(self._c)
-        self._back, self._forward = self._buf[:n], self._buf[2 * row:]
-        self._seams = ()
-        if g.ndim == 2:
-            s, v = self.scratch.reshape(g.counts), self.values.reshape(g.counts)
-            self._cols = (self.values[:-2], self.values[2:], self.scratch[1:-1])
-            self._seams = ((s[:, 0], v[:, 1]), (s[:, -1], v[:, -2]))
-        self.values[...] = vals
-
-    def laplacian(self) -> np.ndarray:
-        """Second-order stencil into the flat buffer ``lap``, which is returned:
-        sum over axes of (back + forward) / h^2, less 2 z sum 1/h^2."""
-        lap, tmp = self.lap, self.scratch
-        np.add(self._back, self._forward, out=lap)
-        np.multiply(lap, self._c[0], out=lap)
-        if self._seams:  # a rectangle's second axis
-            back, forward, inner = self._cols
-            np.add(back, forward, out=inner)
-            for seam, neighbour in self._seams:
-                np.copyto(seam, neighbour)
-            np.multiply(tmp, self._c[1], out=tmp)
-            np.add(lap, tmp, out=lap)
-        np.multiply(self.values, self._c_center, out=tmp)
-        np.subtract(lap, tmp, out=lap)
-        return lap
-
-    def h1(self) -> float:
-        """Squared discrete gradient norm; see :func:`h1_seminorm_sq`."""
-        g = self.grid
-        if g.ndim == 1:
-            d = np.subtract(self._buf[1:], self._buf[:-1])  # every edge, the boundary ones included
-            dx = g.spacings[0]
-            return g.weight * float(np.dot(d, d)) / (dx * dx)
-        rows = self._buf.reshape(g.counts[0] + 2, g.counts[1])
-        dx, dy = g.spacings
-        d0 = np.diff(rows, axis=0) / dx
-        d1 = np.diff(rows[1:-1], axis=1, prepend=0.0, append=0.0) / dy
-        return g.weight * float(np.sum(d0 * d0) + np.sum(d1 * d1))
-
-
 @dataclass
 class Field:
     """Nodal values at the interior points of a grid."""
 
     values: np.ndarray
     grid: Grid
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -193,11 +128,11 @@ class Field:
                 f"field has {self.values.size} values, grid has "
                 f"{self.grid.num_interior} interior nodes"
             )
-        if self.validate and not np.isfinite(self.values).all():
+        if not np.isfinite(self.values).all():
             raise NumericalError("field contains non-finite values")
 
     def copy(self) -> "Field":
-        return Field(self.values.copy(), self.grid, validate=False)
+        return Field(self.values.copy(), self.grid)
 
 
 def build_grid(shape: Interval | Rectangle) -> Grid:
@@ -225,6 +160,14 @@ def _check(f: Field, g: Grid):
         raise ShapeError("field does not belong to this grid")
 
 
+def _differences(f: Field, g: Grid, order: int) -> list[tuple[float, np.ndarray]]:
+    """Per axis, its spacing and the ``order``-th differences along it of the
+    field as a ``counts``-shaped array, with the zero boundary padded on at
+    both ends of that axis."""
+    z = f.values.reshape(g.counts)
+    return [(h, np.diff(z, order, axis=axis, prepend=0.0, append=0.0)) for axis, h in enumerate(g.spacings)]
+
+
 def l2_norm_sq(f: Field, g: Grid) -> float:
     """Squared discrete L2 norm: weight * sum of squared nodal values."""
     _check(f, g)
@@ -245,13 +188,13 @@ def h1_seminorm_sq(f: Field, g: Grid) -> float:
     so the result vanishes only for the zero field.
     """
     _check(f, g)
-    return Stencil(g, f.values).h1()
+    return g.weight * sum(float(np.vdot(d, d)) / (h * h) for h, d in _differences(f, g, 1))
 
 
 def apply_laplacian(f: Field, g: Grid) -> Field:
     """Second-order Laplacian stencil with zero ghost boundary values."""
     _check(f, g)
-    return Field(Stencil(g, f.values).laplacian(), g)
+    return Field(sum(d / (h * h) for h, d in _differences(f, g, 2)).ravel(), g)
 
 
 def sine_mode(g: Grid, k: int = 1) -> Field:

@@ -9,6 +9,7 @@ series files.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -136,6 +137,15 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         raise DataFormatError(f"{summary_path} is not a JSON object")
     cols = _parse_series(series_path)
     n = cols["t"].size
+    # the summary fixes the time axis, so a stretched or cut t column is refused
+    dt, n_steps = summary.get("dt"), summary.get("n_steps")
+    if type(dt) not in (int, float) or not 0 < dt <= sys.float_info.max:
+        raise DataFormatError(f"summary dt {dt!r} is not a positive number")
+    dt = float(dt)  # an int beyond the float range is refused above
+    if type(n_steps) is not int or n != n_steps + 1:
+        raise DataFormatError(f"summary n_steps {n_steps!r} does not fit the {n} rows of {series_path}")
+    if not np.array_equal(cols["t"], np.arange(n) * dt):
+        raise DataFormatError(f"the t column of {series_path} is not {n_steps} steps of dt = {dt}")
     nan = np.full(n, np.nan)
     mode = summary.get("mode")
     # an uncontrolled run, and only one, is written with the plant columns alone
@@ -155,7 +165,7 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         certificate=certificate,
         trigger=trigger_params,
         mode=mode,
-        dt=float(cols["t"][1] - cols["t"][0]),
+        dt=dt,
         meta=summary.get("meta", {}),
     )
     return record, summary

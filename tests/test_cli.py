@@ -433,6 +433,17 @@ SUMMARY_TAMPERS = {
     "unknown-mode": lambda s: dict(s, mode="bogus-mode"),
     "no-mode": lambda s: {k: v for k, v in s.items() if k != "mode"},
     "uncontrolled-with-event-columns": lambda s: dict(s, mode="uncontrolled"),
+    "no-dt": lambda s: {k: v for k, v in s.items() if k != "dt"},
+    "dt-string": lambda s: dict(s, dt=str(s["dt"])),
+    "dt-bool": lambda s: dict(s, dt=True),
+    "dt-zero": lambda s: dict(s, dt=0.0),
+    "dt-negative": lambda s: dict(s, dt=-s["dt"]),
+    "dt-beyond-float": lambda s: dict(s, dt=10 ** 400),
+    "dt-tripled": lambda s: dict(s, dt=3 * s["dt"]),
+    "n-steps-one-more": lambda s: dict(s, n_steps=s["n_steps"] + 1),
+    "n-steps-one-less": lambda s: dict(s, n_steps=s["n_steps"] - 1),
+    "n-steps-float": lambda s: dict(s, n_steps=float(s["n_steps"])),
+    "no-n-steps": lambda s: {k: v for k, v in s.items() if k != "n_steps"},
 }
 
 
@@ -444,6 +455,16 @@ def test_verify_refuses_a_malformed_summary(sim_run, tmp_path, capsys, tamper):
     (rundir / "summary.json").write_text(json.dumps(tamper(summary)))
     assert main(["verify", str(rundir)]) == 65
     assert "data format error" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_rescaled_time_axis(sim_run, tmp_path, capsys):
+    # every t times 3 leaves each check's inequality intact; summary.json's dt does not fit
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    header, *rows = (rundir / "series.csv").read_text().splitlines()
+    rows = [",".join([format(3 * float(t), ".17e"), rest]) for t, rest in (row.split(",", 1) for row in rows)]
+    (rundir / "series.csv").write_text("\n".join([header, *rows]) + "\n")
+    assert main(["verify", str(rundir)]) == 65
+    assert "steps of dt" in capsys.readouterr().err
 
 
 def test_verify_refuses_a_controlled_mode_on_a_plant_only_series(tmp_path):

@@ -171,6 +171,8 @@ def test_laplacian_matches_kronecker_sum(shape):
         f = rng.standard_normal(g.num_interior)
         got = -wt.apply_laplacian(Field(f, g), g).values
         assert np.linalg.norm(got - a @ f) <= bound * np.linalg.norm(f)
+        # the gradient norm over every edge is the same quadratic form
+        assert wt.h1_seminorm_sq(Field(f, g), g) == pytest.approx(g.weight * f @ a @ f, rel=1e-13)
 
 
 # ---------------------------------------------------------- Poincare constant
