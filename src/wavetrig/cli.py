@@ -25,9 +25,9 @@ from . import dynamics as _dynamics
 from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
-from .config import C_OMEGA_SOURCES, RunConfig, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, OutputError, UsageError, WavetrigError
-from .grid import Grid, discrete_poincare_constant, poincare_constant
+from .grid import C_OMEGA_SOURCES, Grid, discrete_poincare_constant, poincare_constant
 from .initial import build_field
 
 __all__ = ["main", "entrypoint", "run_from_config", "design_from_config"]
@@ -85,7 +85,7 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
         rep = check(record)
         reports[rep.name] = {**rep.to_dict(), "gating": gating}
         ok = ok and (rep.passed or not gating)
-    if record.events is not None and len(record.events) > 0:
+    if len(record.events) > 0:
         stats = _trigger.zeno_report(record.events, horizon=float(record.t[-1]))
         dwell_ok = stats.event_count <= 1 or stats.min_dwell >= record.dt * (1.0 - 1e-12)
         if event_mode:
@@ -115,7 +115,7 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
             if certificate.alpha != cfg.alpha or not (c_omega >= c_grid if user else c_omega == c_grid):
                 raise ConfigurationError(
                     f"certificate {cfg.certificate_path} (alpha = {certificate.alpha}, C_Omega = {c_omega}, "
-                    f"{source}) was not made for this run (alpha = {cfg.alpha}, C_Omega = {c_grid} on {g.shape})"
+                    f"{source}) was not made for this run (alpha = {cfg.alpha}, C_Omega = {c_grid} on lengths {g.lengths})"
                 )
         else:
             certificate = design_from_config(cfg, g)
@@ -148,7 +148,7 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
         "delta_emp": delta_emp,
         "eta0_variant": cfg.design.eta0_variant,
         "period": period,
-        "update_count": len(record.events) if record.events is not None else 0,
+        "update_count": len(record.events),
         "wall_clock_s": wall,
         "config": cfg.to_dict(),
     }
@@ -178,8 +178,8 @@ _OVERRIDES = (
 def _load_cfg(args) -> RunConfig:
     """The config file, or the defaults, with the command-line overrides."""
     d = (RunConfig() if args.config is None else load_config(args.config)).to_dict()
-    if (args.length is not None or args.n is not None) and d["domain"].get("kind") != "interval":
-        d["domain"] = RunConfig().domain
+    if (args.length is not None or args.n is not None) and d["domain"].get("kind", "interval") != "interval":
+        raise UsageError("--length and --n set an interval's length and nodes; the config's domain is not an interval")
     for key in _OVERRIDES:
         *section, name = key.split(".")
         value = getattr(args, name)

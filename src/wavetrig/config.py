@@ -11,19 +11,16 @@ from pathlib import Path
 
 from .dynamics import MODES
 from .errors import ConfigurationError, UsageError
-from .grid import POINCARE_SOURCES, Grid, Interval, Rectangle, build_grid
+from .grid import C_OMEGA_SOURCES, Grid, Interval, Rectangle, build_grid
 from .trigger import ETA0_VARIANTS
 
 __all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "known_keys", "check_choice",
            "load_config", "save_config"]
 
-# "user" takes the constant from comega_value instead of computing it.
-C_OMEGA_SOURCES = (*POINCARE_SOURCES, "user")
-
 _JSON_TYPES = {"str": str, "dict": dict}
 
-# The keys each domain kind takes besides "kind".
-_DOMAIN_KEYS = {"interval": ("length", "n"), "rectangle": ("a", "b", "nx", "ny")}
+# The shape each domain kind builds; its fields are the keys it takes besides "kind".
+_DOMAINS = {"interval": Interval, "rectangle": Rectangle}
 
 
 def _check_types(obj) -> None:
@@ -124,15 +121,14 @@ class RunConfig:
     def build_grid(self) -> Grid:
         d = self.domain
         kind = d.get("kind", "interval")
-        check_choice("domain kind", kind, tuple(_DOMAIN_KEYS))
-        known_keys(f"{kind} domain", d, ("kind", *_DOMAIN_KEYS[kind]))
-        try:
-            if kind == "interval":
-                return build_grid(Interval(length=finite("length", d["length"]), n=integer("n", d["n"])))
-            nx, ny = integer("nx", d["nx"]), integer("ny", d["ny"])
-            return build_grid(Rectangle(a=finite("a", d["a"]), b=finite("b", d["b"]), nx=nx, ny=ny))
+        check_choice("domain kind", kind, tuple(_DOMAINS))
+        keys = fields(_DOMAINS[kind])
+        known_keys(f"{kind} domain", d, ("kind", *(f.name for f in keys)))
+        try:  # an int field is a node count, a float one a length
+            args = {f.name: (integer if f.type == "int" else finite)(f.name, d[f.name]) for f in keys}
         except KeyError as exc:
             raise ConfigurationError(f"domain spec missing key {exc}") from exc
+        return build_grid(_DOMAINS[kind](**args))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .errors import DataFormatError, DesignFailureError, InfeasibleDomainError, PreconditionError, WavetrigError
+from .grid import C_OMEGA_SOURCES
 
 __all__ = [
     "DesignInput",
@@ -117,9 +118,9 @@ class StabilityCertificate:
     @classmethod
     def from_dict(cls, d: dict) -> "StabilityCertificate":
         """A certificate read from a file.  Raises DataFormatError unless it
-        keeps the invariants, its gammas lie below ``gamma_bounds``, epsilon
-        lies in ``epsilon_interval`` and ``certified_constants`` re-derives
-        every stored number exactly."""
+        keeps the invariants, names one of ``C_OMEGA_SOURCES``, its gammas lie
+        below ``gamma_bounds``, epsilon lies in ``epsilon_interval`` and
+        ``certified_constants`` re-derives every stored number exactly."""
         try:
             cert = cls(**d)
             point = (cert.alpha, cert.c_omega, cert.gamma0, cert.gamma1)
@@ -128,6 +129,8 @@ class StabilityCertificate:
             derived = certified_constants(*point, cert.epsilon, cert.theta)
         except (TypeError, ArithmeticError, WavetrigError) as exc:
             raise DataFormatError(f"not a valid certificate: {exc}") from exc
+        if cert.c_omega_source not in C_OMEGA_SOURCES:
+            raise DataFormatError(f"certificate c_omega_source {cert.c_omega_source!r} is not one of {C_OMEGA_SOURCES}")
         mismatched = sorted(name for name, value in derived.items() if getattr(cert, name) != value)
         if mismatched:
             raise DataFormatError(f"certificate values {mismatched} differ from their re-derivation")

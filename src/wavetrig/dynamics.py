@@ -25,7 +25,7 @@ from . import grid as _grid
 from . import lyapunov as _lyapunov
 from . import trigger as _trigger
 from .design import StabilityCertificate
-from .errors import BlowUpError, ConfigurationError
+from .errors import BlowUpError, ConfigurationError, ShapeError
 
 __all__ = [
     "WaveState",
@@ -275,6 +275,10 @@ def simulate(
     if mode == "periodic":
         if period is None or not period > 0:
             raise ConfigurationError(f"periodic mode needs a positive period, got {period}")
+    if z0.grid != g or z1.grid != g:
+        raise ShapeError("the initial data do not live on the run's grid")
+    if certificate is not None and certificate.alpha != alpha:
+        raise ConfigurationError(f"certificate made for alpha = {certificate.alpha}, the run has alpha = {alpha}")
 
     uncontrolled = mode == "uncontrolled"
     a = 0.0 if uncontrolled else float(alpha)

@@ -1,5 +1,7 @@
 """Uniform Dirichlet grids on an interval or rectangle, and the discrete
-function-space machinery built on them.
+function-space machinery built on them.  :func:`build_grid` reduces either
+shape to per-axis lengths and node counts, and what follows works axis by
+axis, bar the continuous Poincare formulas, which are per dimension.
 
 Fields live on interior nodes only; the boundary value is identically zero.
 The quadrature is the composite rectangle rule at interior nodes and the
@@ -55,6 +57,7 @@ __all__ = [
     "discrete_poincare_constant",
     "POINCARE_MARGIN",
     "POINCARE_SOURCES",
+    "C_OMEGA_SOURCES",
     "poincare_constant",
 ]
 
@@ -81,12 +84,12 @@ class Rectangle:
 class Grid:
     """Uniform tensor grid with homogeneous Dirichlet boundary.
 
-    ``spacings`` and ``counts`` are per-axis; ``weight`` is the quadrature
-    weight of one interior node (dx, or dx*dy).  Construct via
+    ``lengths``, ``spacings`` and ``counts`` are per-axis; ``weight`` is the
+    quadrature weight of one interior node (dx, or dx*dy).  Construct via
     :func:`build_grid`.
     """
 
-    shape: Interval | Rectangle
+    lengths: tuple[float, ...]
     spacings: tuple[float, ...]
     counts: tuple[int, ...]
     weight: float
@@ -98,20 +101,11 @@ class Grid:
 
     @property
     def volume(self) -> float:
-        if isinstance(self.shape, Interval):
-            return self.shape.length
-        return self.shape.a * self.shape.b
+        return math.prod(self.lengths)
 
-    def coords(self):
-        """Interior node coordinates: 1D array for an interval, a pair of
-        ``(nx, ny)`` meshgrid arrays for a rectangle."""
-        if self.ndim == 1:
-            dx = self.spacings[0]
-            return dx * np.arange(1, self.counts[0] + 1)
-        dx, dy = self.spacings
-        x = dx * np.arange(1, self.counts[0] + 1)
-        y = dy * np.arange(1, self.counts[1] + 1)
-        return np.meshgrid(x, y, indexing="ij")
+    def axes(self) -> list[np.ndarray]:
+        """The interior node coordinates along each axis."""
+        return [h * np.arange(1, n + 1) for h, n in zip(self.spacings, self.counts)]
 
 
 @dataclass
@@ -138,21 +132,15 @@ class Field:
 def build_grid(shape: Interval | Rectangle) -> Grid:
     """Validate a shape spec and derive spacings, node count and weight."""
     if isinstance(shape, Interval):
-        if not (shape.length > 0):
-            raise ConfigurationError(f"interval length must be positive, got {shape.length}")
-        if shape.n < 2:
-            raise ConfigurationError(f"need at least 2 interior nodes, got {shape.n}")
-        dx = shape.length / (shape.n + 1)
-        return Grid(shape, (dx,), (shape.n,), dx, shape.n)
-    if isinstance(shape, Rectangle):
-        if not (shape.a > 0 and shape.b > 0):
-            raise ConfigurationError(f"rectangle sides must be positive, got {shape.a}, {shape.b}")
-        if shape.nx < 2 or shape.ny < 2:
-            raise ConfigurationError(f"need at least 2 interior nodes per axis, got {shape.nx}, {shape.ny}")
-        dx = shape.a / (shape.nx + 1)
-        dy = shape.b / (shape.ny + 1)
-        return Grid(shape, (dx, dy), (shape.nx, shape.ny), dx * dy, shape.nx * shape.ny)
-    raise ConfigurationError(f"unknown grid shape {shape!r}")
+        lengths, counts = (shape.length,), (shape.n,)
+    elif isinstance(shape, Rectangle):
+        lengths, counts = (shape.a, shape.b), (shape.nx, shape.ny)
+    else:
+        raise ConfigurationError(f"unknown grid shape {shape!r}")
+    if not (all(length > 0 for length in lengths) and min(counts) >= 2):
+        raise ConfigurationError(f"need positive lengths and 2 or more nodes per axis, got {lengths}, {counts}")
+    spacings = tuple(length / (n + 1) for length, n in zip(lengths, counts))
+    return Grid(lengths, spacings, counts, math.prod(spacings), math.prod(counts))
 
 
 def _check(f: Field, g: Grid):
@@ -198,15 +186,11 @@ def apply_laplacian(f: Field, g: Grid) -> Field:
 
 
 def sine_mode(g: Grid, k: int = 1) -> Field:
-    """sin(k pi x / L), or the product sin(k pi x / a) sin(k pi y / b)."""
+    """The product over the axes of sin(k pi x / L), L the axis' length."""
     if k < 1:
         raise ConfigurationError(f"mode number must be >= 1, got {k}")
-    if g.ndim == 1:
-        x = g.coords()
-        return Field(np.sin(k * np.pi * x / g.shape.length), g)
-    xx, yy = g.coords()
-    vals = np.sin(k * np.pi * xx / g.shape.a) * np.sin(k * np.pi * yy / g.shape.b)
-    return Field(vals.ravel(), g)
+    factors = [np.sin(k * np.pi * x / length) for x, length in zip(g.axes(), g.lengths)]
+    return Field(functools.reduce(np.multiply.outer, factors).ravel(), g)
 
 
 def sine_transform(values: np.ndarray, g: Grid, out: np.ndarray | None = None) -> np.ndarray:
@@ -245,7 +229,7 @@ def eigenvalues(g: Grid) -> np.ndarray:
         np.array([4.0 / (h * h) * math.sin(math.pi * k / (2 * (n + 1))) ** 2 for k in range(1, n + 1)])
         for h, n in zip(g.spacings, g.counts)
     ]
-    lam = axes[0] if g.ndim == 1 else np.add.outer(*axes).ravel()
+    lam = functools.reduce(np.add.outer, axes).ravel()
     lam.setflags(write=False)
     return lam
 
@@ -278,15 +262,15 @@ def discrete_poincare_constant(g: Grid) -> float:
 
 def _dirichlet_closed_form(g: Grid) -> float:
     if g.ndim == 1:
-        return g.shape.length / math.pi
-    a, b = g.shape.a, g.shape.b
+        return g.lengths[0] / math.pi
+    a, b = g.lengths
     return a * b / (math.pi * math.hypot(a, b))
 
 
 def _wirtinger(g: Grid) -> float:
     if g.ndim != 1:
         raise ConfigurationError("the wirtinger constant is defined for intervals only")
-    return g.shape.length / (2.0 * math.pi)
+    return g.lengths[0] / (2.0 * math.pi)
 
 
 # Provenances of the Poincare constant that are computed from the grid.
@@ -295,6 +279,10 @@ POINCARE_SOURCES = {
     "dirichlet-closed-form": _dirichlet_closed_form,
     "wirtinger": _wirtinger,
 }
+
+# Every provenance a certificate's C_Omega may name; "user" takes the
+# constant from the configuration instead of computing it.
+C_OMEGA_SOURCES = (*POINCARE_SOURCES, "user")
 
 
 def poincare_constant(g: Grid, source: str = "discrete") -> float:

@@ -4,6 +4,7 @@ supported bump, and nodal values loaded from a file."""
 
 from __future__ import annotations
 
+import functools
 import tokenize
 
 import numpy as np
@@ -25,12 +26,10 @@ def _bump_profile(x: np.ndarray, length: float) -> np.ndarray:
 
 
 def bump(g: Grid) -> Field:
-    """Smooth bump vanishing to all orders at the edge of its support."""
-    if g.ndim == 1:
-        return Field(_bump_profile(g.coords(), g.shape.length), g)
-    xx, yy = g.coords()
-    vals = _bump_profile(xx, g.shape.a) * _bump_profile(yy, g.shape.b)
-    return Field(vals.ravel(), g)
+    """Smooth bump vanishing to all orders at the edge of its support: the
+    product over the axes of one profile each."""
+    factors = [_bump_profile(x, length) for x, length in zip(g.axes(), g.lengths)]
+    return Field(functools.reduce(np.multiply.outer, factors).ravel(), g)
 
 
 def load_nodal(g: Grid, path: str) -> Field:
@@ -50,7 +49,7 @@ def load_nodal(g: Grid, path: str) -> Field:
     except (OSError, ValueError, EOFError, tokenize.TokenError) as exc:
         # a corrupt .npy header fails in numpy's header tokenizer
         raise DataFormatError(f"cannot read nodal values from {path}: {exc}") from exc
-    if vals.ndim == 2 and g.ndim == 2 and vals.shape == tuple(g.counts):
+    if vals.shape == g.counts:
         vals = vals.ravel()
     if vals.ndim != 1 or vals.size != g.num_interior:
         raise DataFormatError(

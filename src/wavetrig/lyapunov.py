@@ -175,10 +175,8 @@ class RunRecord:
         return np.flatnonzero(self.event)
 
     @cached_property
-    def events(self) -> EventLog | None:
-        """The event rows as an EventLog; None for an uncontrolled run."""
-        if self.mode == "uncontrolled":
-            return None
+    def events(self) -> EventLog:
+        """The event rows as an EventLog, empty for an uncontrolled run."""
         rows = self.event_indices()
         return EventLog(self.t[rows], self.trigger_value[rows], self.norm_e_sq[rows], self.eta0[rows])
 

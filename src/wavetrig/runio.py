@@ -80,17 +80,16 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
 
         with open(out / "events.csv", "w", newline="") as fh:
             fh.write("k,t_k,dwell\r\n")
-            if record.events is not None:
-                times = record.events.times.tolist()
-                dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]
-                row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
-                fh.writelines(row % (k, t, dwell) for k, (t, dwell) in enumerate(zip(times, dwells)))
+            times = record.events.times.tolist()
+            dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]
+            row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
+            fh.writelines(row % (k, t, dwell) for k, (t, dwell) in enumerate(zip(times, dwells)))
 
         summary = {
             "mode": record.mode,
             "dt": record.dt,
             "n_steps": record.n_steps,
-            "event_count": len(record.events) if record.events is not None else 0,
+            "event_count": len(record.events),
             "certificate": record.certificate.to_dict() if record.certificate else None,
             "trigger": asdict(record.trigger) if record.trigger else None,
             "meta": record.meta,
@@ -158,8 +157,12 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         trigger_params = TriggerParams(**trig) if trig is not None else None
     except (TypeError, WavetrigError) as exc:
         raise DataFormatError(f"summary trigger {trig!r} is not valid: {exc}") from exc
+    # 0/1 flags, with the unconditional event at t = 0 unless uncontrolled
+    event = cols.get("event", np.zeros(n))
+    if not (((event == 0) | (event == 1)).all() and event[0] == (mode != "uncontrolled")):
+        raise DataFormatError(f"the event column of {series_path} is not 0/1 flags with an event at t = 0")
     columns = {name: cols.get(name, nan) for name in RunRecord.COLUMNS}
-    columns["event"] = columns["event"].astype(bool) if "event" in cols else np.zeros(n, dtype=bool)
+    columns["event"] = event == 1
     record = RunRecord.from_columns(
         columns,
         certificate=certificate,

@@ -128,7 +128,7 @@ def test_a4_integrator_order():
         for _ in range(steps):
             s = wt.step(s, dt, 0.0)
         t = steps * dt
-        x = g.coords()
+        [x] = g.axes()
         err_z = np.max(np.abs(s.z.values - np.cos(np.pi * t) * np.sin(np.pi * x)))
         err_v = np.max(np.abs(s.v.values - (-np.pi) * np.sin(np.pi * t) * np.sin(np.pi * x)))
         errors.append(max(err_z, err_v))

@@ -11,11 +11,13 @@ import pytest
 
 import wavetrig as wt
 import wavetrig.cli as wavetrig_cli
+import wavetrig.config as wavetrig_config
 from wavetrig.cli import build_parser, main
-from wavetrig.config import C_OMEGA_SOURCES, DesignSpec, RunConfig, load_config, save_config
+from wavetrig.config import DesignSpec, RunConfig, load_config, save_config
 from wavetrig.design import certified_constants
 from wavetrig.dynamics import MODES
 from wavetrig.errors import ConfigurationError, WavetrigError
+from wavetrig.grid import C_OMEGA_SOURCES
 from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
 from wavetrig.trigger import ETA0_VARIANTS
 
@@ -122,6 +124,7 @@ def test_cli_choices_are_the_owning_tuples():
         assert options["--mode"].choices is MODES
         assert options["--comega-source"].choices is C_OMEGA_SOURCES
         assert options["--eta0-variant"].choices is ETA0_VARIANTS
+    assert wavetrig_config.C_OMEGA_SOURCES is C_OMEGA_SOURCES
 
 
 # -------------------------------------------------------------------- design
@@ -285,17 +288,27 @@ def test_cmd_verify_corrupted_energy_exits_1(tmp_path):
     assert main(["verify", str(tmp_path / "c-run")]) == 1
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda line: line.replace("e-", "x-", 1),  # non-numeric cell
-    lambda line: line.split(",", 1)[1],  # ragged row
-    lambda line: "#" + line,  # a comment is not a row
-], ids=["non-numeric", "ragged", "comment"])
-def test_cmd_verify_malformed_series_exits_65(tmp_path, corrupt):
+def _event_flag(value):
+    return lambda line: line.rsplit(",", 1)[0] + f",{value}\n"  # the event column is the last
+
+
+# (line of series.csv, edit): line 1 is row 0, the unconditional event at t = 0
+SERIES_TAMPERS = {
+    "non-numeric": (3, lambda line: line.replace("e-", "x-", 1)),
+    "ragged": (3, lambda line: line.split(",", 1)[1]),
+    "comment": (3, lambda line: "#" + line),  # a comment is not a row
+    "event-flag-7": (1, _event_flag(7)),
+    "no-event-at-t0": (1, _event_flag(0)),
+}
+
+
+@pytest.mark.parametrize("row, corrupt", SERIES_TAMPERS.values(), ids=SERIES_TAMPERS.keys())
+def test_cmd_verify_malformed_series_exits_65(tmp_path, row, corrupt):
     cfg, path = small_config(tmp_path, out=str(tmp_path / "m-run"))
     assert main(["simulate", "--config", str(path)]) == 0
     series = tmp_path / "m-run" / "series.csv"
     lines = series.read_text().splitlines(True)
-    lines[3] = corrupt(lines[3])
+    lines[row] = corrupt(lines[row])
     series.write_text("".join(lines))
     assert main(["verify", str(tmp_path / "m-run")]) == 65
 
@@ -361,6 +374,15 @@ def test_simulate_refuses_certificate_for_another_grid(tmp_path, capsys):
     assert not (tmp_path / "L1").exists()
 
 
+@pytest.mark.parametrize("option", [["--n", "31"], ["--length", "2"]], ids=["n", "length"])
+def test_interval_overrides_on_a_rectangle_config_exit_64(tmp_path, capsys, option):
+    # they would put the default interval in place of the configured rectangle
+    cfg, path = small_config(tmp_path, domain={"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 15, "ny": 15})
+    assert main(["simulate", "--config", str(path), *option]) == 64
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("c_omega_scale, code", [(1.0, 0), (1.5, 0), (1 - 1e-9, 64)],
                          ids=["equal", "larger", "smaller"])
 def test_simulate_user_certificate_needs_at_least_the_discrete_c_omega(tmp_path, c_omega_scale, code):
@@ -398,6 +420,7 @@ CERTIFICATE_TAMPERS = {
         c, nu0=c["beta"] / 2, nu1=c["beta"] / 2, beta=c["beta"] / 2, theta=c["beta"] / c["c2"]
     ),
     "missing-key": lambda c: {k: v for k, v in c.items() if k != "mu"},
+    "unknown-source": lambda c: dict(c, c_omega_source="bogus"),
 }
 
 
@@ -508,7 +531,7 @@ def test_simulate_determinism_byte_identical(tmp_path):
 
 def test_bump_and_file_initial_data(tmp_path):
     g = wt.build_grid(wt.Interval(1.0, 49))
-    nodal = np.sin(np.pi * g.coords())
+    nodal = np.sin(np.pi * g.axes()[0])
     np.save(tmp_path / "z0.npy", nodal)
     cfg, path = small_config(
         tmp_path,

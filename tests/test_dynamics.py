@@ -7,7 +7,7 @@ import wavetrig as wt
 from wavetrig import dynamics
 from wavetrig.cli import run_from_config
 from wavetrig.config import RunConfig
-from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError
+from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError, ShapeError
 from wavetrig.grid import Field, eigenvalues
 from wavetrig.initial import bump, sine_mode
 from wavetrig.trigger import predicate_from_norms
@@ -171,7 +171,7 @@ def _standing_wave_errors(times_half):
         for _ in range(steps):
             s = wt.step(s, dt, 0.0)
         t = steps * dt
-        x = g.coords()
+        [x] = g.axes()
         z_exact = np.cos(np.pi * t) * np.sin(np.pi * x)
         v_exact = -np.pi * np.sin(np.pi * t) * np.sin(np.pi * x)
         err_z = np.max(np.abs(s.z.values - z_exact))
@@ -295,7 +295,7 @@ def test_simulate_periodic_mode(small_setup):
 def test_simulate_uncontrolled_has_no_events(small_setup):
     g, cert, params, z0, z1, integ = small_setup
     rec = wt.simulate(z0, z1, 1.0, g, integ, mode="uncontrolled")
-    assert rec.events is None
+    assert len(rec.events) == 0
     assert not rec.event.any()
     assert np.isnan(rec.norm_e_sq[1:]).all()
 
@@ -312,6 +312,24 @@ def test_simulate_rejects_event_mode_without_params(small_setup):
     g, cert, params, z0, z1, integ = small_setup
     with pytest.raises(ConfigurationError):
         wt.simulate(z0, z1, 1.0, g, integ, mode="event-triggered")
+
+
+def test_simulate_refuses_initial_data_of_another_grid():
+    # the 20x10 fields hold the 200 values the 10x20 grid takes, on other nodes
+    g = wt.build_grid(wt.Rectangle(1.0, 2.0, 10, 20))
+    other = wt.build_grid(wt.Rectangle(2.0, 1.0, 20, 10))
+    ours, theirs = (sine_mode(g, 1), bump(g)), (sine_mode(other, 1), bump(other))
+    for z0, z1 in ((theirs[0], ours[1]), (ours[0], theirs[1])):
+        with pytest.raises(ShapeError):
+            wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=0.1), mode="continuous-damping")
+
+
+def test_simulate_refuses_a_certificate_for_another_alpha(small_setup):
+    # V would be built with the cross-weight of alpha = 2 on a run with alpha = 1
+    g, cert, params, z0, z1, integ = small_setup
+    cert2 = wt.build_certificate(wt.DesignInput(alpha=2.0, c_omega=cert.c_omega, c_omega_source="discrete"))
+    with pytest.raises(ConfigurationError, match="alpha"):
+        wt.simulate(z0, z1, 1.0, g, integ, params, cert2)
 
 
 def test_simulate_blowup_reports_step_index(small_setup):

@@ -16,8 +16,8 @@ def interval(L, n):
 
 
 def sine_field(g, k=1):
-    x = g.coords()
-    return Field(np.sin(k * np.pi * x / g.shape.length), g)
+    [x] = g.axes()
+    return Field(np.sin(k * np.pi * x / g.lengths[0]), g)
 
 
 # ---------------------------------------------------------------- build_grid
@@ -75,7 +75,7 @@ def test_l2_sine_matches_integral():
 def test_l2_2d_product_mode():
     # int over unit square of sin^2(pi x) sin^2(pi y) = 1/4
     g = wt.build_grid(wt.Rectangle(1.0, 1.0, 99, 99))
-    xx, yy = g.coords()
+    xx, yy = np.meshgrid(*g.axes(), indexing="ij")
     f = Field((np.sin(np.pi * xx) * np.sin(np.pi * yy)).ravel(), g)
     assert wt.l2_norm_sq(f, g) == pytest.approx(0.25, abs=1e-3)
 
@@ -135,7 +135,7 @@ def test_laplacian_eigenfunction_1d():
 
 def test_laplacian_eigenfunction_2d():
     g = wt.build_grid(wt.Rectangle(1.0, 1.0, 99, 99))
-    xx, yy = g.coords()
+    xx, yy = np.meshgrid(*g.axes(), indexing="ij")
     f = Field((np.sin(np.pi * xx) * np.sin(np.pi * yy)).ravel(), g)
     out = wt.apply_laplacian(f, g)
     np.testing.assert_allclose(out.values, -2 * np.pi ** 2 * f.values, rtol=1e-2)
