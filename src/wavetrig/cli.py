@@ -177,9 +177,10 @@ _OVERRIDES = (
 
 def _load_cfg(args) -> RunConfig:
     """The config file, or the defaults, with the command-line overrides."""
-    d = (RunConfig() if args.config is None else load_config(args.config)).to_dict()
-    if (args.length is not None or args.n is not None) and d["domain"].get("kind", "interval") != "interval":
+    cfg = RunConfig() if args.config is None else load_config(args.config)
+    if (args.length is not None or args.n is not None) and cfg.domain_kind != "interval":
         raise UsageError("--length and --n set an interval's length and nodes; the config's domain is not an interval")
+    d = cfg.to_dict()
     for key in _OVERRIDES:
         *section, name = key.split(".")
         value = getattr(args, name)
@@ -259,7 +260,7 @@ def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> 
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    if cfg.domain.get("kind") != "interval":
+    if cfg.domain_kind != "interval":
         raise ConfigurationError("sweep varies interval length; domain must be an interval")
     if cfg.certificate_path:
         raise ConfigurationError("sweep designs a certificate per cell; a certificate cannot be given")

@@ -118,9 +118,13 @@ class RunConfig:
         _check_types(self)
         check_choice("mode", self.mode, MODES)
 
+    @property
+    def domain_kind(self) -> str:  # a domain that names no kind is an interval
+        return self.domain.get("kind", "interval")
+
     def build_grid(self) -> Grid:
         d = self.domain
-        kind = d.get("kind", "interval")
+        kind = self.domain_kind
         check_choice("domain kind", kind, tuple(_DOMAINS))
         keys = fields(_DOMAINS[kind])
         known_keys(f"{kind} domain", d, ("kind", *(f.name for f in keys)))

@@ -108,6 +108,13 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
 _BLOCK_BYTES = 3 << 17
 
 
+def _aligned(shape: tuple, dtype=float) -> np.ndarray:
+    """An empty array starting on a 64-byte cache line: numpy aligns to 16 bytes, and a
+    step's time on 127x127 depended on where in a line malloc put the kernel's buffers."""
+    raw = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
+    return raw[-raw.ctypes.data % 64:][:raw.size - 64].view(dtype).reshape(shape)
+
+
 class _Modal:
     """The step kernel: the exact flow of step dt in the stencil's eigenbasis.
 
@@ -128,16 +135,16 @@ class _Modal:
         """The kernel at the flat fields z, v and the hold ``held``, with
         room for ``size`` states."""
         w = np.sqrt(_grid.eigenvalues(g))
-        self.held = _grid.sine_transform(held, g)
-        self.rows = np.empty((4, size, w.size))
+        self.held = _grid.sine_transform(held, g, out=_aligned(w.shape))
+        self.rows = _aligned((4, size, w.size))
         _lyapunov.modal_rows(g, z, v, w, out=self.rows[:, 0])
         np.subtract(self.rows[2, 0], self.held, out=self.rows[3, 0])
-        self._wp = np.multiply(w, -dt)  # the phase -w dt, until _shift makes it w p
-        self._rot = np.empty(w.size, dtype=complex)  # exp(-i w dt), built in place
+        self._wp = np.multiply(w, -dt, out=_aligned(w.shape))  # the phase -w dt, until _shift makes it w p
+        self._rot = _aligned(w.shape, complex)  # exp(-i w dt), built in place
         np.cos(self._wp, out=self._rot.real)
         np.sin(self._wp, out=self._rot.imag)
-        self._winv = np.divide(1.0, w, out=w)
-        self.q = np.empty((size, w.size), dtype=complex)
+        self._winv = np.divide(1.0, w, out=_aligned(w.shape))
+        self.q = _aligned((size, w.size), complex)
         self._q = list(self.q)  # its block rows
         self._k = 0  # the block length of _views
         self._alpha = alpha
@@ -280,7 +287,7 @@ def simulate(
     if certificate is not None and certificate.alpha != alpha:
         raise ConfigurationError(f"certificate made for alpha = {certificate.alpha}, the run has alpha = {alpha}")
 
-    uncontrolled = mode == "uncontrolled"
+    uncontrolled, event_triggered, periodic = (mode == name for name in ("uncontrolled", "event-triggered", "periodic"))
     a = 0.0 if uncontrolled else float(alpha)
     eps = certificate.epsilon if certificate is not None else 0.0
     dt = config.resolve_dt(g)
@@ -294,7 +301,7 @@ def simulate(
     event = np.zeros(m, dtype=bool)
     triggered = trigger_params is not None and not uncontrolled
     if triggered:
-        eta[:] = np.fromiter((_trigger.eta0(i * dt, trigger_params) for i in range(m)), float, m)
+        eta[:] = _trigger.eta0(np.arange(m) * dt, trigger_params)
 
     _check_step(g, dt, a)
     # lam1 and the margin by which C_Omega = 1/sqrt(lam1 (1 - margin)) is raised
@@ -330,12 +337,12 @@ def simulate(
                     v_0 = _lyapunov.energy_lyapunov(nz_j, nv_j, w * s_gz[0], w * s_zv[0], eps, a)[1]
                     _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
                     event[0] = not uncontrolled
-                if mode == "event-triggered":
+                if event_triggered:
                     fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_j, trigger_params) >= 0.0
-                elif mode == "periodic":
+                elif periodic:
                     fire = row * dt - t_k >= period * (1.0 - 1e-12)
-                else:
-                    fire = mode == "continuous-damping"
+                else:  # continuous damping fires at every row, an uncontrolled run at none
+                    fire = not uncontrolled
                 if fire:
                     event[row] = True
                     kernel.hold(j)

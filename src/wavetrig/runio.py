@@ -37,6 +37,7 @@ __all__ = [
 SERIES_COLUMNS = tuple(RunRecord.COLUMNS)
 SERIES_COLUMNS_UNCONTROLLED = tuple(RunRecord.PLANT_COLUMNS)
 _FLOAT_FORMAT = "%.17e"
+_BLOCK_ROWS = 1024  # rows of series.csv and events.csv formatted and written at a time
 
 
 def fmt(x: float) -> str:
@@ -65,6 +66,17 @@ def writing(path: str | Path):
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_table(path: Path, names, row: str, columns):
+    """Write the header ``names`` and the rows of ``columns``, as csv.writer
+    would, a block at a time: one bytes %-format of the block's cells by
+    ``row``, the format of one row (``%d`` takes a flag or count as a float)."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(names).encode() + b"\r\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+            fh.write((row.encode() * len(block)) % tuple(block.ravel().tolist()))
+
+
 def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None = None) -> Path:
     """Write series.csv, events.csv and summary.json into ``outdir``."""
     out = Path(outdir)
@@ -72,18 +84,13 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
         out.mkdir(parents=True, exist_ok=True)
         names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
         columns = record.columns()
-        # one %-format per row, with the line ending csv.writer uses
         row = ",".join("%d" if name == "event" else _FLOAT_FORMAT for name in names) + "\r\n"
-        with open(out / "series.csv", "w", newline="") as fh:
-            fh.write(",".join(names) + "\r\n")
-            fh.writelines(row % cells for cells in zip(*(columns[name].tolist() for name in names)))
+        _write_table(out / "series.csv", names, row, [columns[name] for name in names])
 
-        with open(out / "events.csv", "w", newline="") as fh:
-            fh.write("k,t_k,dwell\r\n")
-            times = record.events.times.tolist()
-            dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]
-            row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
-            fh.writelines(row % (k, t, dwell) for k, (t, dwell) in enumerate(zip(times, dwells)))
+        times = record.events.times.tolist()
+        dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]  # the first event has none
+        row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
+        _write_table(out / "events.csv", ("k", "t_k", "dwell"), row, [np.arange(len(times)), times, dwells])
 
         summary = {
             "mode": record.mode,

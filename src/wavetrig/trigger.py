@@ -76,12 +76,14 @@ class DwellStats:
         return asdict(self)  # the histogram tuples serialise as JSON lists
 
 
-def eta0(t: float, params: TriggerParams) -> float:
-    """Threshold floor eta0_scale * exp(-theta t); strictly positive and
-    strictly decreasing."""
-    if t < 0:
+def eta0(t: float | np.ndarray, params: TriggerParams) -> float | np.ndarray:
+    """Threshold floor eta0_scale * exp(-theta t), strictly decreasing, at a time or an array
+    of times: math.exp entry by entry gives each the scalar call's bits (np.exp may differ)."""
+    times = np.asarray(t, dtype=float)
+    if (times < 0).any():
         raise PreconditionError(f"time must be nonnegative, got {t}")
-    return params.eta0_scale * math.exp(-params.theta * t)
+    decay = np.fromiter(map(math.exp, (times * -params.theta).ravel().tolist()), float, times.size)
+    return params.eta0_scale * (decay.reshape(times.shape) if times.ndim else float(decay[0]))
 
 
 def predicate_from_norms(

@@ -622,6 +622,19 @@ def test_cmd_sweep_uses_the_configured_c_omega(tmp_path, options, source, c_omeg
         assert not (out / "cell_a1_L1").exists()
 
 
+@pytest.mark.parametrize("domain, code", [
+    ({"length": 1.0, "n": 49}, 0),  # no "kind": an interval, as simulate and design take it
+    ({"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 15, "ny": 15}, 64),
+], ids=["kind-less-interval", "rectangle"])
+def test_cmd_sweep_runs_a_kind_less_interval_and_refuses_a_rectangle(tmp_path, domain, code):
+    cfg, path = small_config(tmp_path, domain=domain, t_end=1.0)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--alphas", "1", "--lengths", "1", "--out", str(out)]) == code
+    assert (out / "cell_a1_L1" / "series.csv").is_file() == (code == 0)
+    if code == 0:
+        assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[3] == "1"
+
+
 def test_cmd_sweep_refuses_certificate(tmp_path):
     cfg, path = small_config(tmp_path)
     assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0

@@ -463,6 +463,29 @@ def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypat
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
+def test_eta0_column_is_the_scalar_floor_at_every_row():
+    # simulate fills the column with one call on the array of row times; an
+    # entry must be the scalar call's, bit for bit (np.exp would move some
+    # entries by an ulp, and the golden hashes with them)
+    g = wt.build_grid(wt.Interval(1.0, 49))
+    params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
+    rec = wt.simulate(sine_mode(g, 1), bump(g), 1.0, g, wt.IntegratorConfig(t_end=20.0), params)
+    assert rec.t.size > 1000 and rec.event[1:].any()
+    want = [wt.eta0(i * rec.dt, params) for i in range(rec.t.size)]
+    assert rec.eta0.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [wt.Rectangle(1.0, 1.0, 127, 127), wt.Interval(1.0, 199)], ids=["127x127", "n199"])
+def test_kernel_buffers_start_on_cache_lines(shape):
+    # numpy aligns to 16 bytes only; a step's time on 127x127 depended on
+    # where in a cache line malloc happened to start each buffer
+    g = wt.build_grid(shape)
+    z = sine_mode(g, 1).values
+    kernel = dynamics._Modal(g, z, z, z, 1.0, wt.cfl_max_dt(g), size=3)
+    for name in ("held", "rows", "_wp", "_rot", "_winv", "q"):
+        assert getattr(kernel, name).ctypes.data % 64 == 0, name
+
+
 @pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])
 def test_in_place_hold_matches_a_replay_with_fresh_samples(mode):
     # the kernel copies each new sample into its one hold buffer; the replay

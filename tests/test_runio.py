@@ -4,12 +4,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavetrig.lyapunov import RunRecord
-from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, save_run
+from wavetrig.runio import _BLOCK_ROWS, SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, save_run
 
 
 def fmt(x) -> str:
@@ -49,3 +50,28 @@ def test_series_writer_matches_csv_writer(columns, uncontrolled):
     with tempfile.TemporaryDirectory() as tmp:
         save_run(record, tmp)
         assert (Path(tmp) / "series.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("uncontrolled", [False, True], ids=["controlled", "uncontrolled"])
+@pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=["block-1", "block", "block+1", "2block+1"])
+def test_series_writer_matches_csv_writer_across_row_blocks(blocks, uncontrolled):
+    # save_run formats and writes series.csv a block of rows at a time; rows
+    # on both sides of a block's edge, the special values among them, must
+    # be what the one-row-at-a-time reference writes
+    n = blocks[0] * _BLOCK_ROWS + blocks[1]
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, 1.0, -1.5e300])
+    rng = np.random.default_rng(n)
+    columns = {
+        name: rng.choice(specials, n) * np.where(rng.random(n) < 0.5, 1.0, rng.standard_normal(n))
+        for name in SERIES_COLUMNS if name != "event"
+    }
+    for k, name in enumerate(columns):  # special values on both sides of every block edge
+        for edge in range(_BLOCK_ROWS, n, _BLOCK_ROWS):
+            columns[name][edge - 1:edge + 1] = specials[k % 4::4]
+    columns["event"] = rng.random(n) < 0.1
+    mode = "uncontrolled" if uncontrolled else "event-triggered"
+    names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
+    record = RunRecord.from_columns(columns, certificate=None, trigger=None, mode=mode, dt=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_run(record, tmp)
+        assert (Path(tmp) / "series.csv").read_bytes() == reference_series(names, columns)
