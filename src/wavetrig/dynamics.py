@@ -32,9 +32,11 @@ __all__ = [
     "IntegratorConfig",
     "MODES",
     "cfl_max_dt",
+    "step_count",
     "step",
     "refresh_sample",
     "simulate",
+    "build_record",
 ]
 
 # Update policies of the hold; see simulate.
@@ -93,6 +95,11 @@ def cfl_max_dt(g: _grid.Grid) -> float:
     exact flow is stable at any dt; dt sets how often the trigger samples."""
     bound = sum(4.0 / (h * h) for h in g.spacings)
     return 2.0 / math.sqrt(bound)
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of dt to the horizon t_end: the first that reaches it, to rounding."""
+    return max(1, int(math.ceil(t_end / dt - 1e-9)))
 
 
 def _check_step(g: _grid.Grid, dt: float, alpha: float):
@@ -268,8 +275,8 @@ def simulate(
     damping stays at one.  Every row is computed as with one step a block,
     so the record does not depend on the block sizes, bit for bit.  The
     eta0 column is filled before the loop; after it, one product scales
-    the sums to the norms and the predicate column is formed by the
-    formula the scan tested.
+    the sums to the norms, and :func:`build_record` rebuilds the other
+    series from them, the predicate column by the formula the scan tested.
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
@@ -291,16 +298,15 @@ def simulate(
     a = 0.0 if uncontrolled else float(alpha)
     eps = certificate.epsilon if certificate is not None else 0.0
     dt = config.resolve_dt(g)
-    n_steps = max(1, int(math.ceil(config.t_end / dt - 1e-9)))
+    n_steps = step_count(config.t_end, dt)
 
     m = n_steps + 1
-    # the series columns, written in place by the loop, in the order of the
-    # kernel's norm sums; cross is <z, v>
-    cols = np.full((7, m), np.nan)
-    nz, ngz, nv, ne, cross, eta, pred = cols
+    # the norms, written in place by the loop in the order of the kernel's
+    # sums (cross is <z, v>), then the eta0 column the scan tests
+    cols = np.full((6, m), np.nan)
+    nz, ngz, nv, ne, cross, eta = cols
     event = np.zeros(m, dtype=bool)
-    triggered = trigger_params is not None and not uncontrolled
-    if triggered:
+    if trigger_params is not None and not uncontrolled:
         eta[:] = _trigger.eta0(np.arange(m) * dt, trigger_params)
 
     _check_step(g, dt, a)
@@ -325,7 +331,7 @@ def simulate(
             kernel.sums(n, out=block[:5])  # w times them are the norms, by Parseval
             # the block ends at its first row that fires; a scan over Python
             # floats, which at one row a block costs less than array calls
-            s_z, s_gz, s_v, s_e, s_zv, eta_b, _ = block.tolist()
+            s_z, s_gz, s_v, s_e, s_zv, eta_b = block.tolist()
             for j, (nz_j, nv_j, ne_j, eta_j) in enumerate(zip(s_z, s_v, s_e, eta_b)):
                 row = i + j
                 nz_j, nv_j, ne_j = w * nz_j, w * nv_j, w * ne_j  # as lyapunov.field_norms
@@ -352,33 +358,55 @@ def simulate(
             n = min(1 if event[row] else 2 * n, size, m - row - 1)
             i = row + 1
         np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums
-        if triggered:  # the column of the values the scan tested
-            pred[:] = _trigger.predicate_from_norms(ne, nz, nv, eta, trigger_params)
-        if uncontrolled:  # no hold acts, so there is no deviation to record
-            ne.fill(np.nan)
-        # numpy warns on 0 * inf in V where Python floats did not
-        energy, lyap = _lyapunov.energy_lyapunov(nz, nv, ngz, cross, eps, a)
+    if uncontrolled:  # no hold acts, so there is no deviation to record
+        ne.fill(np.nan)
+    meta = {"alpha": a, "n_steps": n_steps, "t_end": config.t_end, "period": period, "grid": grid_meta}
+    return build_record(
+        dict(zip(_lyapunov.RunRecord.COLUMNS, cols[:5]), event=event),
+        certificate=certificate, trigger_params=trigger_params, mode=mode, dt=dt, meta=meta, eta0=eta,
+    )
 
+
+def build_record(
+    columns: dict[str, np.ndarray],
+    certificate: StabilityCertificate | None,
+    trigger_params: _trigger.TriggerParams | None,
+    mode: str,
+    dt: float,
+    meta: dict | None = None,
+    eta0: np.ndarray | None = None,
+) -> _lyapunov.RunRecord:
+    """The record of a run from what its loop computes, the series
+    ``RunRecord.COLUMNS`` (an uncontrolled run's ``norm_e_sq`` and
+    ``event`` may be left out: NaN and no events), and its certificate,
+    trigger and mode; :func:`simulate` and ``runio.load_run`` both build
+    their records here.
+
+    The other series are rebuilt: ``t = k dt``, E and V by
+    ``lyapunov.energy_lyapunov`` with the certificate's eps and alpha
+    (alpha = 0 uncontrolled, eps = 0 with no certificate, when V is E),
+    and, when trigger parameters drive a run that is not uncontrolled,
+    ``eta0`` (``trigger.eta0``, unless the caller has the column already)
+    and ``trigger_value`` (``trigger.predicate_from_norms``); else NaN.
+    """
+    m = columns["norm_z_sq"].size
+    nan = np.full(m, np.nan)
+    cols = {"norm_e_sq": nan, "event": np.zeros(m, dtype=bool), **columns}
+    uncontrolled = mode == "uncontrolled"
+    eps = certificate.epsilon if certificate is not None else 0.0
+    a = certificate.alpha if certificate is not None and not uncontrolled else 0.0
+    t = np.arange(m) * dt
+    pred = nan
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns on 0 * inf where Python floats do not
+        energy, lyap = _lyapunov.energy_lyapunov(
+            cols["norm_z_sq"], cols["norm_v_sq"], cols["norm_gradz_sq"], cols["inner_zv"], eps, a
+        )
+        if trigger_params is not None and not uncontrolled:
+            eta0 = _trigger.eta0(t, trigger_params) if eta0 is None else eta0
+            pred = _trigger.predicate_from_norms(
+                cols["norm_e_sq"], cols["norm_z_sq"], cols["norm_v_sq"], eta0, trigger_params
+            )
     return _lyapunov.RunRecord(
-        t=np.arange(m) * dt,
-        energy=energy,
-        lyapunov=lyap,
-        norm_z_sq=nz,
-        norm_v_sq=nv,
-        norm_gradz_sq=ngz,
-        norm_e_sq=ne,
-        eta0=eta,
-        trigger_value=pred,
-        event=event,
-        certificate=certificate,
-        trigger=trigger_params,
-        mode=mode,
-        dt=dt,
-        meta={
-            "alpha": a,
-            "n_steps": n_steps,
-            "t_end": config.t_end,
-            "period": period,
-            "grid": grid_meta,
-        },
+        t=t, energy=energy, lyapunov=lyap, eta0=nan if eta0 is None else eta0, trigger_value=pred, **cols,
+        certificate=certificate, trigger=trigger_params, mode=mode, dt=dt, meta={} if meta is None else meta,
     )

@@ -121,7 +121,8 @@ class RunRecord:
     deviation/threshold/predicate columns hold NaN for uncontrolled runs.
     Values at an event step are the pre-refresh ones, so the predicate
     column is the value that caused the firing.  The columns are the whole
-    record: ``events`` is a view of the event rows.
+    record: ``events`` is a view of the event rows.  ``inner_zv`` is the
+    cross term <z, v> of V.
     """
 
     t: np.ndarray
@@ -131,6 +132,7 @@ class RunRecord:
     norm_v_sq: np.ndarray
     norm_gradz_sq: np.ndarray
     norm_e_sq: np.ndarray
+    inner_zv: np.ndarray
     eta0: np.ndarray
     trigger_value: np.ndarray
     event: np.ndarray
@@ -140,32 +142,19 @@ class RunRecord:
     dt: float
     meta: dict = field(default_factory=dict)
 
-    # series.csv column -> field, in file order.  Uncontrolled runs write the
-    # plant columns only; the trigger columns would be all NaN.
-    PLANT_COLUMNS: ClassVar[dict[str, str]] = {
-        "t": "t", "E": "energy", "V": "lyapunov", "norm_z_sq": "norm_z_sq",
-        "norm_v_sq": "norm_v_sq", "norm_gradz_sq": "norm_gradz_sq",
-    }
-    COLUMNS: ClassVar[dict[str, str]] = {
-        **PLANT_COLUMNS,
-        "norm_e_sq": "norm_e_sq", "eta0": "eta0", "trigger_value": "trigger_value", "event": "event",
-    }
+    # series.csv's columns, in file order: what the step loop computes, its
+    # norms in the order of the kernel's sums, and the event flags.  Every
+    # other series is rebuilt from them (dynamics.build_record).
+    COLUMNS: ClassVar[tuple[str, ...]] = ("norm_z_sq", "norm_gradz_sq", "norm_v_sq", "norm_e_sq", "inner_zv", "event")
+    # every per-step series of the record, the rebuilt ones first
+    SERIES: ClassVar[tuple[str, ...]] = ("t", "energy", "lyapunov", "eta0", "trigger_value", *COLUMNS)
 
     def __post_init__(self):
-        series = [getattr(self, name) for name in self.COLUMNS.values()]
+        series = [getattr(self, name) for name in self.SERIES]
         if any(s.size != self.t.size for s in series):
             raise ConfigurationError("run record series have mismatched lengths")
         for arr in series:
             arr.setflags(write=False)
-
-    @classmethod
-    def from_columns(cls, columns: dict[str, np.ndarray], **rest) -> "RunRecord":
-        """Build a record from series arrays keyed by CSV column name."""
-        return cls(**{name: columns[col] for col, name in cls.COLUMNS.items()}, **rest)
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """Series arrays keyed by CSV column name, in file order."""
-        return {col: getattr(self, name) for col, name in self.COLUMNS.items()}
 
     @property
     def n_steps(self) -> int:

@@ -1,6 +1,9 @@
 """Run persistence: CSV time series, CSV event log, JSON summary and
 certificate files.
 
+``series.csv`` holds only what the step loop computes (``RunRecord.COLUMNS``);
+:func:`load_run` rebuilds ``t``, E, V, eta0 and the predicate from it with
+the code :func:`~wavetrig.dynamics.simulate` uses (``dynamics.build_record``).
 Floats are written in scientific notation with 18 significant digits so a
 write/read cycle is bit-exact and identical runs produce byte-identical
 series files.
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import StabilityCertificate
-from .dynamics import MODES
+from .dynamics import MODES, build_record, step_count
 from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
 from .lyapunov import RunRecord
 from .trigger import TriggerParams
@@ -34,8 +37,9 @@ __all__ = [
     "read_certificate",
 ]
 
-SERIES_COLUMNS = tuple(RunRecord.COLUMNS)
-SERIES_COLUMNS_UNCONTROLLED = tuple(RunRecord.PLANT_COLUMNS)
+SERIES_COLUMNS = RunRecord.COLUMNS
+# no hold acts in an uncontrolled run: it has no deviation and no events
+SERIES_COLUMNS_UNCONTROLLED = tuple(name for name in SERIES_COLUMNS if name not in ("norm_e_sq", "event"))
 _FLOAT_FORMAT = "%.17e"
 _BLOCK_ROWS = 1024  # rows of series.csv and events.csv formatted and written at a time
 
@@ -83,9 +87,8 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
         names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
-        columns = record.columns()
         row = ",".join("%d" if name == "event" else _FLOAT_FORMAT for name in names) + "\r\n"
-        _write_table(out / "series.csv", names, row, [columns[name] for name in names])
+        _write_table(out / "series.csv", names, row, [getattr(record, name) for name in names])
 
         times = record.events.times.tolist()
         dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]  # the first event has none
@@ -116,7 +119,10 @@ def _parse_series(path: Path) -> dict[str, np.ndarray]:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise DataFormatError(f"cannot read series file {path}: {exc}") from exc
     if header not in (list(SERIES_COLUMNS), list(SERIES_COLUMNS_UNCONTROLLED)):
-        raise DataFormatError(f"unexpected series header in {path}: {header}")
+        raise DataFormatError(
+            f"unexpected series header in {path}: {','.join(header)}; expected "
+            f"{','.join(SERIES_COLUMNS)}, or {','.join(SERIES_COLUMNS_UNCONTROLLED)} for an uncontrolled run"
+        )
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header-only file is refused below
@@ -125,7 +131,7 @@ def _parse_series(path: Path) -> dict[str, np.ndarray]:
         raise DataFormatError(f"malformed series table in {path}: {exc}") from exc
     if data.shape[0] < 2 or data.shape[1] != len(header):
         raise DataFormatError(f"malformed series table in {path}")
-    return {name: data[:, j] for j, name in enumerate(header)}
+    return dict(zip(header, np.ascontiguousarray(data.T)))  # each column contiguous
 
 
 def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
@@ -142,19 +148,24 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     if not isinstance(summary, dict):
         raise DataFormatError(f"{summary_path} is not a JSON object")
     cols = _parse_series(series_path)
-    n = cols["t"].size
-    # the summary fixes the time axis, so a stretched or cut t column is refused
-    dt, n_steps = summary.get("dt"), summary.get("n_steps")
+    n = cols["norm_z_sq"].size
+    # the summary fixes the time axis: n_steps is simulate's step count of
+    # dt to the horizon meta.t_end, so a rescaled dt is refused
+    dt, n_steps, meta = summary.get("dt"), summary.get("n_steps"), summary.get("meta")
     if type(dt) not in (int, float) or not 0 < dt <= sys.float_info.max:
         raise DataFormatError(f"summary dt {dt!r} is not a positive number")
     dt = float(dt)  # an int beyond the float range is refused above
+    t_end = meta.get("t_end") if isinstance(meta, dict) else None
+    if type(t_end) not in (int, float) or not 0 < t_end <= sys.float_info.max or not t_end / dt < n:
+        raise DataFormatError(f"summary meta.t_end {t_end!r} is not a horizon of the {n} rows of {series_path}")
     if type(n_steps) is not int or n != n_steps + 1:
         raise DataFormatError(f"summary n_steps {n_steps!r} does not fit the {n} rows of {series_path}")
-    if not np.array_equal(cols["t"], np.arange(n) * dt):
-        raise DataFormatError(f"the t column of {series_path} is not {n_steps} steps of dt = {dt}")
-    nan = np.full(n, np.nan)
+    if step_count(t_end, dt) != n_steps or meta.get("n_steps") != n_steps:
+        raise DataFormatError(
+            f"summary n_steps {n_steps!r} (meta: {meta.get('n_steps')!r}) is not the steps of dt = {dt} to t_end = {t_end}"
+        )
     mode = summary.get("mode")
-    # an uncontrolled run, and only one, is written with the plant columns alone
+    # an uncontrolled run, and only one, is written without the hold's columns
     if mode not in MODES or (mode == "uncontrolled") != ("event" not in cols):
         raise DataFormatError(f"summary mode {mode!r} does not fit the series header of {d}")
     cert = summary.get("certificate")
@@ -164,20 +175,19 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         trigger_params = TriggerParams(**trig) if trig is not None else None
     except (TypeError, WavetrigError) as exc:
         raise DataFormatError(f"summary trigger {trig!r} is not valid: {exc}") from exc
-    # 0/1 flags, with the unconditional event at t = 0 unless uncontrolled
-    event = cols.get("event", np.zeros(n))
-    if not (((event == 0) | (event == 1)).all() and event[0] == (mode != "uncontrolled")):
-        raise DataFormatError(f"the event column of {series_path} is not 0/1 flags with an event at t = 0")
-    columns = {name: cols.get(name, nan) for name in RunRecord.COLUMNS}
-    columns["event"] = event == 1
-    record = RunRecord.from_columns(
-        columns,
-        certificate=certificate,
-        trigger=trigger_params,
-        mode=mode,
-        dt=dt,
-        meta=summary.get("meta", {}),
-    )
+    # eta0 and the predicate are rebuilt from this entry: it must be the certificate's
+    if (
+        trigger_params is not None and certificate is not None
+        and trigger_params != TriggerParams.from_certificate(certificate, trigger_params.eta0_scale)
+    ):
+        raise DataFormatError(f"summary trigger {trig!r} does not have its certificate's gamma0, gamma1 and theta")
+    # 0/1 flags, with the unconditional event at t = 0
+    if "event" in cols:
+        event = cols["event"]
+        if not (((event == 0) | (event == 1)).all() and event[0] == 1):
+            raise DataFormatError(f"the event column of {series_path} is not 0/1 flags with an event at t = 0")
+        cols["event"] = event == 1
+    record = build_record(cols, certificate, trigger_params, mode, dt, meta)
     return record, summary
 
 

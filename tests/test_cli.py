@@ -276,16 +276,43 @@ def test_cmd_verify_missing_dir_exits_66(tmp_path):
     assert main(["verify", str(tmp_path / "not-there")]) == 66
 
 
+def _scale_column(series, name, factor, rows=slice(None)):
+    """Multiply the cells of the named column of ``series`` (a series.csv) in ``rows`` by ``factor``."""
+    header, *lines = series.read_text().splitlines()
+    j = header.split(",").index(name)
+    for i in range(len(lines))[rows]:
+        cells = lines[i].split(",")
+        cells[j] = format(float(cells[j]) * factor, ".17e")
+        lines[i] = ",".join(cells)
+    series.write_text("\n".join([header, *lines]) + "\n")
+
+
 def test_cmd_verify_corrupted_energy_exits_1(tmp_path):
     cfg, path = small_config(tmp_path, out=str(tmp_path / "c-run"))
     assert main(["simulate", "--config", str(path)]) == 0
-    series = tmp_path / "c-run" / "series.csv"
-    lines = series.read_text().splitlines(True)
-    cells = lines[400].split(",")
-    cells[1] = format(float(cells[1]) * 1e3, ".17e")
-    lines[400] = ",".join(cells)
-    series.write_text("".join(lines))
+    _scale_column(tmp_path / "c-run" / "series.csv", "norm_gradz_sq", 1e3, slice(399, 400))  # E and V at one row
     assert main(["verify", str(tmp_path / "c-run")]) == 1
+
+
+# column of series.csv -> the checks that fail when every row of it is tripled
+TRIPLED_COLUMN_FAILS = {
+    "norm_z_sq": {"equivalence", "trigger-invariant"},
+    "norm_gradz_sq": {"vdot"},
+    "norm_v_sq": {"vdot", "envelope", "trigger-invariant"},
+    "norm_e_sq": {"trigger-invariant"},
+    "inner_zv": {"equivalence"},
+}
+
+
+@pytest.mark.parametrize("column, fails", TRIPLED_COLUMN_FAILS.items(), ids=TRIPLED_COLUMN_FAILS.keys())
+def test_verify_fails_a_tripled_primitive_column(tmp_path, capsys, column, fails):
+    # E, V, eta0 and the predicate are rebuilt on load from what the loop
+    # computes, so no derived column can be edited to hide the tamper
+    assert main(["simulate", "--n", "49", "--t-end", "3", "--out", str(tmp_path / "run")]) == 0
+    _scale_column(tmp_path / "run" / "series.csv", column, 3.0)
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 1
+    assert set(re.findall(r"^(\S+): FAIL", capsys.readouterr().out, re.M)) == fails
 
 
 def _event_flag(value):
@@ -467,6 +494,16 @@ SUMMARY_TAMPERS = {
     "n-steps-one-less": lambda s: dict(s, n_steps=s["n_steps"] - 1),
     "n-steps-float": lambda s: dict(s, n_steps=float(s["n_steps"])),
     "no-n-steps": lambda s: {k: v for k, v in s.items() if k != "n_steps"},
+    "no-meta": lambda s: {k: v for k, v in s.items() if k != "meta"},
+    "t-end-string": lambda s: dict(s, meta=dict(s["meta"], t_end=str(s["meta"]["t_end"]))),
+    "t-end-beyond-float": lambda s: dict(s, meta=dict(s["meta"], t_end=10 ** 400)),
+    "t-end-doubled": lambda s: dict(s, meta=dict(s["meta"], t_end=2 * s["meta"]["t_end"])),
+    "t-end-halved": lambda s: dict(s, meta=dict(s["meta"], t_end=s["meta"]["t_end"] / 2)),
+    "meta-n-steps-one-more": lambda s: dict(s, meta=dict(s["meta"], n_steps=s["n_steps"] + 1)),
+    # eta0 and the predicate are rebuilt from the trigger entry
+    "trigger-gamma0-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], gamma0=2 * s["trigger"]["gamma0"])),
+    "trigger-gamma1-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], gamma1=s["trigger"]["gamma1"] / 2)),
+    "trigger-theta-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], theta=2 * s["trigger"]["theta"])),
 }
 
 
@@ -480,14 +517,20 @@ def test_verify_refuses_a_malformed_summary(sim_run, tmp_path, capsys, tamper):
     assert "data format error" in capsys.readouterr().err
 
 
-def test_verify_refuses_a_rescaled_time_axis(sim_run, tmp_path, capsys):
-    # every t times 3 leaves each check's inequality intact; summary.json's dt does not fit
+OLD_SERIES_HEADER = "t,E,V,norm_z_sq,norm_v_sq,norm_gradz_sq,norm_e_sq,eta0,trigger_value,event"
+
+
+def test_verify_refuses_the_old_series_layout(sim_run, tmp_path, capsys):
+    # the derived columns t, E, V, eta0 and trigger_value are no longer
+    # read: a file that carries them is refused, not half read
     rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
-    header, *rows = (rundir / "series.csv").read_text().splitlines()
-    rows = [",".join([format(3 * float(t), ".17e"), rest]) for t, rest in (row.split(",", 1) for row in rows)]
-    (rundir / "series.csv").write_text("\n".join([header, *rows]) + "\n")
+    record, _ = load_run(rundir)
+    columns = [getattr(record, name) for name in
+               ("t", "energy", "lyapunov", "norm_z_sq", "norm_v_sq", "norm_gradz_sq", "norm_e_sq", "eta0", "trigger_value")]
+    rows = [",".join(format(c[i], ".17e") for c in columns) + f",{int(record.event[i])}" for i in range(record.t.size)]
+    (rundir / "series.csv").write_text("\n".join([OLD_SERIES_HEADER, *rows]) + "\n")
     assert main(["verify", str(rundir)]) == 65
-    assert "steps of dt" in capsys.readouterr().err
+    assert ",".join(SERIES_COLUMNS) in capsys.readouterr().err
 
 
 def test_verify_refuses_a_controlled_mode_on_a_plant_only_series(tmp_path):

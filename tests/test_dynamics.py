@@ -459,7 +459,7 @@ def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypat
     monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
     got = run()
     assert (want.event[1:].sum() >= 2) == (mode != "uncontrolled")  # events after t = 0 cut blocks
-    for name in wt.RunRecord.COLUMNS.values():
+    for name in wt.RunRecord.SERIES:
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 

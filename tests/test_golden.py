@@ -75,6 +75,17 @@ when the ``zeno`` report lost its ``quantization_dt`` entry, which always
 repeated the run's ``dt``.  With that one entry put back, each new summary
 hashes to its old value; every ``series.csv`` and ``events.csv`` hash, and
 the ``uncontrolled`` summary, stayed the same.
+
+The ``series.csv`` hashes were re-recorded once more when the file came to
+hold only what the step loop computes, ``norm_z_sq, norm_gradz_sq,
+norm_v_sq, norm_e_sq, inner_zv, event`` (an uncontrolled run writes no
+``norm_e_sq`` and no ``event``), and ``load_run`` began to rebuild ``t``,
+E, V, ``eta0`` and ``trigger_value`` from it.  The numbers did not move:
+:func:`test_load_run_rebuilds_the_simulated_record` checks that every
+series of the loaded record, the rebuilt ones included, is the simulated
+one bit for bit.  Every ``events.csv`` and ``summary.json`` hash stayed the
+same.  ``v0-cross`` and ``reduced-cross`` now share a ``series.csv``: their
+eta0 variants differ only in the threshold scale, which the summary holds.
 """
 
 import hashlib
@@ -83,7 +94,10 @@ import json
 import numpy as np
 import pytest
 
-from wavetrig.cli import main
+from wavetrig.cli import main, run_from_config
+from wavetrig.config import load_config
+from wavetrig.lyapunov import RunRecord
+from wavetrig.runio import load_run
 
 BASE = {"domain": {"kind": "interval", "length": 1.0, "n": 49}, "t_end": 3.0}
 
@@ -105,57 +119,57 @@ CASES = {
 # sha256 of (series.csv, events.csv, summary.json); every case exits 0
 GOLDEN = {
     "event-triggered": (
-        "87213ab299b6e213dcb6d31a96aa7ac90d6593ed61404314133b69a5c918edb9",
+        "1fdb1e8d5e210aba5d8ec415e89ca585c14a6adfa1701751d5c0bb9e722a3611",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
         "964745fdd05154e69463acf3e3cb5c819d357b5cfffca7ff33a35a8b1e6c8062",
     ),
     "continuous-damping": (
-        "fb47925f29b88c2e90dcc0f95fc8c3c632047a0101cfab37ccf1cc41ef1a2e96",
+        "bee3d2e45a83ca42db8fb258969439f21687176febcebb26bba9054229a89ed4",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
         "dcabe9ddcffa5ad9f3a028d97f14c828ebb0ae7d0f35b7331b34af7633d3da2b",
     ),
     "periodic-matched": (
-        "dc78f9bf01162b2ec57ee20ae4be8d8df95080cad372fcd687f0675ce2ce0d45",
+        "aebde1cc0bf4bb6f19d3f55712b780c3c3a12ddb461d3f2a712a3099f8065880",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
         "3bd3d15524caa4b89191fa2bd2762236c69fecb0d191c69fdab71af4a20d30f2",
     ),
     "periodic-fixed": (
-        "6077b1d789886177c2666d8f9bd92d905c965a945fb37f18ecbf37bc3a67b74e",
+        "38e8c4b0c82c423f376ab5d55de0b7df9eae0cfaf47e5d15171b11b5622f60f9",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
         "4e5329409f409bc07d982727d9742fccd38dacc702c3144f5a27abde7bc0de1b",
     ),
     "uncontrolled": (
-        "719ca0915e5723677c5f7770144426e6ed75aca843fbc20e4b4f876d6690179f",
+        "10f1ba7d2b4a7cbd0399eeb3ef6c0bd1c8b5fdc8cd7ba1b1aba8a48cd52bf7d2",
         "06296cb6887fc937be326eac6773c49c7146f672eb3e3a8cae8d839a8f05b551",
         "30c67744d2160474860da02344d7390c5dd6facd2283dc3e7126b36d6188220c",
     ),
     "v0-cross": (
-        "96a67d61cb1e0e10fac3719d483cf1b9e111a05a517432d0cabd9e6b7ae1cba9",
+        "1a77a0606a76a1669456b038c97a719703712b7cca967460abd0f04f1c6eacab",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
         "9d7eab3e65660b9bd3ff3790cda44dc78f0b3e49b115d703d8614933efc6355d",
     ),
     "reduced-cross": (
-        "c79a86bc14da29f11ebac1e626dd6710a753d1288cbbab0e655a7f8f21f2d465",
+        "1a77a0606a76a1669456b038c97a719703712b7cca967460abd0f04f1c6eacab",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
         "54aee651c91b46fd6fabfb977d285dc5fa324e07bda6f4f2da96958beb031aee",
     ),
     "reduced": (
-        "91d174ec82e3fc336ebee5ce03108b4147bc5c45b556a11146c8dff88584850d",
+        "b0eb7a0246262cd7c1ba5d765cb3128b1af83bb0e18708af4334087a21d6fe49",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
         "2eb4661c5579c4e47d619b1b330adc4a7be56ed7c52bf1641a0c52cd64cae537",
     ),
     "rectangle": (
-        "8369fe01174e388748c48d7c12f2a2ed913be4f30de898a61c4f86253b3f1387",
+        "e17793e240198fcf40effb9171df773efc543e92a2096025a6fa9000bf5f9dd4",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
         "2d861c06c9264d90fb1b3dea4e18a9522f56b1a2f8877d8227df50846ca2e6b5",
     ),
     "file": (
-        "4a210d76041abb21d576a32b8484a6311a5e79bdd66f56ec00b476309cca4e5a",
+        "f855a1320eb80ee948531e0e67ad55e6054c71e784677f0d1fce3a2bca47fc7e",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
         "428c4a59bcf295b37933325aba06b6a3ed06cb15241d81cdb90a812fc3b38f23",
     ),
     "certificate": (
-        "87213ab299b6e213dcb6d31a96aa7ac90d6593ed61404314133b69a5c918edb9",
+        "1fdb1e8d5e210aba5d8ec415e89ca585c14a6adfa1701751d5c0bb9e722a3611",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
         "b97d9317267f09140c22f4b1e885971bd767424f71eabf32d2ea527bc7f23d29",
     ),
@@ -198,3 +212,14 @@ def test_simulate_outputs_match_golden_hashes(name, tmp_path, monkeypatch):
     got = run_case(name)
     assert got["exit"] == 0
     assert (got["series"], got["events"], got["summary"]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_load_run_rebuilds_the_simulated_record(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_case(name)
+    simulated, _ = run_from_config(load_config("config.json"))
+    loaded, _ = load_run("run")
+    for series in RunRecord.SERIES:
+        want, got = getattr(simulated, series), getattr(loaded, series)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), series

@@ -126,7 +126,7 @@ def _synthetic_record(t, energy, lyap, eta, cert, events_at=()):
     nan = np.full(n, np.nan)
     return RunRecord(
         t=t, energy=energy, lyapunov=lyap, norm_z_sq=nan.copy(), norm_v_sq=nan.copy(),
-        norm_gradz_sq=nan.copy(), norm_e_sq=nan.copy(), eta0=eta,
+        norm_gradz_sq=nan.copy(), norm_e_sq=nan.copy(), inner_zv=nan.copy(), eta0=eta,
         trigger_value=nan.copy(), event=ev, certificate=cert,
         trigger=None, mode="event-triggered", dt=float(t[1] - t[0]),
     )
@@ -245,7 +245,7 @@ def test_checks_reject_degenerate_series():
     rec = RunRecord(
         t=t, energy=one.copy(), lyapunov=one.copy(), norm_z_sq=one.copy(),
         norm_v_sq=one.copy(), norm_gradz_sq=one.copy(), norm_e_sq=one.copy(),
-        eta0=one.copy(), trigger_value=one.copy(), event=np.zeros(1, dtype=bool),
+        inner_zv=one.copy(), eta0=one.copy(), trigger_value=one.copy(), event=np.zeros(1, dtype=bool),
         certificate=CERT, trigger=None, mode="event-triggered", dt=0.1,
     )
     for check in (wt.check_equivalence, wt.check_vdot, wt.check_envelope):
@@ -259,7 +259,7 @@ def test_run_record_validates_lengths():
         RunRecord(
             t=t, energy=np.zeros(10), lyapunov=np.zeros(11), norm_z_sq=np.zeros(11),
             norm_v_sq=np.zeros(11), norm_gradz_sq=np.zeros(11), norm_e_sq=np.zeros(11),
-            eta0=np.zeros(11), trigger_value=np.zeros(11), event=np.zeros(11, dtype=bool),
+            inner_zv=np.zeros(11), eta0=np.zeros(11), trigger_value=np.zeros(11), event=np.zeros(11, dtype=bool),
             certificate=None, trigger=None, mode="uncontrolled", dt=0.1,
         )
 

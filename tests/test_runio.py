@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wavetrig.lyapunov import RunRecord
+from wavetrig.dynamics import build_record
 from wavetrig.runio import _BLOCK_ROWS, SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, save_run
 
 
@@ -22,7 +22,7 @@ def reference_series(names, columns) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(names)
-    for i in range(columns["t"].size):
+    for i in range(columns["norm_z_sq"].size):
         writer.writerow([str(int(columns[name][i])) if name == "event" else fmt(columns[name][i]) for name in names])
     return buf.getvalue().encode()
 
@@ -44,9 +44,7 @@ def test_series_writer_matches_csv_writer(columns, uncontrolled):
     mode = "uncontrolled" if uncontrolled else "event-triggered"
     names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
     expected = reference_series(names, columns)
-    record = RunRecord.from_columns(
-        columns, certificate=None, trigger=None, mode=mode, dt=1.0
-    )
+    record = build_record(columns, certificate=None, trigger_params=None, mode=mode, dt=1.0)
     with tempfile.TemporaryDirectory() as tmp:
         save_run(record, tmp)
         assert (Path(tmp) / "series.csv").read_bytes() == expected
@@ -71,7 +69,7 @@ def test_series_writer_matches_csv_writer_across_row_blocks(blocks, uncontrolled
     columns["event"] = rng.random(n) < 0.1
     mode = "uncontrolled" if uncontrolled else "event-triggered"
     names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
-    record = RunRecord.from_columns(columns, certificate=None, trigger=None, mode=mode, dt=1.0)
+    record = build_record(columns, certificate=None, trigger_params=None, mode=mode, dt=1.0)
     with tempfile.TemporaryDirectory() as tmp:
         save_run(record, tmp)
         assert (Path(tmp) / "series.csv").read_bytes() == reference_series(names, columns)
