@@ -9,7 +9,7 @@ recorded trajectories.
 """
 
 from .design import DesignInput, StabilityCertificate, build_certificate, epsilon_interval, gamma_bounds, margins, vdot_bound_rhs
-from .dynamics import IntegratorConfig, WaveState, cfl_max_dt, refresh_sample, simulate, step
+from .dynamics import IntegratorConfig, WaveState, cfl_max_dt, simulate, step
 from .grid import (
     Field,
     Grid,
@@ -19,7 +19,6 @@ from .grid import (
     build_grid,
     discrete_poincare_constant,
     h1_seminorm_sq,
-    inner_product,
     l2_norm_sq,
     poincare_constant,
 )
@@ -45,9 +44,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DesignInput", "StabilityCertificate", "build_certificate", "epsilon_interval",
     "gamma_bounds", "margins", "vdot_bound_rhs",
-    "IntegratorConfig", "WaveState", "cfl_max_dt", "refresh_sample", "simulate", "step",
+    "IntegratorConfig", "WaveState", "cfl_max_dt", "simulate", "step",
     "Field", "Grid", "Interval", "Rectangle", "apply_laplacian", "build_grid",
-    "discrete_poincare_constant", "h1_seminorm_sq", "inner_product", "l2_norm_sq",
+    "discrete_poincare_constant", "h1_seminorm_sq", "l2_norm_sq",
     "poincare_constant",
     "CheckReport", "RunRecord", "check_envelope", "check_equivalence",
     "check_trigger_invariant", "check_vdot",

@@ -141,18 +141,7 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
     )
     wall = time.perf_counter() - t0
     reports, ok = run_checks(record)
-    delta_emp = reports.get("envelope", {}).get("details", {}).get("delta_emp")
-    summary_extra = {
-        "checks": reports,
-        "checks_passed": ok,
-        "delta_emp": delta_emp,
-        "eta0_variant": cfg.design.eta0_variant,
-        "period": period,
-        "update_count": len(record.events),
-        "wall_clock_s": wall,
-        "config": cfg.to_dict(),
-    }
-    return record, summary_extra
+    return record, {"checks": reports, "checks_passed": ok, "wall_clock_s": wall, "config": cfg.to_dict()}
 
 
 def _print_check_lines(reports: dict):
@@ -207,7 +196,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     record, extra = run_from_config(cfg)
     out = _runio.save_run(record, cfg.out, summary_extra=extra)
-    print(f"run written to {out} (steps={record.n_steps}, events={extra['update_count']})")
+    print(f"run written to {out} (steps={record.n_steps}, events={len(record.events)})")
     _print_check_lines(extra["checks"])
     return EXIT_OK if extra["checks_passed"] else EXIT_CHECK_FAILED
 
@@ -250,8 +239,8 @@ def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> 
         feasible=1,
         delta=cert.decay_rate,
         K=cert.overshoot,
-        events=extra["update_count"],
-        delta_emp=extra["delta_emp"],
+        events=len(record.events),
+        delta_emp=extra["checks"]["envelope"]["details"]["delta_emp"],
     )
     if not extra["checks_passed"]:
         row["error"] = "a gating check failed"
@@ -273,13 +262,9 @@ def cmd_sweep(args) -> int:
         out_root.mkdir(parents=True, exist_ok=True)
     rows = [_sweep_cell(cfg, a, L, out_root) for a in alphas for L in lengths]
     path = out_root / "sweep.csv"
-    with _runio.writing(path), open(path, "w") as fh:
-        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                str(row[name]) if name in ("feasible", "events") else _runio.fmt(row[name])
-                for name in _SWEEP_COLUMNS
-            ) + "\n")
+    table = {name: [row[name] for row in rows] for name in _SWEEP_COLUMNS}
+    with _runio.writing(path):
+        _runio.write_table(path, table, ints=("feasible", "events"))
     failed = [r for r in rows if "error" in r]
     n_feasible = sum(r["feasible"] for r in rows)
     print(f"sweep written to {path}: {len(rows)} cells, {n_feasible} feasible, {len(failed)} failed")

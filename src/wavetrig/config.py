@@ -15,7 +15,7 @@ from .grid import C_OMEGA_SOURCES, Grid, Interval, Rectangle, build_grid
 from .trigger import ETA0_VARIANTS
 
 __all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "known_keys", "check_choice",
-           "load_config", "save_config"]
+           "load_config"]
 
 _JSON_TYPES = {"str": str, "dict": dict}
 
@@ -150,7 +150,3 @@ def load_config(path: str | Path) -> RunConfig:
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return RunConfig.from_dict(data)
-
-
-def save_config(cfg: RunConfig, path: str | Path):
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -3,9 +3,9 @@ constant to trigger weights, a Lyapunov cross-weight, decay margins, and the
 certified overshoot/rate pair.
 
 The pipeline is pure arithmetic.  Feasibility of the cross-weight interval
-is always decided by comparing its two endpoints directly; the two known
-closed-form expansions of that comparison disagree in the gamma0
-coefficient, so both are recorded in the diagnostics but neither is used.
+is decided by comparing its two endpoints directly; the certificate's
+diagnostics record the interval, its uncapped upper end, the weights'
+suprema and the trace of the shrinks that led there.
 """
 
 from __future__ import annotations
@@ -215,17 +215,6 @@ def _interval_feasible(lo: float, hi: float) -> bool:
     return bool(hi - lo > _MIN_REL_WIDTH * max(hi, abs(lo)))
 
 
-def _expanded_feasibility(alpha: float, csq: float, gamma0: float, gamma1: float) -> dict:
-    # Two closed-form expansions of lo < hi that circulate for this
-    # inequality; they differ in the gamma0 coefficient ((a^2-2) vs
-    # -(a^2+2)).  Recorded for comparison only.
-    common = 2.0 - csq + (csq - 2.0) * gamma1
-    return {
-        "gamma0_coeff_alpha_sq_minus_2": (alpha * alpha - 2.0) * csq * gamma0 + common,
-        "gamma0_coeff_minus_alpha_sq_plus_2": -(alpha * alpha + 2.0) * csq * gamma0 + common,
-    }
-
-
 def build_certificate(inp: DesignInput) -> StabilityCertificate:
     """Run the full design pipeline.
 
@@ -269,7 +258,6 @@ def build_certificate(inp: DesignInput) -> StabilityCertificate:
         "shrink_iterations": shrink,
         "gamma0_sup": g0_sup,
         "gamma1_sup": g1_sup,
-        "feasibility_expansions": _expanded_feasibility(alpha, c * c, gamma0, gamma1),
         "trace": trace,
     }
     return StabilityCertificate(

@@ -34,7 +34,6 @@ __all__ = [
     "cfl_max_dt",
     "step_count",
     "step",
-    "refresh_sample",
     "simulate",
     "build_record",
 ]
@@ -236,17 +235,6 @@ def step(s: WaveState, dt: float, alpha: float) -> WaveState:
     )
 
 
-def refresh_sample(s: WaveState, t_event: float) -> WaveState:
-    """Sample the current velocity into the hold; increments k.
-
-    Events are resolved at step boundaries, so t_event must be the state's
-    current time.  The deviation is exactly zero afterwards.
-    """
-    if t_event != s.t:
-        raise ConfigurationError(f"event time {t_event} is not the state time {s.t}")
-    return WaveState(t=s.t, z=s.z, v=s.v, held=s.v.copy(), k=s.k + 1, t_k=t_event)
-
-
 def simulate(
     z0: _grid.Field,
     z1: _grid.Field,
@@ -360,7 +348,7 @@ def simulate(
         np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums
     if uncontrolled:  # no hold acts, so there is no deviation to record
         ne.fill(np.nan)
-    meta = {"alpha": a, "n_steps": n_steps, "t_end": config.t_end, "period": period, "grid": grid_meta}
+    meta = {"alpha": a, "t_end": config.t_end, "period": period, "grid": grid_meta}
     return build_record(
         dict(zip(_lyapunov.RunRecord.COLUMNS, cols[:5]), event=event),
         certificate=certificate, trigger_params=trigger_params, mode=mode, dt=dt, meta=meta, eta0=eta,

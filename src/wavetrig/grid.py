@@ -48,7 +48,6 @@ __all__ = [
     "build_grid",
     "l2_norm_sq",
     "h1_seminorm_sq",
-    "inner_product",
     "apply_laplacian",
     "sine_mode",
     "sine_transform",
@@ -160,13 +159,6 @@ def l2_norm_sq(f: Field, g: Grid) -> float:
     """Squared discrete L2 norm: weight * sum of squared nodal values."""
     _check(f, g)
     return g.weight * float(np.dot(f.values, f.values))
-
-
-def inner_product(f: Field, h: Field, g: Grid) -> float:
-    """Discrete L2 inner product (weight * sum of products)."""
-    _check(f, g)
-    _check(h, g)
-    return g.weight * float(np.dot(f.values, h.values))
 
 
 def h1_seminorm_sq(f: Field, g: Grid) -> float:

@@ -160,13 +160,10 @@ class RunRecord:
     def n_steps(self) -> int:
         return self.t.size - 1
 
-    def event_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.event)
-
     @cached_property
     def events(self) -> EventLog:
         """The event rows as an EventLog, empty for an uncontrolled run."""
-        rows = self.event_indices()
+        rows = np.flatnonzero(self.event)
         return EventLog(self.t[rows], self.trigger_value[rows], self.norm_e_sq[rows], self.eta0[rows])
 
 

@@ -1,5 +1,6 @@
-"""Run persistence: CSV time series, CSV event log, JSON summary and
-certificate files.
+"""Run persistence: the CSV tables (time series, event log, sweep), written
+by :func:`write_table`, and the JSON summary and certificate files, written
+by one JSON writer.
 
 ``series.csv`` holds only what the step loop computes (``RunRecord.COLUMNS``);
 :func:`load_run` rebuilds ``t``, E, V, eta0 and the predicate from it with
@@ -23,14 +24,14 @@ import numpy as np
 from .design import StabilityCertificate
 from .dynamics import MODES, build_record, step_count
 from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
-from .lyapunov import RunRecord
+from .lyapunov import RunRecord, energy_lyapunov
 from .trigger import TriggerParams
 
 __all__ = [
     "SERIES_COLUMNS",
     "SERIES_COLUMNS_UNCONTROLLED",
-    "fmt",
     "writing",
+    "write_table",
     "save_run",
     "load_run",
     "write_certificate",
@@ -41,11 +42,7 @@ SERIES_COLUMNS = RunRecord.COLUMNS
 # no hold acts in an uncontrolled run: it has no deviation and no events
 SERIES_COLUMNS_UNCONTROLLED = tuple(name for name in SERIES_COLUMNS if name not in ("norm_e_sq", "event"))
 _FLOAT_FORMAT = "%.17e"
-_BLOCK_ROWS = 1024  # rows of series.csv and events.csv formatted and written at a time
-
-
-def fmt(x: float) -> str:
-    return _FLOAT_FORMAT % float(x)
+_BLOCK_ROWS = 1024  # rows of a table formatted and written at a time
 
 
 def _json_default(obj):
@@ -70,15 +67,24 @@ def writing(path: str | Path):
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_table(path: Path, names, row: str, columns):
-    """Write the header ``names`` and the rows of ``columns``, as csv.writer
-    would, a block at a time: one bytes %-format of the block's cells by
-    ``row``, the format of one row (``%d`` takes a flag or count as a float)."""
+def write_table(path: Path, table: dict, ints: tuple = ()):
+    """Write the columns of ``table`` under a header of its keys, as
+    csv.writer would, a block at a time: one bytes %-format of the block's
+    cells, ``%d`` for the columns named in ``ints`` (it takes a flag or
+    count as a float) and ``_FLOAT_FORMAT`` for the others."""
+    row = (",".join("%d" if name in ints else _FLOAT_FORMAT for name in table) + "\r\n").encode()
+    columns = list(table.values())
     with open(path, "wb") as fh:
-        fh.write(",".join(names).encode() + b"\r\n")
+        fh.write(",".join(table).encode() + b"\r\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
-            fh.write((row.encode() * len(block)) % tuple(block.ravel().tolist()))
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_json(path: str | Path, obj: dict):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
 
 
 def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None = None) -> Path:
@@ -87,13 +93,11 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
         names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
-        row = ",".join("%d" if name == "event" else _FLOAT_FORMAT for name in names) + "\r\n"
-        _write_table(out / "series.csv", names, row, [getattr(record, name) for name in names])
+        write_table(out / "series.csv", {name: getattr(record, name) for name in names}, ints=("event",))
 
         times = record.events.times.tolist()
         dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]  # the first event has none
-        row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\r\n"
-        _write_table(out / "events.csv", ("k", "t_k", "dwell"), row, [np.arange(len(times)), times, dwells])
+        write_table(out / "events.csv", {"k": np.arange(len(times)), "t_k": times, "dwell": dwells}, ints=("k",))
 
         summary = {
             "mode": record.mode,
@@ -106,9 +110,7 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
         }
         if summary_extra:
             summary.update(summary_extra)
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _write_json(out / "summary.json", summary)
     return out
 
 
@@ -160,10 +162,8 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         raise DataFormatError(f"summary meta.t_end {t_end!r} is not a horizon of the {n} rows of {series_path}")
     if type(n_steps) is not int or n != n_steps + 1:
         raise DataFormatError(f"summary n_steps {n_steps!r} does not fit the {n} rows of {series_path}")
-    if step_count(t_end, dt) != n_steps or meta.get("n_steps") != n_steps:
-        raise DataFormatError(
-            f"summary n_steps {n_steps!r} (meta: {meta.get('n_steps')!r}) is not the steps of dt = {dt} to t_end = {t_end}"
-        )
+    if step_count(t_end, dt) != n_steps:
+        raise DataFormatError(f"summary n_steps {n_steps!r} is not the steps of dt = {dt} to t_end = {t_end}")
     mode = summary.get("mode")
     # an uncontrolled run, and only one, is written without the hold's columns
     if mode not in MODES or (mode == "uncontrolled") != ("event" not in cols):
@@ -175,12 +175,21 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         trigger_params = TriggerParams(**trig) if trig is not None else None
     except (TypeError, WavetrigError) as exc:
         raise DataFormatError(f"summary trigger {trig!r} is not valid: {exc}") from exc
-    # eta0 and the predicate are rebuilt from this entry: it must be the certificate's
-    if (
-        trigger_params is not None and certificate is not None
-        and trigger_params != TriggerParams.from_certificate(certificate, trigger_params.eta0_scale)
-    ):
-        raise DataFormatError(f"summary trigger {trig!r} does not have its certificate's gamma0, gamma1 and theta")
+    # without either, the checks an event-triggered run is held to would be switched off
+    if mode == "event-triggered" and (certificate is None or trigger_params is None):
+        raise DataFormatError(f"summary of an event-triggered run in {d} lacks its certificate or trigger")
+    # eta0 and the predicate are rebuilt from this entry: it must be the certificate's, and its
+    # scale V[0] with the certificate's eps and either its alpha (v0) or 0 (reduced)
+    if trigger_params is not None and certificate is not None:
+        if trigger_params != TriggerParams.from_certificate(certificate, trigger_params.eta0_scale):
+            raise DataFormatError(f"summary trigger {trig!r} does not have its certificate's gamma0, gamma1 and theta")
+        row0 = [float(cols[name][0]) for name in ("norm_z_sq", "norm_v_sq", "norm_gradz_sq", "inner_zv")]
+        scales = [energy_lyapunov(*row0, certificate.epsilon, a)[1] for a in (certificate.alpha, 0.0)]
+        if trigger_params.eta0_scale not in scales:
+            raise DataFormatError(
+                f"summary trigger eta0_scale {trigger_params.eta0_scale!r} is not V[0] of {series_path} "
+                f"for the v0 or the reduced variant, {scales[0]!r} or {scales[1]!r}"
+            )
     # 0/1 flags, with the unconditional event at t = 0
     if "event" in cols:
         event = cols["event"]
@@ -194,9 +203,7 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
 def write_certificate(cert: StabilityCertificate, path: str | Path):
     with writing(path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(cert.to_dict(), fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _write_json(path, cert.to_dict())
 
 
 def read_certificate(path: str | Path) -> StabilityCertificate:

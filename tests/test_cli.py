@@ -13,7 +13,7 @@ import wavetrig as wt
 import wavetrig.cli as wavetrig_cli
 import wavetrig.config as wavetrig_config
 from wavetrig.cli import build_parser, main
-from wavetrig.config import DesignSpec, RunConfig, load_config, save_config
+from wavetrig.config import DesignSpec, RunConfig, load_config
 from wavetrig.design import certified_constants
 from wavetrig.dynamics import MODES
 from wavetrig.errors import ConfigurationError, WavetrigError
@@ -34,7 +34,7 @@ def small_config(tmp_path, **overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     path = tmp_path / "config.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_dict()))
     return cfg, path
 
 
@@ -54,7 +54,7 @@ def test_config_round_trips_losslessly(tmp_path):
         out="elsewhere",
     )
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_dict()))
     loaded = load_config(path)
     assert loaded.to_dict() == cfg.to_dict()
 
@@ -294,25 +294,49 @@ def test_cmd_verify_corrupted_energy_exits_1(tmp_path):
     assert main(["verify", str(tmp_path / "c-run")]) == 1
 
 
-# column of series.csv -> the checks that fail when every row of it is tripled
+# column of series.csv -> the rows tripled and the checks that then fail.  Row
+# 0 fixes the threshold scale, so norm_z_sq and norm_gradz_sq, the two columns
+# not 0 there on this run, are tripled from row 1 on; in every row they are
+# refused (test_verify_refuses_a_tripled_column_that_moves_the_threshold_scale)
 TRIPLED_COLUMN_FAILS = {
-    "norm_z_sq": {"equivalence", "trigger-invariant"},
-    "norm_gradz_sq": {"vdot"},
-    "norm_v_sq": {"vdot", "envelope", "trigger-invariant"},
-    "norm_e_sq": {"trigger-invariant"},
-    "inner_zv": {"equivalence"},
+    "norm_z_sq": (slice(1, None), {"equivalence", "envelope", "trigger-invariant"}),
+    "norm_gradz_sq": (slice(1, None), {"vdot", "envelope"}),
+    "norm_v_sq": (slice(None), {"vdot", "envelope", "trigger-invariant"}),
+    "norm_e_sq": (slice(None), {"trigger-invariant"}),
+    "inner_zv": (slice(None), {"equivalence"}),
 }
 
 
-@pytest.mark.parametrize("column, fails", TRIPLED_COLUMN_FAILS.items(), ids=TRIPLED_COLUMN_FAILS.keys())
-def test_verify_fails_a_tripled_primitive_column(tmp_path, capsys, column, fails):
+@pytest.mark.parametrize("column, rows, fails", [(c, *v) for c, v in TRIPLED_COLUMN_FAILS.items()],
+                         ids=TRIPLED_COLUMN_FAILS.keys())
+def test_verify_fails_a_tripled_primitive_column(tmp_path, capsys, column, rows, fails):
     # E, V, eta0 and the predicate are rebuilt on load from what the loop
     # computes, so no derived column can be edited to hide the tamper
     assert main(["simulate", "--n", "49", "--t-end", "3", "--out", str(tmp_path / "run")]) == 0
-    _scale_column(tmp_path / "run" / "series.csv", column, 3.0)
+    _scale_column(tmp_path / "run" / "series.csv", column, 3.0, rows)
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "run")]) == 1
     assert set(re.findall(r"^(\S+): FAIL", capsys.readouterr().out, re.M)) == fails
+
+
+@pytest.mark.parametrize("column", ["norm_z_sq", "norm_gradz_sq"])
+def test_verify_refuses_a_tripled_column_that_moves_the_threshold_scale(tmp_path, capsys, column):
+    # the summary's eta0_scale must be V at row 0, which the tamper moves
+    assert main(["simulate", "--n", "49", "--t-end", "3", "--out", str(tmp_path / "run")]) == 0
+    _scale_column(tmp_path / "run" / "series.csv", column, 3.0)
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 65
+    assert "eta0_scale" in capsys.readouterr().err
+
+
+def test_verify_refuses_an_event_triggered_summary_without_certificate_and_trigger(sim_run, tmp_path, capsys):
+    # with neither, no check would read the norms: a tripled norm_v_sq once passed
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    _scale_column(rundir / "series.csv", "norm_v_sq", 3.0)
+    summary = json.loads((rundir / "summary.json").read_text())
+    (rundir / "summary.json").write_text(json.dumps(dict(summary, certificate=None, trigger=None)))
+    assert main(["verify", str(rundir)]) == 65
+    assert "lacks its certificate or trigger" in capsys.readouterr().err
 
 
 def _event_flag(value):
@@ -417,7 +441,7 @@ def test_simulate_user_certificate_needs_at_least_the_discrete_c_omega(tmp_path,
     g = cfg.build_grid()
     cfg.design.comega_source = "user"
     cfg.design.comega_value = c_omega_scale * wt.discrete_poincare_constant(g)
-    save_config(cfg, tmp_path / "user.json")
+    (tmp_path / "user.json").write_text(json.dumps(cfg.to_dict()))
     assert main(["design", "--config", str(tmp_path / "user.json"), "--out", str(tmp_path / "cert")]) == 0
     got = main([
         "simulate", "--config", str(path),
@@ -426,6 +450,19 @@ def test_simulate_user_certificate_needs_at_least_the_discrete_c_omega(tmp_path,
     ])
     assert got == code
     assert (tmp_path / "u").exists() == (code == 0)
+
+
+def test_simulate_accepts_a_certificate_with_the_old_feasibility_diagnostic(tmp_path):
+    # certificate.json files written before diagnostics.feasibility_expansions went still load
+    cfg, path = small_config(tmp_path)
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
+    cert_path = tmp_path / "cert" / "certificate.json"
+    cert = json.loads(cert_path.read_text())
+    cert["diagnostics"]["feasibility_expansions"] = {
+        "gamma0_coeff_alpha_sq_minus_2": 1.9, "gamma0_coeff_minus_alpha_sq_plus_2": 1.8,
+    }
+    cert_path.write_text(json.dumps(cert))
+    assert main(["simulate", "--config", str(path), "--certificate", str(cert_path), "--out", str(tmp_path / "c")]) == 0
 
 
 def _resealed(cert: dict, **point) -> dict:
@@ -499,11 +536,18 @@ SUMMARY_TAMPERS = {
     "t-end-beyond-float": lambda s: dict(s, meta=dict(s["meta"], t_end=10 ** 400)),
     "t-end-doubled": lambda s: dict(s, meta=dict(s["meta"], t_end=2 * s["meta"]["t_end"])),
     "t-end-halved": lambda s: dict(s, meta=dict(s["meta"], t_end=s["meta"]["t_end"] / 2)),
-    "meta-n-steps-one-more": lambda s: dict(s, meta=dict(s["meta"], n_steps=s["n_steps"] + 1)),
     # eta0 and the predicate are rebuilt from the trigger entry
     "trigger-gamma0-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], gamma0=2 * s["trigger"]["gamma0"])),
     "trigger-gamma1-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], gamma1=s["trigger"]["gamma1"] / 2)),
     "trigger-theta-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], theta=2 * s["trigger"]["theta"])),
+    # an event-triggered run is checked against both
+    "certificate-null": lambda s: dict(s, certificate=None),
+    "trigger-null": lambda s: dict(s, trigger=None),
+    # the threshold scale is V at row 0, to the last bit
+    "eta0-scale-times-0.99": lambda s: dict(s, trigger=dict(s["trigger"], eta0_scale=0.99 * s["trigger"]["eta0_scale"])),
+    "eta0-scale-one-ulp-more": lambda s: dict(
+        s, trigger=dict(s["trigger"], eta0_scale=math.nextafter(s["trigger"]["eta0_scale"], math.inf))
+    ),
 }
 
 
@@ -515,6 +559,22 @@ def test_verify_refuses_a_malformed_summary(sim_run, tmp_path, capsys, tamper):
     (rundir / "summary.json").write_text(json.dumps(tamper(summary)))
     assert main(["verify", str(rundir)]) == 65
     assert "data format error" in capsys.readouterr().err
+
+
+def test_verify_accepts_a_summary_with_the_keys_that_repeated_others(sim_run, tmp_path, capsys):
+    # summaries written before these copies went carry them; verify reads none of them
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    s = json.loads((rundir / "summary.json").read_text())
+    s.update(
+        update_count=s["event_count"],
+        period=s["meta"]["period"],
+        delta_emp=s["checks"]["envelope"]["details"]["delta_emp"],
+        eta0_variant=s["config"]["design"]["eta0_variant"],
+        meta=dict(s["meta"], n_steps=s["n_steps"]),
+    )
+    (rundir / "summary.json").write_text(json.dumps(s))
+    assert main(["verify", str(rundir)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 OLD_SERIES_HEADER = "t,E,V,norm_z_sq,norm_v_sq,norm_gradz_sq,norm_e_sq,eta0,trigger_value,event"
@@ -559,8 +619,8 @@ def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):
     cfg, path = small_config(tmp_path, mode="periodic", out=str(tmp_path / "per"))
     assert main(["simulate", "--config", str(path)]) == 0
     summary = json.loads((tmp_path / "per" / "summary.json").read_text())
-    assert summary["period"] > 0
-    assert summary["update_count"] >= 2
+    assert summary["meta"]["period"] > 0
+    assert summary["event_count"] >= 2
 
 
 def test_simulate_determinism_byte_identical(tmp_path):
@@ -619,7 +679,9 @@ def test_cmd_sweep_table(tmp_path):
         "--out", str(tmp_path / "sweep"),
     ])
     assert code == 0
-    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    raw = (tmp_path / "sweep" / "sweep.csv").read_bytes()
+    assert raw.count(b"\r\n") == raw.count(b"\n") == 7  # lines end as in series.csv and events.csv
+    lines = raw.decode().splitlines()
     assert lines[0] == "alpha,L,C_Omega,feasible,delta,K,events,delta_emp"
     assert len(lines) == 7
     rows = [line.split(",") for line in lines[1:]]

@@ -192,17 +192,6 @@ def test_alpha1_first_try_is_always_degenerate():
         assert cert.diagnostics["shrink_iterations"] == 1
 
 
-def test_feasibility_expansions_recorded_and_disagree():
-    cert = wt.build_certificate(DesignInput(alpha=1.0, c_omega=0.5))
-    exp = cert.diagnostics["feasibility_expansions"]
-    a = exp["gamma0_coeff_alpha_sq_minus_2"]
-    b = exp["gamma0_coeff_minus_alpha_sq_plus_2"]
-    # the gamma0 coefficients differ ((alpha^2-2) vs -(alpha^2+2)), so for
-    # nonzero gamma0 the two expansions differ by 2 alpha^2 C^2 gamma0
-    assert a != b
-    assert a - b == pytest.approx(2 * 1.0 * 0.25 * cert.gamma0, rel=1e-12)
-
-
 def test_design_input_validation():
     with pytest.raises(PreconditionError):
         DesignInput(alpha=0.0, c_omega=0.5)

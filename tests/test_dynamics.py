@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -195,29 +196,6 @@ def test_position_superconverges_at_phase_null():
         assert 12.8 <= coarse / fine <= 19.2
 
 
-# ------------------------------------------------------------ refresh_sample
-
-def test_refresh_semantics():
-    g = wt.build_grid(wt.Interval(1.0, 49))
-    v = sine_mode(g, 1)
-    s = wt.WaveState(t=2.0, z=sine_mode(g, 2), v=v, held=zero_field(g), k=3, t_k=1.0)
-    assert not np.array_equal(s.held.values, s.v.values)
-    s2 = wt.refresh_sample(s, 2.0)
-    np.testing.assert_array_equal(s2.held.values, v.values)
-    assert (s2.k, s2.t_k) == (4, 2.0)
-    assert (s2.t, s2.z, s2.v) == (s.t, s.z, s.v)
-    s3 = wt.refresh_sample(s2, 2.0)  # idempotent on held/t_k, increments k
-    np.testing.assert_array_equal(s3.held.values, s2.held.values)
-    assert (s3.k, s3.t_k) == (5, 2.0)
-
-
-def test_refresh_requires_current_time():
-    g = wt.build_grid(wt.Interval(1.0, 49))
-    s = standing_wave_state(g)
-    with pytest.raises(ConfigurationError):
-        wt.refresh_sample(s, 0.5)
-
-
 # ------------------------------------------------------------------ simulate
 
 @pytest.fixture(scope="module")
@@ -234,7 +212,7 @@ def small_setup():
 
 def replay(rec, z0, z1, alpha):
     """(step index, post-step state) of the run ``rec`` replayed with public
-    step/refresh_sample calls, the hold refreshed at the record's events;
+    step calls, the hold refreshed with a fresh sample at the record's events;
     each state is yielded before its refresh, as the record's rows are."""
     s = wt.WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
     for i in range(rec.n_steps + 1):
@@ -243,7 +221,7 @@ def replay(rec, z0, z1, alpha):
             s.t = rec.t[i]
         yield i, s
         if rec.event[i]:
-            s = wt.refresh_sample(s, s.t)
+            s = dataclasses.replace(s, held=s.v.copy(), k=s.k + 1, t_k=s.t)
 
 
 def test_simulate_refuses_zero_initial_data(small_setup):
@@ -266,7 +244,7 @@ def test_simulate_event_bookkeeping(small_setup):
     rec = wt.simulate(z0, z1, 1.0, g, integ, params, cert)
     assert rec.event[0]
     assert rec.events.times[0] == 0.0
-    idx = rec.event_indices()
+    idx = np.flatnonzero(rec.event)
     # predicate nonnegative at every fired step except the seed event
     assert (rec.trigger_value[idx[1:]] >= 0).all()
     # strictly negative strictly between events
@@ -400,8 +378,8 @@ SHAPES = pytest.mark.parametrize(
 
 @SHAPES
 def test_simulate_and_public_step_share_one_kernel(shape):
-    # replaying an event-triggered run with the public step/refresh_sample
-    # calls reproduces every recorded norm, row 0 included, to 1e-12
+    # replaying an event-triggered run with public step calls and fresh
+    # samples reproduces every recorded norm, row 0 included, to 1e-12
     # relative, and the predicate to 1e-12 of the terms it sums: the public
     # step transforms in and out of the sine basis on every call
     g, z0, z1, params, rec = triggered_run(shape)
@@ -489,7 +467,7 @@ def test_kernel_buffers_start_on_cache_lines(shape):
 @pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])
 def test_in_place_hold_matches_a_replay_with_fresh_samples(mode):
     # the kernel copies each new sample into its one hold buffer; the replay
-    # through step/refresh_sample keeps a fresh array per sample
+    # through public step calls keeps a fresh array per sample
     cfg = RunConfig(domain={"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 31, "ny": 31}, mode=mode)
     rec, _ = run_from_config(cfg)
     assert rec.event.sum() >= 10

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetrig.cli import main
-from wavetrig.config import RunConfig, save_config
+from wavetrig.config import RunConfig
 from wavetrig.dynamics import MODES
 
 CODES = {0, 1, 2, 3, 4, 5, 64, 65, 66}
@@ -64,7 +64,7 @@ def base(tmp_path_factory):
     """A config, the certificate designed for it and a run made with it."""
     root = tmp_path_factory.mktemp("fuzz")
     cfg = RunConfig(domain={"kind": "interval", "length": 1.0, "n": 49}, t_end=1.0, out=str(root / "out"))
-    save_config(cfg, root / "config.json")
+    (root / "config.json").write_text(json.dumps(cfg.to_dict()))
     assert main(["design", "--config", str(root / "config.json"), "--out", str(root / "cert")]) == 0
     assert main(["simulate", "--config", str(root / "config.json"), "--out", str(root / "run")]) == 0
     return {

@@ -86,6 +86,17 @@ series of the loaded record, the rebuilt ones included, is the simulated
 one bit for bit.  Every ``events.csv`` and ``summary.json`` hash stayed the
 same.  ``v0-cross`` and ``reduced-cross`` now share a ``series.csv``: their
 eta0 variants differ only in the threshold scale, which the summary holds.
+
+Every ``summary.json`` hash was re-recorded once more when the summary
+stopped saying a fact twice.  Five keys went, each a copy of another:
+``update_count`` (``event_count``), the top-level ``period``
+(``meta.period``), ``delta_emp``
+(``checks.envelope.details.delta_emp``), ``eta0_variant``
+(``config.design.eta0_variant``) and ``meta.n_steps`` (``n_steps``).  So
+did the certificate's ``diagnostics.feasibility_expansions``, which no
+code read.  With those six entries put back, each new summary hashes to
+its old value; every ``series.csv`` and ``events.csv`` hash stayed the
+same.
 """
 
 import hashlib
@@ -121,57 +132,57 @@ GOLDEN = {
     "event-triggered": (
         "1fdb1e8d5e210aba5d8ec415e89ca585c14a6adfa1701751d5c0bb9e722a3611",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "964745fdd05154e69463acf3e3cb5c819d357b5cfffca7ff33a35a8b1e6c8062",
+        "68c24ac359425474f4ada6d5ef9d0a7d3cc5d8d6659779384592acfcfd214315",
     ),
     "continuous-damping": (
         "bee3d2e45a83ca42db8fb258969439f21687176febcebb26bba9054229a89ed4",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "dcabe9ddcffa5ad9f3a028d97f14c828ebb0ae7d0f35b7331b34af7633d3da2b",
+        "0afe652591020c9756c9c0980168ce01b26d94b334dac8dce342d8b9ab5f57ab",
     ),
     "periodic-matched": (
         "aebde1cc0bf4bb6f19d3f55712b780c3c3a12ddb461d3f2a712a3099f8065880",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "3bd3d15524caa4b89191fa2bd2762236c69fecb0d191c69fdab71af4a20d30f2",
+        "fce97979a5c2de898682752d0436d77f6628f05a8c581141812a811e55982456",
     ),
     "periodic-fixed": (
         "38e8c4b0c82c423f376ab5d55de0b7df9eae0cfaf47e5d15171b11b5622f60f9",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "4e5329409f409bc07d982727d9742fccd38dacc702c3144f5a27abde7bc0de1b",
+        "70c8bc45c48ca6d12c2634b3f4cfd86235b3a77b927e6f1d0b50035a2ca066dc",
     ),
     "uncontrolled": (
         "10f1ba7d2b4a7cbd0399eeb3ef6c0bd1c8b5fdc8cd7ba1b1aba8a48cd52bf7d2",
         "06296cb6887fc937be326eac6773c49c7146f672eb3e3a8cae8d839a8f05b551",
-        "30c67744d2160474860da02344d7390c5dd6facd2283dc3e7126b36d6188220c",
+        "09c53fe308dc114672ee9bc99487aa070a458eb1529595b92b5ffefacef8529b",
     ),
     "v0-cross": (
         "1a77a0606a76a1669456b038c97a719703712b7cca967460abd0f04f1c6eacab",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "9d7eab3e65660b9bd3ff3790cda44dc78f0b3e49b115d703d8614933efc6355d",
+        "d9e1d9c3c3592ac81d901db022a29bfb71e6d24291823ab6394a2a4e4ad07d79",
     ),
     "reduced-cross": (
         "1a77a0606a76a1669456b038c97a719703712b7cca967460abd0f04f1c6eacab",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "54aee651c91b46fd6fabfb977d285dc5fa324e07bda6f4f2da96958beb031aee",
+        "377c378fb117dc7ad7f851a1862c1c33dc1a988d62c23fb02477bac0284b1c2d",
     ),
     "reduced": (
         "b0eb7a0246262cd7c1ba5d765cb3128b1af83bb0e18708af4334087a21d6fe49",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
-        "2eb4661c5579c4e47d619b1b330adc4a7be56ed7c52bf1641a0c52cd64cae537",
+        "8b495fcd394951b18b3d90c3d1f3252094e4084eb118a4a0883e1176234d1585",
     ),
     "rectangle": (
         "e17793e240198fcf40effb9171df773efc543e92a2096025a6fa9000bf5f9dd4",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "2d861c06c9264d90fb1b3dea4e18a9522f56b1a2f8877d8227df50846ca2e6b5",
+        "14ecb64a8f39a76e5a7a1818a4c7fbdb9b9d6ebd80f1f1ac10ff7a6ff8f14fbe",
     ),
     "file": (
         "f855a1320eb80ee948531e0e67ad55e6054c71e784677f0d1fce3a2bca47fc7e",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
-        "428c4a59bcf295b37933325aba06b6a3ed06cb15241d81cdb90a812fc3b38f23",
+        "c096e045d807926763a92b7b1972a1816cee7b7bebafd5c453aee41d8a508ef5",
     ),
     "certificate": (
         "1fdb1e8d5e210aba5d8ec415e89ca585c14a6adfa1701751d5c0bb9e722a3611",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "b97d9317267f09140c22f4b1e885971bd767424f71eabf32d2ea527bc7f23d29",
+        "7f2d3e7af7104382ea0e377812061d8483fd27d811519c68e4df075f23befa0d",
     ),
 }
 
