@@ -5,13 +5,21 @@ by one JSON writer.
 ``series.csv`` holds only what the step loop computes (``RunRecord.COLUMNS``);
 :func:`load_run` rebuilds ``t``, E, V, eta0 and the predicate from it with
 the code :func:`~wavetrig.dynamics.simulate` uses (``dynamics.build_record``).
-Floats are written in scientific notation with 18 significant digits so a
-write/read cycle is bit-exact and identical runs produce byte-identical
-series files.
+Floats are written as ``%.17e``, 18 significant digits, so a write/read cycle
+is bit-exact and identical runs produce byte-identical series files.
+
+The tables are encoded in numpy, a block of rows at a time, to the bytes of
+Python's ``b"%.17e" % x`` and ``b"%d" % x``: a float's significand
+``|x| 10^(17 - E)`` is a double-double (Dekker's exact product with 10^k as
+``hi + lo``), rounded half to even. Its error, under 1e-13, is far inside the
+1e-12 margin near a rounding tie or a decade's end where a cell is left to
+Python, as are one whose log10 misses the decade or that rounds up into the
+next, 0, -0, nan, inf, ``|x|`` outside 1e-280..1e280 and ints from 1e18.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import warnings
@@ -28,32 +36,22 @@ from .lyapunov import RunRecord, energy_lyapunov
 from .trigger import TriggerParams
 
 __all__ = [
-    "SERIES_COLUMNS",
-    "SERIES_COLUMNS_UNCONTROLLED",
-    "writing",
-    "write_table",
-    "save_run",
-    "load_run",
-    "write_certificate",
-    "read_certificate",
+    "SERIES_COLUMNS", "SERIES_COLUMNS_UNCONTROLLED", "writing", "write_table", "save_run", "load_run",
+    "write_certificate", "read_certificate",
 ]
 
 SERIES_COLUMNS = RunRecord.COLUMNS
 # no hold acts in an uncontrolled run: it has no deviation and no events
 SERIES_COLUMNS_UNCONTROLLED = tuple(name for name in SERIES_COLUMNS if name not in ("norm_e_sq", "event"))
-_FLOAT_FORMAT = "%.17e"
 _BLOCK_ROWS = 1024  # rows of a table formatted and written at a time
+_E_MAX = 280  # numpy formats 1e-280 <= |x| <= 1e280: 10^k and the Dekker splits stay finite
+_K = 17 + _E_MAX + 1  # the table of 10^k spans |k| <= _K, log10 missing the decade either way
+_SLACK = 1e-12  # far above the double-double product's error, under 1e-13 at 1e18
+_SLOT = 32  # bytes a cell is laid out on, 8 words
 
 
 def _json_default(obj):
-    # numpy scalars/arrays show up in check details and diagnostics
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars/arrays show up in check details
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -68,17 +66,99 @@ def writing(path: str | Path):
 
 
 def write_table(path: Path, table: dict, ints: tuple = ()):
-    """Write the columns of ``table`` under a header of its keys, as
-    csv.writer would, a block at a time: one bytes %-format of the block's
-    cells, ``%d`` for the columns named in ``ints`` (it takes a flag or
-    count as a float) and ``_FLOAT_FORMAT`` for the others."""
-    row = (",".join("%d" if name in ints else _FLOAT_FORMAT for name in table) + "\r\n").encode()
-    columns = list(table.values())
+    """Write the columns of ``table`` under a header of its keys, as csv.writer
+    would with ``b"%d" % x`` for the columns named in ``ints`` (a flag or count
+    taken as a float) and ``b"%.17e" % x`` for the others, a block of rows at a time."""
+    columns = [np.asarray(col, dtype=float) for col in table.values()]
+    is_int = np.array([name in ints for name in table])
     with open(path, "wb") as fh:
-        fh.write(",".join(table).encode() + b"\r\n")
+        fh.write(",".join(table).encode())  # each row starts with the line break before it
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_encode_block(np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns]), is_int))
+        fh.write(b"\r\n")
+
+
+def _encode_block(block: np.ndarray, is_int: np.ndarray) -> bytes:
+    """The CSV lines of the rows of ``block``. A cell's slot of 8 words holds the
+    line break or comma before it, then a float's sign, digit, point, digit, 16
+    digits and "e", sign and digits of its exponent (or an int's sign and 20
+    digits), blank bytes NUL, which one ``translate`` deletes; a cell left to
+    Python holds a mark in their place that its text replaces."""
+    rows, cols = block.shape
+    slots = np.empty((rows, cols, _SLOT), np.uint8)
+    done = np.empty((rows, cols), bool)
+    for kind, encode in ((~is_int, _float_cells), (is_int, _int_cells)):
+        if kind.any():
+            out, ok = encode(block[:, kind].ravel())
+            slots[:, kind], done[:, kind] = out.reshape(rows, -1, _SLOT), ok.reshape(rows, -1)
+    slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
+    slots[:, 1:, :2] = np.frombuffer(b",\0", np.uint8)
+    fallback = [(b"%d" if is_int[c] else b"%.17e") % float(block[r, c]) for r, c in np.argwhere(~done)]
+    slots[~done, 2:] = 0
+    slots[~done, 2] = 1  # the mark where a cell's Python text goes
+    pieces = slots.tobytes().translate(None, b"\0").split(b"\1")
+    return b"".join(piece + text for piece, text in zip(pieces, fallback + [b""]))
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """Slot words: the digits of 0..9999; sign, digit, point and digit of 10..99
+    (+ 100 if negative); "e", sign and digits of ``e`` (at ``e + _K``). And 10^k,
+    |k| <= _K, as ``hi + lo`` (an int true division rounds correctly)."""
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    lead = b"".join(sign + b"%d.%d" % divmod(g, 10) for sign in (b"\0", b"-") for g in range(100))
+    exps = b"".join(b"e%c\0\0" % b"+-"[e < 0] + (b"%02d" % abs(e)).rjust(4, b"\0") for e in range(-_K, _K + 1))
+    tens = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(-_K, _K + 1)]
+    hi = [num / den for num, den in tens]
+    lo = [(num * q - p * den) / (den * q) for (num, den), (p, q) in zip(tens, (h.as_integer_ratio() for h in hi))]
+    words = digits.view(np.uint32).ravel(), np.frombuffer(lead, np.uint32), np.frombuffer(exps, np.uint64)
+    return *words, np.array(hi), np.array(lo)
+
+
+def _put_digits(words: np.ndarray, n: np.ndarray, first: int):
+    """Write the zero-padded digits of each ``0 <= n``, four to a word, into words ``first``-5 of its slot."""
+    digits = _tables()[0]
+    for j in range(5, first, -1):
+        q = n // 10000
+        words[:, j] = digits[n - q * 10000]
+        n = q
+    words[:, first] = digits[n]
+
+
+def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``b"%.17e" % x`` of each cell as (slot, ok); a cell not ok is left to Python."""
+    _, lead, exps, hi10, lo10 = _tables()
+    a = np.abs(x)
+    ok = (a >= 10.0**-_E_MAX) & (a <= 10.0**_E_MAX)  # nan fails both
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)  # a cell whose log10 misses its decade fails the test below
+    h, lo = hi10[17 - e + _K], lo10[17 - e + _K]
+    ah, hh = [(t := 134217729.0 * v) - (t - v) for v in (a, h)]  # Dekker's split, 26-bit halves
+    al, hl, p = a - ah, h - hh, a * h
+    c = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo  # P = p + c: a h - p exactly, plus a lo
+    whole = np.floor(c)
+    frac = c - whole
+    # in the decade, and not rounding up to 10^18 (only 1e153 does, and log10 misses it first)
+    ok &= ((p - 1e17) + c >= _SLACK) & ((p - 1e18) + c <= -0.5 - _SLACK) & (np.abs(frac - 0.5) >= _SLACK)
+    n = np.where(ok, p, 1e17).astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)  # half to even
+    words = np.zeros((len(x), _SLOT // 4), np.uint32)
+    first = n // 10**16
+    words[:, 1] = lead[first + 100 * np.signbit(x)]
+    _put_digits(words, n - first * 10**16, 2)
+    words.view(np.uint64)[:, 3] = exps[e + _K]
+    return words.view(np.uint8), ok
+
+
+def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``b"%d" % x`` of each cell as (slot, ok); the cast truncates toward 0 as %d does."""
+    ok = np.abs(x) < 1e18
+    n = np.abs(np.where(ok, x, 0.0)).astype(np.int64)
+    out = np.zeros((len(x), _SLOT), np.uint8)
+    out[:, 3] = np.where((n > 0) & (x < 0), ord("-"), 0)
+    _put_digits(out.view(np.uint32), n, 1)
+    out[:, 4] = 0  # digit 10^19; those of 10^18 down to 10^1 go where n is smaller
+    out[:, 5:23][n[:, None] < 10 ** np.arange(18, 0, -1)] = 0
+    return out, ok
 
 
 def _write_json(path: str | Path, obj: dict):
@@ -175,9 +255,12 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         trigger_params = TriggerParams(**trig) if trig is not None else None
     except (TypeError, WavetrigError) as exc:
         raise DataFormatError(f"summary trigger {trig!r} is not valid: {exc}") from exc
-    # without either, the checks an event-triggered run is held to would be switched off
-    if mode == "event-triggered" and (certificate is None or trigger_params is None):
-        raise DataFormatError(f"summary of an event-triggered run in {d} lacks its certificate or trigger")
+    # a controlled run is checked against both (without either, its checks would be switched
+    # off), an uncontrolled one against neither
+    if mode != "uncontrolled" and (certificate is None or trigger_params is None):
+        raise DataFormatError(f"summary of the {mode} run in {d} lacks its certificate or trigger")
+    if mode == "uncontrolled" and (certificate is not None or trigger_params is not None):
+        raise DataFormatError(f"summary of the uncontrolled run in {d} has a certificate or trigger")
     # eta0 and the predicate are rebuilt from this entry: it must be the certificate's, and its
     # scale V[0] with the certificate's eps and either its alpha (v0) or 0 (reduced)
     if trigger_params is not None and certificate is not None:

@@ -339,6 +339,31 @@ def test_verify_refuses_an_event_triggered_summary_without_certificate_and_trigg
     assert "lacks its certificate or trigger" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, keys", [
+    ("periodic", ("certificate",)),
+    ("periodic", ("trigger",)),
+    ("continuous-damping", ("certificate",)),
+    ("continuous-damping", ("trigger",)),
+    ("uncontrolled", ("certificate",)),
+    ("uncontrolled", ("trigger",)),
+    ("uncontrolled", ("certificate", "trigger")),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+def test_verify_refuses_a_summary_whose_certificate_and_trigger_do_not_fit_its_mode(tmp_path, capsys, mode, keys):
+    # a controlled run is checked against both entries (periodic's gating equivalence check reads
+    # the certificate), an uncontrolled one against neither: a controlled run's entry is set to
+    # null, an uncontrolled run is given the periodic run's
+    for m in {"periodic", mode}:
+        _, path = small_config(tmp_path, mode=m, t_end=3.0, out=str(tmp_path / m))
+        assert main(["simulate", "--config", str(path)]) == 0
+    periodic = json.loads((tmp_path / "periodic" / "summary.json").read_text())
+    summary = json.loads((tmp_path / mode / "summary.json").read_text())
+    summary.update({key: periodic[key] if mode == "uncontrolled" else None for key in keys})
+    (tmp_path / mode / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / mode)]) == 65
+    assert "data format error" in capsys.readouterr().err
+
+
 def _event_flag(value):
     return lambda line: line.rsplit(",", 1)[0] + f",{value}\n"  # the event column is the last
 
