@@ -15,14 +15,24 @@ Python's ``b"%.17e" % x`` and ``b"%d" % x``: a float's significand
 1e-12 margin near a rounding tie or a decade's end where a cell is left to
 Python, as are one whose log10 misses the decade or that rounds up into the
 next, 0, -0, nan, inf, ``|x|`` outside 1e-280..1e280 and ints from 1e18.
+
+:func:`load_run` reads ``series.csv`` with the writer's inverse, _CHUNK bytes
+at a time, returning for each cell the bits of ``float()`` of its text. A
+``%.17e`` cell with a first digit from 1 and an exponent within 280 is
+decoded in numpy: eight ASCII digits to a word, the 18-digit significand
+scaled by 10^(E - 17) as a double-double with the writer's powers and
+product, rounded to nearest; ``float()`` reads a cell near a rounding tie,
+0, subnormals, larger exponents, nan and inf. Only the writer's cells and
+lines are accepted (``%.17e``, nan, inf and -inf, ``%d`` in the event column;
+lines ending in ``\\r\\n`` or ``\\n``); anything else is a DataFormatError.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -48,6 +58,10 @@ _E_MAX = 280  # numpy formats 1e-280 <= |x| <= 1e280: 10^k and the Dekker splits
 _K = 17 + _E_MAX + 1  # the table of 10^k spans |k| <= _K, log10 missing the decade either way
 _SLACK = 1e-12  # far above the double-double product's error, under 1e-13 at 1e18
 _SLOT = 32  # bytes a cell is laid out on, 8 words
+_CHUNK = 1 << 16  # bytes of a table read and decoded at a time
+# what b"%.17e" % x and b"%d" % x write, compiled (and cached by re) on first use
+_FLOAT_CELL = rb"-?[0-9]\.[0-9]{17}e[+-][0-9]{2,3}|-?inf|nan"
+_INT_CELL = rb"0|-?[1-9][0-9]*"
 
 
 def _json_default(obj):
@@ -115,6 +129,16 @@ def _tables() -> tuple[np.ndarray, ...]:
     return *words, np.array(hi), np.array(lo)
 
 
+def _scale(a: np.ndarray, k: np.ndarray, a_lo: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``(a + a_lo) 10^k`` as a double-double ``p + c``, ``|k| <= _K``: Dekker's exact
+    product of ``a`` with ``hi(10^k)``, plus ``a lo(10^k)`` and ``a_lo hi(10^k)``."""
+    hi10, lo10 = _tables()[3:]
+    h, lo = hi10[k + _K], lo10[k + _K]
+    ah, hh = [(t := 134217729.0 * v) - (t - v) for v in (a, h)]  # Dekker's split, 26-bit halves
+    al, hl, p = a - ah, h - hh, a * h
+    return p, ((((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo) + a_lo * h
+
+
 def _put_digits(words: np.ndarray, n: np.ndarray, first: int):
     """Write the zero-padded digits of each ``0 <= n``, four to a word, into words ``first``-5 of its slot."""
     digits = _tables()[0]
@@ -127,15 +151,12 @@ def _put_digits(words: np.ndarray, n: np.ndarray, first: int):
 
 def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``b"%.17e" % x`` of each cell as (slot, ok); a cell not ok is left to Python."""
-    _, lead, exps, hi10, lo10 = _tables()
+    _, lead, exps, _, _ = _tables()
     a = np.abs(x)
     ok = (a >= 10.0**-_E_MAX) & (a <= 10.0**_E_MAX)  # nan fails both
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)  # a cell whose log10 misses its decade fails the test below
-    h, lo = hi10[17 - e + _K], lo10[17 - e + _K]
-    ah, hh = [(t := 134217729.0 * v) - (t - v) for v in (a, h)]  # Dekker's split, 26-bit halves
-    al, hl, p = a - ah, h - hh, a * h
-    c = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo  # P = p + c: a h - p exactly, plus a lo
+    p, c = _scale(a, 17 - e)
     whole = np.floor(c)
     frac = c - whole
     # in the decade, and not rounding up to 10^18 (only 1e153 does, and log10 misses it first)
@@ -175,8 +196,8 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
         names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
         write_table(out / "series.csv", {name: getattr(record, name) for name in names}, ints=("event",))
 
-        times = record.events.times.tolist()
-        dwells = [float("nan")] + [t - prev for prev, t in zip(times, times[1:])]  # the first event has none
+        times = record.events.times
+        dwells = np.diff(times, prepend=np.nan)  # the first event has none
         write_table(out / "events.csv", {"k": np.arange(len(times)), "t_k": times, "dwell": dwells}, ints=("k",))
 
         summary = {
@@ -196,24 +217,124 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
 
 def _parse_series(path: Path) -> dict[str, np.ndarray]:
     try:
-        with open(path, newline="") as fh:
-            header = fh.readline().rstrip("\r\n").split(",")
+        with open(path, "rb") as fh:
+            header = fh.readline().decode().rstrip("\r\n").split(",")
+            if header not in (list(SERIES_COLUMNS), list(SERIES_COLUMNS_UNCONTROLLED)):
+                raise DataFormatError(
+                    f"unexpected series header in {path}: {','.join(header)}; expected "
+                    f"{','.join(SERIES_COLUMNS)}, or {','.join(SERIES_COLUMNS_UNCONTROLLED)} for an uncontrolled run"
+                )
+            data = _read_rows(fh, np.array([name == "event" for name in header]), f"malformed series table in {path}")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise DataFormatError(f"cannot read series file {path}: {exc}") from exc
-    if header not in (list(SERIES_COLUMNS), list(SERIES_COLUMNS_UNCONTROLLED)):
-        raise DataFormatError(
-            f"unexpected series header in {path}: {','.join(header)}; expected "
-            f"{','.join(SERIES_COLUMNS)}, or {','.join(SERIES_COLUMNS_UNCONTROLLED)} for an uncontrolled run"
-        )
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file is refused below
-            data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
-    except ValueError as exc:  # a non-numeric cell or a ragged row
-        raise DataFormatError(f"malformed series table in {path}: {exc}") from exc
-    if data.shape[0] < 2 or data.shape[1] != len(header):
-        raise DataFormatError(f"malformed series table in {path}")
-    return dict(zip(header, np.ascontiguousarray(data.T)))  # each column contiguous
+    if data.shape[1] < 2:
+        raise DataFormatError(f"malformed series table in {path}: fewer than 2 rows")
+    return dict(zip(header, data))
+
+
+def _read_rows(fh, is_int: np.ndarray, where: str) -> np.ndarray:
+    """The rows below the header of a table that :func:`write_table` wrote, read
+    from the binary file ``fh`` _CHUNK bytes at a time (a line cut by a chunk's
+    end is carried into the next), as one contiguous row per column: each cell
+    is a float's ``%.17e``, ``nan`` or ``[-]inf``, or, in the columns ``is_int``
+    marks, an int's ``%d``, each line ends in ``\\r\\n`` or ``\\n``; anything else
+    is refused with a DataFormatError that begins with ``where``."""
+    blocks, pending, line = [np.empty((0, len(is_int)))], bytearray(), 2  # line 1 is the header
+    while chunk := fh.read(_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending += chunk
+            continue
+        blocks.append(_decode_lines(pending + chunk[:cut], is_int, where, line))
+        pending, line = bytearray(chunk[cut:]), line + len(blocks[-1])
+    if pending:
+        raise DataFormatError(f"{where}: line {line} is not terminated")
+    return np.concatenate([block.T for block in blocks], axis=1)  # (column, row), C order
+
+
+def _decode_lines(lines: bytearray, is_int: np.ndarray, where: str, first: int) -> np.ndarray:
+    """The cells of whole ``lines`` as (row, column), numbered from line ``first``."""
+    size = len(lines)
+    lines += bytes(_SLOT)  # a cell's reads past its end stay in the buffer
+    buf = np.frombuffer(lines, np.uint8)
+    seps = np.flatnonzero((buf[:size] == ord(",")) | (buf[:size] == ord("\n")))
+    cols = len(is_int)
+    breaks = np.flatnonzero(buf[seps] == ord("\n"))
+    ragged = breaks != np.arange(cols - 1, cols * len(breaks), cols)
+    if ragged.any():
+        raise DataFormatError(f"{where}: line {first + ragged.argmax()} does not have {cols} cells")
+    starts = np.concatenate([[0], seps[:-1] + 1]).reshape(-1, cols)
+    ends = seps.reshape(-1, cols)
+    ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
+    values = np.empty(ends.shape)
+    done = np.empty(ends.shape, bool)
+    for kind, decode in ((~is_int, _float_values), (is_int, _int_values)):
+        if kind.any():
+            out, ok = decode(buf, starts[:, kind].ravel(), ends[:, kind].ravel())
+            values[:, kind], done[:, kind] = out.reshape(len(ends), -1), ok.reshape(len(ends), -1)
+    for r, c in np.argwhere(~done):  # the writer's Python cells, or a cell it cannot have written
+        text = bytes(lines[starts[r, c]:ends[r, c]])
+        if not re.fullmatch(_INT_CELL if is_int[c] else _FLOAT_CELL, text):
+            raise DataFormatError(f"{where}: line {first + r}: {text!r} is not a cell the writer writes")
+        values[r, c] = float(text)
+    return values
+
+
+def _digit_test(w: np.ndarray) -> np.ndarray:
+    """0x33 in each byte of ``w`` that is an ASCII digit (a byte of 0xFA up may spoil the next)."""
+    return w & 0xF0F0F0F0F0F0F0F0 | ((w + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4
+
+
+def _swar8(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of the eight ASCII digits of each little-endian word, and whether all eight are digits."""
+    ok = _digit_test(w) == 0x3333333333333333
+    w = w - 0x3030303030303030
+    w = (w * 10 + (w >> 8)) & 0x00FF00FF00FF00FF  # 2-digit groups
+    w = (w * (1 + (100 << 16)) >> 16) & 0x0000FFFF0000FFFF  # 4-digit groups
+    return w * (1 + (10000 << 32)) >> 32, ok
+
+
+def _float_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's float as (value, ok) when it is ``%.17e`` with a first digit from 1 and
+    an exponent within ``_E_MAX``, and the double-double of its 18-digit significand times
+    10^(E - 17) does not lie near a rounding tie."""
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
+    neg = buf[start] == ord("-")
+    at = start + neg
+    lead = buf[at] - np.uint8(ord("1"))
+    high, ok_high = _swar8(words[at + 2])  # digits 1-8 after the point
+    low, ok_low = _swar8(words[at + 10])  # digits 9-16
+    tail = words[at + 16]  # digits 15-17, "e", the exponent's sign, its 2 digits and a third or not
+    width = end - at
+    three = width == 24
+    marks = tail >> 24 & 0xFFFF
+    minus = marks == ord("e") | ord("-") << 8
+    digits = _digit_test(tail)  # bytes 0-2, 5, 6 and, in a cell 24 bytes wide, 7
+    ok = (lead < 9) & (buf[at + 1] == ord(".")) & ok_high & ok_low & ((width == 23) | three)
+    ok &= (minus | (marks == ord("e") | ord("+") << 8)) & (digits & 0xFFFF0000FFFFFF == 0x33330000333333)
+    ok &= ~three | (digits >> 56 == 0x33)
+    exp = (tail >> 40 & 0xFF) * 10 + (tail >> 48 & 0xFF) - 11 * ord("0")
+    exp = np.where(three, exp * 10 + (tail >> 56) - ord("0"), exp).view(np.int64)
+    ok &= exp <= _E_MAX
+    n = (lead + np.uint64(1)) * 10**17 + high * 10**9 + low * 10 + (tail >> 16 & 0xFF) - ord("0")
+    n = np.where(ok, n.view(np.int64), 10**17)
+    exp = np.where(ok, np.where(minus, -exp, exp), 17)
+    n_hi = n.astype(float)
+    p, c = _scale(n_hi, exp - 17, (n - n_hi.astype(np.int64)).astype(float))
+    x = p + c
+    rest = c - (x - p)  # exact (Fast2Sum): the double-double is x + rest
+    # x is the nearest double unless rest lies within 2^-38 ulp(x) of half an ulp, far above
+    # the double-double's error (under 9 2^-106 x < 2^-49 ulp), or x is a power of 2, whose lower gap is half
+    bits = x.view(np.int64)
+    ulp = ((bits >> 52) - 52 << 52).view(float)
+    ok &= (bits & (1 << 52) - 1 != 0) & (np.abs(rest) < ulp * (0.5 - 2.0**-38))
+    return np.where(neg, -x, x), ok
+
+
+def _int_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each one-digit cell's value as (value, ok); longer ints are left to Python."""
+    digit = buf[start] - np.uint8(ord("0"))
+    return digit.astype(float), (end - start == 1) & (digit < 10)
 
 
 def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:

@@ -368,13 +368,31 @@ def _event_flag(value):
     return lambda line: line.rsplit(",", 1)[0] + f",{value}\n"  # the event column is the last
 
 
-# (line of series.csv, edit): line 1 is row 0, the unconditional event at t = 0
+def _first_cell(text):
+    return lambda line: text + line[line.index(","):]
+
+
+# (line of series.csv, edit): line 0 is the header, line 1 row 0, the
+# unconditional event at t = 0, and line -1 the last row. The file is
+# rewritten with "\n" line ends, which the reader accepts; it refuses every
+# cell the writer's "%.17e" and "%d" cannot have written, where np.loadtxt
+# took "1.5" or " 1e0"
 SERIES_TAMPERS = {
     "non-numeric": (3, lambda line: line.replace("e-", "x-", 1)),
     "ragged": (3, lambda line: line.split(",", 1)[1]),
     "comment": (3, lambda line: "#" + line),  # a comment is not a row
     "event-flag-7": (1, _event_flag(7)),
     "no-event-at-t0": (1, _event_flag(0)),
+    "short-decimal": (3, _first_cell("1.5")),
+    "leading-space": (3, lambda line: " " + line),
+    "trailing-space": (3, lambda line: line.replace(",", " ,", 1)),
+    "plus-sign": (3, lambda line: "+" + line),
+    "upper-case-e": (3, lambda line: line.replace("e", "E", 1)),
+    "underscore": (3, _first_cell("1_0")),
+    "blank-line": (3, lambda line: "\n" + line),
+    "float-event": (3, _event_flag("0.00000000000000000e+00")),
+    "cut-last-line": (-1, lambda line: line[:len(line) // 2]),
+    "non-utf8-header": (0, lambda line: line.replace("_", "\udcff", 1)),  # the byte 0xff
 }
 
 
@@ -385,8 +403,21 @@ def test_cmd_verify_malformed_series_exits_65(tmp_path, row, corrupt):
     series = tmp_path / "m-run" / "series.csv"
     lines = series.read_text().splitlines(True)
     lines[row] = corrupt(lines[row])
-    series.write_text("".join(lines))
+    series.write_text("".join(lines), errors="surrogateescape")
     assert main(["verify", str(tmp_path / "m-run")]) == 65
+
+
+def test_cmd_verify_accepts_the_writers_cells_with_either_line_end(tmp_path):
+    # the tampers above rewrite the file with "\n" line ends: unedited, that
+    # copy verifies, and so does one whose lines end in "\n" and "\r\n" by turns
+    cfg, path = small_config(tmp_path, out=str(tmp_path / "run"))
+    assert main(["simulate", "--config", str(path)]) == 0
+    series = tmp_path / "run" / "series.csv"
+    lines = series.read_bytes().split(b"\r\n")[:-1]
+    series.write_bytes(b"".join(line + b"\r\n"[k % 2:] for k, line in enumerate(lines)))
+    assert main(["verify", str(tmp_path / "run")]) == 0
+    series.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["verify", str(tmp_path / "run")]) == 0
 
 
 def test_simulate_uncontrolled_drops_event_columns(tmp_path):

@@ -101,6 +101,7 @@ same.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ import pytest
 from wavetrig.cli import main, run_from_config
 from wavetrig.config import load_config
 from wavetrig.lyapunov import RunRecord
-from wavetrig.runio import load_run
+from wavetrig.runio import _parse_series, load_run
 
 BASE = {"domain": {"kind": "interval", "length": 1.0, "n": 49}, "t_end": 3.0}
 
@@ -234,3 +235,15 @@ def test_load_run_rebuilds_the_simulated_record(name, tmp_path, monkeypatch):
     for series in RunRecord.SERIES:
         want, got = getattr(simulated, series), getattr(loaded, series)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), series
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_series_reader_matches_loadtxt(name, tmp_path, monkeypatch):
+    # np.loadtxt, which load_run used before its own reader, is the reference
+    monkeypatch.chdir(tmp_path)
+    run_case(name)
+    columns = _parse_series(Path("run/series.csv"))
+    reference = np.loadtxt("run/series.csv", delimiter=",", skiprows=1, comments=None, ndmin=2).T
+    assert len(columns) == len(reference)
+    for got, want in zip(columns.values(), reference):
+        assert got.tobytes() == want.tobytes()

@@ -1,9 +1,11 @@
 import csv
 import io
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from wavetrig import runio
 from wavetrig.dynamics import build_record
+from wavetrig.errors import DataFormatError
 from wavetrig.runio import _BLOCK_ROWS, SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, save_run, write_table
 
 
@@ -33,9 +37,9 @@ cells = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.i
 
 
 @st.composite
-def series(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    columns = {name: draw(hnp.arrays(float, n, elements=cells)) for name in SERIES_COLUMNS if name != "event"}
+def series(draw, elements=cells, min_rows=1):
+    n = draw(st.integers(min_value=min_rows, max_value=12))
+    columns = {name: draw(hnp.arrays(float, n, elements=elements)) for name in SERIES_COLUMNS if name != "event"}
     columns["event"] = draw(hnp.arrays(bool, n))
     return columns
 
@@ -150,3 +154,139 @@ def test_write_table_formats_multi_digit_int_columns_across_row_blocks(tmp_path)
     k[2 * _BLOCK_ROWS - 2:2 * _BLOCK_ROWS + 2] = [1e18 - 128, 1e18, -3e25, 1e300]
     counts = np.arange(n) % 1234567
     assert_cells_are_python_formatted(tmp_path / "t.csv", {"k": k, "t_k": k / 7, "events": counts}, ints=("k", "events"))
+
+
+def assert_same_floats(got, want):
+    """Bit for bit, with any nan for a nan: the writer prints every nan as "nan"."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def read_series(path, chunk=runio._CHUNK) -> dict:
+    with mock.patch.object(runio, "_CHUNK", chunk):
+        return runio._parse_series(Path(path))
+
+
+# the writer's fallback classes and both sides of its range: zeros,
+# subnormals, nan, inf, values either side of 1e-280 and 1e280, and floats
+# with 3-digit exponents inside and outside the range
+round_trip_cells = st.one_of(
+    st.floats(),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e-279, max_value=1e-100),
+    st.floats(min_value=1e100, max_value=1e279),
+    st.sampled_from(_near([1e-280, 1e280, 5e-324]).tolist() + [0.0, 1e-300, 1e300, 1.7976931348623157e308, np.nan, np.inf]),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=series(round_trip_cells, min_rows=2), uncontrolled=st.booleans(), chunk=st.integers(1, 400), lf=st.booleans())
+def test_reader_returns_every_float_the_writer_wrote(columns, uncontrolled, chunk, lf):
+    # a chunk of 1 to 400 bytes puts its edges on both sides of rows of
+    # about 150 bytes; the file is read with the writer's "\r\n" and with "\n"
+    names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_table(path, {name: columns[name] for name in names}, ints=("event",))
+        if lf:
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        got = read_series(path, chunk)
+    assert list(got) == list(names)
+    for name in names:
+        assert got[name].flags.c_contiguous
+        assert_same_floats(got[name], columns[name])
+
+
+@pytest.mark.parametrize("values", ENCODER_CASES.values(), ids=ENCODER_CASES.keys())
+def test_reader_returns_every_hard_float_the_writer_wrote(tmp_path, values):
+    # the writer's edge cases, 200,000 random bit patterns among them, four to a row
+    columns = np.resize(values, (-(-len(values) // 4), 4)).T
+    write_table(tmp_path / "series.csv", dict(zip(SERIES_COLUMNS_UNCONTROLLED, columns)))
+    got = read_series(tmp_path / "series.csv")
+    for name, column in zip(SERIES_COLUMNS_UNCONTROLLED, columns):
+        assert_same_floats(got[name], column)
+
+
+def _cell(digits: str, exponent: int, negative: bool = False) -> str:
+    """``d.ddddddddddddddddde±XX`` of an 18-digit significand."""
+    return f"{'-' if negative else ''}{digits[0]}.{digits[1:]}e{exponent:+03d}"
+
+
+def _tie(binade: int, i: int, offset: int) -> str:
+    """An integer ``offset`` away from the midpoint of the doubles ``2^binade + i ulp``
+    and the next, as a %.17e cell; at offset 0 the exact tie that the reader leaves to float()."""
+    ulp = 2 ** (binade - 52)
+    m = 2**binade + i * ulp + ulp // 2 + offset
+    return _cell(str(m).ljust(18, "0"), len(str(m)) - 1)
+
+
+decimal_text = st.one_of(
+    st.builds(
+        _cell, st.text("0123456789", min_size=18, max_size=18),
+        st.integers(-330, 330), st.booleans(),
+    ),
+    st.builds(
+        lambda d, e3, neg: _cell(d, 0, neg)[:-3] + e3, st.text("0123456789", min_size=18, max_size=18),
+        st.from_regex(r"[+-][0-9]{2,3}", fullmatch=True), st.booleans(),
+    ),
+    st.builds(
+        lambda b, i, offset, neg: ("-" if neg else "") + _tie(b, i, offset),
+        st.integers(53, 59), st.integers(0, 2**52 - 1), st.sampled_from([0, 0, 1, -1, 2, -2]), st.booleans(),
+    ).filter(lambda text: len(text.lstrip("-")) == 23),  # a significand below 1e18
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(decimal_text, min_size=8, max_size=40))
+def test_reader_reads_any_18_digit_decimal_as_float_does(cells):
+    # not only the %.17e of a double: any significand of 18 digits (a zero
+    # first digit too) with a 2- or 3-digit exponent, and midpoints between
+    # two doubles written exactly, which round half to even
+    cells += ["1.00000000000000000e+00"] * (-len(cells) % 4)
+    rows = [",".join(cells[i:i + 4]) for i in range(0, len(cells), 4)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_text("\r\n".join([",".join(SERIES_COLUMNS_UNCONTROLLED), *rows, ""]))
+        got = read_series(path)
+    table = np.column_stack([got[name] for name in SERIES_COLUMNS_UNCONTROLLED]).ravel()
+    assert_same_floats(table, [float(text) for text in cells])
+
+
+def _fast_path(cells: list[str]) -> np.ndarray:
+    """Whether the reader decodes each cell in numpy (else it is left to Python's float)."""
+    data = ",".join(cells).encode() + b"\n" + bytes(runio._SLOT)
+    ends = np.cumsum([len(cell) + 1 for cell in cells]) - 1
+    return runio._float_values(np.frombuffer(data, np.uint8), ends - [len(cell) for cell in cells], ends)[1]
+
+
+def test_reader_leaves_ties_and_the_writers_python_cells_to_float():
+    # the fast path takes every cell the writer encodes in numpy, and none
+    # of zero, subnormals, exponents beyond 280, nan, inf, ties and powers of two
+    rng = np.random.default_rng(19)
+    ordinary = np.exp(rng.uniform(-640, 640, 4000)) * rng.choice([-1.0, 1.0], 4000)
+    ordinary = ordinary[np.frexp(ordinary)[0] != 0.5]  # a power of two is left to Python
+    assert _fast_path([fmt(x) for x in ordinary]).all()
+    python_cells = [fmt(x) for x in (0.0, -0.0, 5e-324, 9.9e-281, 1.1e281)] + ["nan", "inf", "-inf"]
+    ties = [_tie(b, i, 0) for b in (53, 55, 57) for i in (0, 1, 12345)]
+    assert float(ties[0]) == 2.0**53 and float(ties[1]) == 2.0**53 + 4  # half to even
+    assert not _fast_path(python_cells + ties + [fmt(2.0**-3), fmt(-(2.0**60))]).any()
+
+
+def test_reader_refuses_a_cell_it_cannot_place(tmp_path):
+    # the reader's own refusals, each with its line: the command line's
+    # tampers (test_cli) cover the cells one by one
+    header = ",".join(SERIES_COLUMNS_UNCONTROLLED)
+    row = ",".join([fmt(0.25)] * 4)
+    cases = {
+        "unterminated": (f"{header}\r\n{row}\r\n{row}", "line 3 is not terminated"),
+        "ragged": (f"{header}\n{row}\n{row},{fmt(1)}\n", "line 3 does not have 4 cells"),
+        "empty": (f"{header}\n{row}\n{row.replace(fmt(0.25), '', 1)}\n", "line 3: b'' is not a cell"),
+        "cr-inside": (f"{header}\n{row}\n{row.replace(',', chr(13) + ',', 1)}\n", "line 3: b'2.50"),
+        "one-row": (f"{header}\n{row}\n", "fewer than 2 rows"),
+    }
+    for name, (text, message) in cases.items():
+        (tmp_path / "series.csv").write_text(text)
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            read_series(tmp_path / "series.csv", chunk=64)
