@@ -22,9 +22,10 @@ at a time, returning for each cell the bits of ``float()`` of its text. A
 decoded in numpy: eight ASCII digits to a word, the 18-digit significand
 scaled by 10^(E - 17) as a double-double with the writer's powers and
 product, rounded to nearest; ``float()`` reads a cell near a rounding tie,
-0, subnormals, larger exponents, nan and inf. Only the writer's cells and
-lines are accepted (``%.17e``, nan, inf and -inf, ``%d`` in the event column;
-lines ending in ``\\r\\n`` or ``\\n``); anything else is a DataFormatError.
+0, subnormals, larger exponents, nan and inf. Only cells and lines of the
+writer's shape are accepted (the shape of ``%.17e``, nan, inf and -inf, ``%d``
+in the event column; lines ending in ``\\r\\n`` or ``\\n``); anything else is
+a DataFormatError.
 """
 
 from __future__ import annotations
