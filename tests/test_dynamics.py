@@ -432,13 +432,58 @@ def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypat
     def run():
         return wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params, mode=mode, period=0.1)
 
+    default = budget == dynamics._BLOCK_BYTES
     monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 0)
     want = run()
     monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
+    blocks = record_blocks(monkeypatch)
     got = run()
     assert (want.event[1:].sum() >= 2) == (mode != "uncontrolled")  # events after t = 0 cut blocks
     for name in wt.RunRecord.SERIES:
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    if mode == "event-triggered" and default:
+        # the comparison covers rows stepped past an event and thrown away:
+        # a first block of half the dwell its event ended, cut by the next
+        dwell, cut_by = (48, 10) if isinstance(shape, wt.Interval) else (21, 2)
+        assert (dwell, cut_by, dwell // 2) in first_blocks(got.event, blocks)
+
+
+def record_blocks(monkeypatch) -> list:
+    """The (k, start) of every kernel advance from here on."""
+    blocks, advance = [], dynamics._Modal.advance
+
+    def recorded(self, k=1, start=0):
+        blocks.append((k, start))
+        return advance(self, k, start)
+
+    monkeypatch.setattr(dynamics._Modal, "advance", recorded)
+    return blocks
+
+
+def first_blocks(event, blocks) -> list:
+    """(dwell ended, dwell begun, block length) of each block that follows an
+    event after t = 0, from the record's events and the run's (k, start)."""
+    rows = np.flatnonzero(event)
+    dwells = np.diff(rows, append=event.size)  # the last one runs to the end
+    ended = dict(zip(rows[1:].tolist(), zip(dwells[:-1].tolist(), dwells[1:].tolist())))
+    out, i = [], 0  # i: the block's first row; the first block is row 0
+    for k, start in blocks:
+        i += start + 1  # a block goes on from block row start of the one before
+        if i - 1 in ended:
+            out.append((*ended[i - 1], k))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])
+def test_simulate_steps_the_default_config_in_few_blocks(mode, monkeypatch):
+    # the kernel work of the default run (n = 199, 4,000 steps), counted,
+    # not timed, so the bounds hold exactly
+    blocks = record_blocks(monkeypatch)
+    run_from_config(RunConfig(mode=mode))
+    if mode == "continuous-damping":  # it fires every step: one step a block
+        assert blocks == [(1, 0)] * 4000
+    else:  # blocks of half a dwell after each of its 9 events
+        assert len(blocks) <= 106 and sum(k for k, _ in blocks) <= 4142
 
 
 def test_eta0_column_is_the_scalar_floor_at_every_row():
