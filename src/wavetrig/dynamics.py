@@ -111,14 +111,24 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
 # Bytes the block buffers of the step kernel may take: a complex q and the
 # four real rows, 48 bytes per coefficient and step.  That is 41 steps at
 # n = 199 and one step (the floor) on 127x127, where a step is array-bound.
+# Each of the four planes of the rows is padded to whole cache lines; the
+# padding, at most 56 bytes a plane, is left out of the count.
 _BLOCK_BYTES = 3 << 17
 
 
-def _aligned(shape: tuple, dtype=float) -> np.ndarray:
+def _aligned(shape: tuple, dtype=float, planes: int | None = None) -> np.ndarray:
     """An empty array starting on a 64-byte cache line: numpy aligns to 16 bytes, and a
-    step's time on 127x127 depended on where in a line malloc put the kernel's buffers."""
-    raw = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
-    return raw[-raw.ctypes.data % 64:][:raw.size - 64].view(dtype).reshape(shape)
+    step's time on 127x127 depended on where in a line malloc put the kernel's buffers.
+    With ``planes``, the array is that many planes of ``shape``, each padded to whole
+    lines (at most 56 bytes a plane) so that every plane starts on a line too: on
+    127x127 a plane is 129,032 bytes, and unpadded planes 1-3 of the rows started
+    8, 16 and 24 bytes past a line, which split every wide load from them."""
+    count = 1 if planes is None else planes
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    pitch = -(-size // 64) * 64  # a plane's bytes, rounded up to whole lines
+    raw = np.empty(count * pitch + 64, dtype=np.uint8)
+    raw = raw[-raw.ctypes.data % 64:][:count * pitch].reshape(count, pitch)[:, :size]
+    return raw.view(dtype).reshape(shape if planes is None else (planes, *shape))
 
 
 class _Modal:
@@ -142,7 +152,7 @@ class _Modal:
         room for ``size`` states."""
         w = np.sqrt(_grid.eigenvalues(g))
         self.held = _grid.sine_transform(held, g, out=_aligned(w.shape))
-        self.rows = _aligned((4, size, w.size))
+        self.rows = _aligned((size, w.size), planes=4)
         _lyapunov.modal_rows(g, z, v, w, out=self.rows[:, 0])
         np.subtract(self.rows[2, 0], self.held, out=self.rows[3, 0])
         self._wp = np.multiply(w, -dt, out=_aligned(w.shape))  # the phase -w dt, until _shift makes it w p

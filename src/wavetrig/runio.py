@@ -370,6 +370,11 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     # an uncontrolled run, and only one, is written without the hold's columns
     if mode not in MODES or (mode == "uncontrolled") != ("event" not in cols):
         raise DataFormatError(f"summary mode {mode!r} does not fit the series header of {d}")
+    # a periodic run refreshes its hold every meta.period, which simulate records;
+    # a summary without one (an event-triggered run relabelled, say) is not a periodic run's
+    period = meta.get("period")
+    if mode == "periodic" and (type(period) not in (int, float) or not 0 < period <= sys.float_info.max):
+        raise DataFormatError(f"summary meta.period {period!r} of the periodic run in {d} is not a positive number")
     cert = summary.get("certificate")
     certificate = StabilityCertificate.from_dict(cert) if cert is not None else None
     trig = summary.get("trigger")

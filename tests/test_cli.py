@@ -604,6 +604,11 @@ SUMMARY_TAMPERS = {
     "eta0-scale-one-ulp-more": lambda s: dict(
         s, trigger=dict(s["trigger"], eta0_scale=math.nextafter(s["trigger"]["eta0_scale"], math.inf))
     ),
+    # the event-triggered run relabelled periodic: a periodic run needs a positive period
+    **{
+        f"periodic-period-{label}": lambda s, p=p: dict(s, mode="periodic", meta=dict(s["meta"], period=p))
+        for label, p in (("null", None), ("zero", 0), ("negative", -1), ("string", "0.5"), ("bool", True))
+    },
 }
 
 
@@ -677,6 +682,14 @@ def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):
     summary = json.loads((tmp_path / "per" / "summary.json").read_text())
     assert summary["meta"]["period"] > 0
     assert summary["event_count"] >= 2
+
+
+def test_event_triggered_run_keeps_a_period_it_is_given(tmp_path):
+    # only a periodic summary must carry a positive period; another mode records what it was given
+    _, path = small_config(tmp_path, t_end=3.0)
+    assert main(["simulate", "--config", str(path), "--period", "0.5"]) == 0
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["meta"]["period"] == 0.5
+    assert main(["verify", str(tmp_path / "run")]) == 0
 
 
 def test_simulate_determinism_byte_identical(tmp_path):

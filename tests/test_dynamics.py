@@ -498,15 +498,26 @@ def test_eta0_column_is_the_scalar_floor_at_every_row():
     assert rec.eta0.tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("shape", [wt.Rectangle(1.0, 1.0, 127, 127), wt.Interval(1.0, 199)], ids=["127x127", "n199"])
-def test_kernel_buffers_start_on_cache_lines(shape):
+@pytest.mark.parametrize("shape, size", [
+    (wt.Rectangle(1.0, 1.0, 127, 127), 3),
+    (wt.Interval(1.0, 199), 3),
+    (wt.Rectangle(1.0, 1.0, 15, 15), 1),  # one step: a plane of 225 * 8 bytes, 8 past a line
+    (wt.Interval(1.0, 199), dynamics._BLOCK_BYTES // (48 * 199)),  # the default budget, 41 steps
+], ids=["127x127", "n199", "15x15-one-step", "n199-default"])
+def test_kernel_buffers_start_on_cache_lines(shape, size):
     # numpy aligns to 16 bytes only; a step's time on 127x127 depended on
-    # where in a cache line malloc happened to start each buffer
+    # where in a cache line malloc happened to start each buffer.  The four
+    # planes of the rows (z_hat, w z_hat, v_hat, e_hat) each start on a line
+    # too, and a block row stays contiguous inside its plane, so a block is
+    # one flat loop a plane
     g = wt.build_grid(shape)
     z = sine_mode(g, 1).values
-    kernel = dynamics._Modal(g, z, z, z, 1.0, wt.cfl_max_dt(g), size=3)
+    kernel = dynamics._Modal(g, z, z, z, 1.0, wt.cfl_max_dt(g), size)
     for name in ("held", "rows", "_wp", "_rot", "_winv", "q"):
         assert getattr(kernel, name).ctypes.data % 64 == 0, name
+    m = g.num_interior
+    assert kernel.rows.shape == (4, size, m) and kernel.rows.strides[1:] == (8 * m, 8)
+    assert [plane.ctypes.data % 64 for plane in kernel.rows] == [0] * 4
 
 
 @pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])
