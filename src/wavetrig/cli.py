@@ -68,6 +68,8 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
     vdot/envelope/deviation-floor outcomes gate the verdict only there; on
     baseline policies they are reported as advisory.  The sandwich identity
     and the one-step dwell floor hold for any trajectory and always gate.
+    So does the schedule: the trigger invariant for an event-triggered
+    run, ``trigger.check_schedule`` for a continuous-damping or periodic one.
     """
     reports: dict = {}
     ok = True
@@ -81,6 +83,8 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
         ]
     if event_mode:
         checks.append((_lyapunov.check_trigger_invariant, True))
+    elif record.mode in ("continuous-damping", "periodic"):
+        checks.append((_trigger.check_schedule, True))
     for check, gating in checks:
         rep = check(record)
         reports[rep.name] = {**rep.to_dict(), "gating": gating}

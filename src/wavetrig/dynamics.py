@@ -112,8 +112,14 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
 # four real rows, 48 bytes per coefficient and step.  That is 41 steps at
 # n = 199 and one step (the floor) on 127x127, where a step is array-bound.
 # Each of the four planes of the rows is padded to whole cache lines; the
-# padding, at most 56 bytes a plane, is left out of the count.
+# padding, at most 56 bytes a plane, is left out of the count.  The three
+# (size, M) tiles of the kernel take 24 more bytes a coefficient and step.
 _BLOCK_BYTES = 3 << 17
+
+# Bytes of the step kernel's phase table exp(-i w r dt), r = 1..T: T = 41 at
+# n = 199 and 1 (the floor) on 127x127.  T sets where the turn re-takes its
+# anchor, so it depends on the grid alone, never on the block budget.
+_PHASE_BYTES = 1 << 17
 
 
 def _aligned(shape: tuple, dtype=float, planes: int | None = None) -> np.ndarray:
@@ -135,14 +141,20 @@ class _Modal:
     """The step kernel: the exact flow of step dt in the stencil's eigenbasis.
 
     With w = sqrt(lam) and the mode's rest point p = -alpha held_hat / lam,
-    q = w (z_hat - p) + i v_hat turns as q' = -i w q, so a step is one
-    product ``q * exp(-i w dt)``.  The kernel holds ``size`` states, one
-    block row each: ``q[j]`` and ``rows[:, j]``, the rows the norms are read
-    from (z_hat, w z_hat, v_hat and the deviation e_hat = v_hat - held_hat).
-    Block row 0 starts as the state given.  :meth:`hold` samples a row's
-    v_hat into the hold and shifts that row's Re q to the new rest point.
-    Callers check dt and alpha (_check_step) and ignore overflow and
-    invalid operations; :meth:`finite` tells whether a row blew up.
+    q = w (z_hat - p) + i v_hat turns as q' = -i w q, so the state r steps
+    after an anchor state A is ``A * exp(-i w r dt)``.  The kernel keeps
+    those factors for r = 1..T as its phase table (T from ``_PHASE_BYTES``)
+    and re-takes the anchor at every T-th row and at every hold, so a block
+    of rows is one broadcast product, or two when it crosses an anchor.
+    The kernel holds ``size`` states, one block row each: ``q[j]`` and
+    ``rows[:, j]``, the rows the norms are read from (z_hat, w z_hat, v_hat
+    and the deviation e_hat = v_hat - held_hat).  The hold, w p and 1/w
+    are ``(size, M)`` tiles of equal rows, so that a block's rows are built
+    by one flat loop a call.  Block row 0 starts as the state given.
+    :meth:`hold` samples a row's v_hat into the hold and shifts that row's
+    Re q to the new rest point.  Callers check dt and alpha (_check_step)
+    and ignore overflow and invalid operations; :meth:`finite` tells
+    whether a row blew up.
     """
 
     def __init__(
@@ -151,26 +163,36 @@ class _Modal:
         """The kernel at the flat fields z, v and the hold ``held``, with
         room for ``size`` states."""
         w = np.sqrt(_grid.eigenvalues(g))
-        self.held = _grid.sine_transform(held, g, out=_aligned(w.shape))
+        span = max(1, _PHASE_BYTES // (16 * w.size))
+        self.held = _aligned((size, w.size))
+        _grid.sine_transform(held, g, out=self.held[0])
+        self.held[1:] = self.held[0]
         self.rows = _aligned((size, w.size), planes=4)
         _lyapunov.modal_rows(g, z, v, w, out=self.rows[:, 0])
-        np.subtract(self.rows[2, 0], self.held, out=self.rows[3, 0])
-        self._wp = np.multiply(w, -dt, out=_aligned(w.shape))  # the phase -w dt, until _shift makes it w p
-        self._rot = _aligned(w.shape, complex)  # exp(-i w dt), built in place
-        np.cos(self._wp, out=self._rot.real)
-        np.sin(self._wp, out=self._rot.imag)
-        self._winv = np.divide(1.0, w, out=_aligned(w.shape))
+        np.subtract(self.rows[2, 0], self.held[0], out=self.rows[3, 0])
+        self._wp = _aligned((size, w.size))  # w p, from _shift
+        self._phase = _aligned((span, w.size), complex)  # exp(-i w r dt), built in place
+        angle = self._phase.imag  # r (-w dt), until its sine
+        np.multiply(w, -dt, out=angle[0])
+        np.multiply(np.arange(2.0, span + 1.0)[:, None], angle[:1], out=angle[1:])
+        np.cos(angle, out=self._phase.real)
+        np.sin(angle, out=angle)
+        self._winv = np.divide(1.0, w, out=_aligned((size, w.size)))
         self.q = _aligned((size, w.size), complex)
-        self._q = list(self.q)  # its block rows
+        # the anchor state; with T = 1 it is the row a turn goes on from, and has no buffer
+        self._anchor = _aligned((1, w.size), complex) if span > 1 else None
         self._k = 0  # the block length of _views
         self._alpha = alpha
-        self._shift(0)
         np.copyto(self.q[0].imag, self.rows[2, 0])
+        self._shift(0)
 
-    def _shift(self, j: int):  # w p = -alpha held_hat / w, and Re q = w z_hat - w p
+    def _shift(self, j: int):  # w p = -alpha held_hat / w, Re q = w z_hat - w p, and q is the anchor
         np.multiply(self.held, self._winv, out=self._wp)
         np.multiply(self._wp, -self._alpha, out=self._wp)
-        np.subtract(self.rows[1, j], self._wp, out=self.q[j].real)
+        np.subtract(self.rows[1, j], self._wp[0], out=self.q[j].real)
+        if self._anchor is not None:
+            np.copyto(self._anchor, self.q[j])
+        self._r = 0  # the steps from the anchor to the row a turn goes on from
 
     def hold(self, j: int):
         """Drive the forcing -alpha * v_hat of block row j from there on."""
@@ -178,26 +200,37 @@ class _Modal:
         self._shift(j)
 
     def advance(self, k: int = 1, start: int = 0) -> np.ndarray:
-        """k steps on from block row ``start`` into block rows 0 to k-1;
-        returns their rows, ``rows[:, :k]``.
+        """k steps on from block row ``start``, the last row of the block
+        before or a row just held, into block rows 0 to k-1; returns their
+        rows, ``rows[:, :k]``.
 
-        q turns one block row at a time, one contiguous product a row:
-        ``np.multiply.accumulate`` along the block would be one call, but
-        its products round differently (on n = 199 its second row matched
-        the contiguous product in about half the entries, 84 of 199 on one
-        input), and the record must not depend on the block size.  A positional ``out`` over ``zip``
-        costs a little less than a keyword one over indices: 0.52 against
-        0.55 us a row at best at n = 199 on a 2-vCPU Xeon.
+        The row r steps after the anchor is the anchor times row r-1 of the
+        phase table, so the turn is one product per stretch of rows between
+        anchors, whatever k is: each row takes the same product, so the
+        record does not depend on the block size.  The anchor goes in as a
+        (1, M) array: a (M,) input over a (1, M) output on the same memory
+        makes numpy copy the input first.
         """
-        q, rot = self._q, self._rot
-        np.multiply(q[start], rot, q[0])
-        for a, b in zip(q[:k - 1], q[1:k]):
-            np.multiply(a, rot, b)
-        re, im, rows, zh, wz, vh, eh = self._block(k)
-        np.add(re, self._wp, out=wz)
-        np.multiply(wz, self._winv, out=zh)
+        q, phase, r = self.q, self._phase, self._r
+        span = len(phase)
+        last = q[start:start + 1]  # the row reached
+        j = 0
+        while j < k:
+            if r == span:  # re-take the anchor at the row reached
+                r = 0
+                if self._anchor is not None:
+                    np.copyto(self._anchor, last)
+            anchor = last if self._anchor is None else self._anchor  # T = 1: each row anchors the next
+            c = min(k - j, span - r)
+            np.multiply(anchor, phase[r:r + c], out=q[j:j + c])
+            j, r = j + c, r + c
+            last = q[j - 1:j]
+        self._r = r
+        re, im, rows, zh, wz, vh, eh, wp, winv, held = self._block(k)
+        np.add(re, wp, out=wz)
+        np.multiply(wz, winv, out=zh)
         np.copyto(vh, im)
-        np.subtract(vh, self.held, out=eh)
+        np.subtract(vh, held, out=eh)
         return rows
 
     def sums(self, k: int, out: np.ndarray):
@@ -205,17 +238,17 @@ class _Modal:
         rows 0 to k-1, then the sums of z_hat v_hat.  The grid weight times
         them is ||z||^2, ||grad z||^2, ||v||^2, ||e||^2 and <z, v>
         (``lyapunov.modal_rows``)."""
-        _, _, rows, zh, _, vh, _ = self._block(k)
+        _, _, rows, zh, _, vh, *_ = self._block(k)
         np.vecdot(rows, rows, out=out[:4])
         np.vecdot(zh, vh, out=out[4])
 
     def _block(self, k: int) -> tuple:
-        # views of the first k block rows, made again only when k changes;
-        # at one step a block, making them each step cost 4 of 14 us a step
-        # on a small grid
+        # views of the first k block rows and tile rows, made again only when
+        # k changes; at one step a block, making them each step cost 4 of 14
+        # us a step on a small grid
         if k != self._k:
             q, rows = self.q[:k], self.rows[:, :k]
-            self._k, self._views = k, (q.real, q.imag, rows, *rows)
+            self._k, self._views = k, (q.real, q.imag, rows, *rows, self._wp[:k], self._winv[:k], self.held[:k])
         return self._views
 
     def finite(self, j: int) -> bool:
@@ -350,7 +383,7 @@ def simulate(
                 if event_triggered:
                     fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_j, trigger_params) >= 0.0
                 elif periodic:
-                    fire = row * dt - last * dt >= period * (1.0 - 1e-12)
+                    fire = _trigger.periodic_fires(row, last, dt, period)
                 else:  # continuous damping fires at every row, an uncontrolled run at none
                     fire = not uncontrolled
                 if fire:

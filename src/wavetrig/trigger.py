@@ -1,6 +1,7 @@
 """The event-triggering mechanism: the decaying threshold floor eta0, the
 firing predicate on squared norms, the threshold scale from the initial
-data, and dwell-time diagnostics over a run's event log."""
+data, the periodic policy's rule and the check of a record's schedule, and
+dwell-time diagnostics over a run's event log."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from . import grid as _grid
 from . import lyapunov as _lyapunov
 from .errors import ConfigurationError, PreconditionError
-from .lyapunov import EventLog
+from .lyapunov import CheckReport, EventLog, RunRecord
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .design import StabilityCertificate
@@ -26,6 +27,8 @@ __all__ = [
     "eta0",
     "predicate_from_norms",
     "initial_threshold_scale",
+    "periodic_fires",
+    "check_schedule",
     "zeno_report",
 ]
 
@@ -115,6 +118,45 @@ def initial_threshold_scale(
     a = alpha if variant == "v0" else 0.0
     _, scale = _lyapunov.energy_lyapunov(*_lyapunov.field_norms(z0, z1, g), epsilon, a)
     return _lyapunov.require_nondegenerate(scale, g, "threshold scale")
+
+
+def periodic_fires(row, last, dt: float, period: float):
+    """Whether a periodic hold taken at row ``last`` is refreshed at row
+    ``row``: the time since the hold reaches the period, to rounding.  Takes
+    ints, or arrays of them, with the same result entry by entry; the
+    simulate loop and :func:`check_schedule` both decide here."""
+    return row * dt - last * dt >= period * (1.0 - 1e-12)
+
+
+def check_schedule(record: RunRecord) -> CheckReport:
+    """The event flags of a continuous-damping or periodic record against
+    its policy.  Continuous damping refreshes the hold at every row.  A
+    periodic run refreshes it at t = 0 and then at exactly the rows where
+    :func:`periodic_fires` holds, each row tested against the last flagged
+    row before it and the record's ``meta.period``.  ``worst`` is the time
+    of the first row off the schedule, -inf when there is none.  The
+    event-triggered schedule is the trigger invariant's
+    (``lyapunov.check_trigger_invariant``).
+    """
+    ev = record.event
+    rows = np.arange(ev.size)
+    if record.mode == "continuous-damping":
+        want = np.ones(ev.size, dtype=bool)
+    elif record.mode == "periodic":
+        flagged = np.maximum.accumulate(np.where(ev, rows, 0))  # the last flagged row up to each row
+        want = periodic_fires(rows[1:], flagged[:-1], record.dt, record.meta["period"])
+        want = np.concatenate(([True], want))  # t = 0 is unconditional
+    else:
+        raise ConfigurationError(f"no schedule to check for a {record.mode} run")
+    off = np.flatnonzero(ev != want)
+    return CheckReport(
+        name="schedule",
+        passed=off.size == 0,
+        n_checked=ev.size,
+        n_violations=off.size,
+        worst=float(record.t[off[0]]) if off.size else float("-inf"),
+        details={"n_events": int(np.count_nonzero(ev)), "n_due": int(np.count_nonzero(want))},
+    )
 
 
 def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> DwellStats:

@@ -676,6 +676,35 @@ def test_verify_fails_a_flipped_event_flag_whatever_the_summary_mode(sim_run, tm
     assert main(["verify", str(rundir)]) == 65
 
 
+@pytest.mark.parametrize("mode, period, keep", [
+    ("continuous-damping", None, lambda row: row % 2 == 0),  # every second flag cleared: 151 of 301 left
+    ("periodic", 0.1, lambda row: row == 0),  # every flag after t = 0 cleared
+], ids=["continuous-damping", "periodic"])
+def test_verify_fails_a_schedule_its_policy_did_not_make(tmp_path, capsys, mode, period, keep):
+    # the flags of a continuous-damping or periodic run are replayed from its
+    # policy; before that check, both copies printed only PASS lines
+    _, path = small_config(tmp_path, mode=mode, period=period, t_end=3.0)
+    assert main(["simulate", "--config", str(path)]) == 0
+    series = tmp_path / "run" / "series.csv"
+    header, *lines = series.read_text().splitlines()
+    lines = [line if keep(row) else _event_flag(0)(line).rstrip("\n") for row, line in enumerate(lines)]
+    series.write_text("\n".join([header, *lines]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 1
+    assert "schedule: FAIL" in capsys.readouterr().out
+
+
+def test_verify_fails_an_event_triggered_run_relabelled_periodic(sim_run, tmp_path, capsys):
+    # a positive period makes the summary well formed, but the event-triggered
+    # flags are not that period's
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    s = json.loads((rundir / "summary.json").read_text())
+    (rundir / "summary.json").write_text(json.dumps(dict(s, mode="periodic", meta=dict(s["meta"], period=0.5))))
+    capsys.readouterr()
+    assert main(["verify", str(rundir)]) == 1
+    assert "schedule: FAIL" in capsys.readouterr().out
+
+
 def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):
     cfg, path = small_config(tmp_path, mode="periodic", out=str(tmp_path / "per"))
     assert main(["simulate", "--config", str(path)]) == 0

@@ -9,9 +9,9 @@ from wavetrig import dynamics
 from wavetrig.cli import run_from_config
 from wavetrig.config import RunConfig
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError, ShapeError
-from wavetrig.grid import Field, eigenvalues
+from wavetrig.grid import Field, eigenvalues, sine_transform
 from wavetrig.initial import bump, sine_mode
-from wavetrig.trigger import predicate_from_norms
+from wavetrig.trigger import periodic_fires, predicate_from_norms
 
 
 def zero_field(g):
@@ -509,15 +509,110 @@ def test_kernel_buffers_start_on_cache_lines(shape, size):
     # where in a cache line malloc happened to start each buffer.  The four
     # planes of the rows (z_hat, w z_hat, v_hat, e_hat) each start on a line
     # too, and a block row stays contiguous inside its plane, so a block is
-    # one flat loop a plane
+    # one flat loop a plane; so is each of the three (size, M) tiles
     g = wt.build_grid(shape)
     z = sine_mode(g, 1).values
     kernel = dynamics._Modal(g, z, z, z, 1.0, wt.cfl_max_dt(g), size)
-    for name in ("held", "rows", "_wp", "_rot", "_winv", "q"):
+    names = ["held", "rows", "_wp", "_phase", "_winv", "q"]
+    if kernel._anchor is not None:  # a phase table of more than one row
+        names.append("_anchor")
+    for name in names:
         assert getattr(kernel, name).ctypes.data % 64 == 0, name
     m = g.num_interior
     assert kernel.rows.shape == (4, size, m) and kernel.rows.strides[1:] == (8 * m, 8)
     assert [plane.ctypes.data % 64 for plane in kernel.rows] == [0] * 4
+    for name in ("held", "_wp", "_winv"):
+        assert getattr(kernel, name).shape == (size, m) and getattr(kernel, name).flags.c_contiguous, name
+
+
+def test_kernel_on_127x127_keeps_the_one_row_tables():
+    # the phase table takes the place of the rotation exp(-i w dt), at its
+    # size and bit for bit, and the turn needs no anchor buffer: every row
+    # is the anchor of the next.  The tiles are one row, the vectors they hold
+    g = wt.build_grid(wt.Rectangle(1.0, 1.0, 127, 127))
+    m, dt = g.num_interior, wt.cfl_max_dt(g)
+    size = max(1, dynamics._BLOCK_BYTES // (48 * m))
+    z = sine_mode(g, 1).values
+    kernel = dynamics._Modal(g, z, z, z, 1.0, dt, size)
+    assert size == 1 and kernel._anchor is None
+    for name in ("held", "_wp", "_winv"):
+        assert getattr(kernel, name).shape == (1, m), name
+    angle = np.sqrt(eigenvalues(g)) * -dt
+    assert kernel._phase.shape == (1, m)
+    assert kernel._phase[0].real.tobytes() == np.cos(angle).tobytes()
+    assert kernel._phase[0].imag.tobytes() == np.sin(angle).tobytes()
+
+
+@pytest.mark.parametrize("mode", dynamics.MODES)
+@SHAPES
+def test_record_does_not_depend_on_the_block_size_across_anchors(shape, mode, monkeypatch):
+    # a phase table of three rows: blocks of up to 10 or 167 steps on n = 49
+    # and 3 or 49 on the 15x11 rectangle span anchors, which a block re-takes
+    # at the rows where one step a block does
+    g = wt.build_grid(shape)
+    monkeypatch.setattr(dynamics, "_PHASE_BYTES", 16 * g.num_interior * 3)
+    z0, z1 = sine_mode(g, 1), bump(g)
+    params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
+
+    def run(budget):
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
+        return wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params, mode=mode, period=0.1)
+
+    budgets = (48 * 165 * 3, dynamics._BLOCK_BYTES)
+    want = run(0)
+    blocks = record_blocks(monkeypatch)
+    for budget in budgets:
+        blocks.clear()
+        got = run(budget)
+        if mode != "continuous-damping":  # a block of T rows spans an anchor unless it starts on one
+            assert max(k for k, _ in blocks) >= 3
+        for name in wt.RunRecord.SERIES:
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), (budget, name)
+
+
+def test_one_row_phase_table_turns_as_the_sequential_product(monkeypatch):
+    # with T = 1 each row is the row before times exp(-i w dt), the turn a
+    # loop of single products makes: a periodic run, written out here with
+    # the kernel's arithmetic, gives the record bit for bit
+    monkeypatch.setattr(dynamics, "_PHASE_BYTES", 0)
+    g = wt.build_grid(wt.Interval(1.0, 49))
+    z0, z1 = sine_mode(g, 1), bump(g)
+    alpha, period = 1.0, 0.1
+    rec = wt.simulate(z0, z1, alpha, g, wt.IntegratorConfig(t_end=2.0), mode="periodic", period=period)
+    w = np.sqrt(eigenvalues(g))
+    winv = 1.0 / w
+    rot = np.empty(w.size, complex)
+    rot.real, rot.imag = np.cos(w * -rec.dt), np.sin(w * -rec.dt)
+    zh, vh = sine_transform(z0.values, g), sine_transform(z1.values, g)
+    held, wz = vh.copy(), zh * w
+    q = np.empty(w.size, complex)
+    wp = held * winv * -alpha
+    q.real, q.imag = wz - wp, vh
+    sums, last = [], 0
+    for row in range(rec.t.size):
+        if row:
+            q = q * rot
+            wz = q.real + wp
+            zh, vh = wz * winv, q.imag.copy()
+        rows = np.array([zh, wz, vh, vh - held])
+        sums.append([*np.vecdot(rows, rows), np.vecdot(zh, vh)])
+        if row and periodic_fires(row, last, rec.dt, period):
+            last, held = row, vh.copy()
+            wp = held * winv * -alpha
+            q.real = wz - wp
+    got = np.array(sums).T * g.weight
+    assert np.count_nonzero(rec.event) > 10
+    for name, col in zip(wt.RunRecord.COLUMNS, got):
+        assert getattr(rec, name).tobytes() == col.tobytes(), name
+
+
+def test_uncontrolled_energy_drifts_by_rounding_only():
+    # the exact flow conserves E, so its drift is rounding: once a product
+    # for each anchor (every 41 rows at n = 199), not once for each row.
+    # A turn of one product a row drifted by 8.5e-13 here
+    rec, _ = run_from_config(RunConfig(mode="uncontrolled", t_end=40.0))
+    assert rec.n_steps == 16000
+    assert np.max(np.abs(rec.energy - rec.energy[0])) / rec.energy[0] <= 1e-13
 
 
 @pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])

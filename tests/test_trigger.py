@@ -9,7 +9,7 @@ from wavetrig.errors import ConfigurationError
 from wavetrig.grid import Field
 from wavetrig.initial import sine_mode
 from wavetrig.lyapunov import energy_lyapunov, field_norms
-from wavetrig.trigger import EventLog, predicate_from_norms
+from wavetrig.trigger import EventLog, check_schedule, periodic_fires, predicate_from_norms
 
 
 @pytest.fixture()
@@ -190,3 +190,38 @@ def test_zeno_constant_dwell_histogram():
     stats = wt.zeno_report(log, horizon=1.0)
     assert sum(stats.histogram_counts) == 4
     assert stats.min_dwell == pytest.approx(0.25)
+
+
+def test_periodic_rule_is_the_same_on_ints_and_arrays():
+    # the simulate loop asks for one row at a time, the schedule check for all at once
+    rows, last, dt = np.arange(200), np.arange(200) // 9 * 9, 0.01
+    want = [periodic_fires(int(r), int(k), dt, 0.07) for r, k in zip(rows, last)]
+    assert periodic_fires(rows, last, dt, 0.07).tolist() == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("mode", ["periodic", "continuous-damping"])
+def test_schedule_check_replays_the_policy_from_the_flags(mode):
+    g = wt.build_grid(wt.Interval(1.0, 49))
+    z0 = sine_mode(g, 1)
+    z1 = Field(np.zeros(g.num_interior), g)
+    rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=1.0), mode=mode, period=0.1)
+    report = check_schedule(rec)
+    assert report.passed and report.n_violations == 0 and report.worst == -math.inf
+    event = rec.event.copy()
+    row = int(np.flatnonzero(event)[3])
+    event[row] = False
+    report = check_schedule(dataclasses.replace(rec, event=event))
+    assert not report.passed and report.worst == rec.t[row]
+    # periodic: the cleared row is due, and so is each row after it up to the next flag
+    assert report.n_violations == (1 if mode == "continuous-damping" else np.flatnonzero(event)[3] - row)
+
+
+@pytest.mark.parametrize("mode", ["event-triggered", "uncontrolled"])
+def test_schedule_check_leaves_other_modes_to_their_own_checks(mode):
+    g = wt.build_grid(wt.Interval(1.0, 49))
+    params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
+    z1 = Field(np.zeros(g.num_interior), g)
+    rec = wt.simulate(sine_mode(g, 1), z1, 1.0, g, wt.IntegratorConfig(t_end=0.1), params, mode=mode)
+    with pytest.raises(ConfigurationError):
+        check_schedule(rec)
