@@ -184,7 +184,7 @@ class _Modal:
         self._k = 0  # the block length of _views
         self._alpha = alpha
         np.copyto(self.q[0].imag, self.rows[2, 0])
-        self._shift(0)
+        self._shift(0)  # after the copy: the shift takes q[0] as the anchor
 
     def _shift(self, j: int):  # w p = -alpha held_hat / w, Re q = w z_hat - w p, and q is the anchor
         np.multiply(self.held, self._winv, out=self._wp)
