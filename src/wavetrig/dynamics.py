@@ -9,9 +9,10 @@ resolved at step boundaries, change the forcing exactly where the hold does.
 
 Since the flow up to the next event is known, :func:`simulate` advances it
 a block of steps at a time and tests the trigger on every row of the block
-before it goes back to the kernel; an event cuts the block.  Every row is
-computed as a loop of one step a block computes it, so the record is the
-same bit for bit whatever the block sizes; :func:`step` is a block of one.
+before it goes back to the kernel; an event cuts the block.  Every block
+starts at an anchor, a held row or the last row of a whole block, and each
+of its rows is that anchor times one row of a phase table, so a row is the
+same product whatever the schedule; :func:`step` is a block of one.
 """
 
 from __future__ import annotations
@@ -109,17 +110,13 @@ def _check_step(g: _grid.Grid, dt: float, alpha: float):
 
 
 # Bytes the block buffers of the step kernel may take: a complex q and the
-# four real rows, 48 bytes per coefficient and step.  That is 41 steps at
+# four real rows, 48 bytes per coefficient and step.  That is T = 41 steps at
 # n = 199 and one step (the floor) on 127x127, where a step is array-bound.
 # Each of the four planes of the rows is padded to whole cache lines; the
-# padding, at most 56 bytes a plane, is left out of the count.  The three
-# (size, M) tiles of the kernel take 24 more bytes a coefficient and step.
+# padding, at most 56 bytes a plane, is left out of the count.  The phase
+# table of T rows takes 16 more bytes a coefficient and step, and the three
+# (T, M) tiles of the kernel 24 more.
 _BLOCK_BYTES = 3 << 17
-
-# Bytes of the step kernel's phase table exp(-i w r dt), r = 1..T: T = 41 at
-# n = 199 and 1 (the floor) on 127x127.  T sets where the turn re-takes its
-# anchor, so it depends on the grid alone, never on the block budget.
-_PHASE_BYTES = 1 << 17
 
 
 def _aligned(shape: tuple, dtype=float, planes: int | None = None) -> np.ndarray:
@@ -143,9 +140,8 @@ class _Modal:
     With w = sqrt(lam) and the mode's rest point p = -alpha held_hat / lam,
     q = w (z_hat - p) + i v_hat turns as q' = -i w q, so the state r steps
     after an anchor state A is ``A * exp(-i w r dt)``.  The kernel keeps
-    those factors for r = 1..T as its phase table (T from ``_PHASE_BYTES``)
-    and re-takes the anchor at every T-th row and at every hold, so a block
-    of rows is one broadcast product, or two when it crosses an anchor.
+    those factors for r = 1..size as its phase table, so a block of up to
+    ``size`` rows that goes on from an anchor is one broadcast product.
     The kernel holds ``size`` states, one block row each: ``q[j]`` and
     ``rows[:, j]``, the rows the norms are read from (z_hat, w z_hat, v_hat
     and the deviation e_hat = v_hat - held_hat).  The hold, w p and 1/w
@@ -163,7 +159,6 @@ class _Modal:
         """The kernel at the flat fields z, v and the hold ``held``, with
         room for ``size`` states."""
         w = np.sqrt(_grid.eigenvalues(g))
-        span = max(1, _PHASE_BYTES // (16 * w.size))
         self.held = _aligned((size, w.size))
         _grid.sine_transform(held, g, out=self.held[0])
         self.held[1:] = self.held[0]
@@ -171,28 +166,26 @@ class _Modal:
         _lyapunov.modal_rows(g, z, v, w, out=self.rows[:, 0])
         np.subtract(self.rows[2, 0], self.held[0], out=self.rows[3, 0])
         self._wp = _aligned((size, w.size))  # w p, from _shift
-        self._phase = _aligned((span, w.size), complex)  # exp(-i w r dt), built in place
+        self._phase = _aligned((size, w.size), complex)  # exp(-i w r dt), built in place
         angle = self._phase.imag  # r (-w dt), until its sine
         np.multiply(w, -dt, out=angle[0])
-        np.multiply(np.arange(2.0, span + 1.0)[:, None], angle[:1], out=angle[1:])
+        np.multiply(np.arange(2.0, size + 1.0)[:, None], angle[:1], out=angle[1:])
         np.cos(angle, out=self._phase.real)
         np.sin(angle, out=angle)
         self._winv = np.divide(1.0, w, out=_aligned((size, w.size)))
         self.q = _aligned((size, w.size), complex)
-        # the anchor state; with T = 1 it is the row a turn goes on from, and has no buffer
-        self._anchor = _aligned((1, w.size), complex) if span > 1 else None
+        # a copy of the anchor, which a block of more than one row overwrites;
+        # a one-row block is its own (1, M) input and output, and has no buffer
+        self._anchor = _aligned((1, w.size), complex) if size > 1 else None
         self._k = 0  # the block length of _views
         self._alpha = alpha
         np.copyto(self.q[0].imag, self.rows[2, 0])
-        self._shift(0)  # after the copy: the shift takes q[0] as the anchor
+        self._shift(0)
 
-    def _shift(self, j: int):  # w p = -alpha held_hat / w, Re q = w z_hat - w p, and q is the anchor
+    def _shift(self, j: int):  # w p = -alpha held_hat / w, and Re q = w z_hat - w p
         np.multiply(self.held, self._winv, out=self._wp)
         np.multiply(self._wp, -self._alpha, out=self._wp)
         np.subtract(self.rows[1, j], self._wp[0], out=self.q[j].real)
-        if self._anchor is not None:
-            np.copyto(self._anchor, self.q[j])
-        self._r = 0  # the steps from the anchor to the row a turn goes on from
 
     def hold(self, j: int):
         """Drive the forcing -alpha * v_hat of block row j from there on."""
@@ -200,32 +193,19 @@ class _Modal:
         self._shift(j)
 
     def advance(self, k: int = 1, start: int = 0) -> np.ndarray:
-        """k steps on from block row ``start``, the last row of the block
-        before or a row just held, into block rows 0 to k-1; returns their
-        rows, ``rows[:, :k]``.
+        """k <= size steps on from block row ``start``, an anchor, into
+        block rows 0 to k-1; returns their rows, ``rows[:, :k]``.
 
-        The row r steps after the anchor is the anchor times row r-1 of the
-        phase table, so the turn is one product per stretch of rows between
-        anchors, whatever k is: each row takes the same product, so the
-        record does not depend on the block size.  The anchor goes in as a
-        (1, M) array: a (M,) input over a (1, M) output on the same memory
-        makes numpy copy the input first.
+        Block row r is the anchor times row r of the phase table, one
+        product for the whole block.  The anchor goes in as a (1, M) array:
+        with more than one row it is first copied out of the rows the block
+        overwrites, which costs less than numpy's own copy for the overlap.
         """
-        q, phase, r = self.q, self._phase, self._r
-        span = len(phase)
-        last = q[start:start + 1]  # the row reached
-        j = 0
-        while j < k:
-            if r == span:  # re-take the anchor at the row reached
-                r = 0
-                if self._anchor is not None:
-                    np.copyto(self._anchor, last)
-            anchor = last if self._anchor is None else self._anchor  # T = 1: each row anchors the next
-            c = min(k - j, span - r)
-            np.multiply(anchor, phase[r:r + c], out=q[j:j + c])
-            j, r = j + c, r + c
-            last = q[j - 1:j]
-        self._r = r
+        anchor = self.q[start:start + 1]
+        if self._anchor is not None:
+            np.copyto(self._anchor, anchor)
+            anchor = self._anchor
+        np.multiply(anchor, self._phase[:k], out=self.q[:k])
         re, im, rows, zh, wz, vh, eh, wp, winv, held = self._block(k)
         np.add(re, wp, out=wz)
         np.multiply(wz, winv, out=zh)
@@ -303,15 +283,14 @@ def simulate(
     The loop takes blocks of steps: the kernel steps a block at once and
     writes the block's norm sums into the series columns with two
     ``np.vecdot`` calls, and a scan of the block's rows, as Python floats,
-    cuts the block after the first row that fires.  The next block goes on
-    from that row under the new hold.  The first block after an event is
-    half the dwell that the event ended, at least one step: the trigger
-    keeps dwells bounded away from zero, and most are at least half the
-    one before.  From there a block doubles up to what ``_BLOCK_BYTES``
-    holds.  Continuous damping (a dwell of one step) stays at one step a
-    block.  Every row is computed as with one step a block, so the record
-    does not depend on the block sizes, bit for bit.  The
-    eta0 column is filled before the loop; after it, one product scales
+    cuts the block after the first row that fires.  Every block goes on
+    from an anchor, the row just held or the last row of a whole block,
+    and stops at the horizon: an event-triggered or uncontrolled block is
+    a whole phase table of T rows (``_BLOCK_BYTES``), a continuous-damping
+    block one row, and a periodic block ends at the row where the period
+    falls due, at most T rows on.  So the anchors are the holds and every
+    T-th row after one, and each row is its anchor times one factor of the
+    table, whatever the mode.  The eta0 column is filled before the loop; after it, one product scales
     the sums to the norms, and :func:`build_record` rebuilds the other
     series from them, the predicate column by the formula the scan tested.
 
@@ -390,14 +369,14 @@ def simulate(
                     event[row] = True
                     kernel.hold(j)
                     break
-            # after an event the next block is half the dwell that the event
-            # ended, at least one step; from there it doubles to the budget
             if event[row]:
-                n, last = max(1, (row - last) // 2), row
-            else:
-                n *= 2
-            n = min(n, size, m - row - 1)
+                last = row
             i = row + 1
+            n = min(size, m - i)
+            if periodic:  # up to the row where the period falls due
+                n = next((r - i + 1 for r in range(i, i + n) if _trigger.periodic_fires(r, last, dt, period)), n)
+            elif not (event_triggered or uncontrolled):  # continuous damping holds at every row
+                n = 1
         np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums
     if uncontrolled:  # no hold acts, so there is no deviation to record
         ne.fill(np.nan)

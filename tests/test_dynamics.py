@@ -329,7 +329,7 @@ BUDGETS = pytest.mark.parametrize("budget", [0, 48 * 165 * 3, dynamics._BLOCK_BY
 @pytest.mark.parametrize("mode, period, step", [("continuous-damping", None, 183), ("periodic", 0.05, 646)])
 def test_blowup_step_does_not_depend_on_the_block_size(small_setup, monkeypatch, budget, mode, period, step):
     # the blow-up above at each budget; a periodic hold with a five-step
-    # period blows up inside a block of two steps
+    # period blows up in the first row of a five-step block
     monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
     g, cert, params, z0, z1, integ = small_setup
     with pytest.raises(BlowUpError) as err:
@@ -419,33 +419,82 @@ def test_v0_threshold_scale_is_the_recorded_v0(shape):
     assert rec.eta0[0].tobytes() == rec.lyapunov[0].tobytes()
 
 
-@pytest.mark.parametrize("budget", [48 * 165 * 3, dynamics._BLOCK_BYTES], ids=["small", "default"])
-@pytest.mark.parametrize("mode", dynamics.MODES)
-@SHAPES
-def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypatch):
-    # every row is computed by the arithmetic of a one-step loop, so each
-    # column is the record of one step a block (budget 0), bit for bit
+def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):
+    """The norm columns (``RunRecord.COLUMNS``) and events of the run ``rec``
+    are, bit for bit, those of a loop written with the kernel's arithmetic,
+    one row at a time: each row is its anchor times exp(-i w r dt), r rows
+    on, from a table of cos and sin of r (-w dt), r = 1..span; the anchors
+    are t = 0, every hold and every span-th row after an anchor.  The loop
+    decides its own events."""
+    dt, alpha, period = rec.dt, rec.meta["alpha"], rec.meta["period"]
+    w = np.sqrt(eigenvalues(g))
+    winv = 1.0 / w
+    angle = np.arange(1.0, span + 1.0)[:, None] * (w * -dt)
+    phase = np.empty(angle.shape, complex)
+    phase.real, phase.imag = np.cos(angle), np.sin(angle)
+    zh, vh = sine_transform(z0.values, g), sine_transform(z1.values, g)
+    held, wz = vh.copy(), zh * w
+    wp = held * winv * -alpha
+    anchor = np.empty(w.size, complex)
+    anchor.real, anchor.imag = wz - wp, vh
+    sums, events, last, r = [], [], 0, 0
+    for row in range(rec.t.size):
+        if row:
+            if r == span:
+                anchor, r = q, 0
+            q, r = anchor * phase[r], r + 1
+            wz = q.real + wp
+            zh, vh = wz * winv, q.imag.copy()
+        rows = np.array([zh, wz, vh, vh - held])
+        sums.append([*np.vecdot(rows, rows), np.vecdot(zh, vh)])
+        nz, nv, ne = (g.weight * sums[-1][k] for k in (0, 2, 3))
+        if not row:  # unconditional, and a hold of z1 there changes nothing
+            events.append(rec.mode != "uncontrolled")
+            continue
+        if rec.mode == "event-triggered":
+            fire = predicate_from_norms(ne, nz, nv, wt.eta0(row * dt, params), params) >= 0.0
+        elif rec.mode == "periodic":
+            fire = periodic_fires(row, last, dt, period)
+        else:
+            fire = rec.mode == "continuous-damping"
+        events.append(fire)
+        if fire:
+            last, held = row, vh.copy()
+            wp = held * winv * -alpha
+            q.real = wz - wp
+            anchor, r = q, 0
+    assert np.array_equal(rec.event, events)
+    for name, col in zip(wt.RunRecord.COLUMNS, np.array(sums).T * g.weight):
+        if rec.mode == "uncontrolled" and name == "norm_e_sq":  # no hold acts
+            assert np.isnan(rec.norm_e_sq).all()
+        else:
+            assert getattr(rec, name).tobytes() == col.tobytes(), (rec.mode, name)
+
+
+def anchored_run(shape, mode):
     g = wt.build_grid(shape)
     z0, z1 = sine_mode(g, 1), bump(g)
     params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
+    rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params, mode=mode, period=0.1)
+    assert (rec.event[1:].sum() >= 2) == (mode != "uncontrolled")  # events after t = 0 cut blocks
+    return g, z0, z1, params, rec
 
-    def run():
-        return wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params, mode=mode, period=0.1)
 
-    default = budget == dynamics._BLOCK_BYTES
-    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 0)
-    want = run()
-    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
+@pytest.mark.parametrize("budget", ["small", "default"])
+@pytest.mark.parametrize("mode", dynamics.MODES)
+@SHAPES
+def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypatch):
+    # blocks of up to T rows, each one product from its anchor, give the
+    # record of a loop of one row at a time from the same anchors, bit for
+    # bit: T = 3 (small), and the default 167 on n = 49 and 49 on 15x11
+    m = wt.build_grid(shape).num_interior
+    span = 3 if budget == "small" else dynamics._BLOCK_BYTES // (48 * m)
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 48 * m * span)
     blocks = record_blocks(monkeypatch)
-    got = run()
-    assert (want.event[1:].sum() >= 2) == (mode != "uncontrolled")  # events after t = 0 cut blocks
-    for name in wt.RunRecord.SERIES:
-        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
-    if mode == "event-triggered" and default:
-        # the comparison covers rows stepped past an event and thrown away:
-        # a first block of half the dwell its event ended, cut by the next
-        dwell, cut_by = (48, 10) if isinstance(shape, wt.Interval) else (21, 2)
-        assert (dwell, cut_by, dwell // 2) in first_blocks(got.event, blocks)
+    g, z0, z1, params, rec = anchored_run(shape, mode)
+    longest = max(k for k, _ in blocks)  # periodic blocks end at the due rows
+    assert longest == span if mode in ("event-triggered", "uncontrolled") else longest <= span
+    assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span)
 
 
 def record_blocks(monkeypatch) -> list:
@@ -460,20 +509,6 @@ def record_blocks(monkeypatch) -> list:
     return blocks
 
 
-def first_blocks(event, blocks) -> list:
-    """(dwell ended, dwell begun, block length) of each block that follows an
-    event after t = 0, from the record's events and the run's (k, start)."""
-    rows = np.flatnonzero(event)
-    dwells = np.diff(rows, append=event.size)  # the last one runs to the end
-    ended = dict(zip(rows[1:].tolist(), zip(dwells[:-1].tolist(), dwells[1:].tolist())))
-    out, i = [], 0  # i: the block's first row; the first block is row 0
-    for k, start in blocks:
-        i += start + 1  # a block goes on from block row start of the one before
-        if i - 1 in ended:
-            out.append((*ended[i - 1], k))
-    return out
-
-
 @pytest.mark.parametrize("mode", ["event-triggered", "continuous-damping"])
 def test_simulate_steps_the_default_config_in_few_blocks(mode, monkeypatch):
     # the kernel work of the default run (n = 199, 4,000 steps), counted,
@@ -482,8 +517,17 @@ def test_simulate_steps_the_default_config_in_few_blocks(mode, monkeypatch):
     run_from_config(RunConfig(mode=mode))
     if mode == "continuous-damping":  # it fires every step: one step a block
         assert blocks == [(1, 0)] * 4000
-    else:  # blocks of half a dwell after each of its 9 events
-        assert len(blocks) <= 106 and sum(k for k, _ in blocks) <= 4142
+    else:  # whole 41-row blocks from each anchor, cut at its 9 events
+        assert len(blocks) <= 101 and sum(k for k, _ in blocks) <= 4120
+
+
+def test_periodic_blocks_end_where_the_period_falls_due(monkeypatch):
+    # a periodic block stops at the row the hold is refreshed, so no row is
+    # stepped past an event: the rows stepped are the run's steps
+    blocks = record_blocks(monkeypatch)
+    rec, _ = run_from_config(RunConfig(mode="periodic", period=0.1, domain={"kind": "interval", "length": 1.0, "n": 49}))
+    assert rec.n_steps == 1000 and rec.event.sum() == 101
+    assert sum(k for k, _ in blocks) == rec.n_steps
 
 
 def test_eta0_column_is_the_scalar_floor_at_every_row():
@@ -543,67 +587,25 @@ def test_kernel_on_127x127_keeps_the_one_row_tables():
     assert kernel._phase[0].imag.tobytes() == np.sin(angle).tobytes()
 
 
-@pytest.mark.parametrize("mode", dynamics.MODES)
-@SHAPES
-def test_record_does_not_depend_on_the_block_size_across_anchors(shape, mode, monkeypatch):
-    # a phase table of three rows: blocks of up to 10 or 167 steps on n = 49
-    # and 3 or 49 on the 15x11 rectangle span anchors, which a block re-takes
-    # at the rows where one step a block does
-    g = wt.build_grid(shape)
-    monkeypatch.setattr(dynamics, "_PHASE_BYTES", 16 * g.num_interior * 3)
-    z0, z1 = sine_mode(g, 1), bump(g)
-    params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
-
-    def run(budget):
-        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
-        return wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params, mode=mode, period=0.1)
-
-    budgets = (48 * 165 * 3, dynamics._BLOCK_BYTES)
-    want = run(0)
-    blocks = record_blocks(monkeypatch)
-    for budget in budgets:
-        blocks.clear()
-        got = run(budget)
-        if mode != "continuous-damping":  # a block of T rows spans an anchor unless it starts on one
-            assert max(k for k, _ in blocks) >= 3
-        for name in wt.RunRecord.SERIES:
-            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), (budget, name)
-
-
 def test_one_row_phase_table_turns_as_the_sequential_product(monkeypatch):
-    # with T = 1 each row is the row before times exp(-i w dt), the turn a
-    # loop of single products makes: a periodic run, written out here with
-    # the kernel's arithmetic, gives the record bit for bit
-    monkeypatch.setattr(dynamics, "_PHASE_BYTES", 0)
-    g = wt.build_grid(wt.Interval(1.0, 49))
-    z0, z1 = sine_mode(g, 1), bump(g)
-    alpha, period = 1.0, 0.1
-    rec = wt.simulate(z0, z1, alpha, g, wt.IntegratorConfig(t_end=2.0), mode="periodic", period=period)
-    w = np.sqrt(eigenvalues(g))
-    winv = 1.0 / w
-    rot = np.empty(w.size, complex)
-    rot.real, rot.imag = np.cos(w * -rec.dt), np.sin(w * -rec.dt)
-    zh, vh = sine_transform(z0.values, g), sine_transform(z1.values, g)
-    held, wz = vh.copy(), zh * w
-    q = np.empty(w.size, complex)
-    wp = held * winv * -alpha
-    q.real, q.imag = wz - wp, vh
-    sums, last = [], 0
-    for row in range(rec.t.size):
-        if row:
-            q = q * rot
-            wz = q.real + wp
-            zh, vh = wz * winv, q.imag.copy()
-        rows = np.array([zh, wz, vh, vh - held])
-        sums.append([*np.vecdot(rows, rows), np.vecdot(zh, vh)])
-        if row and periodic_fires(row, last, rec.dt, period):
-            last, held = row, vh.copy()
-            wp = held * winv * -alpha
-            q.real = wz - wp
-    got = np.array(sums).T * g.weight
-    assert np.count_nonzero(rec.event) > 10
-    for name, col in zip(wt.RunRecord.COLUMNS, got):
-        assert getattr(rec, name).tobytes() == col.tobytes(), name
+    # with T = 1 every row anchors the next, so each row is the row before
+    # times exp(-i w dt): the turn of a loop of single products, in every
+    # mode on both shapes
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 0)
+    blocks = record_blocks(monkeypatch)
+    for shape in (wt.Interval(1.0, 49), wt.Rectangle(1.0, 0.8, 15, 11)):
+        for mode in dynamics.MODES:
+            g, z0, z1, params, rec = anchored_run(shape, mode)
+            assert_record_is_the_anchor_loop(g, z0, z1, rec, params, 1)
+    assert {k for k, _ in blocks} == {1}
+
+
+def test_step_builds_a_one_row_phase_table():
+    # a public step reads one row of the table, and builds no more
+    g = wt.build_grid(wt.Interval(1.0, 199))
+    z = sine_mode(g, 1).values
+    kernel = dynamics._Modal(g, z, z, z, 1.0, wt.cfl_max_dt(g), size=1)
+    assert kernel._phase.shape == (1, 199) and kernel._anchor is None
 
 
 def test_uncontrolled_energy_drifts_by_rounding_only():

@@ -102,7 +102,7 @@ The ``series.csv`` hashes of every case but ``continuous-damping`` were
 re-recorded when the step kernel came to turn a block as an anchor state
 times a phase table, ``exp(-i w r dt)`` for ``r = 1..T`` (``T`` is 167 on
 the 49-node interval and 49 on the 15x11 rectangle; see
-``dynamics._PHASE_BYTES``), in place of one product per row.  The hashes
+``dynamics._BLOCK_BYTES``), in place of one product per row.  The hashes
 now also pin numpy's ``cos`` and ``sin`` of the table's angles
 ``r (-w dt)``.  Rounding now enters once per anchor, not once per row, so
 every norm moved at rounding level, toward the exact flow.  The largest
@@ -120,6 +120,9 @@ margins moved with the series.  At the same time the continuous-damping
 and periodic summaries gained the gating ``schedule`` check; with that
 entry taken out, the ``continuous-damping`` summary hashes to its old
 value.  The ``uncontrolled`` summary, which has neither, kept its hash.
+
+No hash moved when every block came to start at an anchor: the anchors,
+the holds and every ``T``-th row after one, stayed on the same rows.
 """
 
 import hashlib
