@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import design as _design
 from . import dynamics as _dynamics
 from . import lyapunov as _lyapunov
@@ -89,11 +91,10 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
         rep = check(record)
         reports[rep.name] = {**rep.to_dict(), "gating": gating}
         ok = ok and (rep.passed or not gating)
-    if len(record.events) > 0:
+    rows = np.flatnonzero(record.event)  # the dwell floor, one step, in rows: k dt is rounded
+    if rows.size:
         stats = _trigger.zeno_report(record.events, horizon=float(record.t[-1]))
-        dwell_ok = stats.event_count <= 1 or stats.min_dwell >= record.dt * (1.0 - 1e-12)
-        if event_mode:
-            dwell_ok = dwell_ok and stats.floor_ok
+        dwell_ok = bool((np.diff(rows) >= 1).all()) and (stats.floor_ok or not event_mode)
         reports["zeno"] = {"passed": dwell_ok, "gating": True, **stats.to_dict()}
         ok = ok and dwell_ok
     return reports, ok

@@ -9,6 +9,7 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .design import DesignInput
 from .dynamics import MODES
 from .errors import ConfigurationError, UsageError
 from .grid import C_OMEGA_SOURCES, Grid, Interval, Rectangle, build_grid
@@ -81,10 +82,10 @@ def _from_dict(cls, d: dict, what: str):
 
 
 @dataclass
-class DesignSpec:
-    s_gamma0: float = 0.5
-    s_gamma1: float = 0.5
-    theta_margin: float = 1.5
+class DesignSpec:  # the design knobs default to design.DesignInput's
+    s_gamma0: float = DesignInput.s_gamma0
+    s_gamma1: float = DesignInput.s_gamma1
+    theta_margin: float = DesignInput.theta_margin
     comega_source: str = "discrete"
     comega_value: float | None = None
     eta0_variant: str = "v0"

@@ -277,22 +277,22 @@ def simulate(
     An unconditional event fires at t = 0 (held := z1).  After every step
     the update policy of ``mode`` is evaluated on the post-step state and
     the hold is refreshed when it fires; recorded step values are the
-    pre-refresh ones.  Every row, the t = 0 one included, is taken from
-    the step kernel's buffers by one loop body.
+    pre-refresh ones.  Continuous damping and the periodic policy fire at
+    the rows that P (``trigger.hold_rows``) divides.  Every row, the t = 0
+    one included, is taken from the step kernel's buffers by one loop body.
 
     The loop takes blocks of steps: the kernel steps a block at once and
     writes the block's norm sums into the series columns with two
     ``np.vecdot`` calls, and a scan of the block's rows, as Python floats,
     cuts the block after the first row that fires.  Every block goes on
     from an anchor, the row just held or the last row of a whole block,
-    and stops at the horizon: an event-triggered or uncontrolled block is
-    a whole phase table of T rows (``_BLOCK_BYTES``), a continuous-damping
-    block one row, and a periodic block ends at the row where the period
-    falls due, at most T rows on.  So the anchors are the holds and every
-    T-th row after one, and each row is its anchor times one factor of the
-    table, whatever the mode.  The eta0 column is filled before the loop; after it, one product scales
-    the sums to the norms, and :func:`build_record` rebuilds the other
-    series from them, the predicate column by the formula the scan tested.
+    up to the next multiple of P, at most a phase table of T rows
+    (``_BLOCK_BYTES``) and at most the horizon.  So the anchors are the
+    holds and every T-th row after one, and each row is its anchor times
+    one factor of the table, whatever the mode.  The eta0 column is filled
+    before the loop; after it, one product scales the sums to the norms,
+    and :func:`build_record` rebuilds the other series from them, the
+    predicate column by the formula the scan tested.
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
@@ -310,7 +310,7 @@ def simulate(
     if certificate is not None and certificate.alpha != alpha:
         raise ConfigurationError(f"certificate made for alpha = {certificate.alpha}, the run has alpha = {alpha}")
 
-    uncontrolled, event_triggered, periodic = (mode == name for name in ("uncontrolled", "event-triggered", "periodic"))
+    uncontrolled, event_triggered = mode == "uncontrolled", mode == "event-triggered"
     a = 0.0 if uncontrolled else float(alpha)
     eps = certificate.epsilon if certificate is not None else 0.0
     dt = config.resolve_dt(g)
@@ -334,7 +334,7 @@ def simulate(
         "poincare_margin": _grid.POINCARE_MARGIN,
     }
     w = g.weight
-    last = 0  # the row of the last event
+    period_rows = _trigger.hold_rows(mode, dt, period, m)  # P: a scheduled hold is due at the rows P divides
     size = max(1, _BLOCK_BYTES // (48 * g.num_interior))
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per row
         # the hold starts as z1, so row 0's deviation is zero
@@ -361,22 +361,15 @@ def simulate(
                     event[0] = not uncontrolled
                 if event_triggered:
                     fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_j, trigger_params) >= 0.0
-                elif periodic:
-                    fire = _trigger.periodic_fires(row, last, dt, period)
-                else:  # continuous damping fires at every row, an uncontrolled run at none
-                    fire = not uncontrolled
+                else:  # the schedule's rows; an uncontrolled run never holds
+                    fire = not uncontrolled and row % period_rows == 0
                 if fire:
                     event[row] = True
                     kernel.hold(j)
                     break
-            if event[row]:
-                last = row
+            # up to the next row the schedule makes due, at most T rows and the horizon
             i = row + 1
-            n = min(size, m - i)
-            if periodic:  # up to the row where the period falls due
-                n = next((r - i + 1 for r in range(i, i + n) if _trigger.periodic_fires(r, last, dt, period)), n)
-            elif not (event_triggered or uncontrolled):  # continuous damping holds at every row
-                n = 1
+            n = min(period_rows - row % period_rows, size, m - i)
         np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums
     if uncontrolled:  # no hold acts, so there is no deviation to record
         ne.fill(np.nan)

@@ -1,7 +1,7 @@
 """The event-triggering mechanism: the decaying threshold floor eta0, the
 firing predicate on squared norms, the threshold scale from the initial
-data, the periodic policy's rule and the check of a record's schedule, and
-dwell-time diagnostics over a run's event log."""
+data, the rows between the holds of the scheduled modes and the check of a
+record's schedule, and dwell-time diagnostics over a run's event log."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ __all__ = [
     "eta0",
     "predicate_from_norms",
     "initial_threshold_scale",
-    "periodic_fires",
+    "hold_rows",
     "check_schedule",
     "zeno_report",
 ]
@@ -120,34 +120,32 @@ def initial_threshold_scale(
     return _lyapunov.require_nondegenerate(scale, g, "threshold scale")
 
 
-def periodic_fires(row, last, dt: float, period: float):
-    """Whether a periodic hold taken at row ``last`` is refreshed at row
-    ``row``: the time since the hold reaches the period, to rounding.  Takes
-    ints, or arrays of them, with the same result entry by entry; the
-    simulate loop and :func:`check_schedule` both decide here."""
-    return row * dt - last * dt >= period * (1.0 - 1e-12)
+def hold_rows(mode: str, dt: float, period: float | None, rows: int) -> int:
+    """The rows P from one hold to the next on the schedule of ``mode``, in
+    a record of ``rows`` rows at step ``dt``; a hold is due at the rows P
+    divides.  P is 1 for continuous damping; for a periodic run, the steps
+    of dt that reach ``period``, rounded as ``dynamics.step_count`` rounds
+    the horizon, and at most ``rows``, so a huge period does not overflow;
+    ``rows``, no hold due after t = 0, for the other modes."""
+    if mode == "continuous-damping":
+        return 1
+    if mode == "periodic":
+        return max(1, math.ceil(min(period / dt - 1e-9, rows)))
+    return rows
 
 
 def check_schedule(record: RunRecord) -> CheckReport:
     """The event flags of a continuous-damping or periodic record against
-    its policy.  Continuous damping refreshes the hold at every row.  A
-    periodic run refreshes it at t = 0 and then at exactly the rows where
-    :func:`periodic_fires` holds, each row tested against the last flagged
-    row before it and the record's ``meta.period``.  ``worst`` is the time
-    of the first row off the schedule, -inf when there is none.  The
-    event-triggered schedule is the trigger invariant's
+    its policy: the hold is refreshed at exactly the rows that
+    :func:`hold_rows` divides, with the record's ``meta.period``.  ``worst``
+    is the time of the first row off the schedule, -inf when there is none.
+    The event-triggered schedule is the trigger invariant's
     (``lyapunov.check_trigger_invariant``).
     """
-    ev = record.event
-    rows = np.arange(ev.size)
-    if record.mode == "continuous-damping":
-        want = np.ones(ev.size, dtype=bool)
-    elif record.mode == "periodic":
-        flagged = np.maximum.accumulate(np.where(ev, rows, 0))  # the last flagged row up to each row
-        want = periodic_fires(rows[1:], flagged[:-1], record.dt, record.meta["period"])
-        want = np.concatenate(([True], want))  # t = 0 is unconditional
-    else:
+    if record.mode not in ("continuous-damping", "periodic"):
         raise ConfigurationError(f"no schedule to check for a {record.mode} run")
+    ev = record.event
+    want = np.arange(ev.size) % hold_rows(record.mode, record.dt, record.meta.get("period"), ev.size) == 0
     off = np.flatnonzero(ev != want)
     return CheckReport(
         name="schedule",

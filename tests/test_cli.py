@@ -15,11 +15,11 @@ import wavetrig.config as wavetrig_config
 from wavetrig.cli import build_parser, main
 from wavetrig.config import DesignSpec, RunConfig, load_config
 from wavetrig.design import certified_constants
-from wavetrig.dynamics import MODES
+from wavetrig.dynamics import MODES, build_record
 from wavetrig.errors import ConfigurationError, WavetrigError
 from wavetrig.grid import C_OMEGA_SOURCES
 from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
-from wavetrig.trigger import ETA0_VARIANTS
+from wavetrig.trigger import ETA0_VARIANTS, check_schedule
 
 
 def small_config(tmp_path, **overrides):
@@ -703,6 +703,33 @@ def test_verify_fails_an_event_triggered_run_relabelled_periodic(sim_run, tmp_pa
     capsys.readouterr()
     assert main(["verify", str(rundir)]) == 1
     assert "schedule: FAIL" in capsys.readouterr().out
+
+
+def test_verify_checks_a_periodic_summary_with_a_huge_period(tmp_path, capsys):
+    # P is capped at the record's rows: the only hold due is t = 0's, so the
+    # run's flags fail the schedule, with no overflow on the way
+    _, path = small_config(tmp_path, mode="periodic", period=0.1, t_end=3.0)
+    assert main(["simulate", "--config", str(path)]) == 0
+    s = json.loads((tmp_path / "run" / "summary.json").read_text())
+    (tmp_path / "run" / "summary.json").write_text(json.dumps(dict(s, meta=dict(s["meta"], period=1e308))))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 1
+    assert "schedule: FAIL" in capsys.readouterr().out
+    record, _ = load_run(tmp_path / "run")
+    assert check_schedule(record).details == {"n_events": int(record.event.sum()), "n_due": 1}
+
+
+def test_dwell_floor_is_counted_in_rows():
+    # a continuous-damping record of 80,000 steps of dt = 0.0005: many of its
+    # dwells, as differences of the rounded times k dt, read below dt, but
+    # every event is one row after the one before
+    m, dt = 80001, 0.0005
+    ones = np.ones(m)
+    columns = dict(zip(wt.RunRecord.COLUMNS, (ones,) * 5), event=np.ones(m, dtype=bool))
+    record = build_record(columns, None, None, "continuous-damping", dt, meta={"period": None})
+    assert np.diff(record.events.times).min() < dt * (1.0 - 1e-12)
+    reports, ok = wavetrig_cli.run_checks(record)
+    assert ok and reports["zeno"]["passed"] and reports["schedule"]["passed"]
 
 
 def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):

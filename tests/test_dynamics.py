@@ -11,7 +11,7 @@ from wavetrig.config import RunConfig
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError, ShapeError
 from wavetrig.grid import Field, eigenvalues, sine_transform
 from wavetrig.initial import bump, sine_mode
-from wavetrig.trigger import periodic_fires, predicate_from_norms
+from wavetrig.trigger import predicate_from_norms
 
 
 def zero_field(g):
@@ -425,7 +425,7 @@ def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):
     one row at a time: each row is its anchor times exp(-i w r dt), r rows
     on, from a table of cos and sin of r (-w dt), r = 1..span; the anchors
     are t = 0, every hold and every span-th row after an anchor.  The loop
-    decides its own events."""
+    decides its own events: a periodic hold every ceil(period / dt) rows."""
     dt, alpha, period = rec.dt, rec.meta["alpha"], rec.meta["period"]
     w = np.sqrt(eigenvalues(g))
     winv = 1.0 / w
@@ -437,7 +437,7 @@ def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):
     wp = held * winv * -alpha
     anchor = np.empty(w.size, complex)
     anchor.real, anchor.imag = wz - wp, vh
-    sums, events, last, r = [], [], 0, 0
+    sums, events, r = [], [], 0
     for row in range(rec.t.size):
         if row:
             if r == span:
@@ -454,12 +454,12 @@ def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):
         if rec.mode == "event-triggered":
             fire = predicate_from_norms(ne, nz, nv, wt.eta0(row * dt, params), params) >= 0.0
         elif rec.mode == "periodic":
-            fire = periodic_fires(row, last, dt, period)
+            fire = row % math.ceil(period / dt) == 0
         else:
             fire = rec.mode == "continuous-damping"
         events.append(fire)
         if fire:
-            last, held = row, vh.copy()
+            held = vh.copy()
             wp = held * winv * -alpha
             q.real = wz - wp
             anchor, r = q, 0
@@ -528,6 +528,16 @@ def test_periodic_blocks_end_where_the_period_falls_due(monkeypatch):
     rec, _ = run_from_config(RunConfig(mode="periodic", period=0.1, domain={"kind": "interval", "length": 1.0, "n": 49}))
     assert rec.n_steps == 1000 and rec.event.sum() == 101
     assert sum(k for k, _ in blocks) == rec.n_steps
+
+
+def test_periodic_hold_is_counted_in_rows():
+    # 0.0015 is 3 steps of dt = 0.0005 to rounding; as differences of the
+    # rounded times k dt, 63 of the holds once came one row late
+    cfg = RunConfig(mode="periodic", period=0.0015, t_end=10.0, domain={"kind": "interval", "length": 1.0, "n": 999})
+    rec, summary = run_from_config(cfg)
+    assert rec.dt == 0.0005 and rec.n_steps == 20000
+    assert rec.event.sum() == 6667 and set(np.diff(np.flatnonzero(rec.event))) == {3}
+    assert summary["checks_passed"]
 
 
 def test_eta0_column_is_the_scalar_floor_at_every_row():

@@ -9,7 +9,7 @@ from wavetrig.errors import ConfigurationError
 from wavetrig.grid import Field
 from wavetrig.initial import sine_mode
 from wavetrig.lyapunov import energy_lyapunov, field_norms
-from wavetrig.trigger import EventLog, check_schedule, periodic_fires, predicate_from_norms
+from wavetrig.trigger import EventLog, check_schedule, hold_rows, predicate_from_norms
 
 
 @pytest.fixture()
@@ -192,12 +192,20 @@ def test_zeno_constant_dwell_histogram():
     assert stats.min_dwell == pytest.approx(0.25)
 
 
-def test_periodic_rule_is_the_same_on_ints_and_arrays():
-    # the simulate loop asks for one row at a time, the schedule check for all at once
-    rows, last, dt = np.arange(200), np.arange(200) // 9 * 9, 0.01
-    want = [periodic_fires(int(r), int(k), dt, 0.07) for r, k in zip(rows, last)]
-    assert periodic_fires(rows, last, dt, 0.07).tolist() == want
-    assert any(want) and not all(want)
+def test_hold_rows_counts_the_period_in_steps_of_dt():
+    # continuous damping holds every row; a periodic run every P rows, the
+    # steps that reach the period, rounded as the horizon is; the other modes
+    # hold on no schedule after t = 0
+    assert hold_rows("continuous-damping", 0.01, None, 100) == 1
+    # 0.0015 / 0.0005 is 3 to rounding: a hold every 3 rows, never 4
+    assert hold_rows("periodic", 0.0005, 0.0015, 20001) == 3
+    assert hold_rows("periodic", 0.01, 0.07, 100) == 7
+    assert hold_rows("periodic", 0.01, 0.075, 100) == 8
+    assert hold_rows("periodic", 0.01, 1e-300, 100) == 1  # a period below dt holds every row
+    # capped at the record's rows, so a huge period neither overflows nor holds after t = 0
+    assert hold_rows("periodic", 0.005, 1e308, 2001) == 2001
+    for mode in ("event-triggered", "uncontrolled"):
+        assert hold_rows(mode, 0.01, 0.07, 100) == 100
 
 
 @pytest.mark.parametrize("mode", ["periodic", "continuous-damping"])
@@ -212,9 +220,8 @@ def test_schedule_check_replays_the_policy_from_the_flags(mode):
     row = int(np.flatnonzero(event)[3])
     event[row] = False
     report = check_schedule(dataclasses.replace(rec, event=event))
-    assert not report.passed and report.worst == rec.t[row]
-    # periodic: the cleared row is due, and so is each row after it up to the next flag
-    assert report.n_violations == (1 if mode == "continuous-damping" else np.flatnonzero(event)[3] - row)
+    # the rows due do not depend on the flags: the cleared row is the one violation
+    assert not report.passed and report.worst == rec.t[row] and report.n_violations == 1
 
 
 @pytest.mark.parametrize("mode", ["event-triggered", "uncontrolled"])
