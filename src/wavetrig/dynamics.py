@@ -8,11 +8,12 @@ form: a step adds no time-discretisation error, and events, which are
 resolved at step boundaries, change the forcing exactly where the hold does.
 
 Since the flow up to the next event is known, :func:`simulate` advances it
-a block of steps at a time and tests the trigger on every row of the block
-before it goes back to the kernel; an event cuts the block.  Every block
-starts at an anchor, a held row or the last row of a whole block, and each
-of its rows is that anchor times one row of a phase table, so a row is the
-same product whatever the schedule; :func:`step` is a block of one.
+a block of steps at a time and tests the trigger on the rows of the block
+that reach the eta0 floor before it goes back to the kernel; an event cuts
+the block.  Every block starts at an anchor, a held row or the last row of
+a whole block, and each of its rows is that anchor times one row of a phase
+table, so a row is the same product whatever the schedule; :func:`step` is
+a block of one.
 """
 
 from __future__ import annotations
@@ -278,13 +279,22 @@ def simulate(
     the update policy of ``mode`` is evaluated on the post-step state and
     the hold is refreshed when it fires; recorded step values are the
     pre-refresh ones.  Continuous damping and the periodic policy fire at
-    the rows that P (``trigger.hold_rows``) divides.  Every row, the t = 0
-    one included, is taken from the step kernel's buffers by one loop body.
+    the rows that P (``trigger.hold_rows``) divides.  Every row the scan
+    tests, the t = 0 one included, is taken from the step kernel's buffers
+    by one loop body.
 
     The loop takes blocks of steps: the kernel steps a block at once and
     writes the block's norm sums into the series columns with two
     ``np.vecdot`` calls, and a scan of the block's rows, as Python floats,
-    cuts the block after the first row that fires.  Every block goes on
+    cuts the block after the first row that fires.  In an event-triggered
+    block after row 0 whose norms are all finite, the scan passes every row
+    with ||e||^2 < eta0 untested, which cannot change an event: gamma0
+    ||z||^2 and gamma1 ||v||^2 are >= 0 and rounding is monotone, so each
+    difference of the predicate rounds to at most ||e||^2, and
+    fl(x - eta0) >= 0 iff x >= eta0; a predicate >= 0 implies ||e||^2 >=
+    eta0, the same product fl(w s_e) in both tests.  A block with a
+    non-finite norm, which may be a blow-up, tests every row, so
+    BlowUpError names the same step.  Every block goes on
     from an anchor, the row just held or the last row of a whole block,
     up to the next multiple of P, at most a phase table of T rows
     (``_BLOCK_BYTES``) and at most the horizon.  So the anchors are the
@@ -348,9 +358,16 @@ def simulate(
             # the block ends at its first row that fires; a scan over Python
             # floats, which at one row a block costs less than array calls
             s_z, s_gz, s_v, s_e, s_zv, eta_b = block.tolist()
-            for j, (nz_j, nv_j, ne_j, eta_j) in enumerate(zip(s_z, s_v, s_e, eta_b)):
+            tested = range(n)
+            # predicate >= 0 implies fl(w s_e) >= eta0 (rounding is monotone
+            # and fl(x - y) >= 0 iff x >= y), so a row below the floor cannot
+            # fire and is passed; unless the block, whose sums are of squares,
+            # has a non-finite total, which may be a blow-up, or is row 0
+            if event_triggered and i and math.isfinite(sum(s_z) + sum(s_v)):
+                tested = [j for j, (ne_j, eta_j) in enumerate(zip(s_e, eta_b)) if not w * ne_j < eta_j]
+            for j in tested:
                 row = i + j
-                nz_j, nv_j, ne_j = w * nz_j, w * nv_j, w * ne_j  # as lyapunov.field_norms
+                nz_j, nv_j, ne_j = w * s_z[j], w * s_v[j], w * s_e[j]  # as lyapunov.field_norms
                 # a non-finite entry makes its norm non-finite; the entrywise
                 # test runs only then, as norms of huge finite fields overflow
                 if not (math.isfinite(nz_j) and math.isfinite(nv_j)) and not kernel.finite(j):
@@ -360,14 +377,17 @@ def simulate(
                     _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
                     event[0] = not uncontrolled
                 if event_triggered:
-                    fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_j, trigger_params) >= 0.0
+                    fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_b[j], trigger_params) >= 0.0
                 else:  # the schedule's rows; an uncontrolled run never holds
                     fire = not uncontrolled and row % period_rows == 0
                 if fire:
                     event[row] = True
                     kernel.hold(j)
                     break
+            else:  # no row fired: the next block goes on from its last
+                j = n - 1
             # up to the next row the schedule makes due, at most T rows and the horizon
+            row = i + j
             i = row + 1
             n = min(period_rows - row % period_rows, size, m - i)
         np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums

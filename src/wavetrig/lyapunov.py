@@ -1,6 +1,10 @@
 """Energy and Lyapunov functionals, the per-run time series record with the
 event log it holds, and the certificate checkers that validate a recorded
-trajectory against the guarantees of its certificate."""
+trajectory against the guarantees of its certificate.
+
+A checker counts a row as violating unless its inequality holds, as
+``~(x <= bound)``: a NaN compares false either way, so a NaN in a check's
+input is a violation, never a pass."""
 
 from __future__ import annotations
 
@@ -212,7 +216,7 @@ def check_equivalence(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
     rel_low = (lower - v) / np.maximum(lower, tiny)
     rel_up = (v - upper) / np.maximum(upper, tiny)
     worst = float(np.max(np.maximum(rel_low, rel_up)))
-    violations = int(np.count_nonzero((rel_low > rel_tol) | (rel_up > rel_tol)))
+    violations = int(np.count_nonzero(~((rel_low <= rel_tol) & (rel_up <= rel_tol))))
     return CheckReport(
         name="equivalence",
         passed=violations == 0,
@@ -249,7 +253,7 @@ def check_vdot(record: RunRecord, c_tol: float = 10.0) -> CheckReport:
     tol = c_tol * dt * dt * float(np.max(np.abs(v)))
     margin = vdot - rhs
     checked = int(np.count_nonzero(usable))
-    violations = int(np.count_nonzero(margin[usable] > tol))
+    violations = int(np.count_nonzero(~(margin[usable] <= tol)))
     worst = float(margin[usable].max()) if checked else float("-inf")
     return CheckReport(
         name="vdot",
@@ -278,8 +282,8 @@ def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
     tiny = np.finfo(float).tiny
     envelope = cert.overshoot * np.exp(-cert.decay_rate * t) * e[0]
     v_env = v[0] * ((1.0 + cert.mu) * np.exp(-cert.decay_rate * t) - cert.mu * np.exp(-cert.theta * t))
-    e_over = e > envelope * (1.0 + rel_tol)
-    v_over = v > v_env * (1.0 + rel_tol)
+    e_over = ~(e <= envelope * (1.0 + rel_tol))
+    v_over = ~(v <= v_env * (1.0 + rel_tol))
     violations = int(np.count_nonzero(e_over | v_over))
     worst = float(np.max(e / np.maximum(envelope, tiny)))
     second_half = t >= 0.5 * t[-1]
@@ -315,14 +319,15 @@ def check_trigger_invariant(record: RunRecord) -> CheckReport:
     deviation stayed inside its allowance); at every event step after the
     unconditional one at t = 0 it must be nonnegative.  Event flags and
     predicate signs must agree exactly, since events are resolved at step
-    boundaries from this very predicate.
+    boundaries from this very predicate; a NaN predicate is neither, and
+    violates at any step.
     """
     if record.mode != "event-triggered":
         raise ConfigurationError("trigger invariant applies to event-triggered runs only")
     pred = record.trigger_value
     ev = record.event.astype(bool)
-    fired_without_flag = (~ev) & (pred >= 0)
-    flagged_without_fire = ev & (pred < 0)
+    fired_without_flag = (~ev) & ~(pred < 0)
+    flagged_without_fire = ev & ~(pred >= 0)
     flagged_without_fire[0] = False  # t = 0 event is unconditional
     violations = int(np.count_nonzero(fired_without_flag) + np.count_nonzero(flagged_without_fire))
     worst = float(pred[~ev].max()) if (~ev).any() else float("-inf")

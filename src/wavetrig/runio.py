@@ -15,6 +15,10 @@ Python's ``b"%.17e" % x`` and ``b"%d" % x``: a float's significand
 1e-12 margin near a rounding tie or a decade's end where a cell is left to
 Python, as are one whose log10 misses the decade or that rounds up into the
 next, 0, -0, nan, inf, ``|x|`` outside 1e-280..1e280 and ints from 1e18.
+Each cell is laid out on a slot of _SLOT bytes; a table's slot buffer, one
+block of rows with the separators laid in it, is prepared once, and each
+block writes its cells into it. An int column writes only the words of
+digits its block's largest value needs, one for a 0/1 flag.
 
 :func:`load_run` reads ``series.csv`` with the writer's inverse, _CHUNK bytes
 at a time, returning for each cell the bits of ``float()`` of its text. A
@@ -85,33 +89,40 @@ def write_table(path: Path, table: dict, ints: tuple = ()):
     would with ``b"%d" % x`` for the columns named in ``ints`` (a flag or count
     taken as a float) and ``b"%.17e" % x`` for the others, a block of rows at a time."""
     columns = [np.asarray(col, dtype=float) for col in table.values()]
-    is_int = np.array([name in ints for name in table])
+    is_int = [name in ints for name in table]
+    # the slots of a block's rows, with the separators laid once: a block
+    # writes each cell from byte 3 of its slot on (_encode_block)
+    slots = np.zeros((min(len(columns[0]), _BLOCK_ROWS), len(columns), _SLOT), np.uint8)
+    slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
+    slots[:, 1:, 0] = ord(",")
+    # the runs of adjacent columns of one kind, each encoded by one call
+    edges = [0, *(c for c in range(1, len(is_int)) if is_int[c] != is_int[c - 1]), len(is_int)]
+    runs = [(slice(a, b), _int_cells if is_int[a] else _float_cells) for a, b in zip(edges, edges[1:])]
     with open(path, "wb") as fh:
         fh.write(",".join(table).encode())  # each row starts with the line break before it
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            fh.write(_encode_block(np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns]), is_int))
+            block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+            fh.write(_encode_block(block, slots[:len(block)], runs, is_int))
         fh.write(b"\r\n")
 
 
-def _encode_block(block: np.ndarray, is_int: np.ndarray) -> bytes:
-    """The CSV lines of the rows of ``block``. A cell's slot of 8 words holds the
-    line break or comma before it, then a float's sign, digit, point, digit, 16
-    digits and "e", sign and digits of its exponent (or an int's sign and 20
-    digits), blank bytes NUL, which one ``translate`` deletes; a cell left to
-    Python holds a mark in their place that its text replaces."""
-    rows, cols = block.shape
-    slots = np.empty((rows, cols, _SLOT), np.uint8)
-    done = np.empty((rows, cols), bool)
-    for kind, encode in ((~is_int, _float_cells), (is_int, _int_cells)):
-        if kind.any():
-            out, ok = encode(block[:, kind].ravel())
-            slots[:, kind], done[:, kind] = out.reshape(rows, -1, _SLOT), ok.reshape(rows, -1)
-    slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
-    slots[:, 1:, :2] = np.frombuffer(b",\0", np.uint8)
+def _encode_block(block: np.ndarray, slots: np.ndarray, runs: list, is_int: list) -> bytes:
+    """The CSV lines of the rows of ``block``, encoded into their ``slots``. A cell's
+    slot of 8 words holds the line break or comma before it, then a float's sign,
+    digit, point, digit, 16 digits and "e", sign and digits of its exponent (or an
+    int's sign and up to 20 digits), blank bytes NUL, which one ``translate``
+    deletes. Only when a cell is left to Python does a copy of the slots hold a
+    mark in its place, which its text replaces."""
+    done = np.empty(block.shape, bool)
+    for cols, encode in runs:
+        done[:, cols] = encode(block[:, cols], slots[:, cols])
+    if done.all():
+        return slots.tobytes().translate(None, b"\0")
     fallback = [(b"%d" if is_int[c] else b"%.17e") % float(block[r, c]) for r, c in np.argwhere(~done)]
-    slots[~done, 2:] = 0
-    slots[~done, 2] = 1  # the mark where a cell's Python text goes
-    pieces = slots.tobytes().translate(None, b"\0").split(b"\1")
+    marked = slots.copy()
+    marked[~done, 2:] = 0
+    marked[~done, 2] = 1  # the mark where a cell's Python text goes
+    pieces = marked.tobytes().translate(None, b"\0").split(b"\1")
     return b"".join(piece + text for piece, text in zip(pieces, fallback + [b""]))
 
 
@@ -145,13 +156,14 @@ def _put_digits(words: np.ndarray, n: np.ndarray, first: int):
     digits = _tables()[0]
     for j in range(5, first, -1):
         q = n // 10000
-        words[:, j] = digits[n - q * 10000]
+        words[..., j] = digits[n - q * 10000]
         n = q
-    words[:, first] = digits[n]
+    words[..., first] = digits[n]
 
 
-def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``b"%.17e" % x`` of each cell as (slot, ok); a cell not ok is left to Python."""
+def _float_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``b"%.17e" % x`` of each cell into bytes 4-31 of its slot; returns
+    whether it is, a cell not ok being left to Python."""
     _, lead, exps, _, _ = _tables()
     a = np.abs(x)
     ok = (a >= 10.0**-_E_MAX) & (a <= 10.0**_E_MAX)  # nan fails both
@@ -163,24 +175,33 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # in the decade, and not rounding up to 10^18 (only 1e153 does, and log10 misses it first)
     ok &= ((p - 1e17) + c >= _SLACK) & ((p - 1e18) + c <= -0.5 - _SLACK) & (np.abs(frac - 0.5) >= _SLACK)
     n = np.where(ok, p, 1e17).astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)  # half to even
-    words = np.zeros((len(x), _SLOT // 4), np.uint32)
+    words = slots.view(np.uint32)
     first = n // 10**16
-    words[:, 1] = lead[first + 100 * np.signbit(x)]
+    words[..., 1] = lead[first + 100 * np.signbit(x)]
     _put_digits(words, n - first * 10**16, 2)
-    words.view(np.uint64)[:, 3] = exps[e + _K]
-    return words.view(np.uint8), ok
+    slots.view(np.uint64)[..., 3] = exps[e + _K]
+    return ok
 
 
-def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``b"%d" % x`` of each cell as (slot, ok); the cast truncates toward 0 as %d does."""
+def _int_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``b"%d" % x`` of each cell into bytes 3-23 of its slot, the cast truncating
+    toward 0 as %d does; returns whether it is, a cell not ok being left to Python.
+    Only the words of digits that the largest cell needs are computed; the
+    others are blanked."""
     ok = np.abs(x) < 1e18
     n = np.abs(np.where(ok, x, 0.0)).astype(np.int64)
-    out = np.zeros((len(x), _SLOT), np.uint8)
-    out[:, 3] = np.where((n > 0) & (x < 0), ord("-"), 0)
-    _put_digits(out.view(np.uint32), n, 1)
-    out[:, 4] = 0  # digit 10^19; those of 10^18 down to 10^1 go where n is smaller
-    out[:, 5:23][n[:, None] < 10 ** np.arange(18, 0, -1)] = 0
-    return out, ok
+    slots[..., 3] = np.where((n > 0) & (x < 0), ord("-"), 0)
+    first = 5 - (len(str(int(n.max()))) - 1) // 4  # the word of the largest cell's first digit
+    words = slots.view(np.uint32)
+    words[..., 1:first] = 0
+    _put_digits(words, n, first)
+    top = 4 * first  # the byte of the highest digit written
+    if first == 1:  # digit 10^19, whose power overflows int64, is 0 below 1e18
+        slots[..., 4] = 0
+        top = 5
+    # digits 10^(23 - top) down to 10^1 go where n is smaller
+    slots[..., top:23][n[..., None] < 10 ** np.arange(23 - top, 0, -1)] = 0
+    return ok
 
 
 def _write_json(path: str | Path, obj: dict):
@@ -352,6 +373,15 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     if not isinstance(summary, dict):
         raise DataFormatError(f"{summary_path} is not a JSON object")
     cols = _parse_series(series_path)
+    # the writer writes each squared norm as a sum of squares, >= 0 or inf where
+    # it overflows, and a blow-up raises before a NaN is written: a negative or
+    # NaN cell there is refused, not checked
+    for name in ("norm_z_sq", "norm_gradz_sq", "norm_v_sq", "norm_e_sq"):
+        bad = np.flatnonzero(~(cols[name] >= 0)) if name in cols else []
+        if len(bad):
+            raise DataFormatError(
+                f"{name} of {series_path} is {float(cols[name][bad[0]])!r} in row {bad[0]}, not a squared norm"
+            )
     n = cols["norm_z_sq"].size
     # the summary fixes the time axis: n_steps is simulate's step count of
     # dt to the horizon meta.t_end, so a rescaled dt is refused

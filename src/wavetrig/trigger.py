@@ -162,8 +162,8 @@ def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> Dwell
 
     At every event after the initial one the firing predicate was
     nonnegative, which forces ||e_k||^2 >= eta0 there; ``floor_violations``
-    counts events where that fails beyond rounding.  Event times are
-    quantized to step boundaries, the run's ``dt``.
+    counts events where that does not hold to rounding (a NaN never does).
+    Event times are quantized to step boundaries, the run's ``dt``.
 
     ``dt`` is ignored; it is accepted only because ``perfbench/pipeline.py``
     still passes it.
@@ -188,7 +188,7 @@ def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> Dwell
         hist, bin_edges = np.histogram(dwells, bins=bins)
         edges = tuple(float(x) for x in bin_edges)
         counts = tuple(int(x) for x in hist)
-    floor_violations = int(np.count_nonzero(log.norm_e_sq_values[1:] < log.eta0_values[1:] * (1.0 - 1e-12)))
+    floor_violations = int(np.count_nonzero(~(log.norm_e_sq_values[1:] >= log.eta0_values[1:] * (1.0 - 1e-12))))
     return DwellStats(
         event_count=len(log),
         min_dwell=min_d,

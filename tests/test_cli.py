@@ -372,6 +372,10 @@ def _first_cell(text):
     return lambda line: text + line[line.index(","):]
 
 
+def _cell(column, text):
+    return lambda line: ",".join(text if k == column else cell for k, cell in enumerate(line.split(",")))
+
+
 # (line of series.csv, edit): line 0 is the header, line 1 row 0, the
 # unconditional event at t = 0, and line -1 the last row. The file is
 # rewritten with "\n" line ends, which the reader accepts; it refuses every
@@ -393,6 +397,9 @@ SERIES_TAMPERS = {
     "float-event": (3, _event_flag("0.00000000000000000e+00")),
     "cut-last-line": (-1, lambda line: line[:len(line) // 2]),
     "non-utf8-header": (0, lambda line: line.replace("_", "\udcff", 1)),  # the byte 0xff
+    # norm_e_sq is a sum of squares: never negative, and never NaN in a run that did not blow up
+    "negative-norm": (3, _cell(3, "-1.00000000000000000e+00")),
+    "nan-norm": (3, _cell(3, "nan")),
 }
 
 
@@ -405,6 +412,23 @@ def test_cmd_verify_malformed_series_exits_65(tmp_path, row, corrupt):
     lines[row] = corrupt(lines[row])
     series.write_text("".join(lines), errors="surrogateescape")
     assert main(["verify", str(tmp_path / "m-run")]) == 65
+
+
+def test_cmd_verify_fails_a_nan_in_inner_zv(tmp_path, capsys):
+    # <z, v> sums products of either sign, which can overflow to inf - inf:
+    # load_run takes a NaN there, and V, built from it, fails the checks
+    # that read it; no line prints a NaN next to PASS
+    cfg, path = small_config(tmp_path, t_end=3.0, out=str(tmp_path / "run"))
+    assert main(["simulate", "--config", str(path)]) == 0
+    series = tmp_path / "run" / "series.csv"
+    lines = series.read_text().splitlines(True)
+    lines[151] = _cell(4, "nan")(lines[151])  # row 150
+    series.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 1
+    out = capsys.readouterr().out
+    assert "equivalence: FAIL" in out
+    assert not [line for line in out.splitlines() if "PASS" in line and "nan" in line]
 
 
 def test_cmd_verify_accepts_the_writers_cells_with_either_line_end(tmp_path):

@@ -338,6 +338,36 @@ def test_blowup_step_does_not_depend_on_the_block_size(small_setup, monkeypatch,
     assert err.value.time == step * integ.dt
 
 
+@BUDGETS
+def test_event_triggered_blowup_step_does_not_depend_on_the_block_size(small_setup, monkeypatch, budget):
+    # the first hold after t = 0 samples a v_hat whose rest point -alpha
+    # v_hat / w overflows at alpha = 1e308; the rows after it are not
+    # finite, and the scan, which passes rows below the eta0 floor only in
+    # blocks whose norms are all finite, names the same step at every budget
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
+    g, cert, params, z0, z1, integ = small_setup
+    with pytest.raises(BlowUpError) as err:
+        wt.simulate(z0, z1, 1e308, g, integ, params)
+    assert err.value.step == 31
+
+
+def test_a_nan_position_below_the_eta0_floor_is_a_blow_up(small_setup, monkeypatch):
+    # a NaN in 1/w of the highest mode makes z_hat NaN from step 1 on, while
+    # v_hat, and with it the deviation, stays finite and far below eta0:
+    # the floor alone would pass the row, the block's non-finite norms do not
+    init = dynamics._Modal.__init__
+
+    def poisoned(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._winv[:, -1] = np.nan
+
+    monkeypatch.setattr(dynamics._Modal, "__init__", poisoned)
+    g, cert, params, z0, z1, integ = small_setup
+    with pytest.raises(BlowUpError) as err:
+        wt.simulate(z0, z1, 1.0, g, integ, params, cert)
+    assert err.value.step == 1
+
+
 def test_simulate_runs_on_when_only_the_norms_overflow(small_setup):
     # entries near 1e160 are finite, their squared norms overflow to inf:
     # that is not a blow-up of the state, so the run goes on

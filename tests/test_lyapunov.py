@@ -230,6 +230,27 @@ def test_check_trigger_invariant_on_flagship_run(a1_record):
     assert rep.passed and rep.n_violations == 0
 
 
+@pytest.mark.parametrize("check, series, at_event", [
+    (wt.check_equivalence, "lyapunov", False),
+    (wt.check_vdot, "energy", False),
+    (wt.check_envelope, "energy", False),
+    (wt.check_envelope, "lyapunov", False),
+    (wt.check_trigger_invariant, "trigger_value", False),
+    (wt.check_trigger_invariant, "trigger_value", True),
+], ids=["equivalence", "vdot", "envelope-E", "envelope-V", "trigger-quiet", "trigger-fired"])
+def test_a_nan_in_a_checks_input_is_a_violation(a1_record, check, series, at_event):
+    # a NaN compares false with any bound, so a check counting rows where the
+    # bound fails would pass it; each counts rows where the bound does not hold
+    events = np.flatnonzero(a1_record.event)
+    quiet = next(r for r in range(2, a1_record.t.size) if not a1_record.event[r - 1:r + 2].any())
+    row = events[1] if at_event else quiet
+    col = getattr(a1_record, series).copy()
+    col[row] = np.nan
+    assert check(a1_record).n_violations == 0
+    rep = check(dataclasses.replace(a1_record, **{series: col}))
+    assert not rep.passed and rep.n_violations == 1
+
+
 def test_check_trigger_invariant_rejects_other_modes(grid199):
     z0 = sine_mode(grid199, 1)
     z1 = Field(np.zeros(grid199.num_interior), grid199)

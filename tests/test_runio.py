@@ -147,7 +147,9 @@ def test_encoder_cases_reach_a_tie_a_carry_and_a_subnormal():
 
 def test_write_table_formats_multi_digit_int_columns_across_row_blocks(tmp_path):
     # events.csv's k beyond 1000 and sweep.csv's counts, with the cells %d
-    # truncates toward 0 and ones past numpy's 1e18 bound
+    # truncates toward 0 and ones past numpy's 1e18 bound; blocks with
+    # 18-digit cells and cells left to Python come before one of 7-digit
+    # cells and none, in the one slot buffer the table's blocks share
     n = 3 * _BLOCK_ROWS + 7
     k = np.arange(n) * 997.0
     k[_BLOCK_ROWS - 2:_BLOCK_ROWS + 2] = [-0.5, -1.5, 2.7, -0.0]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavetrig as wt
 from wavetrig.errors import ConfigurationError
@@ -106,6 +108,25 @@ def test_predicate_direct_arithmetic():
     assert value2 < 0  # does not fire
 
 
+# squared norms as the step loop has them: finite, subnormal or overflowed to inf
+squared_norms = st.floats(min_value=0.0)
+positive = st.floats(min_value=0.0, exclude_min=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ne=st.floats(), nz=squared_norms, nv=squared_norms, eta0=positive.filter(math.isfinite),
+       gamma0=positive, gamma1=positive)
+def test_predicate_fires_only_where_the_deviation_reaches_the_floor(ne, nz, nv, eta0, gamma0, gamma1):
+    # the premise on which simulate's scan passes a row with ||e||^2 < eta0
+    # untested: each difference of the predicate rounds to at most ||e||^2,
+    # and fl(x - eta0) >= 0 only if x >= eta0. Tried at a drawn ||e||^2 and
+    # at the floor and its neighbours, where the predicate is near 0
+    p = wt.TriggerParams(gamma0=gamma0, gamma1=gamma1, theta=1.0, eta0_scale=1.0)
+    for e in (ne, eta0, math.nextafter(eta0, 0.0), math.nextafter(eta0, math.inf)):
+        if predicate_from_norms(e, nz, nv, eta0, p) >= 0.0:
+            assert e >= eta0
+
+
 def test_trigger_value_never_fires_right_after_event(params):
     g = wt.build_grid(wt.Interval(1.0, 49))
     v = sine_mode(g, 1)
@@ -177,6 +198,13 @@ def test_zeno_floor_violation_counted():
     stats = wt.zeno_report(log, horizon=2.0)
     assert stats.floor_violations == 1
     assert not stats.floor_ok
+
+
+def test_zeno_floor_counts_a_nan_deviation():
+    # a NaN deviation at an event does not reach the floor
+    log = event_log((0.0, -1.0, 0.0, 1.0), (0.5, np.nan, np.nan, 0.4), (1.0, 0.2, 0.9, 0.4))
+    stats = wt.zeno_report(log, horizon=2.0)
+    assert stats.floor_violations == 1 and not stats.floor_ok
 
 
 def test_zeno_requires_increasing_times():
