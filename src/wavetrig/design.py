@@ -5,7 +5,7 @@ certified overshoot/rate pair.
 The pipeline is pure arithmetic.  Feasibility of the cross-weight interval
 is decided by comparing its two endpoints directly; the certificate's
 diagnostics record the interval, its uncapped upper end, the weights'
-suprema and the trace of the shrinks that led there.
+suprema and the number of shrinks that led there.
 """
 
 from __future__ import annotations
@@ -211,10 +211,6 @@ def certified_constants(alpha: float, c_omega: float, gamma0: float, gamma1: flo
                 overshoot=(c2 / c1) * (1.0 + mu), decay_rate=beta / c2)
 
 
-def _interval_feasible(lo: float, hi: float) -> bool:
-    return bool(hi - lo > _MIN_REL_WIDTH * max(hi, abs(lo)))
-
-
 def build_certificate(inp: DesignInput) -> StabilityCertificate:
     """Run the full design pipeline.
 
@@ -227,19 +223,16 @@ def build_certificate(inp: DesignInput) -> StabilityCertificate:
     g0_sup, g1_sup = gamma_bounds(alpha, c)  # raises if C_Omega >= sqrt(2)
     gamma0 = inp.s_gamma0 * g0_sup
     gamma1 = inp.s_gamma1 * g1_sup
-    trace = []
     for shrink in range(_SHRINK_BUDGET):
         lo, hi = epsilon_interval(alpha, c, gamma0, gamma1)
-        feasible = _interval_feasible(lo, hi)
-        trace.append({"gamma0": gamma0, "gamma1": gamma1, "lo": lo, "hi": hi, "feasible": feasible})
-        if feasible:
+        if hi - lo > _MIN_REL_WIDTH * max(hi, abs(lo)):
             break
         gamma0 *= 0.5
         gamma1 *= 0.5
     else:
         raise DesignFailureError(
             f"no feasible cross-weight interval after {_SHRINK_BUDGET} shrinks "
-            f"(alpha={alpha}, C_Omega={c}); trace tail: {trace[-3:]}"
+            f"(alpha={alpha}, C_Omega={c}); last interval ({lo}, {hi})"
         )
 
     eps = 0.5 * (lo + hi)
@@ -258,7 +251,6 @@ def build_certificate(inp: DesignInput) -> StabilityCertificate:
         "shrink_iterations": shrink,
         "gamma0_sup": g0_sup,
         "gamma1_sup": g1_sup,
-        "trace": trace,
     }
     return StabilityCertificate(
         alpha=alpha,

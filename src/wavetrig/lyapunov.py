@@ -2,9 +2,10 @@
 event log it holds, and the certificate checkers that validate a recorded
 trajectory against the guarantees of its certificate.
 
-A checker counts a row as violating unless its inequality holds, as
-``~(x <= bound)``: a NaN compares false either way, so a NaN in a check's
-input is a violation, never a pass."""
+A checker's report marks each row where its inequality holds, as
+``x <= bound``, and counts every other row as a violation: a NaN compares
+false either way, so a NaN in a check's input is a violation, never a
+pass."""
 
 from __future__ import annotations
 
@@ -171,23 +172,37 @@ class RunRecord:
         return EventLog(self.t[rows], self.trigger_value[rows], self.norm_e_sq[rows], self.eta0[rows])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one certificate check over a run record."""
+    """Outcome of one certificate check over a run record.
+
+    ``holds`` is true at each checked row where the check's inequality
+    held; the counts and the verdict are read from it, never passed in.
+    """
 
     name: str
-    passed: bool
-    n_checked: int
-    n_violations: int
+    holds: np.ndarray = field(repr=False, compare=False)
     worst: float
     details: dict = field(default_factory=dict)
+
+    @property
+    def n_checked(self) -> int:
+        return self.holds.size
+
+    @property
+    def n_violations(self) -> int:
+        return self.holds.size - int(np.count_nonzero(self.holds))
+
+    @property
+    def passed(self) -> bool:
+        return self.n_violations == 0
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "passed": bool(self.passed),
-            "n_checked": int(self.n_checked),
-            "n_violations": int(self.n_violations),
+            "passed": self.passed,
+            "n_checked": self.n_checked,
+            "n_violations": self.n_violations,
             "worst": float(self.worst),
             "details": self.details,
         }
@@ -215,15 +230,11 @@ def check_equivalence(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
     upper = cert.c2 * e
     rel_low = (lower - v) / np.maximum(lower, tiny)
     rel_up = (v - upper) / np.maximum(upper, tiny)
-    worst = float(np.max(np.maximum(rel_low, rel_up)))
-    violations = int(np.count_nonzero(~((rel_low <= rel_tol) & (rel_up <= rel_tol))))
     return CheckReport(
-        name="equivalence",
-        passed=violations == 0,
-        n_checked=e.size,
-        n_violations=violations,
-        worst=worst,
-        details={
+        "equivalence",
+        (rel_low <= rel_tol) & (rel_up <= rel_tol),
+        float(np.max(np.maximum(rel_low, rel_up))),
+        {
             "rel_tol": rel_tol,
             "worst_lower_rel": float(rel_low.max()),
             "worst_upper_rel": float(rel_up.max()),
@@ -240,7 +251,8 @@ def check_vdot(record: RunRecord, c_tol: float = 10.0) -> CheckReport:
     which cross-validates the integrator and the certificate arithmetic
     independently of how V was produced.  Steps within one index of an
     event are skipped: the held sample jumps there and the difference
-    quotient straddles the jump.  Tolerance is c_tol * dt^2 * max|V|.
+    quotient straddles the jump.  Tolerance is c_tol * dt^2 * max|V|, over
+    the finite V, so a NaN in V fails only the differences that read it.
     """
     cert = _require_certificate(record)
     v, e, eta, ev = record.lyapunov, record.energy, record.eta0, record.event.astype(bool)
@@ -250,18 +262,13 @@ def check_vdot(record: RunRecord, c_tol: float = 10.0) -> CheckReport:
     vdot = (v[2:] - v[:-2]) / (2.0 * dt)  # index i+1 in the full series
     rhs = vdot_bound_rhs(cert, e[1:-1], eta[1:-1])  # broadcasts over the series
     usable = ~(ev[:-2] | ev[1:-1] | ev[2:])  # no event at index i, i+1 or i+2
-    tol = c_tol * dt * dt * float(np.max(np.abs(v)))
-    margin = vdot - rhs
-    checked = int(np.count_nonzero(usable))
-    violations = int(np.count_nonzero(~(margin[usable] <= tol)))
-    worst = float(margin[usable].max()) if checked else float("-inf")
+    tol = c_tol * dt * dt * float(np.max(np.abs(v), where=np.isfinite(v), initial=0.0))
+    margin = (vdot - rhs)[usable]
     return CheckReport(
-        name="vdot",
-        passed=violations == 0,
-        n_checked=checked,
-        n_violations=violations,
-        worst=worst,
-        details={"c_tol": c_tol, "tolerance": tol, "excluded_steps": int(np.count_nonzero(~usable))},
+        "vdot",
+        margin <= tol,
+        float(np.max(margin, initial=-np.inf)),
+        {"c_tol": c_tol, "tolerance": tol, "excluded_steps": int(np.count_nonzero(~usable))},
     )
 
 
@@ -270,44 +277,43 @@ def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
     and the sharper two-exponential bound on V,
     V(t) <= (1+mu) V(0) exp(-decay_rate t) - mu V(0) exp(-theta t).
 
-    A step violates when either bound fails; ``worst`` is the largest
-    E/envelope ratio and the details give the V bound's own count and ratio.
+    A step violates when either bound fails.  ``worst`` is the larger of
+    the largest E/envelope and V/bound ratios, NaN when either is, and the
+    details give each bound's ratio and the V bound's own count.
     Also fits the empirical decay rate to ln E over the second half of the
     horizon (skipping the overshoot transient); a valid certificate is
     conservative, so the fitted rate is expected to be at least the
-    certified one.
+    certified one.  The fit is the closed-form least-squares slope, two
+    sums over the centred times, with no LAPACK call whose rounding could
+    depend on the CPU.
     """
     cert = _require_certificate(record)
     t, e, v = record.t, record.energy, record.lyapunov
     tiny = np.finfo(float).tiny
     envelope = cert.overshoot * np.exp(-cert.decay_rate * t) * e[0]
     v_env = v[0] * ((1.0 + cert.mu) * np.exp(-cert.decay_rate * t) - cert.mu * np.exp(-cert.theta * t))
-    e_over = ~(e <= envelope * (1.0 + rel_tol))
-    v_over = ~(v <= v_env * (1.0 + rel_tol))
-    violations = int(np.count_nonzero(e_over | v_over))
-    worst = float(np.max(e / np.maximum(envelope, tiny)))
-    second_half = t >= 0.5 * t[-1]
-    positive = e > 0
-    fit_mask = second_half & positive
+    v_ok = v <= v_env * (1.0 + rel_tol)
+    e_worst = float(np.max(e / np.maximum(envelope, tiny)))
+    v_worst = float(np.max(v / np.maximum(v_env, tiny)))
+    fit_mask = (t >= 0.5 * t[-1]) & (e > 0)
     if np.count_nonzero(fit_mask) >= 2:
-        slope = np.polyfit(t[fit_mask], np.log(e[fit_mask]), 1)[0]
-        delta_emp = -float(slope)
+        tc = t[fit_mask] - t[fit_mask].mean()
+        delta_emp = -float(np.add.reduce(tc * np.log(e[fit_mask])) / np.add.reduce(tc * tc))
     else:
         delta_emp = float("nan")
     return CheckReport(
-        name="envelope",
-        passed=violations == 0,
-        n_checked=e.size,
-        n_violations=violations,
-        worst=worst,
-        details={
+        "envelope",
+        (e <= envelope * (1.0 + rel_tol)) & v_ok,
+        float(np.max([e_worst, v_worst])),
+        {
             "rel_tol": rel_tol,
             "overshoot": cert.overshoot,
             "decay_rate": cert.decay_rate,
             "delta_emp": delta_emp,
             "delta_ratio": delta_emp / cert.decay_rate,
-            "v_violations": int(np.count_nonzero(v_over)),
-            "v_worst": float(np.max(v / np.maximum(v_env, tiny))),
+            "e_worst": e_worst,
+            "v_violations": int(np.count_nonzero(~v_ok)),
+            "v_worst": v_worst,
         },
     )
 
@@ -326,16 +332,11 @@ def check_trigger_invariant(record: RunRecord) -> CheckReport:
         raise ConfigurationError("trigger invariant applies to event-triggered runs only")
     pred = record.trigger_value
     ev = record.event.astype(bool)
-    fired_without_flag = (~ev) & ~(pred < 0)
-    flagged_without_fire = ev & ~(pred >= 0)
-    flagged_without_fire[0] = False  # t = 0 event is unconditional
-    violations = int(np.count_nonzero(fired_without_flag) + np.count_nonzero(flagged_without_fire))
-    worst = float(pred[~ev].max()) if (~ev).any() else float("-inf")
+    holds = np.where(ev, pred >= 0, pred < 0)
+    holds[0] |= ev[0]  # t = 0 event is unconditional
     return CheckReport(
-        name="trigger-invariant",
-        passed=violations == 0,
-        n_checked=pred.size,
-        n_violations=violations,
-        worst=worst,
-        details={"n_events": int(np.count_nonzero(ev))},
+        "trigger-invariant",
+        holds,
+        float(np.max(pred[~ev], initial=-np.inf)),
+        {"n_events": int(np.count_nonzero(ev))},
     )

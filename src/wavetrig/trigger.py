@@ -70,13 +70,11 @@ class DwellStats:
     min_dwell: float
     mean_dwell: float
     max_dwell: float
-    histogram_edges: tuple[float, ...]
-    histogram_counts: tuple[int, ...]
     floor_violations: int
     floor_ok: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)  # the histogram tuples serialise as JSON lists
+        return asdict(self)
 
 
 def eta0(t: float | np.ndarray, params: TriggerParams) -> float | np.ndarray:
@@ -146,14 +144,13 @@ def check_schedule(record: RunRecord) -> CheckReport:
         raise ConfigurationError(f"no schedule to check for a {record.mode} run")
     ev = record.event
     want = np.arange(ev.size) % hold_rows(record.mode, record.dt, record.meta.get("period"), ev.size) == 0
-    off = np.flatnonzero(ev != want)
+    holds = ev == want
+    off = np.flatnonzero(~holds)
     return CheckReport(
-        name="schedule",
-        passed=off.size == 0,
-        n_checked=ev.size,
-        n_violations=off.size,
-        worst=float(record.t[off[0]]) if off.size else float("-inf"),
-        details={"n_events": int(np.count_nonzero(ev)), "n_due": int(np.count_nonzero(want))},
+        "schedule",
+        holds,
+        float(record.t[off[0]]) if off.size else float("-inf"),
+        {"n_events": int(np.count_nonzero(ev)), "n_due": int(np.count_nonzero(want))},
     )
 
 
@@ -170,32 +167,17 @@ def zeno_report(log: EventLog, horizon: float, dt: float | None = None) -> Dwell
     """
     if len(log) == 0:
         raise ConfigurationError("empty event log: degenerate run")
-    times = log.times
-    if times[0] != 0.0 or (len(times) > 1 and not (np.diff(times) > 0).all()):
+    dwells = np.diff(log.times)
+    if log.times[0] != 0.0 or not (dwells > 0).all():
         raise ConfigurationError("event log must start at t = 0 with strictly increasing times")
-    dwells = np.diff(times)
-    if dwells.size == 0:
-        min_d = mean_d = max_d = horizon
-        edges: tuple[float, ...] = ()
-        counts: tuple[int, ...] = ()
-    else:
-        min_d = float(dwells.min())
-        mean_d = float(dwells.mean())
-        max_d = float(dwells.max())
-        # periodic runs have (up to rounding) constant dwell; 10 bins would
-        # collapse to zero width there
-        bins = 10 if max_d - min_d > 1e-9 * max_d else 1
-        hist, bin_edges = np.histogram(dwells, bins=bins)
-        edges = tuple(float(x) for x in bin_edges)
-        counts = tuple(int(x) for x in hist)
+    if not dwells.size:  # one event: it holds over the whole horizon
+        dwells = np.array([horizon], dtype=float)
     floor_violations = int(np.count_nonzero(~(log.norm_e_sq_values[1:] >= log.eta0_values[1:] * (1.0 - 1e-12))))
     return DwellStats(
         event_count=len(log),
-        min_dwell=min_d,
-        mean_dwell=mean_d,
-        max_dwell=max_d,
-        histogram_edges=edges,
-        histogram_counts=counts,
+        min_dwell=float(dwells.min()),
+        mean_dwell=float(dwells.mean()),
+        max_dwell=float(dwells.max()),
         floor_violations=floor_violations,
         floor_ok=floor_violations == 0,
     )

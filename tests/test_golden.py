@@ -123,10 +123,34 @@ value.  The ``uncontrolled`` summary, which has neither, kept its hash.
 
 No hash moved when every block came to start at an anchor: the anchors,
 the holds and every ``T``-th row after one, stayed on the same rows.
+
+The ``summary.json`` hashes of the ten cases with a certificate were
+re-recorded when the reports lost the outputs that no code read and the
+empirical rate stopped calling LAPACK:
+
+- the ``zeno`` report's ``histogram_edges`` and ``histogram_counts`` went,
+  and so did the certificate's ``diagnostics.trace``;
+- the envelope check's ``worst`` became the larger of its E and V ratios.
+  It reads 1 on every case, because the V bound equals ``V(0)`` at
+  ``t = 0``. The E ratio it held moved to ``details.e_worst``;
+- ``delta_emp`` became the closed-form least-squares slope, two
+  ``np.add.reduce`` sums over the centred times, in place of
+  ``np.polyfit``. It moved in its last bits, at most 6.3e-15 relative
+  (``file``), and ``delta_ratio`` with it.
+
+With those entries put back as they were, each new summary hashes to its
+old value. Every ``series.csv`` and ``events.csv`` hash, and the
+``uncontrolled`` summary, stayed the same. With no LAPACK call left on a
+run's path, the ``rectangle`` case now writes the same three files under
+OpenBLAS's Haswell kernels as under the AVX-512 ones
+(:func:`test_rectangle_hashes_the_same_under_the_haswell_blas_kernels`).
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,22 +183,22 @@ GOLDEN = {
     "event-triggered": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "fbefe0dd2b637509dd9ca4842380641a410a73622863b4acaaaaa83aa1a31882",
+        "d8bf1ad146b49ed12311c73307f207210345ac616406d9ea106578c450685f5e",
     ),
     "continuous-damping": (
         "bee3d2e45a83ca42db8fb258969439f21687176febcebb26bba9054229a89ed4",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "233cefc103acd0f8d91c3039b49f691fbac2d4415b23be376d333246ca72f912",
+        "017bacdf80dd382ebccefd288d7f5ec5120135b11e61eccedc31a979dd9e3e24",
     ),
     "periodic-matched": (
         "466ddcc642e9fb3ecff01040fc3c9670569f155f1bd2595db9fc7ae3542ed638",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "8ffb7e5a9dca1f2b78bd9402201e80df7742be6e333732798fc1d44619834a7f",
+        "7eb14d00d2666345ec59c0571bb91c1edaedff89ccdada7a8718914dfdb81b26",
     ),
     "periodic-fixed": (
         "e2c51478ac171be80ac61cbf359020ce23479f3236e75d3666bc899954b1c981",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "41738e7dceea8cd6893707f9dc0519d985a30a3f0e24cfa4ecb2675e98dae753",
+        "c8e75a9b3ead1e94d50f87a60c4240cd2340c4282c40d7f2fd71171114e95dd4",
     ),
     "uncontrolled": (
         "dcc83a1bd3339988d139139e6d2f238ab41147d4850d38537e634ff89f80ed3c",
@@ -184,32 +208,32 @@ GOLDEN = {
     "v0-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "f0a7e79ebc6c2c59868028f7322983fe2f4edbb581724094b917fd517ab20fe8",
+        "3cef5dbd3a9241d3f1e0ef9fd065f541e6027d4bdc2af7370f108aab4ad39a77",
     ),
     "reduced-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "0afb47355bb07ed02e697b71cb4257ae1abc417fefbe1f381e85d3be17303222",
+        "3667390ffbd032bfbc94e4976f12307069a6a83d2b186c9b17a6aef75751ce2a",
     ),
     "reduced": (
         "10e4d564af9ec46892ecf3553225a57eb54b131eab4369833ea8f71a1cc65f2b",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
-        "6813f370bbcf58decefe849a21aa24bfa07d643c46e65f04767e29678834426b",
+        "02102f286f70ffc0e42084c03ec252c2a9ae8b1821409cb2d038ba13cf11fa9b",
     ),
     "rectangle": (
         "c99203fcbb779a2e1d05ed65ea8ecd33148297f4ad95d717e288ad3b9ddc9519",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "4eabe546b9278a5be3351b60dd01280e13d26c320978e68adc59d2611d71e9cd",
+        "d71d908bd6138a2dd17aec1904c4f261ac6f31ed17960942e42bdfe1fcab32e4",
     ),
     "file": (
         "7954b52829f614abeb96d9a6226a8f5e99849d5413f0228eccd2498eb6fc62b4",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
-        "e1c780fd99fdcc2e4f531d4d07a54400dc94200806f111840af8a77062c0d3ca",
+        "3807419784f311ad5488105fd8a0f2c03bee20d4e6a704af88df63dd8fb356e2",
     ),
     "certificate": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "345443cd2ed4eede91a3fdce6eae5e3eb67fddad51db557142600ae38d5ff7d9",
+        "d1a43e6c4912abfb90b48ed84af4c25b340c554848149b45c0e11eca9b87d3ec",
     ),
 }
 
@@ -273,3 +297,25 @@ def test_series_reader_matches_loadtxt(name, tmp_path, monkeypatch):
     assert len(columns) == len(reference)
     for got, want in zip(columns.values(), reference):
         assert got.tobytes() == want.tobytes()
+
+
+def test_rectangle_hashes_the_same_under_the_haswell_blas_kernels(tmp_path):
+    # OpenBLAS takes its Haswell kernels on a CPU without AVX-512, and they
+    # round a dot product differently. The rectangle's norms agree under
+    # both, so its files must too: nothing else on its path calls BLAS or
+    # LAPACK. The two processes are compared with each other, not with GOLDEN.
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    script = "import json, test_golden; print(json.dumps(test_golden.run_case('rectangle')))"
+    got = []
+    for name, extra in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=cwd, env={**env, **extra}, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        got.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert got[0]["exit"] == 0
+    assert got[0] == got[1]

@@ -222,7 +222,26 @@ def test_check_envelope_checks_the_v_bound(a1_record):
     rep = wt.check_envelope(dataclasses.replace(a1_record, lyapunov=bumped))
     assert not rep.passed
     assert rep.n_violations == rep.details["v_violations"] == 1
-    assert rep.worst <= 1.0
+    # worst is the larger ratio, so a FAIL never prints a worst inside the bound
+    assert rep.details["e_worst"] <= 1.0
+    assert rep.worst == rep.details["v_worst"] > 1.0
+
+
+def test_check_envelope_worst_is_nan_when_either_ratio_is(a1_record):
+    v = a1_record.lyapunov.copy()
+    v[2] = np.nan
+    rep = wt.check_envelope(dataclasses.replace(a1_record, lyapunov=v))
+    assert rep.details["e_worst"] <= 1.0 and math.isnan(rep.details["v_worst"])
+    assert math.isnan(rep.worst)
+
+
+def test_delta_emp_is_the_least_squares_slope(a1_record):
+    # np.polyfit (LAPACK least squares) is the reference of the closed form
+    t, e = a1_record.t, a1_record.energy
+    fit = t >= 0.5 * t[-1]
+    want = -np.polyfit(t[fit], np.log(e[fit]), 1)[0]
+    got = wt.check_envelope(a1_record).details["delta_emp"]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_check_trigger_invariant_on_flagship_run(a1_record):
@@ -249,6 +268,27 @@ def test_a_nan_in_a_checks_input_is_a_violation(a1_record, check, series, at_eve
     assert check(a1_record).n_violations == 0
     rep = check(dataclasses.replace(a1_record, **{series: col}))
     assert not rep.passed and rep.n_violations == 1
+
+
+def test_a_nan_in_v_fails_only_the_differences_that_read_it(a1_record):
+    # the vdot tolerance is scaled by the largest finite |V|, so one NaN row
+    # fails the two centred differences across it, not every row
+    row = next(r for r in range(3, a1_record.t.size - 3) if not a1_record.event[r - 2:r + 3].any())
+    v = a1_record.lyapunov.copy()
+    v[row] = np.nan
+    rep = wt.check_vdot(dataclasses.replace(a1_record, lyapunov=v))
+    assert rep.details["tolerance"] == wt.check_vdot(a1_record).details["tolerance"]
+    assert not rep.passed and rep.n_violations == 2 and math.isnan(rep.worst)
+
+
+def test_check_report_counts_its_rows():
+    rep = wt.CheckReport("x", np.array([True, False, True, False]), 0.5, {"k": 1})
+    assert (rep.n_checked, rep.n_violations, rep.passed) == (4, 2, False)
+    assert rep.to_dict() == {
+        "name": "x", "passed": False, "n_checked": 4, "n_violations": 2, "worst": 0.5, "details": {"k": 1},
+    }
+    empty = wt.CheckReport("y", np.zeros(0, dtype=bool), -math.inf)
+    assert (empty.n_checked, empty.n_violations, empty.passed) == (0, 0, True)
 
 
 def test_check_trigger_invariant_rejects_other_modes(grid199):
