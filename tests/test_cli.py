@@ -1,10 +1,12 @@
 import argparse
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +329,41 @@ def test_verify_refuses_a_tripled_column_that_moves_the_threshold_scale(tmp_path
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "run")]) == 65
     assert "eta0_scale" in capsys.readouterr().err
+
+
+# The one-cell tamper census: row 150 of one column scaled by each factor of
+# TAMPER_LADDER.  The bounds are each column's smallest rejected factor as
+# measured; a stronger check may lower them, never raise them
+TAMPER_LADDER = (1.001, 1.01, 1.1, 2.0, 10.0, 100.0, 1e4)
+TAMPER_SMALLEST_REJECTED = {
+    "norm_z_sq": 100.0,
+    "norm_gradz_sq": 10.0,
+    "norm_v_sq": 1.1,
+    "norm_e_sq": 1e4,
+    "inner_zv": 10.0,
+}
+
+
+def test_one_cell_tamper_census(tmp_path, capsys):
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--n", "49", "--t-end", "3", "--out", str(rundir)]) == 0
+    series = rundir / "series.csv"
+    clean = series.read_bytes()
+    codes = {}
+    for column in TAMPER_SMALLEST_REJECTED:
+        for factor in TAMPER_LADDER:
+            series.write_bytes(clean)
+            _scale_column(series, column, factor, slice(150, 151))
+            codes[column, factor] = main(["verify", str(rundir)])
+    capsys.readouterr()
+    smallest = {c: min((f for f in TAMPER_LADDER if codes[c, f]), default=math.inf) for c in TAMPER_SMALLEST_REJECTED}
+    with capsys.disabled():
+        print("\ncolumn          " + "".join(f"{f:>7g}" for f in TAMPER_LADDER) + "  smallest rejected")
+        for c in TAMPER_SMALLEST_REJECTED:
+            print(f"{c:<16}" + "".join(f"{codes[c, f]:>7}" for f in TAMPER_LADDER) + f"  {smallest[c]:g}")
+    assert set(codes.values()) <= {0, 1}  # a rejection is a failed check, never a refused file
+    for column, bound in TAMPER_SMALLEST_REJECTED.items():
+        assert smallest[column] <= bound, column
 
 
 def test_verify_refuses_an_event_triggered_summary_without_certificate_and_trigger(sim_run, tmp_path, capsys):
@@ -940,6 +977,20 @@ def test_cmd_sweep_requires_lists(tmp_path):
     assert main(["sweep", "--config", str(path)]) == 64
 
 
+@pytest.mark.parametrize("alphas, lengths, values", [
+    ("1", "1,1.0000001", "lengths 1.0 and 1.0000001"),
+    ("1,1", "1", "alphas 1.0 and 1.0"),
+], ids=["lengths", "alphas"])
+def test_cmd_sweep_refuses_values_that_share_a_cell_directory(tmp_path, capsys, alphas, lengths, values):
+    # cell directories name their values as {:g} prints them: the second cell
+    # would overwrite the first's run while sweep.csv listed both
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--alphas", alphas, "--lengths", lengths, "--n", "49", "--t-end", "1", "--out", str(out)])
+    assert code == 64
+    assert values in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- subprocess
 
 def test_cli_import_does_not_load_scipy():
@@ -957,3 +1008,22 @@ def test_cli_subprocess_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "run written" in proc.stdout
+
+
+def test_the_shared_parser_leaks_nothing_between_calls(tmp_path):
+    # main builds its parser once per process; a periodic run and a usage
+    # error before a default run leave no trace in that run's files
+    a, b, fresh = (str(tmp_path / name) for name in ("a", "b", "fresh"))
+    argv = ["simulate", "--n", "49", "--t-end", "3"]
+    assert main(["simulate", "--mode", "periodic", "--period", "0.1", "--n", "49", "--t-end", "3", "--out", a]) == 0
+    assert main(["simulate", "--no-such-flag"]) == 64
+    assert main([*argv, "--out", b]) == 0
+    src = str(Path(wt.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "wavetrig", *argv, "--out", fresh],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("series.csv", "events.csv"):
+        assert (Path(b) / name).read_bytes() == (Path(fresh) / name).read_bytes(), name
+    defaults = vars(build_parser().parse_args(["simulate"]))
+    assert all(defaults[key.split(".")[-1]] is None for key in wavetrig_cli._OVERRIDES)
+    assert build_parser() is build_parser()
