@@ -157,7 +157,10 @@ def _print_check_lines(reports: dict):
             extra = f"events={rep['event_count']} min_dwell={rep['min_dwell']:.6g}"
         else:
             extra = f"violations={rep.get('n_violations', 0)} worst={rep.get('worst', float('nan')):.3e}"
-        print(f"{name}: {status} ({extra})")
+        # the envelope's worst is 1 on every passing run (the V bound is V(0) at
+        # t = 0): its margin is the E ratio, printed after the parenthesis
+        margin = f" e_worst={rep['details']['e_worst']:.3e}" if name == "envelope" else ""
+        print(f"{name}: {status} ({extra}){margin}")
 
 
 # Config keys settable from the command line, "section.key" when nested;

@@ -20,8 +20,10 @@ block of rows with the separators laid in it, is prepared once, and each
 block writes its cells into it. An int column writes only the words of
 digits its block's largest value needs, one for a 0/1 flag.
 
-:func:`load_run` reads ``series.csv`` with the writer's inverse, _CHUNK bytes
-at a time, returning for each cell the bits of ``float()`` of its text. A
+:func:`load_run` reads ``series.csv`` with the writer's inverse, the rows
+below the header in ``ceil(rest / _CHUNK)`` equal chunks (one for a table
+under _CHUNK bytes), each run of adjacent float or int columns decoded by one
+call, returning for each cell the bits of ``float()`` of its text. A
 ``%.17e`` cell with a first digit from 1 and an exponent within 280 is
 decoded in numpy: eight ASCII digits to a word, the 18-digit significand
 scaled by 10^(E - 17) as a double-double with the writer's powers and
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -63,7 +66,10 @@ _E_MAX = 280  # numpy formats 1e-280 <= |x| <= 1e280: 10^k and the Dekker splits
 _K = 17 + _E_MAX + 1  # the table of 10^k spans |k| <= _K, log10 missing the decade either way
 _SLACK = 1e-12  # far above the double-double product's error, under 1e-13 at 1e18
 _SLOT = 32  # bytes a cell is laid out on, 8 words
-_CHUNK = 1 << 16  # bytes of a table read and decoded at a time
+# the most bytes of a table read and decoded at a time: each chunk pays about 110
+# array calls whatever its size, and its temporaries, about 12 times its bytes,
+# stay in a 2 MiB L2 up to here (192 and 256 KiB chunks read slower)
+_CHUNK = 1 << 17
 # what b"%.17e" % x and b"%d" % x write, compiled (and cached by re) on first use
 _FLOAT_CELL = rb"-?[0-9]\.[0-9]{17}e[+-][0-9]{2,3}|-?inf|nan"
 _INT_CELL = rb"0|-?[1-9][0-9]*"
@@ -95,15 +101,21 @@ def write_table(path: Path, table: dict, ints: tuple = ()):
     slots = np.zeros((min(len(columns[0]), _BLOCK_ROWS), len(columns), _SLOT), np.uint8)
     slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
     slots[:, 1:, 0] = ord(",")
-    # the runs of adjacent columns of one kind, each encoded by one call
-    edges = [0, *(c for c in range(1, len(is_int)) if is_int[c] != is_int[c - 1]), len(is_int)]
-    runs = [(slice(a, b), _int_cells if is_int[a] else _float_cells) for a, b in zip(edges, edges[1:])]
+    runs = _runs(is_int, _int_cells, _float_cells)
     with open(path, "wb") as fh:
         fh.write(",".join(table).encode())  # each row starts with the line break before it
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
             fh.write(_encode_block(block, slots[:len(block)], runs, is_int))
         fh.write(b"\r\n")
+
+
+def _runs(is_int, on_int, on_float) -> list:
+    """The runs of adjacent columns of one kind, each encoded or decoded by one
+    call: ``(slice, on_int)`` for a run of the columns ``is_int`` marks, else
+    ``(slice, on_float)``."""
+    edges = [0, *(c for c in range(1, len(is_int)) if is_int[c] != is_int[c - 1]), len(is_int)]
+    return [(slice(a, b), on_int if is_int[a] else on_float) for a, b in zip(edges, edges[1:])]
 
 
 def _encode_block(block: np.ndarray, slots: np.ndarray, runs: list, is_int: list) -> bytes:
@@ -246,7 +258,7 @@ def _parse_series(path: Path) -> dict[str, np.ndarray]:
                     f"unexpected series header in {path}: {','.join(header)}; expected "
                     f"{','.join(SERIES_COLUMNS)}, or {','.join(SERIES_COLUMNS_UNCONTROLLED)} for an uncontrolled run"
                 )
-            data = _read_rows(fh, np.array([name == "event" for name in header]), f"malformed series table in {path}")
+            data = _read_rows(fh, [name == "event" for name in header], f"malformed series table in {path}")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise DataFormatError(f"cannot read series file {path}: {exc}") from exc
     if data.shape[1] < 2:
@@ -254,28 +266,35 @@ def _parse_series(path: Path) -> dict[str, np.ndarray]:
     return dict(zip(header, data))
 
 
-def _read_rows(fh, is_int: np.ndarray, where: str) -> np.ndarray:
+def _read_rows(fh, is_int: list, where: str) -> np.ndarray:
     """The rows below the header of a table that :func:`write_table` wrote, read
-    from the binary file ``fh`` _CHUNK bytes at a time (a line cut by a chunk's
-    end is carried into the next), as one contiguous row per column: each cell
-    is a float's ``%.17e``, ``nan`` or ``[-]inf``, or, in the columns ``is_int``
-    marks, an int's ``%d``, each line ends in ``\\r\\n`` or ``\\n``; anything else
-    is refused with a DataFormatError that begins with ``where``."""
+    from the binary file ``fh`` as one contiguous row per column. The bytes
+    after the header (``os.fstat``) are read in ``ceil(rest / _CHUNK)`` equal
+    chunks, so a table under _CHUNK bytes is one chunk and no short tail chunk
+    pays a whole chunk's array calls; a line cut by a chunk's end is carried
+    into the next. Each cell is a float's ``%.17e``, ``nan`` or ``[-]inf``, or,
+    in the columns ``is_int`` marks, an int's ``%d``, each line ends in
+    ``\\r\\n`` or ``\\n``; anything else is refused with a DataFormatError
+    that begins with ``where``."""
+    rest = os.fstat(fh.fileno()).st_size - fh.tell()
+    size = -(-rest // -(-rest // _CHUNK)) if rest > 0 else _CHUNK  # ceil(rest / ceil(rest / _CHUNK))
+    runs = _runs(is_int, _int_values, _float_values)
     blocks, pending, line = [np.empty((0, len(is_int)))], bytearray(), 2  # line 1 is the header
-    while chunk := fh.read(_CHUNK):
+    while chunk := fh.read(size):
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             pending += chunk
             continue
-        blocks.append(_decode_lines(pending + chunk[:cut], is_int, where, line))
+        blocks.append(_decode_lines(pending + chunk[:cut], is_int, runs, where, line))
         pending, line = bytearray(chunk[cut:]), line + len(blocks[-1])
     if pending:
         raise DataFormatError(f"{where}: line {line} is not terminated")
     return np.concatenate([block.T for block in blocks], axis=1)  # (column, row), C order
 
 
-def _decode_lines(lines: bytearray, is_int: np.ndarray, where: str, first: int) -> np.ndarray:
-    """The cells of whole ``lines`` as (row, column), numbered from line ``first``."""
+def _decode_lines(lines: bytearray, is_int: list, runs: list, where: str, first: int) -> np.ndarray:
+    """The cells of whole ``lines`` as (row, column), numbered from line ``first``,
+    each run of columns decoded by one call."""
     size = len(lines)
     lines += bytes(_SLOT)  # a cell's reads past its end stay in the buffer
     buf = np.frombuffer(lines, np.uint8)
@@ -290,10 +309,10 @@ def _decode_lines(lines: bytearray, is_int: np.ndarray, where: str, first: int) 
     ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
     values = np.empty(ends.shape)
     done = np.empty(ends.shape, bool)
-    for kind, decode in ((~is_int, _float_values), (is_int, _int_values)):
-        if kind.any():
-            out, ok = decode(buf, starts[:, kind].ravel(), ends[:, kind].ravel())
-            values[:, kind], done[:, kind] = out.reshape(len(ends), -1), ok.reshape(len(ends), -1)
+    for run, decode in runs:
+        values[:, run], done[:, run] = decode(buf, starts[:, run], ends[:, run])
+    if done.all():
+        return values
     for r, c in np.argwhere(~done):  # the writer's Python cells, or a cell it cannot have written
         text = bytes(lines[starts[r, c]:ends[r, c]])
         if not re.fullmatch(_INT_CELL if is_int[c] else _FLOAT_CELL, text):

@@ -262,6 +262,19 @@ def test_cmd_verify_round_trip(sim_run, capsys):
     assert out.count("PASS") >= 4 and "FAIL" not in out
 
 
+def test_envelope_line_shows_the_margin_of_a_passing_run(tmp_path, capsys):
+    # worst is 1 on every passing run, the V bound being V(0) at t = 0; the
+    # E ratio after the parenthesis is the margin, below 1 on the default run
+    assert main(["simulate", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 0
+    line = re.search(r"^envelope: .*$", capsys.readouterr().out, re.M).group()
+    match = re.fullmatch(r"envelope: PASS \(violations=0 worst=(\S+)\) e_worst=(\S+)", line)
+    assert match, line
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert float(match[2]) == float(f"{summary['checks']['envelope']['details']['e_worst']:.3e}") < 1 == float(match[1])
+
+
 def test_cmd_verify_reproduces_saved_reports(sim_run):
     _, cfg, tmp_path = sim_run
     record, summary = load_run(tmp_path / "run")

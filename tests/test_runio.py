@@ -292,3 +292,69 @@ def test_reader_refuses_a_cell_it_cannot_place(tmp_path):
         (tmp_path / "series.csv").write_text(text)
         with pytest.raises(DataFormatError, match=re.escape(message)):
             read_series(tmp_path / "series.csv", chunk=64)
+
+
+def _chunked_table(path, n: int) -> tuple[bytes, list[int]]:
+    """A controlled series of ``n`` rows written to ``path``: its bytes and the offset of each line's start."""
+    rng = np.random.default_rng(n)
+    columns = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n) for name in SERIES_COLUMNS}
+    columns["event"] = (rng.random(n) < 0.1).astype(float)
+    write_table(path, columns, ints=("event",))
+    data = path.read_bytes()
+    return data, [0, *(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1)]
+
+
+def _decoded_lines(path, budget: int) -> list[tuple[int, int]]:
+    """The first line and the bytes of each ``_decode_lines`` call that reading ``path`` makes."""
+    calls, decode = [], runio._decode_lines
+
+    def spy(lines, *args):
+        calls.append((args[-1], len(lines)))
+        return decode(lines, *args)
+
+    with mock.patch.object(runio, "_decode_lines", spy):
+        read_series(path, budget)
+    return calls
+
+
+def test_reader_refuses_a_cell_on_the_same_line_however_the_table_is_chunked(tmp_path):
+    # a malformed cell on a chunk's first row, on its last row and on the row
+    # a chunk's edge cuts, that cell holding the edge: each is refused with its
+    # own line number under every budget, the whole table in one chunk too
+    path = tmp_path / "series.csv"
+    data, starts = _chunked_table(path, 3000)
+    budgets = [50_001, 1 << 16, runio._CHUNK, 1 << 20]
+    assert len(data) > 2 * runio._CHUNK
+    cells = set()  # (line, offset of the cell's first byte)
+    for budget in budgets[:-1]:
+        rest = len(data) - starts[1]
+        size = -(-rest // -(-rest // budget))  # the equal chunks the reader reads
+        edges = range(starts[1] + size, len(data), size)
+        cuts = [np.searchsorted(starts, edge, side="right") - 1 for edge in edges]  # the lines holding them
+        assert [first for first, _ in _decoded_lines(path, budget)[1:]] == [cut + 1 for cut in cuts]
+        for edge, cut in zip(edges, cuts):
+            if starts[cut] == edge:  # an edge on a line's start cuts none
+                continue
+            cell = data.rindex(b",", starts[cut], edge) + 1 if b"," in data[starts[cut]:edge] else starts[cut]
+            cells |= {(cut + 1, cell), (cut, starts[cut - 1]), (cut + 2, starts[cut + 1])}
+    assert len(cells) >= 3 * (len(budgets) - 1)
+    for line, cell in sorted(cells):
+        bad = bytearray(data)
+        bad[cell] = ord("x")  # the same length: the chunk edges do not move
+        path.write_bytes(bad)
+        text = bytes(bad[cell:cell + runio._SLOT]).split(b",")[0].split(b"\r")[0]
+        for budget in budgets:
+            with pytest.raises(DataFormatError, match=re.escape(f"line {line}: {text!r} is not a cell")):
+                read_series(path, budget)
+
+
+def test_reader_decodes_a_table_in_the_fewest_equal_chunks(tmp_path):
+    # a table under the budget is decoded by one call; a larger one in
+    # ceil(rest / _CHUNK) chunks, each within a line of the others, so no
+    # short tail chunk pays a chunk's fixed array calls
+    for n, parts in ((800, 1), (3000, 3)):
+        path = tmp_path / f"series-{n}.csv"
+        data, starts = _chunked_table(path, n)
+        sizes = [size for _, size in _decoded_lines(path, runio._CHUNK)]
+        assert -(-(len(data) - starts[1]) // runio._CHUNK) == parts == len(sizes)
+        assert max(sizes) - min(sizes) < 2 * max(np.diff(starts)), sizes
