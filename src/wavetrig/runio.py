@@ -14,21 +14,20 @@ Python's ``b"%.17e" % x`` and ``b"%d" % x``: a float's significand
 ``hi + lo``), rounded half to even. Its error, under 1e-13, is far inside the
 1e-12 margin near a rounding tie or a decade's end where a cell is left to
 Python, as are one whose log10 misses the decade or that rounds up into the
-next, 0, -0, nan, inf, ``|x|`` outside 1e-280..1e280 and ints from 1e18.
-Each cell is laid out on a slot of _SLOT bytes; a table's slot buffer, one
-block of rows with the separators laid in it, is prepared once, and each
-block writes its cells into it. An int column writes only the words of
-digits its block's largest value needs, one for a 0/1 flag.
+next, 0, -0, nan, inf, ``|x|`` outside 1e-99..1e99 (a three-digit exponent)
+and ints outside 0..10^8 - 1; a run's tables hold none of the last two. Each cell is laid
+out on a slot of _SLOT bytes; a table's slot buffer, one block of rows with
+the separators laid in it, is prepared once, and each block writes its cells
+into it. An int's 8 digits have one place, its leading zeros blanked.
 
 :func:`load_run` reads ``series.csv`` with the writer's inverse, the rows
-below the header in ``ceil(rest / _CHUNK)`` equal chunks (one for a table
-under _CHUNK bytes), each run of adjacent float or int columns decoded by one
-call, returning for each cell the bits of ``float()`` of its text. A
-``%.17e`` cell with a first digit from 1 and an exponent within 280 is
-decoded in numpy: eight ASCII digits to a word, the 18-digit significand
-scaled by 10^(E - 17) as a double-double with the writer's powers and
-product, rounded to nearest; ``float()`` reads a cell near a rounding tie,
-0, subnormals, larger exponents, nan and inf. Only cells and lines of the
+below the header _CHUNK bytes at a time, each run of adjacent float or int
+columns decoded by one call, returning for each cell the bits of ``float()``
+of its text. A ``%.17e`` cell with a first digit from 1 and a two-digit
+exponent is decoded in numpy: eight ASCII digits to a word, the 18-digit
+significand scaled by 10^(E - 17) as a double-double with the writer's powers
+and product, rounded to nearest; ``float()`` reads a cell near a rounding tie,
+0, subnormals, three-digit exponents, nan and inf. Only cells and lines of the
 writer's shape are accepted (the shape of ``%.17e``, nan, inf and -inf, ``%d``
 in the event column; lines ending in ``\\r\\n`` or ``\\n``); anything else is
 a DataFormatError.
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import re
 import sys
 from contextlib import contextmanager
@@ -62,11 +60,13 @@ SERIES_COLUMNS = RunRecord.COLUMNS
 # no hold acts in an uncontrolled run: it has no deviation and no events
 SERIES_COLUMNS_UNCONTROLLED = tuple(name for name in SERIES_COLUMNS if name not in ("norm_e_sq", "event"))
 _BLOCK_ROWS = 1024  # rows of a table formatted and written at a time
-_E_MAX = 280  # numpy formats 1e-280 <= |x| <= 1e280: 10^k and the Dekker splits stay finite
+# numpy writes 1e-99 <= |x| <= 1e99 and reads two-digit exponents, each one slot
+# word "e+dd": no run's table holds a three-digit one, so Python's path takes those
+_E_MAX = 99
 _K = 17 + _E_MAX + 1  # the table of 10^k spans |k| <= _K, log10 missing the decade either way
 _SLACK = 1e-12  # far above the double-double product's error, under 1e-13 at 1e18
-_SLOT = 32  # bytes a cell is laid out on, 8 words
-# the most bytes of a table read and decoded at a time: each chunk pays about 110
+_SLOT = 28  # bytes a cell is laid out on, 7 words: separator, sign/digit/point/digit, 16 digits, e+dd
+# the bytes of a table read and decoded at a time: each chunk pays about 110
 # array calls whatever its size, and its temporaries, about 12 times its bytes,
 # stay in a 2 MiB L2 up to here (192 and 256 KiB chunks read slower)
 _CHUNK = 1 << 17
@@ -97,7 +97,7 @@ def write_table(path: Path, table: dict, ints: tuple = ()):
     columns = [np.asarray(col, dtype=float) for col in table.values()]
     is_int = [name in ints for name in table]
     # the slots of a block's rows, with the separators laid once: a block
-    # writes each cell from byte 3 of its slot on (_encode_block)
+    # writes each cell from byte 4 of its slot on (_encode_block)
     slots = np.zeros((min(len(columns[0]), _BLOCK_ROWS), len(columns), _SLOT), np.uint8)
     slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
     slots[:, 1:, 0] = ord(",")
@@ -120,9 +120,9 @@ def _runs(is_int, on_int, on_float) -> list:
 
 def _encode_block(block: np.ndarray, slots: np.ndarray, runs: list, is_int: list) -> bytes:
     """The CSV lines of the rows of ``block``, encoded into their ``slots``. A cell's
-    slot of 8 words holds the line break or comma before it, then a float's sign,
-    digit, point, digit, 16 digits and "e", sign and digits of its exponent (or an
-    int's sign and up to 20 digits), blank bytes NUL, which one ``translate``
+    slot of 7 words holds the line break or comma before it, then a float's sign,
+    digit, point, digit, 16 digits and "e", sign and two digits of its exponent (or
+    an int's 8 digits in words 4-5), blank bytes NUL, which one ``translate``
     deletes. Only when a cell is left to Python does a copy of the slots hold a
     mark in its place, which its text replaces."""
     done = np.empty(block.shape, bool)
@@ -141,15 +141,15 @@ def _encode_block(block: np.ndarray, slots: np.ndarray, runs: list, is_int: list
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
     """Slot words: the digits of 0..9999; sign, digit, point and digit of 10..99
-    (+ 100 if negative); "e", sign and digits of ``e`` (at ``e + _K``). And 10^k,
-    |k| <= _K, as ``hi + lo`` (an int true division rounds correctly)."""
+    (+ 100 if negative); "e", sign and last two digits of ``e`` (at ``e + _K``). And
+    10^k, |k| <= _K, as ``hi + lo`` (an int true division rounds correctly)."""
     digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     lead = b"".join(sign + b"%d.%d" % divmod(g, 10) for sign in (b"\0", b"-") for g in range(100))
-    exps = b"".join(b"e%c\0\0" % b"+-"[e < 0] + (b"%02d" % abs(e)).rjust(4, b"\0") for e in range(-_K, _K + 1))
+    exps = b"".join(b"e%c%02d" % (b"+-"[e < 0], abs(e) % 100) for e in range(-_K, _K + 1))
     tens = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(-_K, _K + 1)]
     hi = [num / den for num, den in tens]
     lo = [(num * q - p * den) / (den * q) for (num, den), (p, q) in zip(tens, (h.as_integer_ratio() for h in hi))]
-    words = digits.view(np.uint32).ravel(), np.frombuffer(lead, np.uint32), np.frombuffer(exps, np.uint64)
+    words = digits.view(np.uint32).ravel(), np.frombuffer(lead, np.uint32), np.frombuffer(exps, np.uint32)
     return *words, np.array(hi), np.array(lo)
 
 
@@ -174,45 +174,35 @@ def _put_digits(words: np.ndarray, n: np.ndarray, first: int):
 
 
 def _float_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """``b"%.17e" % x`` of each cell into bytes 4-31 of its slot; returns
+    """``b"%.17e" % x`` of each cell into bytes 4-27 of its slot; returns
     whether it is, a cell not ok being left to Python."""
     _, lead, exps, _, _ = _tables()
     a = np.abs(x)
-    ok = (a >= 10.0**-_E_MAX) & (a <= 10.0**_E_MAX)  # nan fails both
+    ok = (a >= 10.0**-_E_MAX) & (a <= 10.0**_E_MAX)  # nan fails both; the double 1e-99 is above 10^-99
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)  # a cell whose log10 misses its decade fails the test below
     p, c = _scale(a, 17 - e)
     whole = np.floor(c)
     frac = c - whole
-    # in the decade, and not rounding up to 10^18 (only 1e153 does, and log10 misses it first)
+    # in the decade, and not rounding up to 10^18 (of all doubles only 1e153 does, outside the range)
     ok &= ((p - 1e17) + c >= _SLACK) & ((p - 1e18) + c <= -0.5 - _SLACK) & (np.abs(frac - 0.5) >= _SLACK)
     n = np.where(ok, p, 1e17).astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)  # half to even
     words = slots.view(np.uint32)
     first = n // 10**16
     words[..., 1] = lead[first + 100 * np.signbit(x)]
     _put_digits(words, n - first * 10**16, 2)
-    slots.view(np.uint64)[..., 3] = exps[e + _K]
+    words[..., 6] = exps[e + _K]
     return ok
 
 
 def _int_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """``b"%d" % x`` of each cell into bytes 3-23 of its slot, the cast truncating
-    toward 0 as %d does; returns whether it is, a cell not ok being left to Python.
-    Only the words of digits that the largest cell needs are computed; the
-    others are blanked."""
-    ok = np.abs(x) < 1e18
-    n = np.abs(np.where(ok, x, 0.0)).astype(np.int64)
-    slots[..., 3] = np.where((n > 0) & (x < 0), ord("-"), 0)
-    first = 5 - (len(str(int(n.max()))) - 1) // 4  # the word of the largest cell's first digit
-    words = slots.view(np.uint32)
-    words[..., 1:first] = 0
-    _put_digits(words, n, first)
-    top = 4 * first  # the byte of the highest digit written
-    if first == 1:  # digit 10^19, whose power overflows int64, is 0 below 1e18
-        slots[..., 4] = 0
-        top = 5
-    # digits 10^(23 - top) down to 10^1 go where n is smaller
-    slots[..., top:23][n[..., None] < 10 ** np.arange(23 - top, 0, -1)] = 0
+    """``b"%d" % x`` of each cell ``0 <= x < 10^8`` (every flag, event index and
+    count) into words 4-5 of its slot, the cast truncating as %d does; returns
+    whether it is, a cell not ok being left to Python."""
+    ok = (x >= 0) & (x < 1e8)
+    n = np.where(ok, x, 0.0).astype(np.int64)
+    _put_digits(slots.view(np.uint32), n, 4)
+    slots[..., 16:23][n[..., None] < 10 ** np.arange(7, 0, -1)] = 0  # digits 10^7 down to 10^1 above n
     return ok
 
 
@@ -268,19 +258,14 @@ def _parse_series(path: Path) -> dict[str, np.ndarray]:
 
 def _read_rows(fh, is_int: list, where: str) -> np.ndarray:
     """The rows below the header of a table that :func:`write_table` wrote, read
-    from the binary file ``fh`` as one contiguous row per column. The bytes
-    after the header (``os.fstat``) are read in ``ceil(rest / _CHUNK)`` equal
-    chunks, so a table under _CHUNK bytes is one chunk and no short tail chunk
-    pays a whole chunk's array calls; a line cut by a chunk's end is carried
-    into the next. Each cell is a float's ``%.17e``, ``nan`` or ``[-]inf``, or,
-    in the columns ``is_int`` marks, an int's ``%d``, each line ends in
-    ``\\r\\n`` or ``\\n``; anything else is refused with a DataFormatError
-    that begins with ``where``."""
-    rest = os.fstat(fh.fileno()).st_size - fh.tell()
-    size = -(-rest // -(-rest // _CHUNK)) if rest > 0 else _CHUNK  # ceil(rest / ceil(rest / _CHUNK))
+    from the binary file ``fh`` as one contiguous row per column, _CHUNK bytes
+    at a time; a line cut by a chunk's end is carried into the next. Each cell
+    is a float's ``%.17e``, ``nan`` or ``[-]inf``, or, in the columns ``is_int``
+    marks, an int's ``%d``, each line ends in ``\\r\\n`` or ``\\n``; anything
+    else is refused with a DataFormatError that begins with ``where``."""
     runs = _runs(is_int, _int_values, _float_values)
     blocks, pending, line = [np.empty((0, len(is_int)))], bytearray(), 2  # line 1 is the header
-    while chunk := fh.read(size):
+    while chunk := fh.read(_CHUNK):
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             pending += chunk
@@ -337,7 +322,7 @@ def _swar8(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _float_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's float as (value, ok) when it is ``%.17e`` with a first digit from 1 and
-    an exponent within ``_E_MAX``, and the double-double of its 18-digit significand times
+    an exponent of two digits, and the double-double of its 18-digit significand times
     10^(E - 17) does not lie near a rounding tie."""
     words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
     neg = buf[start] == ord("-")
@@ -345,18 +330,12 @@ def _float_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[
     lead = buf[at] - np.uint8(ord("1"))
     high, ok_high = _swar8(words[at + 2])  # digits 1-8 after the point
     low, ok_low = _swar8(words[at + 10])  # digits 9-16
-    tail = words[at + 16]  # digits 15-17, "e", the exponent's sign, its 2 digits and a third or not
-    width = end - at
-    three = width == 24
+    tail = words[at + 16]  # digits 15-17, "e", the exponent's sign and its 2 digits
     marks = tail >> 24 & 0xFFFF
     minus = marks == ord("e") | ord("-") << 8
-    digits = _digit_test(tail)  # bytes 0-2, 5, 6 and, in a cell 24 bytes wide, 7
-    ok = (lead < 9) & (buf[at + 1] == ord(".")) & ok_high & ok_low & ((width == 23) | three)
-    ok &= (minus | (marks == ord("e") | ord("+") << 8)) & (digits & 0xFFFF0000FFFFFF == 0x33330000333333)
-    ok &= ~three | (digits >> 56 == 0x33)
-    exp = (tail >> 40 & 0xFF) * 10 + (tail >> 48 & 0xFF) - 11 * ord("0")
-    exp = np.where(three, exp * 10 + (tail >> 56) - ord("0"), exp).view(np.int64)
-    ok &= exp <= _E_MAX
+    ok = (lead < 9) & (buf[at + 1] == ord(".")) & ok_high & ok_low & (end - at == 23)
+    ok &= (minus | (marks == ord("e") | ord("+") << 8)) & (_digit_test(tail) & 0xFFFF0000FFFFFF == 0x33330000333333)
+    exp = ((tail >> 40 & 0xFF) * 10 + (tail >> 48 & 0xFF) - 11 * ord("0")).view(np.int64)
     n = (lead + np.uint64(1)) * 10**17 + high * 10**9 + low * 10 + (tail >> 16 & 0xFF) - ord("0")
     n = np.where(ok, n.view(np.int64), 10**17)
     exp = np.where(ok, np.where(minus, -exp, exp), 17)

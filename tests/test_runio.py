@@ -116,15 +116,15 @@ def _is_tie(x: float) -> bool:
 
 
 # each float is written by numpy unless it is 0, not finite, outside
-# 1e-280..1e280, or its significand lies within 1e-12 of a rounding tie or
+# 1e-99..1e99, or its significand lies within 1e-12 of a rounding tie or
 # of the decade's ends, or rounds up into the next decade; these cases aim
-# at those edges from both sides
+# at those edges from both sides, and at 1e-280 and 1e280, three-digit exponents
 ENCODER_CASES = {
     "powers-of-ten": _both_signs(_near([10.0**j for j in range(-323, 309)] + [float(f"1e{j}") for j in range(-323, 309)])),
     "ties": _both_signs([10.0**j * (1 + 2.0**-k) for j in range(-30, 31) for k in range(1, 53)]),
     "carry": _both_signs(_near([1e153, 9.999999999999999e22, 0.9999999999999999, 99999999999999.99])),
     "range-ends": _both_signs(
-        _near([1e-280, 1e280, 5e-324, 2.2250738585072014e-308, 1.0, 0.1]).tolist()
+        _near([1e-99, 1e99, 1e-100, 1e100, 1e-280, 1e280, 5e-324, 2.2250738585072014e-308, 1.0, 0.1]).tolist()
         + [1.7976931348623157e308, 0.0, np.nan, np.inf]
     ),
     "random-bits": np.random.default_rng(18).integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
@@ -147,14 +147,18 @@ def test_encoder_cases_reach_a_tie_a_carry_and_a_subnormal():
 
 def test_write_table_formats_multi_digit_int_columns_across_row_blocks(tmp_path):
     # events.csv's k beyond 1000 and sweep.csv's counts, with the cells %d
-    # truncates toward 0 and ones past numpy's 1e18 bound; blocks with
+    # truncates toward 0 and ones from numpy's 10^8 bound up; blocks with
     # 18-digit cells and cells left to Python come before one of 7-digit
-    # cells and none, in the one slot buffer the table's blocks share
-    n = 3 * _BLOCK_ROWS + 7
+    # cells and none, and a block of 8-digit cells with 10^8 - 1 and 10^8
+    # before one of 0/1 flags, in the one slot buffer the table's blocks share
+    n = 5 * _BLOCK_ROWS + 7
     k = np.arange(n) * 997.0
     k[_BLOCK_ROWS - 2:_BLOCK_ROWS + 2] = [-0.5, -1.5, 2.7, -0.0]
     k[2 * _BLOCK_ROWS - 2:2 * _BLOCK_ROWS + 2] = [1e18 - 128, 1e18, -3e25, 1e300]
     counts = np.arange(n) % 1234567
+    counts[3 * _BLOCK_ROWS:4 * _BLOCK_ROWS] = 99_999_999 - np.arange(_BLOCK_ROWS) * 9_000
+    counts[3 * _BLOCK_ROWS + 1] = 100_000_000
+    counts[4 * _BLOCK_ROWS:] %= 2
     assert_cells_are_python_formatted(tmp_path / "t.csv", {"k": k, "t_k": k / 7, "events": counts}, ints=("k", "events"))
 
 
@@ -172,14 +176,17 @@ def read_series(path, chunk=runio._CHUNK) -> dict:
 
 
 # the writer's fallback classes and both sides of its range: zeros,
-# subnormals, nan, inf, values either side of 1e-280 and 1e280, and floats
-# with 3-digit exponents inside and outside the range
+# subnormals, nan, inf, values either side of 1e-99 and 1e99 (and of
+# 1e-280 and 1e280), and floats with 3-digit exponents
 round_trip_cells = st.one_of(
     st.floats(),
     st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
     st.floats(min_value=1e-279, max_value=1e-100),
     st.floats(min_value=1e100, max_value=1e279),
-    st.sampled_from(_near([1e-280, 1e280, 5e-324]).tolist() + [0.0, 1e-300, 1e300, 1.7976931348623157e308, np.nan, np.inf]),
+    st.sampled_from(
+        _near([1e-99, 1e99, 1e-100, 1e100, 1e-280, 1e280, 5e-324]).tolist()
+        + [0.0, 1e-300, 1e300, 1.7976931348623157e308, np.nan, np.inf]
+    ),
 ).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
@@ -246,14 +253,17 @@ def test_reader_reads_any_18_digit_decimal_as_float_does(cells):
     # not only the %.17e of a double: any significand of 18 digits (a zero
     # first digit too) with a 2- or 3-digit exponent, and midpoints between
     # two doubles written exactly, which round half to even
-    cells += ["1.00000000000000000e+00"] * (-len(cells) % 4)
-    rows = [",".join(cells[i:i + 4]) for i in range(0, len(cells), 4)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "series.csv"
-        path.write_text("\r\n".join([",".join(SERIES_COLUMNS_UNCONTROLLED), *rows, ""]))
-        got = read_series(path)
-    table = np.column_stack([got[name] for name in SERIES_COLUMNS_UNCONTROLLED]).ravel()
-    assert_same_floats(table, [float(text) for text in cells])
+        assert_same_floats(_read_cells(Path(tmp) / "series.csv", cells), [float(text) for text in cells])
+
+
+def _read_cells(path, cells: list[str]) -> np.ndarray:
+    """``cells``, four to a row of an uncontrolled series table at ``path``, as the reader returns them."""
+    padded = cells + ["1.00000000000000000e+00"] * (-len(cells) % 4)
+    rows = [",".join(padded[i:i + 4]) for i in range(0, len(padded), 4)]
+    path.write_text("\r\n".join([",".join(SERIES_COLUMNS_UNCONTROLLED), *rows, ""]))
+    got = read_series(path)
+    return np.column_stack([got[name] for name in SERIES_COLUMNS_UNCONTROLLED]).ravel()[:len(cells)]
 
 
 def _fast_path(cells: list[str]) -> np.ndarray:
@@ -263,17 +273,22 @@ def _fast_path(cells: list[str]) -> np.ndarray:
     return runio._float_values(np.frombuffer(data, np.uint8), ends - [len(cell) for cell in cells], ends)[1]
 
 
-def test_reader_leaves_ties_and_the_writers_python_cells_to_float():
+def test_reader_leaves_ties_and_the_writers_python_cells_to_float(tmp_path):
     # the fast path takes every cell the writer encodes in numpy, and none
-    # of zero, subnormals, exponents beyond 280, nan, inf, ties and powers of two
+    # of zero, subnormals, three-digit exponents, nan, inf, ties and powers
+    # of two, each of which float() reads
     rng = np.random.default_rng(19)
-    ordinary = np.exp(rng.uniform(-640, 640, 4000)) * rng.choice([-1.0, 1.0], 4000)
+    ordinary = np.exp(rng.uniform(-227, 227, 4000)) * rng.choice([-1.0, 1.0], 4000)  # within 1e-99..1e99
     ordinary = ordinary[np.frexp(ordinary)[0] != 0.5]  # a power of two is left to Python
     assert _fast_path([fmt(x) for x in ordinary]).all()
-    python_cells = [fmt(x) for x in (0.0, -0.0, 5e-324, 9.9e-281, 1.1e281)] + ["nan", "inf", "-inf"]
+    # 9.99...e99 is the double 1.00000000000000002e+100
+    wide = (0.0, -0.0, 5e-324, 9.9e-281, 1.1e281, 1e-150, -3e200, 9.99999999999999999e99)
+    python_cells = [fmt(x) for x in wide] + ["nan", "inf", "-inf"]
     ties = [_tie(b, i, 0) for b in (53, 55, 57) for i in (0, 1, 12345)]
     assert float(ties[0]) == 2.0**53 and float(ties[1]) == 2.0**53 + 4  # half to even
-    assert not _fast_path(python_cells + ties + [fmt(2.0**-3), fmt(-(2.0**60))]).any()
+    cells = python_cells + ties + [fmt(2.0**-3), fmt(-(2.0**60))]
+    assert not _fast_path(cells).any()
+    assert_same_floats(_read_cells(tmp_path / "series.csv", cells), [float(text) for text in cells])
 
 
 def test_reader_refuses_a_cell_it_cannot_place(tmp_path):
@@ -327,9 +342,7 @@ def test_reader_refuses_a_cell_on_the_same_line_however_the_table_is_chunked(tmp
     assert len(data) > 2 * runio._CHUNK
     cells = set()  # (line, offset of the cell's first byte)
     for budget in budgets[:-1]:
-        rest = len(data) - starts[1]
-        size = -(-rest // -(-rest // budget))  # the equal chunks the reader reads
-        edges = range(starts[1] + size, len(data), size)
+        edges = range(starts[1] + budget, len(data), budget)  # the reader reads budget bytes at a time
         cuts = [np.searchsorted(starts, edge, side="right") - 1 for edge in edges]  # the lines holding them
         assert [first for first, _ in _decoded_lines(path, budget)[1:]] == [cut + 1 for cut in cuts]
         for edge, cut in zip(edges, cuts):
@@ -348,13 +361,10 @@ def test_reader_refuses_a_cell_on_the_same_line_however_the_table_is_chunked(tmp
                 read_series(path, budget)
 
 
-def test_reader_decodes_a_table_in_the_fewest_equal_chunks(tmp_path):
-    # a table under the budget is decoded by one call; a larger one in
-    # ceil(rest / _CHUNK) chunks, each within a line of the others, so no
-    # short tail chunk pays a chunk's fixed array calls
+def test_reader_decodes_a_table_in_the_fewest_chunks(tmp_path):
+    # a table under the budget is decoded by one call; a larger one by
+    # ceil(rest / _CHUNK), a short tail chunk being one call as well
     for n, parts in ((800, 1), (3000, 3)):
         path = tmp_path / f"series-{n}.csv"
         data, starts = _chunked_table(path, n)
-        sizes = [size for _, size in _decoded_lines(path, runio._CHUNK)]
-        assert -(-(len(data) - starts[1]) // runio._CHUNK) == parts == len(sizes)
-        assert max(sizes) - min(sizes) < 2 * max(np.diff(starts)), sizes
+        assert -(-(len(data) - starts[1]) // runio._CHUNK) == parts == len(_decoded_lines(path, runio._CHUNK))
