@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from .errors import DataFormatError, DesignFailureError, InfeasibleDomainError, PreconditionError, WavetrigError
+from .errors import ConfigurationError, DataFormatError, DesignFailureError, InfeasibleDomainError, WavetrigError
 from .grid import C_OMEGA_SOURCES
 
 __all__ = [
@@ -57,13 +57,13 @@ class DesignInput:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise PreconditionError(f"damping gain must be positive, got {self.alpha}")
+            raise ConfigurationError(f"damping gain must be positive, got {self.alpha}")
         if not self.c_omega > 0:
-            raise PreconditionError(f"Poincare constant must be positive, got {self.c_omega}")
+            raise ConfigurationError(f"Poincare constant must be positive, got {self.c_omega}")
         if not (0 < self.s_gamma0 < 1 and 0 < self.s_gamma1 < 1):
-            raise PreconditionError("safety fractions must lie in (0, 1)")
+            raise ConfigurationError("safety fractions must lie in (0, 1)")
         if not self.theta_margin > 1:
-            raise PreconditionError("theta_margin must exceed 1")
+            raise ConfigurationError("theta_margin must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def gamma_bounds(alpha: float, c_omega: float) -> tuple[float, float]:
     ``2*(2 - alpha^2)`` factor and the velocity weight is capped at 1/2.
     """
     if not alpha > 0:
-        raise PreconditionError(f"damping gain must be positive, got {alpha}")
+        raise ConfigurationError(f"damping gain must be positive, got {alpha}")
     if not 0 < c_omega < SQRT2:
         raise InfeasibleDomainError(
             f"certificate requires C_Omega < sqrt(2); got C_Omega = {c_omega}"
@@ -180,7 +180,7 @@ def epsilon_interval(alpha: float, c_omega: float, gamma0: float, gamma1: float)
     csq = c_omega * c_omega
     den = 2.0 - csq * (1.0 + alpha * alpha * gamma0)
     if den <= 0:
-        raise PreconditionError(
+        raise ConfigurationError(
             f"position weight {gamma0} too large: 2 - C^2(1 + alpha^2 gamma0) = {den} <= 0"
         )
     lo = alpha * gamma0 * csq / den

@@ -20,7 +20,7 @@ class UsageError(WavetrigError):
 
 
 class ConfigurationError(WavetrigError):
-    """Invalid user-supplied configuration (geometry, parameters, modes)."""
+    """Invalid user-supplied configuration (geometry, parameters, modes) or out-of-range arguments."""
 
     label = "configuration error"
 
@@ -66,12 +66,6 @@ class DesignFailureError(WavetrigError):
 
     exit_code = 3
     label = "design failure"
-
-
-class PreconditionError(WavetrigError):
-    """An operation was called with arguments outside its admissible range."""
-
-    label = "configuration error"
 
 
 class DataFormatError(WavetrigError):

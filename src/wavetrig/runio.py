@@ -40,16 +40,15 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .design import StabilityCertificate
 from .dynamics import MODES, build_record, step_count
-from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
-from .lyapunov import RunRecord, energy_lyapunov
-from .trigger import TriggerParams
+from .errors import DataFormatError, MissingInputError, OutputError
+from .lyapunov import RunRecord
+from .trigger import ETA0_VARIANTS, TriggerParams, threshold_scale
 
 __all__ = [
     "SERIES_COLUMNS", "SERIES_COLUMNS_UNCONTROLLED", "writing", "write_table", "save_run", "load_run",
@@ -228,9 +227,8 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
             "mode": record.mode,
             "dt": record.dt,
             "n_steps": record.n_steps,
-            "event_count": len(record.events),
             "certificate": record.certificate.to_dict() if record.certificate else None,
-            "trigger": asdict(record.trigger) if record.trigger else None,
+            "eta0_scale": record.trigger.eta0_scale if record.trigger else None,
             "meta": record.meta,
         }
         if summary_extra:
@@ -405,29 +403,25 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         raise DataFormatError(f"summary meta.period {period!r} of the periodic run in {d} is not a positive number")
     cert = summary.get("certificate")
     certificate = StabilityCertificate.from_dict(cert) if cert is not None else None
-    trig = summary.get("trigger")
-    try:
-        trigger_params = TriggerParams(**trig) if trig is not None else None
-    except (TypeError, WavetrigError) as exc:
-        raise DataFormatError(f"summary trigger {trig!r} is not valid: {exc}") from exc
+    scale = summary.get("eta0_scale")
     # a controlled run is checked against both (without either, its checks would be switched
     # off), an uncontrolled one against neither
-    if mode != "uncontrolled" and (certificate is None or trigger_params is None):
-        raise DataFormatError(f"summary of the {mode} run in {d} lacks its certificate or trigger")
-    if mode == "uncontrolled" and (certificate is not None or trigger_params is not None):
-        raise DataFormatError(f"summary of the uncontrolled run in {d} has a certificate or trigger")
-    # eta0 and the predicate are rebuilt from this entry: it must be the certificate's, and its
-    # scale V[0] with the certificate's eps and either its alpha (v0) or 0 (reduced)
-    if trigger_params is not None and certificate is not None:
-        if trigger_params != TriggerParams.from_certificate(certificate, trigger_params.eta0_scale):
-            raise DataFormatError(f"summary trigger {trig!r} does not have its certificate's gamma0, gamma1 and theta")
-        row0 = [float(cols[name][0]) for name in ("norm_z_sq", "norm_v_sq", "norm_gradz_sq", "inner_zv")]
-        scales = [energy_lyapunov(*row0, certificate.epsilon, a)[1] for a in (certificate.alpha, 0.0)]
-        if trigger_params.eta0_scale not in scales:
+    if mode != "uncontrolled" and (certificate is None or scale is None):
+        raise DataFormatError(f"summary of the {mode} run in {d} lacks its certificate or eta0_scale")
+    if mode == "uncontrolled" and (certificate is not None or scale is not None):
+        raise DataFormatError(f"summary of the uncontrolled run in {d} has a certificate or eta0_scale")
+    # eta0 and the predicate are rebuilt from the certificate and the scale, which must be
+    # a positive V[0] with the certificate's eps and alpha, for one of the eta0 variants
+    trigger_params = None
+    if certificate is not None:
+        row0 = tuple(float(cols[name][0]) for name in ("norm_z_sq", "norm_v_sq", "norm_gradz_sq", "inner_zv"))
+        scales = [threshold_scale(row0, certificate.epsilon, certificate.alpha, v) for v in ETA0_VARIANTS]
+        if scale not in scales or not scale > 0:
             raise DataFormatError(
-                f"summary trigger eta0_scale {trigger_params.eta0_scale!r} is not V[0] of {series_path} "
-                f"for the v0 or the reduced variant, {scales[0]!r} or {scales[1]!r}"
+                f"summary eta0_scale {scale!r} is not a positive V[0] of {series_path} for the eta0 variants "
+                f"{ETA0_VARIANTS}, {scales}"
             )
+        trigger_params = TriggerParams.from_certificate(certificate, scale)
     # 0/1 flags, with the unconditional event at t = 0
     if "event" in cols:
         event = cols["event"]

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import grid as _grid
 from . import lyapunov as _lyapunov
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError
 from .lyapunov import CheckReport, EventLog, RunRecord
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
@@ -26,13 +26,14 @@ __all__ = [
     "DwellStats",
     "eta0",
     "predicate_from_norms",
+    "threshold_scale",
     "initial_threshold_scale",
     "hold_rows",
     "check_schedule",
     "zeno_report",
 ]
 
-# Initial values that scale the threshold floor; see initial_threshold_scale.
+# Initial values that scale the threshold floor; see threshold_scale.
 ETA0_VARIANTS = ("v0", "reduced")
 
 
@@ -82,7 +83,7 @@ def eta0(t: float | np.ndarray, params: TriggerParams) -> float | np.ndarray:
     of times: math.exp entry by entry gives each the scalar call's bits (np.exp may differ)."""
     times = np.asarray(t, dtype=float)
     if (times < 0).any():
-        raise PreconditionError(f"time must be nonnegative, got {t}")
+        raise ConfigurationError(f"time must be nonnegative, got {t}")
     decay = np.fromiter(map(math.exp, (times * -params.theta).ravel().tolist()), float, times.size)
     return params.eta0_scale * (decay.reshape(times.shape) if times.ndim else float(decay[0]))
 
@@ -95,6 +96,20 @@ def predicate_from_norms(
     return norm_e_sq - params.gamma0 * norm_z_sq - params.gamma1 * norm_v_sq - eta0_value
 
 
+def threshold_scale(norms: tuple[float, float, float, float], epsilon: float, alpha: float, variant: str) -> float:
+    """eta0_scale from the initial data's squared norms ``(||z||^2, ||v||^2,
+    ||grad z||^2, <z, v>)``, as :func:`lyapunov.field_norms` returns them and
+    row 0 of a record holds them.
+
+    ``v0`` is the full initial Lyapunov value; ``reduced`` omits its
+    (eps*alpha/2)*||z0||^2 term, i.e. it is V evaluated with alpha = 0.
+    Both are kept because they genuinely differ whenever z0 is nonzero.
+    """
+    if variant not in ETA0_VARIANTS:
+        raise ConfigurationError(f"unknown eta0 variant {variant!r}, expected one of {ETA0_VARIANTS}")
+    return _lyapunov.energy_lyapunov(*norms, epsilon, alpha if variant == "v0" else 0.0)[1]
+
+
 def initial_threshold_scale(
     z0: _grid.Field,
     z1: _grid.Field,
@@ -103,18 +118,9 @@ def initial_threshold_scale(
     g: _grid.Grid,
     variant: str = "v0",
 ) -> float:
-    """eta0_scale from the initial data.
-
-    ``v0`` is the full initial Lyapunov value; ``reduced`` omits its
-    (eps*alpha/2)*||z0||^2 term, i.e. it is V evaluated with alpha = 0.
-    Both are kept because they genuinely differ whenever z0 is nonzero;
-    ``v0`` is the default.  Raises DegenerateInitialDataError when the scale
-    is degenerate.
-    """
-    if variant not in ETA0_VARIANTS:
-        raise ConfigurationError(f"unknown eta0 variant {variant!r}, expected one of {ETA0_VARIANTS}")
-    a = alpha if variant == "v0" else 0.0
-    _, scale = _lyapunov.energy_lyapunov(*_lyapunov.field_norms(z0, z1, g), epsilon, a)
+    """:func:`threshold_scale` of the initial data, ``v0`` by default.
+    Raises DegenerateInitialDataError when the scale is degenerate."""
+    scale = threshold_scale(_lyapunov.field_norms(z0, z1, g), epsilon, alpha, variant)
     return _lyapunov.require_nondegenerate(scale, g, "threshold scale")
 
 

@@ -21,7 +21,7 @@ from wavetrig.dynamics import MODES, build_record
 from wavetrig.errors import ConfigurationError, WavetrigError
 from wavetrig.grid import C_OMEGA_SOURCES
 from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
-from wavetrig.trigger import ETA0_VARIANTS, check_schedule
+from wavetrig.trigger import ETA0_VARIANTS, check_schedule, threshold_scale
 
 
 def small_config(tmp_path, **overrides):
@@ -244,7 +244,7 @@ def test_summary_contents(sim_run):
     _, cfg, tmp_path = sim_run
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["checks_passed"] is True
-    assert summary["event_count"] < summary["n_steps"]
+    assert summary["checks"]["zeno"]["event_count"] < summary["n_steps"]
     assert summary["certificate"]["decay_rate"] > 0
     assert summary["config"]["alpha"] == 1.0
     assert {"equivalence", "vdot", "envelope", "trigger-invariant", "zeno"} <= set(summary["checks"])
@@ -344,6 +344,25 @@ def test_verify_refuses_a_tripled_column_that_moves_the_threshold_scale(tmp_path
     assert "eta0_scale" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_threshold_scale_that_is_not_positive(tmp_path, capsys):
+    # row 0 given a V below 0 and the summary that V as its eta0_scale: no trigger has
+    # that scale, and the run is refused as data (65), not as a configuration (64)
+    rundir = tmp_path / "run"
+    assert main(["simulate", "--n", "49", "--t-end", "3", "--out", str(rundir)]) == 0
+    series = rundir / "series.csv"
+    header, row0, *rows = series.read_text().splitlines(True)
+    series.write_text(header + _cell(4, "-1.00000000000000000e+03")(row0) + "".join(rows))  # inner_zv
+    summary = json.loads((rundir / "summary.json").read_text())
+    z, gz, v = (float(cell) for cell in row0.split(",")[:3])
+    cert = summary["certificate"]
+    summary["eta0_scale"] = threshold_scale((z, v, gz, -1e3), cert["epsilon"], cert["alpha"], "v0")
+    assert summary["eta0_scale"] < 0
+    (rundir / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", str(rundir)]) == 65
+    assert "eta0_scale" in capsys.readouterr().err
+
+
 # The one-cell tamper census: row 150 of one column scaled by each factor of
 # TAMPER_LADDER.  The bounds are each column's smallest rejected factor as
 # measured; a stronger check may lower them, never raise them
@@ -384,19 +403,19 @@ def test_verify_refuses_an_event_triggered_summary_without_certificate_and_trigg
     rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
     _scale_column(rundir / "series.csv", "norm_v_sq", 3.0)
     summary = json.loads((rundir / "summary.json").read_text())
-    (rundir / "summary.json").write_text(json.dumps(dict(summary, certificate=None, trigger=None)))
+    (rundir / "summary.json").write_text(json.dumps(dict(summary, certificate=None, eta0_scale=None)))
     assert main(["verify", str(rundir)]) == 65
-    assert "lacks its certificate or trigger" in capsys.readouterr().err
+    assert "lacks its certificate or eta0_scale" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, keys", [
     ("periodic", ("certificate",)),
-    ("periodic", ("trigger",)),
+    ("periodic", ("eta0_scale",)),
     ("continuous-damping", ("certificate",)),
-    ("continuous-damping", ("trigger",)),
+    ("continuous-damping", ("eta0_scale",)),
     ("uncontrolled", ("certificate",)),
-    ("uncontrolled", ("trigger",)),
-    ("uncontrolled", ("certificate", "trigger")),
+    ("uncontrolled", ("eta0_scale",)),
+    ("uncontrolled", ("certificate", "eta0_scale")),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
 def test_verify_refuses_a_summary_whose_certificate_and_trigger_do_not_fit_its_mode(tmp_path, capsys, mode, keys):
     # a controlled run is checked against both entries (periodic's gating equivalence check reads
@@ -641,11 +660,13 @@ def test_verify_refuses_a_tampered_certificate_in_the_summary(sim_run, tmp_path,
     assert "data format error" in capsys.readouterr().err
 
 
+def _old_trigger(s: dict) -> dict:
+    """The trigger block that a summary carried before the threshold scale was stored alone."""
+    return dict({k: s["certificate"][k] for k in ("gamma0", "gamma1", "theta")}, eta0_scale=s["eta0_scale"])
+
+
 SUMMARY_TAMPERS = {
     "not-an-object": lambda s: [1, 2],
-    "trigger-not-an-object": lambda s: dict(s, trigger="x"),
-    "trigger-unknown-key": lambda s: dict(s, trigger=dict(s["trigger"], delta=1.0)),
-    "trigger-negative-gamma0": lambda s: dict(s, trigger=dict(s["trigger"], gamma0=-1)),
     "empty-certificate": lambda s: dict(s, certificate={}),
     "unknown-mode": lambda s: dict(s, mode="bogus-mode"),
     "no-mode": lambda s: {k: v for k, v in s.items() if k != "mode"},
@@ -666,17 +687,19 @@ SUMMARY_TAMPERS = {
     "t-end-beyond-float": lambda s: dict(s, meta=dict(s["meta"], t_end=10 ** 400)),
     "t-end-doubled": lambda s: dict(s, meta=dict(s["meta"], t_end=2 * s["meta"]["t_end"])),
     "t-end-halved": lambda s: dict(s, meta=dict(s["meta"], t_end=s["meta"]["t_end"] / 2)),
-    # eta0 and the predicate are rebuilt from the trigger entry
-    "trigger-gamma0-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], gamma0=2 * s["trigger"]["gamma0"])),
-    "trigger-gamma1-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], gamma1=s["trigger"]["gamma1"] / 2)),
-    "trigger-theta-not-the-certificates": lambda s: dict(s, trigger=dict(s["trigger"], theta=2 * s["trigger"]["theta"])),
     # an event-triggered run is checked against both
     "certificate-null": lambda s: dict(s, certificate=None),
-    "trigger-null": lambda s: dict(s, trigger=None),
-    # the threshold scale is V at row 0, to the last bit
-    "eta0-scale-times-0.99": lambda s: dict(s, trigger=dict(s["trigger"], eta0_scale=0.99 * s["trigger"]["eta0_scale"])),
-    "eta0-scale-one-ulp-more": lambda s: dict(
-        s, trigger=dict(s["trigger"], eta0_scale=math.nextafter(s["trigger"]["eta0_scale"], math.inf))
+    "eta0-scale-null": lambda s: dict(s, eta0_scale=None),
+    # the trigger is the certificate's weights with the threshold scale, which is V at row 0, to the last bit
+    "eta0-scale-string": lambda s: dict(s, eta0_scale=str(s["eta0_scale"])),
+    "eta0-scale-bool": lambda s: dict(s, eta0_scale=True),
+    "eta0-scale-negative": lambda s: dict(s, eta0_scale=-s["eta0_scale"]),
+    "eta0-scale-nan": lambda s: dict(s, eta0_scale=math.nan),
+    "eta0-scale-times-0.99": lambda s: dict(s, eta0_scale=0.99 * s["eta0_scale"]),
+    "eta0-scale-one-ulp-more": lambda s: dict(s, eta0_scale=math.nextafter(s["eta0_scale"], math.inf)),
+    # a summary written before the scale was stored alone: its trigger block is not read
+    "eta0-scale-missing-old-trigger": lambda s: dict(
+        {k: v for k, v in s.items() if k != "eta0_scale"}, trigger=_old_trigger(s)
     ),
     # the event-triggered run relabelled periodic: a periodic run needs a positive period
     **{
@@ -701,7 +724,9 @@ def test_verify_accepts_a_summary_with_the_keys_that_repeated_others(sim_run, tm
     rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
     s = json.loads((rundir / "summary.json").read_text())
     s.update(
-        update_count=s["event_count"],
+        event_count=s["checks"]["zeno"]["event_count"],
+        trigger=_old_trigger(s),
+        update_count=s["checks"]["zeno"]["event_count"],
         period=s["meta"]["period"],
         delta_emp=s["checks"]["envelope"]["details"]["delta_emp"],
         eta0_variant=s["config"]["design"]["eta0_variant"],
@@ -811,7 +836,7 @@ def test_simulate_periodic_uses_matched_mean_dwell(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 0
     summary = json.loads((tmp_path / "per" / "summary.json").read_text())
     assert summary["meta"]["period"] > 0
-    assert summary["event_count"] >= 2
+    assert summary["checks"]["zeno"]["event_count"] >= 2
 
 
 def test_event_triggered_run_keeps_a_period_it_is_given(tmp_path):

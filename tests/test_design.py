@@ -5,7 +5,7 @@ import pytest
 
 import wavetrig as wt
 from wavetrig.design import DesignInput, SQRT2, _MIN_REL_WIDTH
-from wavetrig.errors import DesignFailureError, InfeasibleDomainError, PreconditionError
+from wavetrig.errors import ConfigurationError, DesignFailureError, InfeasibleDomainError
 
 ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 C_VALUES = (0.1, 0.3, 0.5, 1.0, 1.3)
@@ -131,7 +131,7 @@ def test_epsilon_interval_zero_gamma0():
 
 def test_epsilon_interval_bad_denominator():
     # gamma0 large enough that 2 - C^2 (1 + alpha^2 gamma0) <= 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError):
         wt.epsilon_interval(1.0, 1.0, 2.0, 0.25)
 
 
@@ -192,13 +192,13 @@ def test_alpha1_first_try_is_always_degenerate():
 
 
 def test_design_input_validation():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError):
         DesignInput(alpha=0.0, c_omega=0.5)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError):
         DesignInput(alpha=1.0, c_omega=-1.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError):
         DesignInput(alpha=1.0, c_omega=0.5, s_gamma0=1.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError):
         DesignInput(alpha=1.0, c_omega=0.5, theta_margin=1.0)
 
 

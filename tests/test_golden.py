@@ -144,6 +144,15 @@ old value. Every ``series.csv`` and ``events.csv`` hash, and the
 run's path, the ``rectangle`` case now writes the same three files under
 OpenBLAS's Haswell kernels as under the AVX-512 ones
 (:func:`test_rectangle_hashes_the_same_under_the_haswell_blas_kernels`).
+
+Every ``summary.json`` hash was re-recorded when the summary came to store
+the trigger as one number.  The top-level ``eta0_scale`` replaced the
+``trigger`` entry, whose ``gamma0``, ``gamma1`` and ``theta`` repeated the
+certificate's, and ``event_count``, which repeated
+``checks.zeno.event_count``, went.  With ``event_count`` and ``trigger``
+put back and ``eta0_scale`` taken out, each new summary hashes to its old
+value, the ``uncontrolled`` one (``trigger`` null) included; every
+``series.csv`` and ``events.csv`` hash stayed the same.
 """
 
 import hashlib
@@ -183,57 +192,57 @@ GOLDEN = {
     "event-triggered": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "d8bf1ad146b49ed12311c73307f207210345ac616406d9ea106578c450685f5e",
+        "203c0b09b3afe8891983b46991acf51831d92d86272f2b7690bdbec2725f18f2",
     ),
     "continuous-damping": (
         "bee3d2e45a83ca42db8fb258969439f21687176febcebb26bba9054229a89ed4",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "017bacdf80dd382ebccefd288d7f5ec5120135b11e61eccedc31a979dd9e3e24",
+        "fd1d8bbf798839039f1ede74752a7bff5a7808c60be48b90a04ed38be43b4b9f",
     ),
     "periodic-matched": (
         "466ddcc642e9fb3ecff01040fc3c9670569f155f1bd2595db9fc7ae3542ed638",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "7eb14d00d2666345ec59c0571bb91c1edaedff89ccdada7a8718914dfdb81b26",
+        "85f5bd7a26cf1314d2f8488c4ab63bae579470dbadd104c03d001b14348331b0",
     ),
     "periodic-fixed": (
         "e2c51478ac171be80ac61cbf359020ce23479f3236e75d3666bc899954b1c981",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "c8e75a9b3ead1e94d50f87a60c4240cd2340c4282c40d7f2fd71171114e95dd4",
+        "f78342536ca95137a4c642479270b2e77f7b2c900f66e35ec5e8d5ce69aff1a3",
     ),
     "uncontrolled": (
         "dcc83a1bd3339988d139139e6d2f238ab41147d4850d38537e634ff89f80ed3c",
         "06296cb6887fc937be326eac6773c49c7146f672eb3e3a8cae8d839a8f05b551",
-        "09c53fe308dc114672ee9bc99487aa070a458eb1529595b92b5ffefacef8529b",
+        "ec3dbfaf3af89e37ed7ee33171f7b07e2dcd459d4cf8459f8276f4602b6eedb2",
     ),
     "v0-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "3cef5dbd3a9241d3f1e0ef9fd065f541e6027d4bdc2af7370f108aab4ad39a77",
+        "25fb86f67ee266b94aa69c608c4d7f5eda8088c4bad1279a0f3a94dda3dd9ebf",
     ),
     "reduced-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "3667390ffbd032bfbc94e4976f12307069a6a83d2b186c9b17a6aef75751ce2a",
+        "74afa42515a9e71f4de0d9675448fdbaf9faaf7dff0f343f461e8b5436503e16",
     ),
     "reduced": (
         "10e4d564af9ec46892ecf3553225a57eb54b131eab4369833ea8f71a1cc65f2b",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
-        "02102f286f70ffc0e42084c03ec252c2a9ae8b1821409cb2d038ba13cf11fa9b",
+        "6af45cd48acd0c34e84ff57cbc9b5b52420f9135ad7b72450b55ba6c7d7aaa16",
     ),
     "rectangle": (
         "c99203fcbb779a2e1d05ed65ea8ecd33148297f4ad95d717e288ad3b9ddc9519",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "d71d908bd6138a2dd17aec1904c4f261ac6f31ed17960942e42bdfe1fcab32e4",
+        "9e8b528520b4dee696d345c6ae7eabd692b4525bd8eae2429615265b7f4ea561",
     ),
     "file": (
         "7954b52829f614abeb96d9a6226a8f5e99849d5413f0228eccd2498eb6fc62b4",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
-        "3807419784f311ad5488105fd8a0f2c03bee20d4e6a704af88df63dd8fb356e2",
+        "e6e7bcfe5ac1e92da1d122af354846b11a8d3d3e944ce0ae5f6728cef2dc804f",
     ),
     "certificate": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "d1a43e6c4912abfb90b48ed84af4c25b340c554848149b45c0e11eca9b87d3ec",
+        "b0389f9843d174f703fd98b9d2f1ff9c3e791c8a222b9a05ef7f02334f7c0622",
     ),
 }
 

@@ -115,10 +115,19 @@ def _is_tie(x: float) -> bool:
     return False
 
 
+def _random_doubles(seed: int, count: int) -> np.ndarray:
+    """``count`` seeded doubles of random sign and 53-bit significand, their binary
+    exponents uniform from -328 to 327, so that they lie within 1.8e-99..5.5e98."""
+    rng = np.random.default_rng(seed)
+    significands = rng.integers(2**52, 2**53, count) * rng.choice([-1, 1], count)
+    return np.ldexp(significands.astype(float), rng.integers(-328, 328, count) - 52)
+
+
 # each float is written by numpy unless it is 0, not finite, outside
 # 1e-99..1e99, or its significand lies within 1e-12 of a rounding tie or
 # of the decade's ends, or rounds up into the next decade; these cases aim
-# at those edges from both sides, and at 1e-280 and 1e280, three-digit exponents
+# at those edges from both sides, and at 1e-280 and 1e280, three-digit exponents.
+# Of uniform bit patterns 32% lie within 1e-99..1e99; "random-in-range" all do
 ENCODER_CASES = {
     "powers-of-ten": _both_signs(_near([10.0**j for j in range(-323, 309)] + [float(f"1e{j}") for j in range(-323, 309)])),
     "ties": _both_signs([10.0**j * (1 + 2.0**-k) for j in range(-30, 31) for k in range(1, 53)]),
@@ -128,6 +137,7 @@ ENCODER_CASES = {
         + [1.7976931348623157e308, 0.0, np.nan, np.inf]
     ),
     "random-bits": np.random.default_rng(18).integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
+    "random-in-range": _random_doubles(20, 200_000),
 }
 
 
@@ -143,6 +153,8 @@ def test_encoder_cases_reach_a_tie_a_carry_and_a_subnormal():
     assert Fraction(1e153) < 10**153 and b"%.17e" % 1e153 == b"1.00000000000000000e+153"
     edges = ENCODER_CASES["range-ends"]
     assert (edges == 5e-324).any() and (np.signbit(edges) & (edges == 0)).any()
+    in_range = np.abs(ENCODER_CASES["random-in-range"])
+    assert ((in_range >= 1e-99) & (in_range <= 1e99)).all()
 
 
 def test_write_table_formats_multi_digit_int_columns_across_row_blocks(tmp_path):
@@ -210,7 +222,8 @@ def test_reader_returns_every_float_the_writer_wrote(columns, uncontrolled, chun
 
 @pytest.mark.parametrize("values", ENCODER_CASES.values(), ids=ENCODER_CASES.keys())
 def test_reader_returns_every_hard_float_the_writer_wrote(tmp_path, values):
-    # the writer's edge cases, 200,000 random bit patterns among them, four to a row
+    # the writer's edge cases, 200,000 random bit patterns and 200,000 doubles within
+    # 1e-99..1e99 among them, four to a row
     columns = np.resize(values, (-(-len(values) // 4), 4)).T
     write_table(tmp_path / "series.csv", dict(zip(SERIES_COLUMNS_UNCONTROLLED, columns)))
     got = read_series(tmp_path / "series.csv")
@@ -236,6 +249,8 @@ decimal_text = st.one_of(
         _cell, st.text("0123456789", min_size=18, max_size=18),
         st.integers(-330, 330), st.booleans(),
     ),
+    # two-digit exponents, which the numpy decoder reads when the first digit is not 0
+    st.builds(_cell, st.text("0123456789", min_size=18, max_size=18), st.integers(-99, 99), st.booleans()),
     st.builds(
         lambda d, e3, neg: _cell(d, 0, neg)[:-3] + e3, st.text("0123456789", min_size=18, max_size=18),
         st.from_regex(r"[+-][0-9]{2,3}", fullmatch=True), st.booleans(),
