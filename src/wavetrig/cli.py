@@ -28,7 +28,7 @@ from . import runio as _runio
 from . import trigger as _trigger
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, OutputError, UsageError, WavetrigError
-from .grid import C_OMEGA_SOURCES, Grid, discrete_poincare_constant, poincare_constant
+from .grid import C_OMEGA_SOURCES, Grid, poincare_constant
 from .initial import build_field
 
 __all__ = ["main", "entrypoint", "run_from_config", "design_from_config"]
@@ -112,14 +112,11 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
     if cfg.mode != "uncontrolled":
         if cfg.certificate_path:
             certificate = _runio.read_certificate(cfg.certificate_path)
-            # a grid-derived C_Omega must be this grid's, a user one at least its discrete one
-            source, c_omega = certificate.c_omega_source, certificate.c_omega
-            user = source == "user"
-            c_grid = discrete_poincare_constant(g) if user else poincare_constant(g, source)
-            if certificate.alpha != cfg.alpha or not (c_omega >= c_grid if user else c_omega == c_grid):
+            if certificate.alpha != cfg.alpha or not _design.c_omega_fits(certificate, g):
                 raise ConfigurationError(
-                    f"certificate {cfg.certificate_path} (alpha = {certificate.alpha}, C_Omega = {c_omega}, "
-                    f"{source}) was not made for this run (alpha = {cfg.alpha}, C_Omega = {c_grid} on lengths {g.lengths})"
+                    f"certificate {cfg.certificate_path} (alpha = {certificate.alpha}, C_Omega = "
+                    f"{certificate.c_omega}, {certificate.c_omega_source}) does not fit this run "
+                    f"(alpha = {cfg.alpha}, lengths {g.lengths}, counts {g.counts})"
                 )
         else:
             certificate = design_from_config(cfg, g)

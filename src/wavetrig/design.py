@@ -11,10 +11,10 @@ suprema and the number of shrinks that led there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError, DataFormatError, DesignFailureError, InfeasibleDomainError, WavetrigError
-from .grid import C_OMEGA_SOURCES
+from .grid import C_OMEGA_SOURCES, Grid, discrete_poincare_constant, poincare_constant
 
 __all__ = [
     "DesignInput",
@@ -24,6 +24,7 @@ __all__ = [
     "margins",
     "certified_constants",
     "build_certificate",
+    "c_omega_fits",
     "vdot_bound_rhs",
     "SQRT2",
 ]
@@ -64,6 +65,8 @@ class DesignInput:
             raise ConfigurationError("safety fractions must lie in (0, 1)")
         if not self.theta_margin > 1:
             raise ConfigurationError("theta_margin must exceed 1")
+        if self.c_omega_source not in C_OMEGA_SOURCES:
+            raise ConfigurationError(f"c_omega_source {self.c_omega_source!r} is not one of {C_OMEGA_SOURCES}")
 
 
 @dataclass(frozen=True)
@@ -117,28 +120,20 @@ class StabilityCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StabilityCertificate":
-        """A certificate read from a file.  Raises DataFormatError unless it
-        keeps the invariants, names one of ``C_OMEGA_SOURCES``, its gammas lie
-        below ``gamma_bounds``, epsilon lies in ``epsilon_interval`` and
-        ``certified_constants`` re-derives every stored number exactly."""
+        """A certificate read from a file, as :func:`build_certificate` makes it
+        from its own inputs, the fields of :class:`DesignInput`.  Raises
+        DataFormatError unless every other field but ``diagnostics`` equals the
+        designer's to the last bit."""
         try:
             cert = cls(**d)
-            point = (cert.alpha, cert.c_omega, cert.gamma0, cert.gamma1)
-            g0_sup, g1_sup = gamma_bounds(cert.alpha, cert.c_omega)
-            lo, hi = epsilon_interval(*point)
-            derived = certified_constants(*point, cert.epsilon, cert.theta)
+            made = build_certificate(DesignInput(*(getattr(cert, f.name) for f in fields(DesignInput))))
         except (TypeError, ArithmeticError, WavetrigError) as exc:
             raise DataFormatError(f"not a valid certificate: {exc}") from exc
-        if cert.c_omega_source not in C_OMEGA_SOURCES:
-            raise DataFormatError(f"certificate c_omega_source {cert.c_omega_source!r} is not one of {C_OMEGA_SOURCES}")
-        mismatched = sorted(name for name, value in derived.items() if getattr(cert, name) != value)
+        mismatched = [f.name for f in fields(cls)
+                      if f.name != "diagnostics" and getattr(made, f.name) != getattr(cert, f.name)]
         if mismatched:
-            raise DataFormatError(f"certificate values {mismatched} differ from their re-derivation")
-        if not (cert.gamma0 < g0_sup and cert.gamma1 < g1_sup and lo < cert.epsilon < hi):
-            raise DataFormatError(
-                f"certificate outside gamma bounds ({g0_sup}, {g1_sup}) or epsilon interval ({lo}, {hi})"
-            )
-        return cert
+            raise DataFormatError(f"certificate values {mismatched} are not what design makes from its inputs")
+        return made
 
 
 def gamma_bounds(alpha: float, c_omega: float) -> tuple[float, float]:
@@ -266,6 +261,17 @@ def build_certificate(inp: DesignInput) -> StabilityCertificate:
         theta_margin=inp.theta_margin,
         diagnostics=diagnostics,
     )
+
+
+def c_omega_fits(cert: StabilityCertificate, g: Grid) -> bool:
+    """Whether the certificate's C_Omega is the grid's by its source: a grid-derived one is
+    ``poincare_constant(g, source)`` to the last bit, and a ``user`` one at least the discrete one."""
+    try:
+        if cert.c_omega_source == "user":
+            return cert.c_omega >= discrete_poincare_constant(g)
+        return cert.c_omega == poincare_constant(g, cert.c_omega_source)
+    except (ConfigurationError, ArithmeticError):  # g has no constant of that source
+        return False
 
 
 def vdot_bound_rhs(cert: StabilityCertificate, energy: float, eta0_value: float) -> float:

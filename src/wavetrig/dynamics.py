@@ -336,13 +336,6 @@ def simulate(
         eta[:] = _trigger.eta0(np.arange(m) * dt, trigger_params)
 
     _check_step(g, dt, a)
-    # lam1 and the margin by which C_Omega = 1/sqrt(lam1 (1 - margin)) is raised
-    grid_meta = {
-        "counts": list(g.counts),
-        "spacings": list(g.spacings),
-        "lam1": float(_grid.eigenvalues(g)[0]),
-        "poincare_margin": _grid.POINCARE_MARGIN,
-    }
     w = g.weight
     period_rows = _trigger.hold_rows(mode, dt, period, m)  # P: a scheduled hold is due at the rows P divides
     size = max(1, _BLOCK_BYTES // (48 * g.num_interior))
@@ -393,7 +386,7 @@ def simulate(
         np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums
     if uncontrolled:  # no hold acts, so there is no deviation to record
         ne.fill(np.nan)
-    meta = {"alpha": a, "t_end": config.t_end, "period": period, "grid": grid_meta}
+    meta = {"alpha": a, "t_end": config.t_end, "period": period, "grid": _grid.grid_meta(g)}
     return build_record(
         dict(zip(_lyapunov.RunRecord.COLUMNS, cols[:5]), event=event),
         certificate=certificate, trigger_params=trigger_params, mode=mode, dt=dt, meta=meta, eta0=eta,

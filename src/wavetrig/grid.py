@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import ConfigurationError, DataFormatError, NumericalError, ShapeError
 
 __all__ = [
     "Interval",
@@ -58,6 +58,7 @@ __all__ = [
     "POINCARE_SOURCES",
     "C_OMEGA_SOURCES",
     "poincare_constant",
+    "grid_meta", "grid_from_meta",
 ]
 
 
@@ -208,6 +209,10 @@ def sine_transform(values: np.ndarray, g: Grid, out: np.ndarray | None = None) -
     return out
 
 
+def _axis_eigenvalue(h: float, n: int, k: int) -> float:
+    return 4.0 / (h * h) * math.sin(math.pi * k / (2 * (n + 1))) ** 2
+
+
 @functools.lru_cache(maxsize=8)
 def eigenvalues(g: Grid) -> np.ndarray:
     """The negated stencil's eigenvalues, one per coefficient of
@@ -217,10 +222,7 @@ def eigenvalues(g: Grid) -> np.ndarray:
 
     The table is kept per grid and shared by every caller, so it is
     read-only."""
-    axes = [
-        np.array([4.0 / (h * h) * math.sin(math.pi * k / (2 * (n + 1))) ** 2 for k in range(1, n + 1)])
-        for h, n in zip(g.spacings, g.counts)
-    ]
+    axes = [np.array([_axis_eigenvalue(h, n, k) for k in range(1, n + 1)]) for h, n in zip(g.spacings, g.counts)]
     lam = functools.reduce(np.add.outer, axes).ravel()
     lam.setflags(write=False)
     return lam
@@ -232,8 +234,8 @@ def eigenvalues(g: Grid) -> np.ndarray:
 POINCARE_MARGIN = 1e-12
 
 
-def _lam1(g: Grid) -> float:
-    return float(eigenvalues(g)[0])
+def _lam1(g: Grid) -> float:  # eigenvalues(g)[0], with no table built for the grid a summary names
+    return sum(_axis_eigenvalue(h, n, 1) for h, n in zip(g.spacings, g.counts))
 
 
 def smallest_laplacian_eigenpair(g: Grid):
@@ -294,3 +296,23 @@ def poincare_constant(g: Grid, source: str = "discrete") -> float:
     if source not in POINCARE_SOURCES:
         raise ConfigurationError(f"unknown Poincare constant source {source!r}")
     return POINCARE_SOURCES[source](g)
+
+
+def grid_meta(g: Grid) -> dict:
+    """What a run records of its grid, ``meta.grid``: its lengths, counts and spacings, lam1
+    and the margin by which C_Omega = 1/sqrt(lam1 (1 - margin)) is raised."""
+    return {"lengths": list(g.lengths), "counts": list(g.counts), "spacings": list(g.spacings),
+            "lam1": _lam1(g), "poincare_margin": POINCARE_MARGIN}
+
+
+def grid_from_meta(meta) -> Grid:
+    """The grid that a run's ``meta.grid`` names by its lengths and counts.  Raises
+    DataFormatError unless the counts are ints and ``meta`` is its :func:`grid_meta`, to the last bit."""
+    try:
+        counts = meta["counts"]
+        g = build_grid((Interval if len(counts) == 1 else Rectangle)(*meta["lengths"], *counts))
+        if all(type(n) is int for n in counts) and grid_meta(g) == meta:
+            return g
+    except (TypeError, LookupError, ConfigurationError):
+        pass
+    raise DataFormatError(f"summary meta.grid {meta!r} is not the grid of its lengths and counts")

@@ -44,9 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import StabilityCertificate
+from .design import StabilityCertificate, c_omega_fits
 from .dynamics import MODES, build_record, step_count
 from .errors import DataFormatError, MissingInputError, OutputError
+from .grid import grid_from_meta
 from .lyapunov import RunRecord
 from .trigger import ETA0_VARIANTS, TriggerParams, threshold_scale
 
@@ -401,8 +402,12 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     period = meta.get("period")
     if mode == "periodic" and (type(period) not in (int, float) or not 0 < period <= sys.float_info.max):
         raise DataFormatError(f"summary meta.period {period!r} of the periodic run in {d} is not a positive number")
+    # the grid is rebuilt from meta.grid, and a certificate's C_Omega must be its grid's
+    g = grid_from_meta(meta.get("grid"))
     cert = summary.get("certificate")
     certificate = StabilityCertificate.from_dict(cert) if cert is not None else None
+    if certificate is not None and not c_omega_fits(certificate, g):
+        raise DataFormatError(f"the certificate's C_Omega {certificate.c_omega} in {d} is not its grid's by its source")
     scale = summary.get("eta0_scale")
     # a controlled run is checked against both (without either, its checks would be switched
     # off), an uncontrolled one against neither

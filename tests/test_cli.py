@@ -16,10 +16,10 @@ import wavetrig.cli as wavetrig_cli
 import wavetrig.config as wavetrig_config
 from wavetrig.cli import build_parser, main
 from wavetrig.config import DesignSpec, RunConfig, load_config
-from wavetrig.design import certified_constants
+from wavetrig.design import DesignInput, build_certificate, certified_constants
 from wavetrig.dynamics import MODES, build_record
 from wavetrig.errors import ConfigurationError, WavetrigError
-from wavetrig.grid import C_OMEGA_SOURCES
+from wavetrig.grid import C_OMEGA_SOURCES, grid_meta
 from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
 from wavetrig.trigger import ETA0_VARIANTS, check_schedule, threshold_scale
 
@@ -570,7 +570,7 @@ def test_simulate_refuses_certificate_for_another_grid(tmp_path, capsys):
         "--out", str(tmp_path / "L1"),
     ])
     assert code == 64
-    assert "was not made for this run" in capsys.readouterr().err
+    assert "does not fit this run" in capsys.readouterr().err
     assert not (tmp_path / "L1").exists()
 
 
@@ -634,6 +634,8 @@ CERTIFICATE_TAMPERS = {
     ),
     "missing-key": lambda c: {k: v for k, v in c.items() if k != "mu"},
     "unknown-source": lambda c: dict(c, c_omega_source="bogus"),
+    # admissible, and every number consistent with the moved gamma0, but not what design makes
+    "gamma0-x0.9-resealed": lambda c: _resealed(c, gamma0=0.9 * c["gamma0"]),
 }
 
 
@@ -663,6 +665,23 @@ def test_verify_refuses_a_tampered_certificate_in_the_summary(sim_run, tmp_path,
 def _old_trigger(s: dict) -> dict:
     """The trigger block that a summary carried before the threshold scale was stored alone."""
     return dict({k: s["certificate"][k] for k in ("gamma0", "gamma1", "theta")}, eta0_scale=s["eta0_scale"])
+
+
+def _redesigned(s: dict, source: str) -> dict:
+    """The summary with its certificate designed by ``source`` for 0.999 times its
+    C_Omega and eta0_scale refitted to it: consistent with everything but the grid."""
+    c = s["certificate"]
+    cert = build_certificate(DesignInput(c["alpha"], 0.999 * c["c_omega"], source))
+    record, _ = load_run(s["config"]["out"])  # the untouched run
+    row0 = tuple(float(getattr(record, name)[0]) for name in ("norm_z_sq", "norm_v_sq", "norm_gradz_sq", "inner_zv"))
+    scale = threshold_scale(row0, cert.epsilon, cert.alpha, s["config"]["design"]["eta0_variant"])
+    return dict(s, certificate=cert.to_dict(), eta0_scale=scale)
+
+
+def _grid_meta(s: dict, **changes) -> dict:
+    """The summary with ``meta.grid`` changed: a key set, or removed where its value is None."""
+    grid = {k: v for k, v in dict(s["meta"]["grid"], **changes).items() if v is not None}
+    return dict(s, meta=dict(s["meta"], grid=grid))
 
 
 SUMMARY_TAMPERS = {
@@ -700,6 +719,20 @@ SUMMARY_TAMPERS = {
     # a summary written before the scale was stored alone: its trigger block is not read
     "eta0-scale-missing-old-trigger": lambda s: dict(
         {k: v for k, v in s.items() if k != "eta0_scale"}, trigger=_old_trigger(s)
+    ),
+    # the certificate's C_Omega is its grid's by its source, and the grid is the one meta.grid names
+    "c-omega-0.999-discrete": lambda s: _redesigned(s, "discrete"),
+    "c-omega-0.999-user": lambda s: _redesigned(s, "user"),
+    "lam1-one-ulp-more": lambda s: _grid_meta(s, lam1=math.nextafter(s["meta"]["grid"]["lam1"], math.inf)),
+    "spacing-one-ulp-more": lambda s: _grid_meta(
+        s, spacings=[math.nextafter(h, math.inf) for h in s["meta"]["grid"]["spacings"]]
+    ),
+    "lengths-missing": lambda s: _grid_meta(s, lengths=None),
+    "count-string": lambda s: _grid_meta(s, counts=[str(n) for n in s["meta"]["grid"]["counts"]]),
+    "no-grid": lambda s: dict(s, meta={k: v for k, v in s["meta"].items() if k != "grid"}),
+    # its lam1 underflows to 0, so it has no Poincare constant to fit
+    "grid-of-length-1e300": lambda s: dict(
+        s, meta=dict(s["meta"], grid=grid_meta(wt.build_grid(wt.Interval(1e300, 49))))
     ),
     # the event-triggered run relabelled periodic: a periodic run needs a positive period
     **{

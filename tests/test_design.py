@@ -4,8 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 import wavetrig as wt
-from wavetrig.design import DesignInput, SQRT2, _MIN_REL_WIDTH
+from wavetrig.design import DesignInput, SQRT2, _MIN_REL_WIDTH, c_omega_fits
 from wavetrig.errors import ConfigurationError, DesignFailureError, InfeasibleDomainError
+from wavetrig.grid import (
+    C_OMEGA_SOURCES, Interval, Rectangle, build_grid, discrete_poincare_constant, poincare_constant,
+)
 
 ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 C_VALUES = (0.1, 0.3, 0.5, 1.0, 1.3)
@@ -215,6 +218,40 @@ def test_shrink_budget_exhaustion_reports_failure():
             wt.build_certificate(DesignInput(alpha=1.0, c_omega=1.0))
     finally:
         design_mod._SHRINK_BUDGET = old
+
+
+# ----------------------------------------------------- C_Omega against a grid
+
+@pytest.mark.parametrize("source", C_OMEGA_SOURCES)
+def test_c_omega_fits_its_grid_by_its_source(source):
+    g, other = build_grid(Interval(1.0, 49)), build_grid(Interval(1.0, 51))
+    rect = build_grid(Rectangle(1.0, 0.8, 15, 11))
+
+    def cert(c):
+        return wt.build_certificate(DesignInput(alpha=1.0, c_omega=c, c_omega_source=source))
+
+    if source == "user":  # at least the discrete constant, which holds for every field on the grid
+        c = discrete_poincare_constant(g)
+        assert c_omega_fits(cert(c), g) and c_omega_fits(cert(1.5 * c), g)
+        assert not c_omega_fits(cert(math.nextafter(c, 0.0)), g)
+        assert not c_omega_fits(cert(0.999 * c), g)
+        # a finer grid's lam1 is larger and its discrete constant smaller
+        assert c_omega_fits(cert(c), other) and not c_omega_fits(cert(discrete_poincare_constant(other)), g)
+        assert c_omega_fits(cert(0.5), rect) and not c_omega_fits(cert(0.19), rect)
+        return
+    # a grid-derived constant is its grid's to the last bit, neither larger nor smaller
+    c = poincare_constant(g, source)
+    assert c_omega_fits(cert(c), g)
+    assert not c_omega_fits(cert(math.nextafter(c, 1.0)), g)
+    assert not c_omega_fits(cert(math.nextafter(c, 0.0)), g)
+    assert not c_omega_fits(cert(0.999 * c), g)
+    assert c_omega_fits(cert(c), other) == (source != "discrete")  # the continuous ones ignore the nodes
+    assert not c_omega_fits(cert(c), build_grid(Interval(0.5, 49)))
+    if source == "wirtinger":  # defined on intervals only: no rectangle has it
+        assert not c_omega_fits(cert(c), rect)
+    else:
+        assert c_omega_fits(cert(poincare_constant(rect, source)), rect)
+        assert not c_omega_fits(cert(c), rect)
 
 
 # -------------------------------------------------------------- vdot bound

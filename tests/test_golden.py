@@ -153,6 +153,13 @@ certificate's, and ``event_count``, which repeated
 put back and ``eta0_scale`` taken out, each new summary hashes to its old
 value, the ``uncontrolled`` one (``trigger`` null) included; every
 ``series.csv`` and ``events.csv`` hash stayed the same.
+
+Every ``summary.json`` hash was re-recorded when ``meta.grid`` gained
+``lengths``: ``load_run`` rebuilds the run's grid from its lengths and
+counts, refuses a ``meta.grid`` that is not that grid's, and checks the
+certificate's ``C_Omega`` against the grid.  With ``meta.grid.lengths``
+taken out, each new summary hashes to its old value, the ``uncontrolled``
+one included; every ``series.csv`` and ``events.csv`` hash stayed the same.
 """
 
 import hashlib
@@ -192,57 +199,57 @@ GOLDEN = {
     "event-triggered": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "203c0b09b3afe8891983b46991acf51831d92d86272f2b7690bdbec2725f18f2",
+        "944d61638986a54daf4adf7ce240e086c883dd0bf2fffd13454a1046f8fd5f99",
     ),
     "continuous-damping": (
         "bee3d2e45a83ca42db8fb258969439f21687176febcebb26bba9054229a89ed4",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "fd1d8bbf798839039f1ede74752a7bff5a7808c60be48b90a04ed38be43b4b9f",
+        "953986ce9609816e2b2d7c7feb3e591744a43d295a1a03f1566f86cea7a74802",
     ),
     "periodic-matched": (
         "466ddcc642e9fb3ecff01040fc3c9670569f155f1bd2595db9fc7ae3542ed638",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "85f5bd7a26cf1314d2f8488c4ab63bae579470dbadd104c03d001b14348331b0",
+        "0ff4f00f2cf1918b51af056ac0d8763e3749007d1440976e5cbff028971e4865",
     ),
     "periodic-fixed": (
         "e2c51478ac171be80ac61cbf359020ce23479f3236e75d3666bc899954b1c981",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "f78342536ca95137a4c642479270b2e77f7b2c900f66e35ec5e8d5ce69aff1a3",
+        "8f746f01cd99d1edd5244f7c03a6c82861233fff340f15355a2c469e8f7573a8",
     ),
     "uncontrolled": (
         "dcc83a1bd3339988d139139e6d2f238ab41147d4850d38537e634ff89f80ed3c",
         "06296cb6887fc937be326eac6773c49c7146f672eb3e3a8cae8d839a8f05b551",
-        "ec3dbfaf3af89e37ed7ee33171f7b07e2dcd459d4cf8459f8276f4602b6eedb2",
+        "191804890ae57105147a845f4fcd328ee73c50b959678f05ce9a8924f599af77",
     ),
     "v0-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "25fb86f67ee266b94aa69c608c4d7f5eda8088c4bad1279a0f3a94dda3dd9ebf",
+        "306989798eebbe2b1a7a9ef87801c751308ffc4417d0547dc40c3c4a97cd10b5",
     ),
     "reduced-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "74afa42515a9e71f4de0d9675448fdbaf9faaf7dff0f343f461e8b5436503e16",
+        "4b4bb4064baa84bb30dca8523fa05985638f2cff8fd7295085e44d2bd5b9caa9",
     ),
     "reduced": (
         "10e4d564af9ec46892ecf3553225a57eb54b131eab4369833ea8f71a1cc65f2b",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
-        "6af45cd48acd0c34e84ff57cbc9b5b52420f9135ad7b72450b55ba6c7d7aaa16",
+        "bdc77b337d4e81b87e36bbd28cebe391ebaf112270d46fdbf533c849eb1d7941",
     ),
     "rectangle": (
         "c99203fcbb779a2e1d05ed65ea8ecd33148297f4ad95d717e288ad3b9ddc9519",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "9e8b528520b4dee696d345c6ae7eabd692b4525bd8eae2429615265b7f4ea561",
+        "835e36922e390cf014bc3a99d0f241d3ba86a07a78d38f82e4ceed64b0c079c2",
     ),
     "file": (
         "7954b52829f614abeb96d9a6226a8f5e99849d5413f0228eccd2498eb6fc62b4",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
-        "e6e7bcfe5ac1e92da1d122af354846b11a8d3d3e944ce0ae5f6728cef2dc804f",
+        "bd90fa6191ac50d2e22fa3a2c4b66ed0e85328d5a1e2eaaa6edf3ee388fdbd98",
     ),
     "certificate": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "b0389f9843d174f703fd98b9d2f1ff9c3e791c8a222b9a05ef7f02334f7c0622",
+        "7e6266511ebee334ae886816c6d8b1d3f09388ad2bb69d666ba337df9ccf8ef7",
     ),
 }
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wavetrig as wt
-from wavetrig.errors import ConfigurationError, ShapeError
-from wavetrig.grid import POINCARE_MARGIN, Field, _lam1, eigenvalues, sine_mode, sine_transform, smallest_laplacian_eigenpair
+from wavetrig.errors import ConfigurationError, DataFormatError, ShapeError
+from wavetrig.grid import (
+    POINCARE_MARGIN, Field, _lam1, eigenvalues, grid_from_meta, grid_meta, sine_mode, sine_transform,
+    smallest_laplacian_eigenpair,
+)
 
 
 def interval(L, n):
@@ -258,6 +262,23 @@ def test_eigenvalue_table_is_shared_per_grid_and_read_only():
     assert eigenvalues(wt.build_grid(wt.Rectangle(1.0, 0.8, 15, 13))) is not lam
     with pytest.raises(ValueError):
         lam[0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [wt.Interval(1.0, 49), wt.Rectangle(1.0, 0.8, 15, 11)], ids=["interval", "rect"])
+def test_grid_meta_names_its_grid_and_builds_no_table(shape, monkeypatch):
+    # load_run rebuilds a run's grid from meta.grid, its JSON read back, and
+    # takes its discrete C_Omega; a summary may name any counts, so none of
+    # these steps builds the eigenvalue table
+    g = wt.build_grid(shape)
+    lam1 = _lam1(g)
+    monkeypatch.setattr(wt.grid, "eigenvalues", None)
+    meta = json.loads(json.dumps(grid_meta(g)))
+    assert meta["lam1"] == lam1 and meta["lengths"] == list(g.lengths)
+    assert wt.discrete_poincare_constant(g) == 1.0 / math.sqrt(lam1 * (1.0 - POINCARE_MARGIN))
+    assert grid_from_meta(meta) == g
+    for key in meta:
+        with pytest.raises(DataFormatError):
+            grid_from_meta({k: v for k, v in meta.items() if k != key})
 
 
 @pytest.mark.parametrize("shape", [
