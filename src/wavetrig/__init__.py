@@ -9,19 +9,8 @@ recorded trajectories.
 """
 
 from .design import DesignInput, StabilityCertificate, build_certificate, epsilon_interval, gamma_bounds, margins, vdot_bound_rhs
-from .dynamics import IntegratorConfig, WaveState, cfl_max_dt, simulate, step
-from .grid import (
-    Field,
-    Grid,
-    Interval,
-    Rectangle,
-    apply_laplacian,
-    build_grid,
-    discrete_poincare_constant,
-    h1_seminorm_sq,
-    l2_norm_sq,
-    poincare_constant,
-)
+from .dynamics import IntegratorConfig, cfl_max_dt, simulate
+from .grid import Field, Grid, Interval, Rectangle, build_grid, discrete_poincare_constant, poincare_constant
 from .lyapunov import (
     CheckReport,
     RunRecord,
@@ -44,10 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DesignInput", "StabilityCertificate", "build_certificate", "epsilon_interval",
     "gamma_bounds", "margins", "vdot_bound_rhs",
-    "IntegratorConfig", "WaveState", "cfl_max_dt", "simulate", "step",
-    "Field", "Grid", "Interval", "Rectangle", "apply_laplacian", "build_grid",
-    "discrete_poincare_constant", "h1_seminorm_sq", "l2_norm_sq",
-    "poincare_constant",
+    "IntegratorConfig", "cfl_max_dt", "simulate",
+    "Field", "Grid", "Interval", "Rectangle", "build_grid", "discrete_poincare_constant", "poincare_constant",
     "CheckReport", "RunRecord", "check_envelope", "check_equivalence",
     "check_trigger_invariant", "check_vdot",
     "DwellStats", "EventLog", "TriggerParams", "eta0", "initial_threshold_scale", "zeno_report",

@@ -8,8 +8,8 @@ Exit codes; from 2 up each is the ``exit_code`` of a ``wavetrig.errors`` class:
   4   blow-up: non-finite values
   5   degenerate initial data
   64  usage or configuration error; a config file missing, unreadable or not UTF-8 JSON
-  65  malformed data: a certificate, summary, series or initial-data file unreadable or invalid
-  66  missing input: a certificate, run directory or initial-data file that does not exist
+  65  malformed data: a certificate, summary, series, events or initial-data file unreadable or invalid
+  66  missing input: a certificate, run directory (or a file of one) or initial-data file that does not exist
   73  output error: an --out directory or a file in it that cannot be created or written
 """
 
@@ -160,12 +160,22 @@ def _print_check_lines(reports: dict):
         print(f"{name}: {status} ({extra}){margin}")
 
 
-# Config keys settable from the command line, "section.key" when nested;
-# the last component is the argparse destination.
-_OVERRIDES = (
-    "alpha", "domain.length", "domain.n", "dt", "t_end", "mode", "period",
-    "design.eta0_variant", "design.comega_source", "design.comega_value", "certificate_path", "out",
-)
+# Config keys settable from the command line, "section.key" when nested, each
+# with its flag and add_argument keywords; the last component is the destination.
+_OVERRIDES = {
+    "alpha": ("--alpha", {"type": float}),
+    "domain.length": ("--length", {"type": float, "help": "interval length override"}),
+    "domain.n": ("--n", {"type": int, "help": "interior node count override"}),
+    "dt": ("--dt", {"type": float}),
+    "t_end": ("--t-end", {"type": float}),
+    "mode": ("--mode", {"choices": _dynamics.MODES}),
+    "period": ("--period", {"type": float}),
+    "design.eta0_variant": ("--eta0-variant", {"choices": _trigger.ETA0_VARIANTS}),
+    "design.comega_source": ("--comega-source", {"choices": C_OMEGA_SOURCES}),
+    "design.comega_value": ("--comega-value", {"type": float}),
+    "certificate_path": ("--certificate", {"help": "path to an existing certificate.json"}),
+    "out": ("--out", {}),
+}
 
 
 def _load_cfg(args) -> RunConfig:
@@ -175,10 +185,10 @@ def _load_cfg(args) -> RunConfig:
         raise UsageError("--length and --n set an interval's length and nodes; the config's domain is not an interval")
     d = cfg.to_dict()
     for key in _OVERRIDES:
-        *section, name = key.split(".")
+        section, _, name = key.rpartition(".")
         value = getattr(args, name)
         if value is not None:
-            (d[section[0]] if section else d)[name] = value
+            (d[section] if section else d)[name] = value
     return RunConfig.from_dict(d)
 
 
@@ -308,18 +318,8 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--length", type=float, help="interval length override")
-        p.add_argument("--n", type=int, help="interior node count override")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--mode", choices=_dynamics.MODES)
-        p.add_argument("--period", type=float)
-        p.add_argument("--eta0-variant", dest="eta0_variant", choices=_trigger.ETA0_VARIANTS)
-        p.add_argument("--comega-source", dest="comega_source", choices=C_OMEGA_SOURCES)
-        p.add_argument("--comega-value", dest="comega_value", type=float)
-        p.add_argument("--certificate", dest="certificate_path", help="path to an existing certificate.json")
-        p.add_argument("--out")
+        for key, (flag, kwargs) in _OVERRIDES.items():
+            p.add_argument(flag, dest=key.rpartition(".")[2], **kwargs)
 
     p_design = sub.add_parser("design", help="compute and write a stability certificate")
     add_common(p_design)

@@ -95,6 +95,9 @@ def cfl_max_dt(g: _grid.Grid) -> float:
     lam_max <= 4/dx^2 (+ 4/dy^2), that step and simulate hold |dt| to.  The
     exact flow is stable at any dt; dt sets how often the trigger samples."""
     bound = sum(4.0 / (h * h) for h in g.spacings)
+    if not bound > 0:  # 4/h^2 underflows to 0 for spacings near 1e300
+        raise ConfigurationError(f"the grid of lengths {g.lengths} and counts {g.counts} has no CFL bound: "
+                                 f"4/h^2 underflows to 0 for its spacings {g.spacings}")
     return 2.0 / math.sqrt(bound)
 
 

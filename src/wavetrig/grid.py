@@ -140,6 +140,8 @@ def build_grid(shape: Interval | Rectangle) -> Grid:
     if not (all(length > 0 for length in lengths) and min(counts) >= 2):
         raise ConfigurationError(f"need positive lengths and 2 or more nodes per axis, got {lengths}, {counts}")
     spacings = tuple(length / (n + 1) for length, n in zip(lengths, counts))
+    if min(h * h for h in spacings) == 0:  # the stencil's 1/h^2 would divide by zero
+        raise ConfigurationError(f"the spacings {spacings} of lengths {lengths} are too small: h^2 underflows to 0")
     return Grid(lengths, spacings, counts, math.prod(spacings), math.prod(counts))
 
 
@@ -250,8 +252,10 @@ def smallest_laplacian_eigenpair(g: Grid):
 
 def discrete_poincare_constant(g: Grid) -> float:
     """1/sqrt(lam1 (1 - POINCARE_MARGIN)), so that every field on ``g``
-    satisfies ``l2_norm_sq(f) <= C**2 * h1_seminorm_sq(f)``."""
-    return 1.0 / math.sqrt(_lam1(g) * (1.0 - POINCARE_MARGIN))
+    satisfies ``l2_norm_sq(f) <= C**2 * h1_seminorm_sq(f)``; infinity where
+    lam1 underflows to 0 (spacings near 1e300), which no design admits."""
+    lam = _lam1(g) * (1.0 - POINCARE_MARGIN)
+    return 1.0 / math.sqrt(lam) if lam > 0 else math.inf
 
 
 def _dirichlet_closed_form(g: Grid) -> float:

@@ -4,7 +4,8 @@ by one JSON writer.
 
 ``series.csv`` holds only what the step loop computes (``RunRecord.COLUMNS``);
 :func:`load_run` rebuilds ``t``, E, V, eta0 and the predicate from it with
-the code :func:`~wavetrig.dynamics.simulate` uses (``dynamics.build_record``).
+the code :func:`~wavetrig.dynamics.simulate` uses (``dynamics.build_record``),
+and requires ``events.csv`` to be that record's event table, byte for byte.
 Floats are written as ``%.17e``, 18 significant digits, so a write/read cycle
 is bit-exact and identical runs produce byte-identical series files.
 
@@ -90,10 +91,8 @@ def writing(path: str | Path):
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def write_table(path: Path, table: dict, ints: tuple = ()):
-    """Write the columns of ``table`` under a header of its keys, as csv.writer
-    would with ``b"%d" % x`` for the columns named in ``ints`` (a flag or count
-    taken as a float) and ``b"%.17e" % x`` for the others, a block of rows at a time."""
+def _table_bytes(table: dict, ints: tuple):
+    """The bytes of :func:`write_table`'s file of ``table``, a block of rows at a time."""
     columns = [np.asarray(col, dtype=float) for col in table.values()]
     is_int = [name in ints for name in table]
     # the slots of a block's rows, with the separators laid once: a block
@@ -102,12 +101,24 @@ def write_table(path: Path, table: dict, ints: tuple = ()):
     slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
     slots[:, 1:, 0] = ord(",")
     runs = _runs(is_int, _int_cells, _float_cells)
+    yield ",".join(table).encode()  # each row starts with the line break before it
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+        yield _encode_block(block, slots[:len(block)], runs, is_int)
+    yield b"\r\n"
+
+
+def write_table(path: Path, table: dict, ints: tuple = ()):
+    """Write the columns of ``table`` under a header of its keys, as csv.writer
+    would with ``b"%d" % x`` for the columns named in ``ints`` (a flag or count
+    taken as a float) and ``b"%.17e" % x`` for the others, a block of rows at a time."""
     with open(path, "wb") as fh:
-        fh.write(",".join(table).encode())  # each row starts with the line break before it
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
-            fh.write(_encode_block(block, slots[:len(block)], runs, is_int))
-        fh.write(b"\r\n")
+        fh.writelines(_table_bytes(table, ints))
+
+
+def _event_table(times: np.ndarray) -> dict:
+    """The columns of events.csv: each event's index, time and dwell since the one before (NaN for the first)."""
+    return {"k": np.arange(len(times)), "t_k": times, "dwell": np.diff(times, prepend=np.nan)}
 
 
 def _runs(is_int, on_int, on_float) -> list:
@@ -220,9 +231,7 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
         names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
         write_table(out / "series.csv", {name: getattr(record, name) for name in names}, ints=("event",))
 
-        times = record.events.times
-        dwells = np.diff(times, prepend=np.nan)  # the first event has none
-        write_table(out / "events.csv", {"k": np.arange(len(times)), "t_k": times, "dwell": dwells}, ints=("k",))
+        write_table(out / "events.csv", _event_table(record.events.times), ints=("k",))
 
         summary = {
             "mode": record.mode,
@@ -359,10 +368,9 @@ def _int_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np
 def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     """Rebuild a RunRecord (and the summary dict) from a run directory."""
     d = Path(rundir)
-    series_path = d / "series.csv"
-    summary_path = d / "summary.json"
-    if not series_path.is_file() or not summary_path.is_file():
-        raise MissingInputError(f"run directory {d} lacks series.csv or summary.json")
+    series_path, events_path, summary_path = d / "series.csv", d / "events.csv", d / "summary.json"
+    if not (series_path.is_file() and events_path.is_file() and summary_path.is_file()):
+        raise MissingInputError(f"run directory {d} lacks series.csv, events.csv or summary.json")
     try:
         summary = json.loads(summary_path.read_text())
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
@@ -415,6 +423,10 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         raise DataFormatError(f"summary of the {mode} run in {d} lacks its certificate or eta0_scale")
     if mode == "uncontrolled" and (certificate is not None or scale is not None):
         raise DataFormatError(f"summary of the uncontrolled run in {d} has a certificate or eta0_scale")
+    # the gain the loop ran with: the certificate's, and none in an uncontrolled run
+    alpha, run_alpha = meta.get("alpha"), 0.0 if certificate is None else certificate.alpha
+    if type(alpha) not in (int, float) or alpha != run_alpha:
+        raise DataFormatError(f"summary meta.alpha {alpha!r} in {d} is not the run's gain {run_alpha}")
     # eta0 and the predicate are rebuilt from the certificate and the scale, which must be
     # a positive V[0] with the certificate's eps and alpha, for one of the eta0 variants
     trigger_params = None
@@ -434,6 +446,14 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
             raise DataFormatError(f"the event column of {series_path} is not 0/1 flags with an event at t = 0")
         cols["event"] = event == 1
     record = build_record(cols, certificate, trigger_params, mode, dt, meta)
+    # events.csv is the record's event table as save_run writes it, with either line end
+    try:
+        events = events_path.read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {events_path}: {exc}") from exc
+    want = b"".join(_table_bytes(_event_table(record.events.times), ("k",)))
+    if events.replace(b"\r\n", b"\n") != want.replace(b"\r\n", b"\n"):
+        raise DataFormatError(f"{events_path} is not the event table of {series_path}")
     return record, summary
 
 

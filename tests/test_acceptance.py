@@ -18,8 +18,9 @@ import pytest
 import wavetrig as wt
 from wavetrig.cli import main
 from wavetrig.config import RunConfig
+from wavetrig.dynamics import WaveState, step
 from wavetrig.errors import InfeasibleDomainError
-from wavetrig.grid import Field
+from wavetrig.grid import Field, apply_laplacian, h1_seminorm_sq, l2_norm_sq
 from wavetrig.initial import sine_mode
 
 ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -125,9 +126,9 @@ def test_a4_integrator_order():
         g = wt.build_grid(wt.Interval(1.0, n))
         dt = 0.5 * g.spacings[0]
         steps = int(round(1.0 / dt))
-        s = wt.WaveState(t=0.0, z=sine_mode(g, 1), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
+        s = WaveState(t=0.0, z=sine_mode(g, 1), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
         for _ in range(steps):
-            s = wt.step(s, dt, 0.0)
+            s = step(s, dt, 0.0)
         t = steps * dt
         [x] = g.axes()
         err_z = np.max(np.abs(s.z.values - np.cos(np.pi * t) * np.sin(np.pi * x)))
@@ -151,13 +152,13 @@ def test_a5_discrete_analysis_lemmas():
         for _ in range(100):
             f = Field(rng.standard_normal(g.num_interior), g)
             h = Field(rng.standard_normal(g.num_interior), g)
-            l2 = wt.l2_norm_sq(f, g)
-            h1 = wt.h1_seminorm_sq(f, g)
+            l2 = l2_norm_sq(f, g)
+            h1 = h1_seminorm_sq(f, g)
             worst_poincare = max(worst_poincare, l2 - c_sq * h1)
-            sbp = g.weight * np.dot(wt.apply_laplacian(f, g).values, f.values)
+            sbp = g.weight * np.dot(apply_laplacian(f, g).values, f.values)
             worst_sbp = max(worst_sbp, abs(sbp + h1) / max(abs(sbp), h1, 1e-30))
             ip = g.weight * np.dot(f.values, h.values)
-            worst_cs = max(worst_cs, ip * ip - l2 * wt.l2_norm_sq(h, g))
+            worst_cs = max(worst_cs, ip * ip - l2 * l2_norm_sq(h, g))
     ok = worst_poincare <= 0.0 and worst_sbp <= 1e-12 and worst_cs <= 1e-12
     _line("A5 discrete lemmas", ok,
           f"Poincare slack={worst_poincare:.3e} (<=0), summation-by-parts rel={worst_sbp:.3e} "
@@ -174,8 +175,8 @@ def test_a6_poincare_convergence_and_wirtinger_counterexample():
     g = wt.build_grid(wt.Interval(1.0, 99))
     f = sine_mode(g, 1)
     cw_sq = wt.poincare_constant(g, "wirtinger") ** 2
-    lhs = wt.l2_norm_sq(f, g)
-    rhs = cw_sq * wt.h1_seminorm_sq(f, g)
+    lhs = l2_norm_sq(f, g)
+    rhs = cw_sq * h1_seminorm_sq(f, g)
     violated = lhs > rhs
     _line("A6 Poincare constant", within and violated,
           f"C(1,999)={c:.6f} within 1% of 1/pi={1/math.pi:.6f}; "

@@ -14,6 +14,7 @@ import pytest
 import wavetrig as wt
 import wavetrig.cli as wavetrig_cli
 import wavetrig.config as wavetrig_config
+from wavetrig import runio
 from wavetrig.cli import build_parser, main
 from wavetrig.config import DesignSpec, RunConfig, load_config
 from wavetrig.design import DesignInput, build_certificate, certified_constants
@@ -146,6 +147,19 @@ def test_cmd_design_infeasible_domain_exits_2(tmp_path):
     code = main(["design", "--config", str(path), "--comega-source", "user",
                  "--comega-value", "1.5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["design"], 2, "infeasible domain"),
+    (["simulate"], 2, "infeasible domain"),
+    (["simulate", "--mode", "uncontrolled"], 64, "counts (199,) has no CFL bound"),
+], ids=["design", "simulate", "simulate-uncontrolled"])
+def test_a_grid_whose_lam1_underflows_exits_with_a_documented_code(tmp_path, capsys, argv, code, message):
+    # at length 1e300 the stencil's 4/h^2, and with it lam1, underflows to 0: C_Omega is
+    # infinite, so no certificate exists, and an uncontrolled run has no CFL bound
+    assert main([*argv, "--length", "1e300", "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_design_missing_config_exits_64(tmp_path, capsys):
@@ -433,6 +447,15 @@ def test_verify_refuses_a_summary_whose_certificate_and_trigger_do_not_fit_its_m
     assert "data format error" in capsys.readouterr().err
 
 
+def match_events(rundir):
+    """Rewrite events.csv as save_run writes it for the edited series.csv, so that
+    only the checks can refuse an edit of the event flags."""
+    event = runio._parse_series(rundir / "series.csv")["event"]
+    dt = json.loads((rundir / "summary.json").read_text())["dt"]
+    times = (np.arange(event.size) * dt)[event == 1]
+    runio.write_table(rundir / "events.csv", runio._event_table(times), ints=("k",))
+
+
 def _event_flag(value):
     return lambda line: line.rsplit(",", 1)[0] + f",{value}\n"  # the event column is the last
 
@@ -481,6 +504,52 @@ def test_cmd_verify_malformed_series_exits_65(tmp_path, row, corrupt):
     lines[row] = corrupt(lines[row])
     series.write_text("".join(lines), errors="surrogateescape")
     assert main(["verify", str(tmp_path / "m-run")]) == 65
+
+
+# (line of events.csv, edit): line 0 is the header, line 1 the event at t = 0
+EVENTS_TAMPERS = {
+    "k-of-event-1-is-7": (2, _first_cell("7")),
+    "t-k-of-event-1-moved": (2, _cell(1, "1.00000000000000000e+00")),
+    "dwell-of-event-1-nan": (2, lambda line: line.rsplit(",", 1)[0] + ",nan\n"),
+    "header-renamed": (0, lambda line: line.replace("t_k", "t")),
+    "last-event-dropped": (-1, lambda line: ""),
+    "last-event-twice": (-1, lambda line: line + line),
+    "trailing-blank-line": (-1, lambda line: line + "\n"),
+}
+
+
+@pytest.mark.parametrize("row, corrupt", EVENTS_TAMPERS.values(), ids=EVENTS_TAMPERS.keys())
+def test_cmd_verify_refuses_an_events_table_that_is_not_the_records(sim_run, tmp_path, capsys, row, corrupt):
+    # events.csv is the event table of series.csv's flags, as save_run writes it
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    events = rundir / "events.csv"
+    lines = events.read_text().splitlines(True)
+    lines[row] = corrupt(lines[row])
+    events.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["verify", str(rundir)]) == 65
+    assert "is not the event table of" in capsys.readouterr().err
+
+
+def test_cmd_verify_reads_events_csv_with_either_line_end_and_needs_it(sim_run, tmp_path):
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    events = rundir / "events.csv"
+    events.write_bytes(events.read_bytes().replace(b"\r\n", b"\n"))
+    assert main(["verify", str(rundir)]) == 0
+    events.unlink()
+    assert main(["verify", str(rundir)]) == 66
+
+
+def test_verify_refuses_a_gain_in_an_uncontrolled_runs_meta(tmp_path, capsys):
+    # an uncontrolled run's loop runs with alpha = 0, whatever the config's alpha
+    _, path = small_config(tmp_path, mode="uncontrolled", t_end=1.0)
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["meta"]["alpha"] == 0.0
+    (tmp_path / "run" / "summary.json").write_text(json.dumps(dict(summary, meta=dict(summary["meta"], alpha=1.0))))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 65
+    assert "meta.alpha 1.0" in capsys.readouterr().err
 
 
 def test_cmd_verify_fails_a_nan_in_inner_zv(tmp_path, capsys):
@@ -734,6 +803,12 @@ SUMMARY_TAMPERS = {
     "grid-of-length-1e300": lambda s: dict(
         s, meta=dict(s["meta"], grid=grid_meta(wt.build_grid(wt.Interval(1e300, 49))))
     ),
+    # meta.alpha is the gain the loop ran with, the certificate's
+    "meta-alpha-5": lambda s: dict(s, meta=dict(s["meta"], alpha=5.0)),
+    "meta-alpha-string": lambda s: dict(s, meta=dict(s["meta"], alpha=str(s["meta"]["alpha"]))),
+    "no-meta-alpha": lambda s: dict(s, meta={k: v for k, v in s["meta"].items() if k != "alpha"}),
+    # its h^2 underflows to 0: no grid has those lengths
+    "grid-of-length-1e-200": lambda s: _grid_meta(s, lengths=[1e-200]),
     # the event-triggered run relabelled periodic: a periodic run needs a positive period
     **{
         f"periodic-period-{label}": lambda s, p=p: dict(s, mode="periodic", meta=dict(s["meta"], period=p))
@@ -802,6 +877,8 @@ def test_verify_fails_a_flipped_event_flag_whatever_the_summary_mode(sim_run, tm
     cells[-1] = str(1 - int(cells[-1]))  # the event column
     lines[10] = ",".join(cells)
     (rundir / "series.csv").write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(rundir)]) == 65  # events.csv no longer fits the series
+    match_events(rundir)
     assert main(["verify", str(rundir)]) == 1
     summary = json.loads((rundir / "summary.json").read_text())
     (rundir / "summary.json").write_text(json.dumps(dict(summary, mode="bogus-mode")))
@@ -821,6 +898,7 @@ def test_verify_fails_a_schedule_its_policy_did_not_make(tmp_path, capsys, mode,
     header, *lines = series.read_text().splitlines()
     lines = [line if keep(row) else _event_flag(0)(line).rstrip("\n") for row, line in enumerate(lines)]
     series.write_text("\n".join([header, *lines]) + "\n")
+    match_events(tmp_path / "run")
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "run")]) == 1
     assert "schedule: FAIL" in capsys.readouterr().out

@@ -9,7 +9,7 @@ from wavetrig import dynamics
 from wavetrig.cli import run_from_config
 from wavetrig.config import RunConfig
 from wavetrig.errors import BlowUpError, ConfigurationError, DegenerateInitialDataError, ShapeError
-from wavetrig.grid import Field, eigenvalues, sine_transform
+from wavetrig.grid import Field, eigenvalues, h1_seminorm_sq, l2_norm_sq, sine_transform
 from wavetrig.initial import bump, sine_mode
 from wavetrig.trigger import predicate_from_norms
 
@@ -19,7 +19,7 @@ def zero_field(g):
 
 
 def standing_wave_state(g):
-    return wt.WaveState(t=0.0, z=sine_mode(g, 1), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
+    return dynamics.WaveState(t=0.0, z=sine_mode(g, 1), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
 
 
 # ----------------------------------------------------------------------- CFL
@@ -56,21 +56,21 @@ def test_integrator_config_validation():
 
 def test_equilibrium_stays_zero():
     g = wt.build_grid(wt.Interval(1.0, 49))
-    s = wt.WaveState(t=0.0, z=zero_field(g), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
+    s = dynamics.WaveState(t=0.0, z=zero_field(g), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
     for _ in range(10):
-        s = wt.step(s, 0.005, 1.0)
+        s = dynamics.step(s, 0.005, 1.0)
     assert np.all(s.z.values == 0.0) and np.all(s.v.values == 0.0)
 
 
 def test_step_time_reversible():
     g = wt.build_grid(wt.Interval(1.0, 99))
-    s0 = wt.WaveState(t=0.0, z=sine_mode(g, 1), v=sine_mode(g, 3), held=zero_field(g), k=0, t_k=0.0)
+    s0 = dynamics.WaveState(t=0.0, z=sine_mode(g, 1), v=sine_mode(g, 3), held=zero_field(g), k=0, t_k=0.0)
     dt = 0.5 * g.spacings[0]
     s = s0
     for _ in range(2):
-        s = wt.step(s, dt, 0.0)
+        s = dynamics.step(s, dt, 0.0)
     for _ in range(2):
-        s = wt.step(s, -dt, 0.0)
+        s = dynamics.step(s, -dt, 0.0)
     # each step transforms in and out of the sine basis: a mode's rounding
     # reaches v multiplied by its frequency, up to 2/h
     np.testing.assert_allclose(s.z.values, s0.z.values, rtol=1e-12, atol=1e-15)
@@ -80,7 +80,7 @@ def test_step_time_reversible():
 def test_step_keeps_hold_by_reference():
     g = wt.build_grid(wt.Interval(1.0, 49))
     s = standing_wave_state(g)
-    s2 = wt.step(s, 0.005, 1.0)
+    s2 = dynamics.step(s, 0.005, 1.0)
     assert s2.held is s.held
     assert (s2.k, s2.t_k) == (s.k, s.t_k)
 
@@ -88,9 +88,9 @@ def test_step_keeps_hold_by_reference():
 def test_step_states_own_their_memory():
     # the kernel's buffers are views of one block; a kept state must not pin it
     g = wt.build_grid(wt.Rectangle(1.0, 0.8, 15, 11))
-    s0 = wt.WaveState(t=0.0, z=sine_mode(g, 1), v=bump(g), held=zero_field(g), k=0, t_k=0.0)
-    s1 = wt.step(s0, 0.01, 1.0)
-    s2 = wt.step(s1, 0.01, 1.0)
+    s0 = dynamics.WaveState(t=0.0, z=sine_mode(g, 1), v=bump(g), held=zero_field(g), k=0, t_k=0.0)
+    s1 = dynamics.step(s0, 0.01, 1.0)
+    s2 = dynamics.step(s1, 0.01, 1.0)
     for s in (s1, s2):
         assert s.z.values.flags.owndata and s.v.values.flags.owndata
     for a in (s1.z, s1.v):
@@ -102,13 +102,13 @@ def test_step_states_own_their_memory():
 def test_step_rejects_dt_above_cfl():
     g = wt.build_grid(wt.Interval(1.0, 49))
     with pytest.raises(ConfigurationError):
-        wt.step(standing_wave_state(g), 2 * wt.cfl_max_dt(g), 0.0)
+        dynamics.step(standing_wave_state(g), 2 * wt.cfl_max_dt(g), 0.0)
 
 
 def test_step_rejects_negative_alpha():
     g = wt.build_grid(wt.Interval(1.0, 49))
     with pytest.raises(ConfigurationError):
-        wt.step(standing_wave_state(g), 0.005, -1.0)
+        dynamics.step(standing_wave_state(g), 0.005, -1.0)
 
 
 def test_energy_near_conserved_without_control():
@@ -142,9 +142,9 @@ def test_flow_is_exact_in_time():
     dt = 0.5 * g.spacings[0]
 
     def run(h, steps):
-        s = wt.WaveState(t=0.0, z=Field(phi, g), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
+        s = dynamics.WaveState(t=0.0, z=Field(phi, g), v=zero_field(g), held=zero_field(g), k=0, t_k=0.0)
         for _ in range(steps):
-            s = wt.step(s, h, 0.0)
+            s = dynamics.step(s, h, 0.0)
         return s
 
     coarse, fine = run(dt, 100), run(dt / 2, 200)
@@ -155,7 +155,7 @@ def test_flow_is_exact_in_time():
     np.testing.assert_allclose(fine.v.values, coarse.v.values, rtol=0, atol=1e-12 * w3)
     # simulate's kernel: ||z||^2 = cos^2(w3 t) ||phi||^2 at every row
     rec = wt.simulate(Field(phi, g), zero_field(g), 0.0, g, wt.IntegratorConfig(t_end=t, dt=dt), mode="uncontrolled")
-    want = np.cos(w3 * rec.t) ** 2 * wt.l2_norm_sq(Field(phi, g), g)
+    want = np.cos(w3 * rec.t) ** 2 * l2_norm_sq(Field(phi, g), g)
     np.testing.assert_allclose(rec.norm_z_sq, want, rtol=0, atol=1e-12 * want[0])
 
 
@@ -170,7 +170,7 @@ def _standing_wave_errors(times_half):
         steps = int(round(1.0 / dt))
         s = standing_wave_state(g)
         for _ in range(steps):
-            s = wt.step(s, dt, 0.0)
+            s = dynamics.step(s, dt, 0.0)
         t = steps * dt
         [x] = g.axes()
         z_exact = np.cos(np.pi * t) * np.sin(np.pi * x)
@@ -214,10 +214,10 @@ def replay(rec, z0, z1, alpha):
     """(step index, post-step state) of the run ``rec`` replayed with public
     step calls, the hold refreshed with a fresh sample at the record's events;
     each state is yielded before its refresh, as the record's rows are."""
-    s = wt.WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
+    s = dynamics.WaveState(t=0.0, z=z0.copy(), v=z1.copy(), held=z1.copy(), k=0, t_k=0.0)
     for i in range(rec.n_steps + 1):
         if i:  # row 0 is the initial state
-            s = wt.step(s, rec.dt, alpha)
+            s = dynamics.step(s, rec.dt, alpha)
             s.t = rec.t[i]
         yield i, s
         if rec.event[i]:
@@ -387,9 +387,9 @@ def test_wavestate_validation():
     g = wt.build_grid(wt.Interval(1.0, 49))
     other = wt.build_grid(wt.Interval(2.0, 49))
     with pytest.raises(ConfigurationError):
-        wt.WaveState(t=0.0, z=sine_mode(g, 1), v=sine_mode(other, 1), held=zero_field(g), k=0, t_k=0.0)
+        dynamics.WaveState(t=0.0, z=sine_mode(g, 1), v=sine_mode(other, 1), held=zero_field(g), k=0, t_k=0.0)
     with pytest.raises(ConfigurationError):
-        wt.WaveState(t=1.0, z=sine_mode(g, 1), v=zero_field(g), held=zero_field(g), k=0, t_k=2.0)
+        dynamics.WaveState(t=1.0, z=sine_mode(g, 1), v=zero_field(g), held=zero_field(g), k=0, t_k=2.0)
 
 
 def triggered_run(shape):
@@ -414,8 +414,8 @@ def test_simulate_and_public_step_share_one_kernel(shape):
     # step transforms in and out of the sine basis on every call
     g, z0, z1, params, rec = triggered_run(shape)
     for i, s in replay(rec, z0, z1, 1.0):
-        nz, nv = wt.l2_norm_sq(s.z, g), wt.l2_norm_sq(s.v, g)
-        ne = wt.l2_norm_sq(Field(s.v.values - s.held.values, g), g)
+        nz, nv = l2_norm_sq(s.z, g), l2_norm_sq(s.v, g)
+        ne = l2_norm_sq(Field(s.v.values - s.held.values, g), g)
         eta = wt.eta0(s.t, params)
         got = np.array((nz, nv, ne))
         want = np.array((rec.norm_z_sq[i], rec.norm_v_sq[i], rec.norm_e_sq[i]))
@@ -431,7 +431,7 @@ def test_simulate_records_the_gradient_norm_of_each_state(shape):
     # row 0 included
     g, z0, z1, params, rec = triggered_run(shape)
     for i, s in replay(rec, z0, z1, 1.0):
-        want = wt.h1_seminorm_sq(s.z, g)
+        want = h1_seminorm_sq(s.z, g)
         assert abs(rec.norm_gradz_sq[i] - want) <= 1e-12 * want, f"step {i}"
 
 
@@ -668,8 +668,8 @@ def test_in_place_hold_matches_a_replay_with_fresh_samples(mode):
     z0, z1 = sine_mode(g, 1), zero_field(g)
     ne, fired = [], []
     for i, s in replay(rec, z0, z1, cfg.alpha):
-        nz, nv = wt.l2_norm_sq(s.z, g), wt.l2_norm_sq(s.v, g)
-        ne.append(wt.l2_norm_sq(Field(s.v.values - s.held.values, g), g))
+        nz, nv = l2_norm_sq(s.z, g), l2_norm_sq(s.v, g)
+        ne.append(l2_norm_sq(Field(s.v.values - s.held.values, g), g))
         eta = wt.eta0(s.t, rec.trigger)
         fired.append(i == 0 or mode != "event-triggered" or predicate_from_norms(ne[-1], nz, nv, eta, rec.trigger) >= 0)
     # v - held cancels, and the rounding of v is relative to the energy,

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 import wavetrig as wt
 from wavetrig.errors import ConfigurationError, DataFormatError, ShapeError
 from wavetrig.grid import (
-    POINCARE_MARGIN, Field, _lam1, eigenvalues, grid_from_meta, grid_meta, sine_mode, sine_transform,
-    smallest_laplacian_eigenpair,
+    POINCARE_MARGIN, Field, _lam1, apply_laplacian, eigenvalues, grid_from_meta, grid_meta, h1_seminorm_sq,
+    l2_norm_sq, sine_mode, sine_transform, smallest_laplacian_eigenpair,
 )
 
 
@@ -45,10 +45,19 @@ def test_rectangle_count():
     wt.Interval(1.0, 1),
     wt.Rectangle(1.0, 0.0, 9, 9),
     wt.Rectangle(1.0, 1.0, 1, 9),
+    wt.Interval(1e-200, 10),  # h^2 underflows to 0, and the stencil's 1/h^2 with it
+    wt.Rectangle(1.0, 1e-170, 9, 9),
 ])
 def test_degenerate_shapes_refused(shape):
     with pytest.raises(ConfigurationError):
         wt.build_grid(shape)
+
+
+def test_a_grid_whose_lam1_underflows_has_an_infinite_poincare_constant():
+    # at spacings near 1e300, 4/h^2 underflows to 0: C_Omega is infinite, which no design admits
+    g = wt.build_grid(wt.Interval(1e300, 199))
+    assert _lam1(g) == 0.0
+    assert wt.discrete_poincare_constant(g) == math.inf
 
 
 def test_field_length_mismatch():
@@ -67,13 +76,13 @@ def test_field_rejects_nan():
 
 def test_l2_zero():
     g = interval(1.0, 9)
-    assert wt.l2_norm_sq(Field(np.zeros(9), g), g) == 0.0
+    assert l2_norm_sq(Field(np.zeros(9), g), g) == 0.0
 
 
 def test_l2_sine_matches_integral():
     # int_0^1 sin^2(pi x) dx = 1/2
     g = interval(1.0, 999)
-    assert wt.l2_norm_sq(sine_field(g), g) == pytest.approx(0.5, abs=1e-4)
+    assert l2_norm_sq(sine_field(g), g) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_l2_2d_product_mode():
@@ -81,20 +90,20 @@ def test_l2_2d_product_mode():
     g = wt.build_grid(wt.Rectangle(1.0, 1.0, 99, 99))
     xx, yy = np.meshgrid(*g.axes(), indexing="ij")
     f = Field((np.sin(np.pi * xx) * np.sin(np.pi * yy)).ravel(), g)
-    assert wt.l2_norm_sq(f, g) == pytest.approx(0.25, abs=1e-3)
+    assert l2_norm_sq(f, g) == pytest.approx(0.25, abs=1e-3)
 
 
 def test_h1_sine_matches_integral():
     # int_0^1 pi^2 cos^2(pi x) dx = pi^2 / 2
     g = interval(1.0, 999)
-    assert wt.h1_seminorm_sq(sine_field(g), g) == pytest.approx(np.pi ** 2 / 2, rel=1e-3)
+    assert h1_seminorm_sq(sine_field(g), g) == pytest.approx(np.pi ** 2 / 2, rel=1e-3)
 
 
 def test_h1_positive_for_nonzero_field():
     # boundary edges are included, so even a lone spike has gradient energy
     g = interval(1.0, 2)
     f = Field(np.array([1.0, 0.0]), g)
-    assert wt.h1_seminorm_sq(f, g) > 0
+    assert h1_seminorm_sq(f, g) > 0
 
 
 def test_fourier_modes_orthogonal():
@@ -107,21 +116,21 @@ def test_mismatched_grids_rejected():
     other = interval(2.0, 9)
     f = Field(np.ones(9), other)
     with pytest.raises(ShapeError):
-        wt.l2_norm_sq(f, g)
+        l2_norm_sq(f, g)
 
 
 # ----------------------------------------------------------------- laplacian
 
 def test_laplacian_zero():
     g = interval(1.0, 9)
-    out = wt.apply_laplacian(Field(np.zeros(9), g), g)
+    out = apply_laplacian(Field(np.zeros(9), g), g)
     assert np.all(out.values == 0.0)
 
 
 def test_laplacian_eigenfunction_1d():
     g = interval(1.0, 999)
     f = sine_field(g)
-    out = wt.apply_laplacian(f, g)
+    out = apply_laplacian(f, g)
     np.testing.assert_allclose(out.values, -np.pi ** 2 * f.values, rtol=1e-4)
 
 
@@ -129,7 +138,7 @@ def test_laplacian_eigenfunction_2d():
     g = wt.build_grid(wt.Rectangle(1.0, 1.0, 99, 99))
     xx, yy = np.meshgrid(*g.axes(), indexing="ij")
     f = Field((np.sin(np.pi * xx) * np.sin(np.pi * yy)).ravel(), g)
-    out = wt.apply_laplacian(f, g)
+    out = apply_laplacian(f, g)
     np.testing.assert_allclose(out.values, -2 * np.pi ** 2 * f.values, rtol=1e-2)
 
 
@@ -161,10 +170,10 @@ def test_laplacian_matches_kronecker_sum(shape):
     rng = np.random.default_rng(g.num_interior)
     for _ in range(5):
         f = rng.standard_normal(g.num_interior)
-        got = -wt.apply_laplacian(Field(f, g), g).values
+        got = -apply_laplacian(Field(f, g), g).values
         assert np.linalg.norm(got - a @ f) <= bound * np.linalg.norm(f)
         # the gradient norm over every edge is the same quadratic form
-        assert wt.h1_seminorm_sq(Field(f, g), g) == pytest.approx(g.weight * f @ a @ f, rel=1e-13)
+        assert h1_seminorm_sq(Field(f, g), g) == pytest.approx(g.weight * f @ a @ f, rel=1e-13)
 
 
 # ---------------------------------------------------------- Poincare constant
@@ -202,7 +211,7 @@ def test_eigenpair_residual_small():
 
 def dense_minus_laplacian(g):
     """The negated stencil as a dense matrix, one column per unit vector."""
-    return -np.column_stack([wt.apply_laplacian(Field(e, g), g).values for e in np.eye(g.num_interior)])
+    return -np.column_stack([apply_laplacian(Field(e, g), g).values for e in np.eye(g.num_interior)])
 
 
 @pytest.mark.parametrize("shape", [
@@ -292,7 +301,7 @@ def test_poincare_inequality_holds_at_the_exact_eigenvector(shape):
     g = wt.build_grid(shape)
     f = sine_mode(g, 1)
     c = wt.discrete_poincare_constant(g)
-    assert wt.l2_norm_sq(f, g) <= c ** 2 * wt.h1_seminorm_sq(f, g)
+    assert l2_norm_sq(f, g) <= c ** 2 * h1_seminorm_sq(f, g)
 
 
 def test_poincare_closed_form_sources():
@@ -325,8 +334,8 @@ def values_on(g):
 @given(vals=values_on(GRID_1D))
 def test_poincare_inequality_random_fields_1d(vals):
     f = Field(vals, GRID_1D)
-    lhs = wt.l2_norm_sq(f, GRID_1D)
-    rhs = C_1D ** 2 * wt.h1_seminorm_sq(f, GRID_1D)
+    lhs = l2_norm_sq(f, GRID_1D)
+    rhs = C_1D ** 2 * h1_seminorm_sq(f, GRID_1D)
     assert lhs <= rhs * (1 + 1e-9) + 1e-300
 
 
@@ -334,8 +343,8 @@ def test_poincare_inequality_random_fields_1d(vals):
 @given(vals=values_on(GRID_2D))
 def test_poincare_inequality_random_fields_2d(vals):
     f = Field(vals, GRID_2D)
-    lhs = wt.l2_norm_sq(f, GRID_2D)
-    rhs = C_2D ** 2 * wt.h1_seminorm_sq(f, GRID_2D)
+    lhs = l2_norm_sq(f, GRID_2D)
+    rhs = C_2D ** 2 * h1_seminorm_sq(f, GRID_2D)
     assert lhs <= rhs * (1 + 1e-9) + 1e-300
 
 
@@ -344,7 +353,7 @@ def test_poincare_inequality_random_fields_2d(vals):
 def test_cauchy_schwarz_random_fields(a, b):
     f, h = Field(a, GRID_1D), Field(b, GRID_1D)
     ip = GRID_1D.weight * np.dot(f.values, h.values)
-    bound = wt.l2_norm_sq(f, GRID_1D) * wt.l2_norm_sq(h, GRID_1D)
+    bound = l2_norm_sq(f, GRID_1D) * l2_norm_sq(h, GRID_1D)
     assert ip * ip <= bound * (1 + 1e-12) + 1e-300
 
 
@@ -352,8 +361,8 @@ def test_cauchy_schwarz_random_fields(a, b):
 @given(vals=values_on(GRID_1D))
 def test_summation_by_parts_1d(vals):
     f = Field(vals, GRID_1D)
-    lhs = GRID_1D.weight * np.dot(wt.apply_laplacian(f, GRID_1D).values, f.values)
-    rhs = -wt.h1_seminorm_sq(f, GRID_1D)
+    lhs = GRID_1D.weight * np.dot(apply_laplacian(f, GRID_1D).values, f.values)
+    rhs = -h1_seminorm_sq(f, GRID_1D)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -361,8 +370,8 @@ def test_summation_by_parts_1d(vals):
 @given(vals=values_on(GRID_2D))
 def test_summation_by_parts_2d(vals):
     f = Field(vals, GRID_2D)
-    lhs = GRID_2D.weight * np.dot(wt.apply_laplacian(f, GRID_2D).values, f.values)
-    rhs = -wt.h1_seminorm_sq(f, GRID_2D)
+    lhs = GRID_2D.weight * np.dot(apply_laplacian(f, GRID_2D).values, f.values)
+    rhs = -h1_seminorm_sq(f, GRID_2D)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -370,5 +379,5 @@ def test_summation_by_parts_2d(vals):
 @given(vals=values_on(GRID_1D))
 def test_operations_keep_fields_finite(vals):
     f = Field(vals, GRID_1D)
-    out = wt.apply_laplacian(f, GRID_1D)
+    out = apply_laplacian(f, GRID_1D)
     assert np.isfinite(out.values).all()

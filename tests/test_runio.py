@@ -123,11 +123,23 @@ def _random_doubles(seed: int, count: int) -> np.ndarray:
     return np.ldexp(significands.astype(float), rng.integers(-328, 328, count) - 52)
 
 
+def _random_bits_in_decades(seed: int, count: int, decades: int = 105) -> np.ndarray:
+    """``count`` seeded uniform bit patterns with the exponent field redrawn uniform over
+    the binary exponents of 1e-``decades``..1e``decades``: 94% of them lie within the
+    numpy path's 1e-99..1e99, and the rest on both sides of its ends."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, count, dtype=np.uint64) & np.uint64(~(0x7FF << 52) & (2**64 - 1))
+    e = round(decades * math.log2(10))
+    return (bits | rng.integers(1023 - e, 1023 + e + 1, count).astype(np.uint64) << np.uint64(52)).view(float)
+
+
 # each float is written by numpy unless it is 0, not finite, outside
 # 1e-99..1e99, or its significand lies within 1e-12 of a rounding tie or
 # of the decade's ends, or rounds up into the next decade; these cases aim
 # at those edges from both sides, and at 1e-280 and 1e280, three-digit exponents.
-# Of uniform bit patterns 32% lie within 1e-99..1e99; "random-in-range" all do
+# Of uniform bit patterns 32% lie within 1e-99..1e99, so most of "random-bits"
+# compares Python's %.17e with itself; "random-in-range" all do, and
+# "random-bits-in-decades" 94%, with random low bits and both range ends
 ENCODER_CASES = {
     "powers-of-ten": _both_signs(_near([10.0**j for j in range(-323, 309)] + [float(f"1e{j}") for j in range(-323, 309)])),
     "ties": _both_signs([10.0**j * (1 + 2.0**-k) for j in range(-30, 31) for k in range(1, 53)]),
@@ -138,6 +150,7 @@ ENCODER_CASES = {
     ),
     "random-bits": np.random.default_rng(18).integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
     "random-in-range": _random_doubles(20, 200_000),
+    "random-bits-in-decades": _random_bits_in_decades(33, 200_000),
 }
 
 
@@ -155,6 +168,10 @@ def test_encoder_cases_reach_a_tie_a_carry_and_a_subnormal():
     assert (edges == 5e-324).any() and (np.signbit(edges) & (edges == 0)).any()
     in_range = np.abs(ENCODER_CASES["random-in-range"])
     assert ((in_range >= 1e-99) & (in_range <= 1e99)).all()
+    # most of the draws in ±105 decades take the numpy path, and some fall either side of it
+    near = np.abs(ENCODER_CASES["random-bits-in-decades"])
+    assert ((near >= 1e-99) & (near <= 1e99)).mean() > 0.9
+    assert (near < 1e-99).any() and (near > 1e99).any()
 
 
 def test_write_table_formats_multi_digit_int_columns_across_row_blocks(tmp_path):
@@ -189,9 +206,11 @@ def read_series(path, chunk=runio._CHUNK) -> dict:
 
 # the writer's fallback classes and both sides of its range: zeros,
 # subnormals, nan, inf, values either side of 1e-99 and 1e99 (and of
-# 1e-280 and 1e280), and floats with 3-digit exponents
+# 1e-280 and 1e280), and floats with 3-digit exponents; and floats within
+# ±105 decades, most of which the numpy path writes and reads
 round_trip_cells = st.one_of(
     st.floats(),
+    st.floats(min_value=1e-105, max_value=1e105),
     st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
     st.floats(min_value=1e-279, max_value=1e-100),
     st.floats(min_value=1e100, max_value=1e279),
@@ -222,8 +241,8 @@ def test_reader_returns_every_float_the_writer_wrote(columns, uncontrolled, chun
 
 @pytest.mark.parametrize("values", ENCODER_CASES.values(), ids=ENCODER_CASES.keys())
 def test_reader_returns_every_hard_float_the_writer_wrote(tmp_path, values):
-    # the writer's edge cases, 200,000 random bit patterns and 200,000 doubles within
-    # 1e-99..1e99 among them, four to a row
+    # the writer's edge cases, 200,000 random bit patterns, 200,000 doubles within
+    # 1e-99..1e99 and 200,000 bit patterns within ±105 decades among them, four to a row
     columns = np.resize(values, (-(-len(values) // 4), 4)).T
     write_table(tmp_path / "series.csv", dict(zip(SERIES_COLUMNS_UNCONTROLLED, columns)))
     got = read_series(tmp_path / "series.csv")

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavetrig as wt
+from wavetrig.dynamics import WaveState
 from wavetrig.errors import ConfigurationError
-from wavetrig.grid import Field
+from wavetrig.grid import Field, l2_norm_sq
 from wavetrig.initial import sine_mode
 from wavetrig.lyapunov import energy_lyapunov, field_norms
 from wavetrig.trigger import EventLog, check_schedule, hold_rows, predicate_from_norms
@@ -20,7 +21,7 @@ def params():
 
 
 def make_state(g, z, v, held, t=0.0):
-    return wt.WaveState(t=t, z=z, v=v, held=held, k=0, t_k=0.0)
+    return WaveState(t=t, z=z, v=v, held=held, k=0, t_k=0.0)
 
 
 def deviation(s):
@@ -30,7 +31,7 @@ def deviation(s):
 
 def predicate(s, params, g):
     """The firing predicate at ``s`` from its squared norms."""
-    norm_e_sq, norm_z_sq, norm_v_sq = (wt.l2_norm_sq(f, g) for f in (deviation(s), s.z, s.v))
+    norm_e_sq, norm_z_sq, norm_v_sq = (l2_norm_sq(f, g) for f in (deviation(s), s.z, s.v))
     return predicate_from_norms(norm_e_sq, norm_z_sq, norm_v_sq, wt.eta0(s.t, params), params)
 
 
@@ -93,7 +94,7 @@ def test_deviation_norm_of_half_sample():
     held = Field(0.5 * v.values, g)
     s = make_state(g, sine_mode(g, 1), v, held)
     e = deviation(s)
-    assert wt.l2_norm_sq(e, g) == pytest.approx(0.125, abs=1e-9)
+    assert l2_norm_sq(e, g) == pytest.approx(0.125, abs=1e-9)
 
 
 # ------------------------------------------------------------------ predicate
@@ -140,9 +141,9 @@ def test_trigger_value_matches_norms(params):
     z, v = sine_mode(g, 1), sine_mode(g, 2)
     s = make_state(g, z, v, Field(np.zeros(99), g), t=0.5)
     expected = (
-        wt.l2_norm_sq(v, g)
-        - params.gamma0 * wt.l2_norm_sq(z, g)
-        - params.gamma1 * wt.l2_norm_sq(v, g)
+        l2_norm_sq(v, g)
+        - params.gamma0 * l2_norm_sq(z, g)
+        - params.gamma1 * l2_norm_sq(v, g)
         - wt.eta0(0.5, params)
     )
     assert predicate(s, params, g) == pytest.approx(expected, rel=1e-14)
@@ -156,7 +157,7 @@ def test_threshold_scale_variants_differ_by_position_term():
     eps, alpha = 0.3, 1.5
     full = wt.initial_threshold_scale(z0, z1, eps, alpha, g, "v0")
     reduced = wt.initial_threshold_scale(z0, z1, eps, alpha, g, "reduced")
-    assert full - reduced == pytest.approx(0.5 * eps * alpha * wt.l2_norm_sq(z0, g), rel=1e-12)
+    assert full - reduced == pytest.approx(0.5 * eps * alpha * l2_norm_sq(z0, g), rel=1e-12)
     with pytest.raises(ConfigurationError):
         wt.initial_threshold_scale(z0, z1, eps, alpha, g, "bogus")
 
