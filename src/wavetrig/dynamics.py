@@ -158,16 +158,15 @@ class _Modal:
     """
 
     def __init__(
-        self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray, alpha: float, dt: float, size: int = 1
+        self, g: _grid.Grid, z: np.ndarray, v: np.ndarray, held: np.ndarray | None, alpha: float, dt: float, size=1
     ):
-        """The kernel at the flat fields z, v and the hold ``held``, with
-        room for ``size`` states."""
+        """The kernel at the flat fields z, v and the hold ``held`` (None for
+        v, which saves its sine transform), with room for ``size`` states."""
         w = np.sqrt(_grid.eigenvalues(g))
-        self.held = _aligned((size, w.size))
-        _grid.sine_transform(held, g, out=self.held[0])
-        self.held[1:] = self.held[0]
         self.rows = _aligned((size, w.size), planes=4)
         _lyapunov.modal_rows(g, z, v, w, out=self.rows[:, 0])
+        self.held = _aligned((size, w.size))
+        self.held[:] = self.rows[2, 0] if held is None else _grid.sine_transform(held, g)
         np.subtract(self.rows[2, 0], self.held[0], out=self.rows[3, 0])
         self._wp = _aligned((size, w.size))  # w p, from _shift
         self._phase = _aligned((size, w.size), complex)  # exp(-i w r dt), built in place
@@ -217,14 +216,8 @@ class _Modal:
         np.subtract(vh, held, out=eh)
         return rows
 
-    def sums(self, k: int, out: np.ndarray):
-        """Into the (5, k) ``out``: the squared sums of the rows of block
-        rows 0 to k-1, then the sums of z_hat v_hat.  The grid weight times
-        them is ||z||^2, ||grad z||^2, ||v||^2, ||e||^2 and <z, v>
-        (``lyapunov.modal_rows``)."""
-        _, _, rows, zh, _, vh, *_ = self._block(k)
-        np.vecdot(rows, rows, out=out[:4])
-        np.vecdot(zh, vh, out=out[4])
+    def sums(self, k: int, out: np.ndarray):  # lyapunov.norm_sums of block rows 0 to k-1, into (5, k)
+        _lyapunov.norm_sums(self._block(k)[2], out)
 
     def _block(self, k: int) -> tuple:
         # views of the first k block rows and tile rows, made again only when
@@ -287,8 +280,8 @@ def simulate(
     by one loop body.
 
     The loop takes blocks of steps: the kernel steps a block at once and
-    writes the block's norm sums into the series columns with two
-    ``np.vecdot`` calls, and a scan of the block's rows, as Python floats,
+    writes the block's norm sums into the series columns
+    (``lyapunov.norm_sums``), and a scan of the block's rows, as Python floats,
     cuts the block after the first row that fires.  In an event-triggered
     block after row 0 whose norms are all finite, the scan passes every row
     with ||e||^2 < eta0 untested, which cannot change an event: gamma0
@@ -344,7 +337,7 @@ def simulate(
     size = max(1, _BLOCK_BYTES // (48 * g.num_interior))
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected per row
         # the hold starts as z1, so row 0's deviation is zero
-        kernel = _Modal(g, z0.values, z1.values, z1.values, a, dt, size)
+        kernel = _Modal(g, z0.values, z1.values, None, a, dt, size)
         i, n, j = 0, 1, 0  # the block's first row, its length and the block row it goes on from
         while i < m:  # the first block is row 0, the initial state: it takes no step
             if i:
@@ -363,13 +356,13 @@ def simulate(
                 tested = [j for j, (ne_j, eta_j) in enumerate(zip(s_e, eta_b)) if not w * ne_j < eta_j]
             for j in tested:
                 row = i + j
-                nz_j, nv_j, ne_j = w * s_z[j], w * s_v[j], w * s_e[j]  # as lyapunov.field_norms
+                nz_j, nv_j, ne_j = w * s_z[j], w * s_v[j], w * s_e[j]
                 # a non-finite entry makes its norm non-finite; the entrywise
                 # test runs only then, as norms of huge finite fields overflow
                 if not (math.isfinite(nz_j) and math.isfinite(nv_j)) and not kernel.finite(j):
                     raise BlowUpError(f"blow-up at step {row} (t = {row * dt})", step=row, time=row * dt)
                 if not row:  # t = 0: refuse degenerate data; the event there is unconditional
-                    v_0 = _lyapunov.energy_lyapunov(nz_j, nv_j, w * s_gz[0], w * s_zv[0], eps, a)[1]
+                    v_0 = _trigger.threshold_scale((nz_j, nv_j, w * s_gz[0], w * s_zv[0]), eps, a, "v0")
                     _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
                     event[0] = not uncontrolled
                 if event_triggered:

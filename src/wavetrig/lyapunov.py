@@ -28,7 +28,7 @@ __all__ = [
     "CheckReport",
     "DEGENERATE_REL",
     "modal_rows",
-    "field_norms",
+    "norm_sums",
     "energy_lyapunov",
     "require_nondegenerate",
     "check_equivalence",
@@ -49,11 +49,7 @@ def modal_rows(
     one): the sine coefficients z_hat, w z_hat and v_hat of the flat fields
     z and v (``grid.sine_transform``), with w = sqrt(lam) the modes'
     frequencies (``grid.eigenvalues``), and a zero row for the deviation
-    v_hat - held_hat, which a holder fills in.
-
-    By Parseval, with w_q the grid weight, w_q times the rows' squared sums
-    (``np.vecdot(rows, rows)``) are ||z||^2, ||grad z||^2 = -w_q <L z, z>,
-    ||v||^2 and ||e||^2, and w_q times the dot of rows 0 and 2 is <z, v>.
+    v_hat - held_hat, which a holder fills in.  :func:`norm_sums` sums them.
     """
     rows = np.empty((4, g.num_interior)) if out is None else out
     rows[3] = 0.0
@@ -63,17 +59,17 @@ def modal_rows(
     return rows
 
 
-def field_norms(z: _grid.Field, v: _grid.Field, g: _grid.Grid) -> tuple[float, float, float, float]:
-    """The norms E and V are built from: (||z||^2, ||v||^2, ||grad z||^2, <z, v>).
-
-    They are read off :func:`modal_rows` by the arithmetic of the step
-    kernel, so V of the initial data here is the recorded V[0] to the last
-    bit.
+def norm_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Into ``out`` ((5,) or (5, k); a new array by default), each of the
+    :func:`modal_rows` rows' (4, M), or a block's (4, k, M), squared sums,
+    then the sums of z_hat v_hat.  By Parseval the grid weight times them is
+    the norms of ``RunRecord.COLUMNS``.  The step kernel and the eta0 scale
+    both sum here, so the ``v0`` scale is the recorded V[0] to the last bit.
     """
-    rows = modal_rows(g, z.values, v.values, np.sqrt(_grid.eigenvalues(g)))
-    s_z, s_gz, s_v, _ = np.vecdot(rows, rows).tolist()
-    w = g.weight
-    return w * s_z, w * s_v, w * s_gz, w * float(np.dot(rows[0], rows[2]))
+    out = np.empty((5, *rows.shape[1:-1])) if out is None else out
+    np.vecdot(rows, rows, out=out[:4])
+    np.vecdot(rows[0], rows[2], out=out[4, ...])  # a view, where a (5,) out's out[4] is a scalar
+    return out
 
 
 def energy_lyapunov(
@@ -83,7 +79,7 @@ def energy_lyapunov(
     E = (||v||^2 + ||grad z||^2)/2 and V = E + (eps*alpha/2)||z||^2 + eps<z, v>.
 
     The terms are summed in this order everywhere, so the recorded V column
-    and the eta0 scale agree to the last bit.
+    and the eta0 scale (``trigger.threshold_scale``) agree to the last bit.
     """
     e = 0.5 * (norm_v_sq + norm_gradz_sq)
     return e, e + 0.5 * epsilon * alpha * norm_z_sq + epsilon * cross

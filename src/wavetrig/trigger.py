@@ -98,8 +98,8 @@ def predicate_from_norms(
 
 def threshold_scale(norms: tuple[float, float, float, float], epsilon: float, alpha: float, variant: str) -> float:
     """eta0_scale from the initial data's squared norms ``(||z||^2, ||v||^2,
-    ||grad z||^2, <z, v>)``, as :func:`lyapunov.field_norms` returns them and
-    row 0 of a record holds them.
+    ||grad z||^2, <z, v>)``, those of row 0 of a record: ``simulate`` takes
+    V[0] here, and ``runio.load_run`` checks a summary's scale here.
 
     ``v0`` is the full initial Lyapunov value; ``reduced`` omits its
     (eps*alpha/2)*||z0||^2 term, i.e. it is V evaluated with alpha = 0.
@@ -118,9 +118,12 @@ def initial_threshold_scale(
     g: _grid.Grid,
     variant: str = "v0",
 ) -> float:
-    """:func:`threshold_scale` of the initial data, ``v0`` by default.
+    """:func:`threshold_scale` of the initial data, ``v0`` by default, its
+    norms summed as the step kernel sums row 0's (``lyapunov.norm_sums``).
     Raises DegenerateInitialDataError when the scale is degenerate."""
-    scale = threshold_scale(_lyapunov.field_norms(z0, z1, g), epsilon, alpha, variant)
+    rows = _lyapunov.modal_rows(g, z0.values, z1.values, np.sqrt(_grid.eigenvalues(g)))
+    nz, ngz, nv, _, zv = (g.weight * _lyapunov.norm_sums(rows)).tolist()
+    scale = threshold_scale((nz, nv, ngz, zv), epsilon, alpha, variant)
     return _lyapunov.require_nondegenerate(scale, g, "threshold scale")
 
 

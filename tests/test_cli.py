@@ -276,6 +276,21 @@ def test_cmd_verify_round_trip(sim_run, capsys):
     assert out.count("PASS") >= 4 and "FAIL" not in out
 
 
+def test_simulate_takes_four_sine_transforms(tmp_path, monkeypatch):
+    # z0 and z1 once each for the eta0 scale and once each for the step
+    # kernel, whose hold starts as z1's transform with none of its own
+    calls = []
+    transform = wt.grid.sine_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(wt.grid, "sine_transform", counted)
+    assert main(["simulate", "--t-end", "1", "--out", str(tmp_path / "run")]) == 0
+    assert calls == [199] * 4
+
+
 def test_envelope_line_shows_the_margin_of_a_passing_run(tmp_path, capsys):
     # worst is 1 on every passing run, the V bound being V(0) at t = 0; the
     # E ratio after the parenthesis is the margin, below 1 on the default run

@@ -437,16 +437,35 @@ def test_simulate_records_the_gradient_norm_of_each_state(shape):
 
 @SHAPES
 def test_v0_threshold_scale_is_the_recorded_v0(shape):
-    # the eta0 scale (field_norms of the initial data) and row 0 (the step
-    # kernel's buffers) take every norm by the same arithmetic
+    # the eta0 scale (the initial data's norm sums) and row 0 (the step
+    # kernel's buffers) take every norm by one function, lyapunov.norm_sums:
+    # the v0 scale is V[0] and the reduced one V[0] with alpha = 0,
+    # E[0] + eps <z, v>[0], bit for bit
     g = wt.build_grid(shape)
     z0, z1 = sine_mode(g, 1), bump(g)  # a nonzero cross term <z, v>
     cert = wt.build_certificate(wt.DesignInput(alpha=1.0, c_omega=wt.discrete_poincare_constant(g)))
-    params = wt.TriggerParams.from_certificate(
-        cert, wt.initial_threshold_scale(z0, z1, cert.epsilon, 1.0, g, "v0")
-    )
-    rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=0.1), params, cert)
-    assert rec.eta0[0].tobytes() == rec.lyapunov[0].tobytes()
+    for variant in ("v0", "reduced"):
+        scale = wt.initial_threshold_scale(z0, z1, cert.epsilon, 1.0, g, variant)
+        params = wt.TriggerParams.from_certificate(cert, scale)
+        rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=0.1), params, cert)
+        assert rec.inner_zv[0] != 0
+        want = rec.lyapunov[0] if variant == "v0" else rec.energy[0] + cert.epsilon * rec.inner_zv[0]
+        assert np.float64(scale).tobytes() == want.tobytes() == rec.eta0[0].tobytes(), variant
+
+
+@SHAPES
+def test_kernel_with_the_hold_left_out_holds_v(shape):
+    # simulate's hold starts as z1, its v: the kernel takes it from v_hat
+    # with no transform of its own, and every buffer is the one a hold of
+    # v given as a field makes
+    g = wt.build_grid(shape)
+    z, v = sine_mode(g, 1).values, bump(g).values
+    dt = 0.5 * wt.cfl_max_dt(g)
+    left_out, given = dynamics._Modal(g, z, v, None, 1.0, dt, 8), dynamics._Modal(g, z, v, v, 1.0, dt, 8)
+    for kernel in (left_out, given):
+        kernel.advance(8)
+    for name in ("held", "rows", "q", "_wp", "_phase"):
+        assert getattr(left_out, name).tobytes() == getattr(given, name).tobytes(), name
 
 
 def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):

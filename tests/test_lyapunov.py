@@ -9,9 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 import wavetrig as wt
 from wavetrig.errors import ConfigurationError
-from wavetrig.grid import Field, l2_norm_sq
+from wavetrig.grid import Field, eigenvalues, l2_norm_sq
 from wavetrig.initial import sine_mode
-from wavetrig.lyapunov import RunRecord, energy_lyapunov, field_norms
+from wavetrig.lyapunov import RunRecord, energy_lyapunov, modal_rows, norm_sums
 
 
 GRID = wt.build_grid(wt.Interval(1.0, 49))
@@ -23,8 +23,9 @@ field_values = hnp.arrays(np.float64, GRID.num_interior, elements=finite_floats)
 
 
 def e_and_v(z, v, g, eps=0.0, alpha=0.0):
-    """(E, V) of the state (z, v) on ``g``."""
-    return energy_lyapunov(*field_norms(z, v, g), eps, alpha)
+    """(E, V) of the state (z, v) on ``g``, its norms summed as the step kernel sums them."""
+    nz, ngz, nv, _, zv = (g.weight * norm_sums(modal_rows(g, z.values, v.values, np.sqrt(eigenvalues(g))))).tolist()
+    return energy_lyapunov(nz, nv, ngz, zv, eps, alpha)
 
 
 def fields_from(zv, vv):

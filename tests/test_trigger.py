@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import wavetrig as wt
 from wavetrig.dynamics import WaveState
 from wavetrig.errors import ConfigurationError
-from wavetrig.grid import Field, l2_norm_sq
+from wavetrig.grid import Field, h1_seminorm_sq, l2_norm_sq
 from wavetrig.initial import sine_mode
-from wavetrig.lyapunov import energy_lyapunov, field_norms
+from wavetrig.lyapunov import energy_lyapunov
 from wavetrig.trigger import EventLog, check_schedule, hold_rows, predicate_from_norms
 
 
@@ -167,7 +167,11 @@ def test_threshold_scale_v0_is_initial_lyapunov():
     z0, z1 = sine_mode(g, 1), sine_mode(g, 3)
     eps, alpha = 0.25, 1.0
     assert wt.initial_threshold_scale(z0, z1, eps, alpha, g, "v0") == pytest.approx(
-        energy_lyapunov(*field_norms(z0, z1, g), eps, alpha)[1], rel=1e-14
+        # the nodal norms: sums over the grid, not over the sine coefficients
+        energy_lyapunov(
+            l2_norm_sq(z0, g), l2_norm_sq(z1, g), h1_seminorm_sq(z0, g), g.weight * float(np.dot(z0.values, z1.values)),
+            eps, alpha,
+        )[1], rel=1e-14
     )
 
 
