@@ -26,12 +26,12 @@ from . import dynamics as _dynamics
 from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
-from .config import RunConfig, load_config
+from .config import RunConfig, c_omega, design_from_config, load_config
 from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, OutputError, UsageError, WavetrigError
-from .grid import C_OMEGA_SOURCES, Grid, poincare_constant
+from .grid import C_OMEGA_SOURCES
 from .initial import build_field
 
-__all__ = ["main", "entrypoint", "run_from_config", "design_from_config"]
+__all__ = ["main", "entrypoint", "run_from_config"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,26 +40,6 @@ EXIT_CHECK_FAILED = 1
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); 2 means infeasible here
         raise UsageError(message)
-
-
-def _c_omega(cfg: RunConfig, g: Grid) -> float:
-    """The configured C_Omega: ``comega_value`` for the ``user`` source, else
-    computed on ``g`` by its source."""
-    d = cfg.design
-    return float(d.comega_value) if d.comega_source == "user" else poincare_constant(g, d.comega_source)
-
-
-def design_from_config(cfg: RunConfig, g: Grid) -> _design.StabilityCertificate:
-    d = cfg.design
-    inp = _design.DesignInput(
-        alpha=cfg.alpha,
-        c_omega=_c_omega(cfg, g),
-        c_omega_source=d.comega_source,
-        s_gamma0=d.s_gamma0,
-        s_gamma1=d.s_gamma1,
-        theta_margin=d.theta_margin,
-    )
-    return _design.build_certificate(inp)
 
 
 def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
@@ -155,8 +135,10 @@ def _print_check_lines(reports: dict):
         else:
             extra = f"violations={rep.get('n_violations', 0)} worst={rep.get('worst', float('nan')):.3e}"
         # the envelope's worst is 1 on every passing run (the V bound is V(0) at
-        # t = 0): its margin is the E ratio, printed after the parenthesis
-        margin = f" e_worst={rep['details']['e_worst']:.3e}" if name == "envelope" else ""
+        # t = 0): its margins, printed after the parenthesis, are the E ratios
+        # at the rows and, with the bound between them, on all of [0, T]
+        d = rep.get("details", {})
+        margin = f" e_worst={d['e_worst']:.3e} at the rows, {d['e_sup_worst']:.3e} on all of [0, T]" if name == "envelope" else ""
         print(f"{name}: {status} ({extra}){margin}")
 
 
@@ -246,7 +228,7 @@ def _sweep_cell(cfg: RunConfig, alpha: float, length: float, out_root: Path) -> 
     d["out"] = str(out_root / f"cell_a{alpha:g}_L{length:g}")
     try:
         cell_cfg = RunConfig.from_dict(d)
-        row["C_Omega"] = _c_omega(cell_cfg, cell_cfg.build_grid())
+        row["C_Omega"] = c_omega(cell_cfg, cell_cfg.build_grid())
         record, extra = run_from_config(cell_cfg)
         _runio.save_run(record, cell_cfg.out, summary_extra=extra)
     except InfeasibleDomainError:

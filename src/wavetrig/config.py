@@ -1,5 +1,6 @@
 """Run configuration: a JSON-serializable dataclass tree covering domain,
-damping gain, initial data, integration, design knobs, and run mode."""
+damping gain, initial data, integration, design knobs, and run mode, and the
+certificate that a configuration designs on its grid."""
 
 from __future__ import annotations
 
@@ -9,14 +10,14 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .design import DesignInput
+from .design import DesignInput, StabilityCertificate, build_certificate
 from .dynamics import MODES
 from .errors import ConfigurationError, UsageError
-from .grid import C_OMEGA_SOURCES, Grid, Interval, Rectangle, build_grid
+from .grid import C_OMEGA_SOURCES, Grid, Interval, Rectangle, build_grid, poincare_constant
 from .trigger import ETA0_VARIANTS
 
 __all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "known_keys", "check_choice",
-           "load_config"]
+           "load_config", "c_omega", "design_from_config"]
 
 _JSON_TYPES = {"str": str, "dict": dict}
 
@@ -151,3 +152,19 @@ def load_config(path: str | Path) -> RunConfig:
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return RunConfig.from_dict(data)
+
+
+def c_omega(cfg: RunConfig, g: Grid) -> float:
+    """The configured C_Omega: ``comega_value`` for the ``user`` source, else
+    computed on ``g`` by its source."""
+    d = cfg.design
+    return float(d.comega_value) if d.comega_source == "user" else poincare_constant(g, d.comega_source)
+
+
+def design_from_config(cfg: RunConfig, g: Grid) -> StabilityCertificate:
+    """The certificate that ``simulate`` designs for ``cfg`` on ``g`` when
+    no ``certificate_path`` is given, and ``runio.load_run`` re-derives from
+    a summary's config echo."""
+    d = cfg.design
+    inp = DesignInput(cfg.alpha, c_omega(cfg, g), d.comega_source, d.s_gamma0, d.s_gamma1, d.theta_margin)
+    return build_certificate(inp)

@@ -33,6 +33,7 @@ __all__ = [
     "require_nondegenerate",
     "check_equivalence",
     "check_vdot",
+    "sup_energy_bound",
     "check_envelope",
     "check_trigger_invariant",
 ]
@@ -268,14 +269,32 @@ def check_vdot(record: RunRecord, c_tol: float = 10.0) -> CheckReport:
     )
 
 
-def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
-    """Decay envelope check at every step: E(t) <= overshoot * exp(-decay_rate t) * E(0)
-    and the sharper two-exponential bound on V,
-    V(t) <= (1+mu) V(0) exp(-decay_rate t) - mu V(0) exp(-theta t).
+def sup_energy_bound(record: RunRecord, alpha: float) -> np.ndarray:
+    """A bound on E over each step (t_i, t_{i+1}), from the record's columns
+    alone.  The hold h is constant there and E' = -alpha <v, h>, so with
+    ||v||^2 <= 2E, |d sqrt(E)/dt| <= alpha ||h|| / sqrt(2): sqrt(E) stays
+    under the lines of that slope through its values at both ends, and
+    sup E <= ((sqrt(E_i) + sqrt(E_{i+1}) + alpha ||h|| dt / sqrt(2)) / 2)^2.
+    ||h||^2 is ``norm_v_sq`` at the last event row at or before i, as a hold
+    copies that row's v."""
+    rows = np.arange(record.t.size - 1)
+    held = np.maximum.accumulate(np.where(record.event[:-1], rows, 0))
+    root = np.sqrt(record.energy)
+    return np.square(0.5 * (root[:-1] + root[1:] + alpha * record.dt * np.sqrt(0.5 * record.norm_v_sq[held])))
 
-    A step violates when either bound fails.  ``worst`` is the larger of
-    the largest E/envelope and V/bound ratios, NaN when either is, and the
-    details give each bound's ratio and the V bound's own count.
+
+def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
+    """Decay envelope check on all of [0, T]: E(t) <= overshoot *
+    exp(-decay_rate t) * E(0) at every row and, between rows, the
+    :func:`sup_energy_bound` of each step against the envelope at its end,
+    where the envelope is least; and the sharper two-exponential bound on V,
+    V(t) <= (1+mu) V(0) exp(-decay_rate t) - mu V(0) exp(-theta t), at
+    every row.
+
+    A row violates when either of its bounds fails, or the bound of the
+    step that ends there does.  ``worst`` is the largest of the three
+    ratios, NaN when one is, and the details give each one's largest
+    (``e_worst``, ``e_sup_worst``, ``v_worst``) and the V bound's own count.
     Also fits the empirical decay rate to ln E over the second half of the
     horizon (skipping the overshoot transient); a valid certificate is
     conservative, so the fitted rate is expected to be at least the
@@ -289,7 +308,11 @@ def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
     envelope = cert.overshoot * np.exp(-cert.decay_rate * t) * e[0]
     v_env = v[0] * ((1.0 + cert.mu) * np.exp(-cert.decay_rate * t) - cert.mu * np.exp(-cert.theta * t))
     v_ok = v <= v_env * (1.0 + rel_tol)
+    e_sup = sup_energy_bound(record, cert.alpha)
+    holds = (e <= envelope * (1.0 + rel_tol)) & v_ok
+    holds[1:] &= e_sup <= envelope[1:] * (1.0 + rel_tol)
     e_worst = float(np.max(e / np.maximum(envelope, tiny)))
+    e_sup_worst = float(np.max(e_sup / np.maximum(envelope[1:], tiny)))
     v_worst = float(np.max(v / np.maximum(v_env, tiny)))
     fit_mask = (t >= 0.5 * t[-1]) & (e > 0)
     if np.count_nonzero(fit_mask) >= 2:
@@ -299,8 +322,8 @@ def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
         delta_emp = float("nan")
     return CheckReport(
         "envelope",
-        (e <= envelope * (1.0 + rel_tol)) & v_ok,
-        float(np.max([e_worst, v_worst])),
+        holds,
+        float(np.max([e_worst, e_sup_worst, v_worst])),
         {
             "rel_tol": rel_tol,
             "overshoot": cert.overshoot,
@@ -308,6 +331,7 @@ def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
             "delta_emp": delta_emp,
             "delta_ratio": delta_emp / cert.decay_rate,
             "e_worst": e_worst,
+            "e_sup_worst": e_sup_worst,
             "v_violations": int(np.count_nonzero(~v_ok)),
             "v_worst": v_worst,
         },

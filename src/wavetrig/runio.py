@@ -45,9 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig, design_from_config
 from .design import StabilityCertificate, c_omega_fits
 from .dynamics import MODES, build_record, step_count
-from .errors import DataFormatError, MissingInputError, OutputError
+from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
 from .grid import grid_from_meta
 from .lyapunov import RunRecord
 from .trigger import ETA0_VARIANTS, TriggerParams, threshold_scale
@@ -416,6 +417,17 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     certificate = StabilityCertificate.from_dict(cert) if cert is not None else None
     if certificate is not None and not c_omega_fits(certificate, g):
         raise DataFormatError(f"the certificate's C_Omega {certificate.c_omega} in {d} is not its grid's by its source")
+    # the config echo, when the summary has one (perfbench's have none), names that grid, and
+    # the certificate is what it designs there, unless the run was given one (certificate_path)
+    echo = summary.get("config")
+    if echo is not None and not (isinstance(echo, dict) and echo.get("certificate_path")):
+        try:
+            cfg = RunConfig.from_dict(echo)
+            made = cfg.build_grid(), None if certificate is None else design_from_config(cfg, g)
+        except (ArithmeticError, WavetrigError) as exc:
+            raise DataFormatError(f"the config echo of {summary_path} is not a config that designs a run: {exc}") from exc
+        if made != (g, certificate):
+            raise DataFormatError(f"the config echo of {summary_path} does not make the run's grid and certificate")
     scale = summary.get("eta0_scale")
     # a controlled run is checked against both (without either, its checks would be switched
     # off), an uncontrolled one against neither

@@ -293,15 +293,17 @@ def test_simulate_takes_four_sine_transforms(tmp_path, monkeypatch):
 
 def test_envelope_line_shows_the_margin_of_a_passing_run(tmp_path, capsys):
     # worst is 1 on every passing run, the V bound being V(0) at t = 0; the
-    # E ratio after the parenthesis is the margin, below 1 on the default run
+    # E ratios after the parenthesis, at the rows and with the bound between
+    # them on all of [0, T], are the margins, below 1 on the default run
     assert main(["simulate", "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "run")]) == 0
     line = re.search(r"^envelope: .*$", capsys.readouterr().out, re.M).group()
-    match = re.fullmatch(r"envelope: PASS \(violations=0 worst=(\S+)\) e_worst=(\S+)", line)
+    match = re.fullmatch(r"envelope: PASS \(violations=0 worst=(\S+)\) e_worst=(\S+) at the rows, (\S+) on all of \[0, T\]", line)
     assert match, line
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert float(match[2]) == float(f"{summary['checks']['envelope']['details']['e_worst']:.3e}") < 1 == float(match[1])
+    details = json.loads((tmp_path / "run" / "summary.json").read_text())["checks"]["envelope"]["details"]
+    assert float(match[2]) == float(f"{details['e_worst']:.3e}") < 1 == float(match[1])
+    assert float(match[2]) <= float(match[3]) == float(f"{details['e_sup_worst']:.3e}") < 1
 
 
 def test_cmd_verify_reproduces_saved_reports(sim_run):
@@ -768,6 +770,14 @@ def _grid_meta(s: dict, **changes) -> dict:
     return dict(s, meta=dict(s["meta"], grid=grid))
 
 
+def _echo(s: dict, key: str, value) -> dict:
+    """The summary with ``key`` of its config echo, "section.key" when nested, set to ``value``."""
+    section, _, name = key.rpartition(".")
+    config = json.loads(json.dumps(s["config"]))
+    (config[section] if section else config)[name] = value
+    return dict(s, config=config)
+
+
 SUMMARY_TAMPERS = {
     "not-an-object": lambda s: [1, 2],
     "empty-certificate": lambda s: dict(s, certificate={}),
@@ -824,6 +834,15 @@ SUMMARY_TAMPERS = {
     "no-meta-alpha": lambda s: dict(s, meta={k: v for k, v in s["meta"].items() if k != "alpha"}),
     # its h^2 underflows to 0: no grid has those lengths
     "grid-of-length-1e-200": lambda s: _grid_meta(s, lengths=[1e-200]),
+    # the config echo names the run's grid and designs its certificate
+    "echo-s-gamma0-0.4": lambda s: _echo(s, "design.s_gamma0", 0.4),
+    "echo-theta-margin-2": lambda s: _echo(s, "design.theta_margin", 2.0),
+    "echo-comega-source-closed-form": lambda s: _echo(s, "design.comega_source", "dirichlet-closed-form"),
+    "echo-n-one-more": lambda s: _echo(s, "domain.n", s["config"]["domain"]["n"] + 1),
+    "echo-alpha-2": lambda s: _echo(s, "alpha", 2.0),
+    "echo-s-gamma0-1.5": lambda s: _echo(s, "design.s_gamma0", 1.5),
+    "echo-unknown-key": lambda s: _echo(s, "bogus", 1),
+    "echo-a-list": lambda s: dict(s, config=[1]),
     # the event-triggered run relabelled periodic: a periodic run needs a positive period
     **{
         f"periodic-period-{label}": lambda s, p=p: dict(s, mode="periodic", meta=dict(s["meta"], period=p))
@@ -840,6 +859,27 @@ def test_verify_refuses_a_malformed_summary(sim_run, tmp_path, capsys, tamper):
     (rundir / "summary.json").write_text(json.dumps(tamper(summary)))
     assert main(["verify", str(rundir)]) == 65
     assert "data format error" in capsys.readouterr().err
+
+
+def test_verify_checks_the_echo_of_a_run_given_no_certificate(tmp_path, capsys):
+    # a --certificate run's certificate is not what its config designs, so its
+    # echo's design is not compared; without certificate_path the same edit
+    # exits 65, and a summary with no echo (perfbench's) is not compared at all
+    cfg, path = small_config(tmp_path, t_end=1.0)
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
+    cert = str(tmp_path / "cert" / "certificate.json")
+    assert main(["simulate", "--config", str(path), "--certificate", cert, "--out", str(tmp_path / "pre")]) == 0
+    summary_path = tmp_path / "pre" / "summary.json"
+    s = json.loads(summary_path.read_text())
+    for key, value in (("design.s_gamma0", 0.4), ("design.theta_margin", 2.0), ("design.comega_source", "wirtinger")):
+        s = _echo(s, key, value)
+    summary_path.write_text(json.dumps(s))
+    assert main(["verify", str(tmp_path / "pre")]) == 0
+    summary_path.write_text(json.dumps(_echo(s, "certificate_path", None)))
+    assert main(["verify", str(tmp_path / "pre")]) == 65
+    assert "config echo" in capsys.readouterr().err
+    summary_path.write_text(json.dumps({k: v for k, v in s.items() if k != "config"}))
+    assert main(["verify", str(tmp_path / "pre")]) == 0
 
 
 def test_verify_accepts_a_summary_with_the_keys_that_repeated_others(sim_run, tmp_path, capsys):

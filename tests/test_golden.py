@@ -160,6 +160,13 @@ counts, refuses a ``meta.grid`` that is not that grid's, and checks the
 certificate's ``C_Omega`` against the grid.  With ``meta.grid.lengths``
 taken out, each new summary hashes to its old value, the ``uncontrolled``
 one included; every ``series.csv`` and ``events.csv`` hash stayed the same.
+
+Every ``summary.json`` hash but the ``uncontrolled`` one was re-recorded
+when the envelope check came to cover all of ``[0, T]``: its details gained
+``e_sup_worst``, the largest ratio of ``lyapunov.sup_energy_bound`` between
+rows to the envelope.  With that one entry taken out, each new summary
+hashes to its old value; every ``series.csv`` and ``events.csv`` hash
+stayed the same.
 """
 
 import hashlib
@@ -174,7 +181,9 @@ import pytest
 
 from wavetrig.cli import main, run_from_config
 from wavetrig.config import load_config
-from wavetrig.lyapunov import RunRecord
+from wavetrig.grid import eigenvalues, sine_transform
+from wavetrig.initial import build_field
+from wavetrig.lyapunov import RunRecord, sup_energy_bound
 from wavetrig.runio import _parse_series, load_run
 
 BASE = {"domain": {"kind": "interval", "length": 1.0, "n": 49}, "t_end": 3.0}
@@ -199,22 +208,22 @@ GOLDEN = {
     "event-triggered": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "944d61638986a54daf4adf7ce240e086c883dd0bf2fffd13454a1046f8fd5f99",
+        "883078fdb497b08e17cea1d38ecf9d505157294cc53d928976743ca892a5ae7e",
     ),
     "continuous-damping": (
         "bee3d2e45a83ca42db8fb258969439f21687176febcebb26bba9054229a89ed4",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "953986ce9609816e2b2d7c7feb3e591744a43d295a1a03f1566f86cea7a74802",
+        "74c1ec22727acc1ba0d1d7acabbdd402e4114c580d4ab239020accd2574fc687",
     ),
     "periodic-matched": (
         "466ddcc642e9fb3ecff01040fc3c9670569f155f1bd2595db9fc7ae3542ed638",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "0ff4f00f2cf1918b51af056ac0d8763e3749007d1440976e5cbff028971e4865",
+        "994686d601cf662ad9cf304a2a8ba6628669c6f91bd9d9d72f9ed760e0429400",
     ),
     "periodic-fixed": (
         "e2c51478ac171be80ac61cbf359020ce23479f3236e75d3666bc899954b1c981",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "8f746f01cd99d1edd5244f7c03a6c82861233fff340f15355a2c469e8f7573a8",
+        "8c92c99105142e7b7177e3f091d794ce48d65b9cb9558f2b6cbe5c045038f71e",
     ),
     "uncontrolled": (
         "dcc83a1bd3339988d139139e6d2f238ab41147d4850d38537e634ff89f80ed3c",
@@ -224,32 +233,32 @@ GOLDEN = {
     "v0-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "306989798eebbe2b1a7a9ef87801c751308ffc4417d0547dc40c3c4a97cd10b5",
+        "b27f2ed2cf6ef13f552373a3e95092eb60ed7dd33047fdf224925a9ab32e3154",
     ),
     "reduced-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "4b4bb4064baa84bb30dca8523fa05985638f2cff8fd7295085e44d2bd5b9caa9",
+        "b634dc0cc06678139aa70697facb101441e72dcbec438b1f476b51cea4df07fd",
     ),
     "reduced": (
         "10e4d564af9ec46892ecf3553225a57eb54b131eab4369833ea8f71a1cc65f2b",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
-        "bdc77b337d4e81b87e36bbd28cebe391ebaf112270d46fdbf533c849eb1d7941",
+        "3af5c744e1cbab84d04794c2b1f40cd014cdd97f6335246e52b9c6aad31cdc71",
     ),
     "rectangle": (
         "c99203fcbb779a2e1d05ed65ea8ecd33148297f4ad95d717e288ad3b9ddc9519",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "835e36922e390cf014bc3a99d0f241d3ba86a07a78d38f82e4ceed64b0c079c2",
+        "f55e4c0a2e8a12e487dfb1f940cd3446da8a6ccc3ebec2313849a38de53feb84",
     ),
     "file": (
         "7954b52829f614abeb96d9a6226a8f5e99849d5413f0228eccd2498eb6fc62b4",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
-        "bd90fa6191ac50d2e22fa3a2c4b66ed0e85328d5a1e2eaaa6edf3ee388fdbd98",
+        "bd30dfcdc8c6cb72f888186c70c30b830e9f33fffa4c68c226eb236fc28c1f9c",
     ),
     "certificate": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "7e6266511ebee334ae886816c6d8b1d3f09388ad2bb69d666ba337df9ccf8ef7",
+        "26e55cb0284282e38dd4e0f2bfe37a12b958aa9b8a90a7c21dca6cd70e351a94",
     ),
 }
 
@@ -314,6 +323,33 @@ def test_threshold_scale_is_the_v_of_row_0(name, tmp_path, monkeypatch):
     rec, _ = run_from_config(cfg)
     want = rec.lyapunov[0] if cfg.design.eta0_variant == "v0" else rec.energy[0] + rec.certificate.epsilon * rec.inner_zv[0]
     assert np.float64(rec.trigger.eta0_scale).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"uncontrolled"}))
+def test_sup_energy_bound_lies_above_the_exact_flow(name, tmp_path, monkeypatch):
+    # between rows the hold h is constant and each mode turns in closed form
+    # about its rest point p = -alpha h_hat / lam: E sampled at dt/64 stays
+    # under the bound that check_envelope holds to the envelope
+    monkeypatch.chdir(tmp_path)
+    run_case(name)
+    cfg = load_config("config.json")
+    rec, _ = run_from_config(cfg)
+    g = cfg.build_grid()
+    lam = eigenvalues(g)
+    w = np.sqrt(lam)
+    zh, vh = (sine_transform(build_field(g, spec).values, g) for spec in (cfg.z0, cfg.z1))
+    phase = w * rec.dt * np.arange(1, 65)[:, None] / 64  # row 63 is the next row
+    cos, sin = np.cos(phase), np.sin(phase)
+    bound = sup_energy_bound(rec, rec.certificate.alpha)
+    for i in range(rec.n_steps):
+        if rec.event[i]:
+            held = vh
+        p = -rec.certificate.alpha * held / lam
+        z = p + (zh - p) * cos + vh / w * sin
+        v = vh * cos - (zh - p) * w * sin
+        energy = 0.5 * g.weight * np.sum(v * v + lam * z * z, axis=1)
+        assert energy.max() <= bound[i] * (1 + 1e-12), f"step {i}"
+        zh, vh = z[-1], v[-1]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import wavetrig as wt
+from wavetrig.dynamics import build_record
 from wavetrig.errors import ConfigurationError
 from wavetrig.grid import Field, eigenvalues, l2_norm_sq
 from wavetrig.initial import sine_mode
@@ -228,6 +229,18 @@ def test_check_envelope_checks_the_v_bound(a1_record):
     assert rep.worst == rep.details["v_worst"] > 1.0
 
 
+def test_check_envelope_fails_a_step_whose_rows_pass():
+    # E falls from 1 to 1e-6 over one step of dt = 10 under a hold with
+    # ||h||^2 = 2: both rows lie inside the envelope, but nothing in the
+    # record keeps E between them below ((1 + 1e-3 + 10) / 2)^2 = 30.3
+    cols = {"norm_z_sq": np.zeros(2), "norm_gradz_sq": np.array([0.0, 2e-6]), "norm_v_sq": np.array([2.0, 0.0]),
+            "norm_e_sq": np.zeros(2), "inner_zv": np.zeros(2), "event": np.array([True, False])}
+    rec = build_record(cols, CERT, None, "event-triggered", 10.0)
+    rep = wt.check_envelope(rec)
+    assert max(rep.details["e_worst"], rep.details["v_worst"]) <= 1 < rep.details["e_sup_worst"] == rep.worst
+    assert not rep.passed and rep.n_violations == 1
+
+
 def test_check_envelope_worst_is_nan_when_either_ratio_is(a1_record):
     v = a1_record.lyapunov.copy()
     v[2] = np.nan
@@ -250,17 +263,19 @@ def test_check_trigger_invariant_on_flagship_run(a1_record):
     assert rep.passed and rep.n_violations == 0
 
 
-@pytest.mark.parametrize("check, series, at_event", [
-    (wt.check_equivalence, "lyapunov", False),
-    (wt.check_vdot, "energy", False),
-    (wt.check_envelope, "energy", False),
-    (wt.check_envelope, "lyapunov", False),
-    (wt.check_trigger_invariant, "trigger_value", False),
-    (wt.check_trigger_invariant, "trigger_value", True),
+@pytest.mark.parametrize("check, series, at_event, violations", [
+    (wt.check_equivalence, "lyapunov", False, 1),
+    (wt.check_vdot, "energy", False, 1),
+    # the row, and the row after it, where the step that reads E at the row ends
+    (wt.check_envelope, "energy", False, 2),
+    (wt.check_envelope, "lyapunov", False, 1),
+    (wt.check_trigger_invariant, "trigger_value", False, 1),
+    (wt.check_trigger_invariant, "trigger_value", True, 1),
 ], ids=["equivalence", "vdot", "envelope-E", "envelope-V", "trigger-quiet", "trigger-fired"])
-def test_a_nan_in_a_checks_input_is_a_violation(a1_record, check, series, at_event):
+def test_a_nan_in_a_checks_input_is_a_violation(a1_record, check, series, at_event, violations):
     # a NaN compares false with any bound, so a check counting rows where the
-    # bound fails would pass it; each counts rows where the bound does not hold
+    # bound fails would pass it; each counts rows where a bound that reads the
+    # NaN does not hold
     events = np.flatnonzero(a1_record.event)
     quiet = next(r for r in range(2, a1_record.t.size) if not a1_record.event[r - 1:r + 2].any())
     row = events[1] if at_event else quiet
@@ -268,7 +283,7 @@ def test_a_nan_in_a_checks_input_is_a_violation(a1_record, check, series, at_eve
     col[row] = np.nan
     assert check(a1_record).n_violations == 0
     rep = check(dataclasses.replace(a1_record, **{series: col}))
-    assert not rep.passed and rep.n_violations == 1
+    assert not rep.passed and rep.n_violations == violations
 
 
 def test_a_nan_in_v_fails_only_the_differences_that_read_it(a1_record):
