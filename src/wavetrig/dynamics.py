@@ -163,9 +163,9 @@ class _Modal:
         """The kernel at the flat fields z, v and the hold ``held`` (None for
         v, which saves its sine transform), with room for ``size`` states."""
         w = np.sqrt(_grid.eigenvalues(g))
+        self.held = _aligned((size, w.size))
         self.rows = _aligned((size, w.size), planes=4)
         _lyapunov.modal_rows(g, z, v, w, out=self.rows[:, 0])
-        self.held = _aligned((size, w.size))
         self.held[:] = self.rows[2, 0] if held is None else _grid.sine_transform(held, g)
         np.subtract(self.rows[2, 0], self.held[0], out=self.rows[3, 0])
         self._wp = _aligned((size, w.size))  # w p, from _shift

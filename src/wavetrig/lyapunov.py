@@ -278,9 +278,9 @@ def sup_energy_bound(record: RunRecord, alpha: float) -> np.ndarray:
     ||h||^2 is ``norm_v_sq`` at the last event row at or before i, as a hold
     copies that row's v."""
     rows = np.arange(record.t.size - 1)
-    held = np.maximum.accumulate(np.where(record.event[:-1], rows, 0))
+    hold_rows = np.maximum.accumulate(np.where(record.event[:-1], rows, 0))
     root = np.sqrt(record.energy)
-    return np.square(0.5 * (root[:-1] + root[1:] + alpha * record.dt * np.sqrt(0.5 * record.norm_v_sq[held])))
+    return np.square(0.5 * (root[:-1] + root[1:] + alpha * record.dt * np.sqrt(0.5 * record.norm_v_sq[hold_rows])))
 
 
 def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
