@@ -313,19 +313,6 @@ def test_load_run_rebuilds_the_simulated_record(name, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - {"uncontrolled"}))
-def test_threshold_scale_is_the_v_of_row_0(name, tmp_path, monkeypatch):
-    # the eta0 scale sums the initial data as the step kernel sums row 0
-    # (lyapunov.norm_sums): the v0 scale is V[0], and the reduced one V[0]
-    # with alpha = 0, E[0] + eps <z, v>[0], bit for bit
-    monkeypatch.chdir(tmp_path)
-    run_case(name)
-    cfg = load_config("config.json")
-    rec, _ = run_from_config(cfg)
-    want = rec.lyapunov[0] if cfg.design.eta0_variant == "v0" else rec.energy[0] + rec.certificate.epsilon * rec.inner_zv[0]
-    assert np.float64(rec.trigger.eta0_scale).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(set(CASES) - {"uncontrolled"}))
 def test_sup_energy_bound_lies_above_the_exact_flow(name, tmp_path, monkeypatch):
     # between rows the hold h is constant and each mode turns in closed form
     # about its rest point p = -alpha h_hat / lam: E sampled at dt/64 stays
