@@ -21,12 +21,11 @@ import sys
 import time
 from pathlib import Path
 
-from . import design as _design
 from . import dynamics as _dynamics
 from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
-from .config import RunConfig, c_omega, design_from_config, load_config
+from .config import RunConfig, c_omega, load_config, run_certificate
 from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, OutputError, UsageError, WavetrigError
 from .grid import C_OMEGA_SOURCES
 from .initial import build_field
@@ -90,16 +89,8 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
     trigger_params = None
     period = cfg.period
     if cfg.mode != "uncontrolled":
-        if cfg.certificate_path:
-            certificate = _runio.read_certificate(cfg.certificate_path)
-            if certificate.alpha != cfg.alpha or not _design.c_omega_fits(certificate, g):
-                raise ConfigurationError(
-                    f"certificate {cfg.certificate_path} (alpha = {certificate.alpha}, C_Omega = "
-                    f"{certificate.c_omega}, {certificate.c_omega_source}) does not fit this run "
-                    f"(alpha = {cfg.alpha}, lengths {g.lengths}, counts {g.counts})"
-                )
-        else:
-            certificate = design_from_config(cfg, g)
+        given = _runio.read_certificate(cfg.certificate_path) if cfg.certificate_path else None
+        certificate = run_certificate(cfg, g, given)
         scale = _trigger.initial_threshold_scale(
             z0, z1, certificate.epsilon, cfg.alpha, g, variant=cfg.design.eta0_variant
         )
@@ -176,8 +167,7 @@ def _load_cfg(args) -> RunConfig:
 
 def cmd_design(args) -> int:
     cfg = _load_cfg(args)
-    g = cfg.build_grid()
-    cert = design_from_config(cfg, g)
+    cert = run_certificate(cfg, cfg.build_grid())
     path = Path(cfg.out) / "certificate.json"
     _runio.write_certificate(cert, path)
     print(

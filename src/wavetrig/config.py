@@ -1,6 +1,6 @@
 """Run configuration: a JSON-serializable dataclass tree covering domain,
-damping gain, initial data, integration, design knobs, and run mode, and the
-certificate that a configuration designs on its grid."""
+damping gain, initial data, integration, design knobs, and run mode, and a
+run's certificate, designed on its grid or given, that fits that grid."""
 
 from __future__ import annotations
 
@@ -10,14 +10,14 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .design import DesignInput, StabilityCertificate, build_certificate
+from .design import DesignInput, StabilityCertificate, build_certificate, c_omega_fits
 from .dynamics import MODES
 from .errors import ConfigurationError, UsageError
 from .grid import C_OMEGA_SOURCES, Grid, Interval, Rectangle, build_grid, poincare_constant
 from .trigger import ETA0_VARIANTS
 
 __all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "known_keys", "check_choice",
-           "load_config", "c_omega", "design_from_config"]
+           "load_config", "c_omega", "run_certificate"]
 
 _JSON_TYPES = {"str": str, "dict": dict}
 
@@ -161,10 +161,15 @@ def c_omega(cfg: RunConfig, g: Grid) -> float:
     return float(d.comega_value) if d.comega_source == "user" else poincare_constant(g, d.comega_source)
 
 
-def design_from_config(cfg: RunConfig, g: Grid) -> StabilityCertificate:
-    """The certificate that ``simulate`` designs for ``cfg`` on ``g`` when
-    no ``certificate_path`` is given, and ``runio.load_run`` re-derives from
-    a summary's config echo."""
+def run_certificate(cfg: RunConfig, g: Grid, given: StabilityCertificate | None = None) -> StabilityCertificate:
+    """The certificate of a run of ``cfg`` on ``g``: ``given`` (read from ``certificate_path``),
+    or else the one ``cfg`` designs on ``g``. Either must have the run's alpha and a C_Omega
+    that is ``g``'s by its source (``design.c_omega_fits``); a misfit is a configuration error."""
     d = cfg.design
-    inp = DesignInput(cfg.alpha, c_omega(cfg, g), d.comega_source, d.s_gamma0, d.s_gamma1, d.theta_margin)
-    return build_certificate(inp)
+    cert = given or build_certificate(
+        DesignInput(cfg.alpha, c_omega(cfg, g), d.comega_source, d.s_gamma0, d.s_gamma1, d.theta_margin))
+    if cert.alpha != cfg.alpha or not c_omega_fits(cert, g):
+        what = f"certificate {cfg.certificate_path}" if given else "the designed certificate"
+        raise ConfigurationError(f"{what} (alpha = {cert.alpha}, C_Omega = {cert.c_omega}, {cert.c_omega_source}) does not "
+                                 f"fit this run (alpha = {cfg.alpha}, lengths {g.lengths}, counts {g.counts})")
+    return cert

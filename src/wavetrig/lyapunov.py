@@ -305,8 +305,9 @@ def check_envelope(record: RunRecord, rel_tol: float = 1e-9) -> CheckReport:
     cert = _require_certificate(record)
     t, e, v = record.t, record.energy, record.lyapunov
     tiny = np.finfo(float).tiny
-    envelope = cert.overshoot * np.exp(-cert.decay_rate * t) * e[0]
-    v_env = v[0] * ((1.0 + cert.mu) * np.exp(-cert.decay_rate * t) - cert.mu * np.exp(-cert.theta * t))
+    decay = np.exp(-cert.decay_rate * t)
+    envelope = cert.overshoot * decay * e[0]
+    v_env = v[0] * ((1.0 + cert.mu) * decay - cert.mu * np.exp(-cert.theta * t))
     v_ok = v <= v_env * (1.0 + rel_tol)
     e_sup = sup_energy_bound(record, cert.alpha)
     holds = (e <= envelope * (1.0 + rel_tol)) & v_ok

@@ -45,9 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, design_from_config
+from .config import RunConfig, run_certificate
 from .design import StabilityCertificate, c_omega_fits
-from .dynamics import MODES, build_record, step_count
+from .dynamics import MODES, IntegratorConfig, build_record, step_count
 from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
 from .grid import grid_from_meta
 from .lyapunov import RunRecord
@@ -417,17 +417,6 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     certificate = StabilityCertificate.from_dict(cert) if cert is not None else None
     if certificate is not None and not c_omega_fits(certificate, g):
         raise DataFormatError(f"the certificate's C_Omega {certificate.c_omega} in {d} is not its grid's by its source")
-    # the config echo, when the summary has one (perfbench's have none), names that grid, and
-    # the certificate is what it designs there, unless the run was given one (certificate_path)
-    echo = summary.get("config")
-    if echo is not None and not (isinstance(echo, dict) and echo.get("certificate_path")):
-        try:
-            cfg = RunConfig.from_dict(echo)
-            made = cfg.build_grid(), None if certificate is None else design_from_config(cfg, g)
-        except (ArithmeticError, WavetrigError) as exc:
-            raise DataFormatError(f"the config echo of {summary_path} is not a config that designs a run: {exc}") from exc
-        if made != (g, certificate):
-            raise DataFormatError(f"the config echo of {summary_path} does not make the run's grid and certificate")
     scale = summary.get("eta0_scale")
     # a controlled run is checked against both (without either, its checks would be switched
     # off), an uncontrolled one against neither
@@ -439,16 +428,30 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     alpha, run_alpha = meta.get("alpha"), 0.0 if certificate is None else certificate.alpha
     if type(alpha) not in (int, float) or alpha != run_alpha:
         raise DataFormatError(f"summary meta.alpha {alpha!r} in {d} is not the run's gain {run_alpha}")
+    # the config echo, when the summary has one (perfbench's have none), must set up the run: its grid,
+    # certificate (given the stored one if it names a file), mode, t_end, dt, period if named, eta0 variant
+    echo, variants = summary.get("config"), ETA0_VARIANTS
+    if echo is not None:
+        try:
+            cfg = RunConfig.from_dict(echo)
+            grid, given = cfg.build_grid(), certificate if cfg.certificate_path else None
+            made = (grid, None if cfg.mode == "uncontrolled" else run_certificate(cfg, grid, given), cfg.mode,
+                    cfg.t_end, IntegratorConfig(cfg.t_end, cfg.dt, cfg.cfl_fraction).resolve_dt(grid))
+        except (ArithmeticError, WavetrigError) as exc:
+            raise DataFormatError(f"the config echo of {summary_path} is not a config that sets up a run: {exc}") from exc
+        if made != (g, certificate, mode, t_end, dt) or cfg.period not in (None, period):
+            raise DataFormatError(f"the config echo of {summary_path} does not set up the run in {d}")
+        variants = (cfg.design.eta0_variant,)
     # eta0 and the predicate are rebuilt from the certificate and the scale, which must be
-    # a positive V[0] with the certificate's eps and alpha, for one of the eta0 variants
+    # a positive V[0] with the certificate's eps and alpha, for the echo's eta0 variant or either
     trigger_params = None
     if certificate is not None:
         row0 = tuple(float(cols[name][0]) for name in ("norm_z_sq", "norm_v_sq", "norm_gradz_sq", "inner_zv"))
-        scales = [threshold_scale(row0, certificate.epsilon, certificate.alpha, v) for v in ETA0_VARIANTS]
+        scales = [threshold_scale(row0, certificate.epsilon, certificate.alpha, v) for v in variants]
         if scale not in scales or not scale > 0:
             raise DataFormatError(
                 f"summary eta0_scale {scale!r} is not a positive V[0] of {series_path} for the eta0 variants "
-                f"{ETA0_VARIANTS}, {scales}"
+                f"{variants}, {scales}"
             )
         trigger_params = TriggerParams.from_certificate(certificate, scale)
     # 0/1 flags, with the unconditional event at t = 0

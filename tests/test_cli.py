@@ -672,12 +672,10 @@ def test_interval_overrides_on_a_rectangle_config_exit_64(tmp_path, capsys, opti
 @pytest.mark.parametrize("c_omega_scale, code", [(1.0, 0), (1.5, 0), (1 - 1e-9, 64)],
                          ids=["equal", "larger", "smaller"])
 def test_simulate_user_certificate_needs_at_least_the_discrete_c_omega(tmp_path, c_omega_scale, code):
+    # written as design writes it: design refuses the smaller C_Omega itself
     cfg, path = small_config(tmp_path)
-    g = cfg.build_grid()
-    cfg.design.comega_source = "user"
-    cfg.design.comega_value = c_omega_scale * wt.discrete_poincare_constant(g)
-    (tmp_path / "user.json").write_text(json.dumps(cfg.to_dict()))
-    assert main(["design", "--config", str(tmp_path / "user.json"), "--out", str(tmp_path / "cert")]) == 0
+    c = c_omega_scale * wt.discrete_poincare_constant(cfg.build_grid())
+    runio.write_certificate(build_certificate(DesignInput(cfg.alpha, c, "user")), tmp_path / "cert" / "certificate.json")
     got = main([
         "simulate", "--config", str(path),
         "--certificate", str(tmp_path / "cert" / "certificate.json"),
@@ -843,6 +841,15 @@ SUMMARY_TAMPERS = {
     "echo-s-gamma0-1.5": lambda s: _echo(s, "design.s_gamma0", 1.5),
     "echo-unknown-key": lambda s: _echo(s, "bogus", 1),
     "echo-a-list": lambda s: dict(s, config=[1]),
+    # and sets up its mode, horizon, dt, the period it names and the eta0 variant of its threshold scale
+    "echo-t-end-99": lambda s: _echo(s, "t_end", 99.0),
+    "echo-mode-periodic": lambda s: _echo(s, "mode", "periodic"),
+    "echo-dt-0.001": lambda s: _echo(s, "dt", 0.001),
+    "echo-period-0.5": lambda s: _echo(s, "period", 0.5),
+    "echo-cfl-fraction-0.25": lambda s: _echo(s, "cfl_fraction", 0.25),
+    "echo-eta0-variant-reduced": lambda s: _echo(s, "design.eta0_variant", "reduced"),
+    # relabelled periodic with a positive period, the echo left as it was
+    "periodic-period-0.5-echo-unedited": lambda s: dict(s, mode="periodic", meta=dict(s["meta"], period=0.5)),
     # the event-triggered run relabelled periodic: a periodic run needs a positive period
     **{
         f"periodic-period-{label}": lambda s, p=p: dict(s, mode="periodic", meta=dict(s["meta"], period=p))
@@ -880,6 +887,51 @@ def test_verify_checks_the_echo_of_a_run_given_no_certificate(tmp_path, capsys):
     assert "config echo" in capsys.readouterr().err
     summary_path.write_text(json.dumps({k: v for k, v in s.items() if k != "config"}))
     assert main(["verify", str(tmp_path / "pre")]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("t_end", 99.0), ("design.eta0_variant", "reduced")], ids=["t-end-99", "reduced"])
+def test_verify_checks_the_set_up_of_a_run_given_a_certificate(tmp_path, capsys, key, value):
+    # the stored certificate stands in for the file the echo names; the rest of the set-up is compared
+    cfg, path = small_config(tmp_path, t_end=1.0)
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
+    cert = str(tmp_path / "cert" / "certificate.json")
+    assert main(["simulate", "--config", str(path), "--certificate", cert, "--out", str(tmp_path / "pre")]) == 0
+    assert main(["verify", str(tmp_path / "pre")]) == 0
+    summary_path = tmp_path / "pre" / "summary.json"
+    summary_path.write_text(json.dumps(_echo(json.loads(summary_path.read_text()), key, value)))
+    assert main(["verify", str(tmp_path / "pre")]) == 65
+    assert "data format error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_a_user_c_omega_below_the_grids_is_refused_before_anything_is_written(tmp_path, capsys, command):
+    # 0.1 is under the n = 49 grid's discrete 0.318: a certificate designed from it certifies nothing
+    out = tmp_path / "u"
+    code = main([command, "--comega-source", "user", "--comega-value", "0.1", "--n", "49", "--t-end", "1", "--out", str(out)])
+    assert code == 64
+    assert "does not fit this run" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_reports_a_user_c_omega_below_the_grids_as_a_failed_cell(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--alphas", "1", "--lengths", "1", "--comega-source", "user", "--comega-value", "0.1",
+        "--n", "49", "--t-end", "1", "--out", str(out),
+    ])
+    assert code == 1
+    assert "does not fit this run" in capsys.readouterr().err
+    assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[2:4] == ["1.00000000000000006e-01", "0"]
+    assert not (out / "cell_a1_L1").exists()
+
+
+def test_a_wirtinger_run_fails_its_checks_on_simulate_and_verify(tmp_path, capsys):
+    # the undersized constant is the grid's by its source: the run is set up and
+    # written, and its checks fail, rather than its data being refused
+    _, path = small_config(tmp_path, t_end=1.0)
+    assert main(["simulate", "--config", str(path), "--comega-source", "wirtinger"]) == 1
+    assert main(["verify", str(tmp_path / "run")]) == 1
+    assert "equivalence: FAIL" in capsys.readouterr().out
 
 
 def test_verify_accepts_a_summary_with_the_keys_that_repeated_others(sim_run, tmp_path, capsys):
@@ -962,8 +1014,9 @@ def test_verify_fails_a_schedule_its_policy_did_not_make(tmp_path, capsys, mode,
 def test_verify_fails_an_event_triggered_run_relabelled_periodic(sim_run, tmp_path, capsys):
     # a positive period makes the summary well formed, but the event-triggered
     # flags are not that period's
+    # (the echo says so too: with the echo left as it was, the summary is refused)
     rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
-    s = json.loads((rundir / "summary.json").read_text())
+    s = _echo(_echo(json.loads((rundir / "summary.json").read_text()), "mode", "periodic"), "period", 0.5)
     (rundir / "summary.json").write_text(json.dumps(dict(s, mode="periodic", meta=dict(s["meta"], period=0.5))))
     capsys.readouterr()
     assert main(["verify", str(rundir)]) == 1
@@ -976,6 +1029,9 @@ def test_verify_checks_a_periodic_summary_with_a_huge_period(tmp_path, capsys):
     _, path = small_config(tmp_path, mode="periodic", period=0.1, t_end=3.0)
     assert main(["simulate", "--config", str(path)]) == 0
     s = json.loads((tmp_path / "run" / "summary.json").read_text())
+    (tmp_path / "run" / "summary.json").write_text(json.dumps(dict(s, meta=dict(s["meta"], period=1e308))))
+    assert main(["verify", str(tmp_path / "run")]) == 65  # the echo still says 0.1
+    s = _echo(s, "period", 1e308)
     (tmp_path / "run" / "summary.json").write_text(json.dumps(dict(s, meta=dict(s["meta"], period=1e308))))
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "run")]) == 1
