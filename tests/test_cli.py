@@ -672,10 +672,16 @@ def test_interval_overrides_on_a_rectangle_config_exit_64(tmp_path, capsys, opti
 @pytest.mark.parametrize("c_omega_scale, code", [(1.0, 0), (1.5, 0), (1 - 1e-9, 64)],
                          ids=["equal", "larger", "smaller"])
 def test_simulate_user_certificate_needs_at_least_the_discrete_c_omega(tmp_path, c_omega_scale, code):
-    # written as design writes it: design refuses the smaller C_Omega itself
+    # design refuses the smaller C_Omega itself, so that certificate is written
+    # as design would have written it, for simulate --certificate to refuse
     cfg, path = small_config(tmp_path)
     c = c_omega_scale * wt.discrete_poincare_constant(cfg.build_grid())
-    runio.write_certificate(build_certificate(DesignInput(cfg.alpha, c, "user")), tmp_path / "cert" / "certificate.json")
+    cfg.design.comega_source = "user"
+    cfg.design.comega_value = c
+    (tmp_path / "user.json").write_text(json.dumps(cfg.to_dict()))
+    assert main(["design", "--config", str(tmp_path / "user.json"), "--out", str(tmp_path / "cert")]) == code
+    if code:
+        runio.write_certificate(build_certificate(DesignInput(cfg.alpha, c, "user")), tmp_path / "cert" / "certificate.json")
     got = main([
         "simulate", "--config", str(path),
         "--certificate", str(tmp_path / "cert" / "certificate.json"),
