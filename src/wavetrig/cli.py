@@ -49,8 +49,10 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
     baseline policies they are reported as advisory.  The sandwich identity
     holds for any trajectory and always gates.  So does the schedule: the
     trigger invariant for an event-triggered run, ``trigger.check_schedule``
-    for a continuous-damping or periodic one.  The one-row dwell floor is
-    not checked: a record has one flag a row, so it holds by construction.
+    for every other mode (an uncontrolled run's events are row 0 alone).
+    Every run has its ``zeno`` report, whose floor gates an event-triggered
+    run only.  The one-row dwell floor is not checked: a record has one
+    flag a row, so it holds by construction.
     """
     reports: dict = {}
     ok = True
@@ -62,20 +64,15 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
             (_lyapunov.check_vdot, event_mode),
             (_lyapunov.check_envelope, event_mode),
         ]
-    if event_mode:
-        checks.append((_lyapunov.check_trigger_invariant, True))
-    elif record.mode in ("continuous-damping", "periodic"):
-        checks.append((_trigger.check_schedule, True))
+    checks.append((_lyapunov.check_trigger_invariant if event_mode else _trigger.check_schedule, True))
     for check, gating in checks:
         rep = check(record)
         reports[rep.name] = {**rep.to_dict(), "gating": gating}
         ok = ok and (rep.passed or not gating)
-    if len(record.events):
-        stats = _trigger.zeno_report(record.events, horizon=float(record.t[-1]))
-        floor_ok = stats.floor_ok or not event_mode
-        reports["zeno"] = {"passed": floor_ok, "gating": True, **stats.to_dict()}
-        ok = ok and floor_ok
-    return reports, ok
+    stats = _trigger.zeno_report(record.events, horizon=float(record.t[-1]))
+    floor_ok = stats.floor_ok or not event_mode
+    reports["zeno"] = {"passed": floor_ok, "gating": True, **stats.to_dict()}
+    return reports, ok and floor_ok
 
 
 def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
@@ -270,9 +267,6 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     record, _summary = _runio.load_run(args.rundir)
     reports, ok = run_checks(record)
-    if not reports:
-        print("no checks applicable (no certificate, no events)")
-        return EXIT_OK
     _print_check_lines(reports)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -103,7 +103,10 @@ def cfl_max_dt(g: _grid.Grid) -> float:
 
 def step_count(t_end: float, dt: float) -> int:
     """Steps of dt to the horizon t_end: the first that reaches it, to rounding."""
-    return max(1, int(math.ceil(t_end / dt - 1e-9)))
+    steps = t_end / dt - 1e-9
+    if not math.isfinite(steps):  # t_end / dt overflows, and no record has that many rows
+        raise ConfigurationError(f"the horizon t_end = {t_end} is not a finite number of steps of dt = {dt}")
+    return max(1, math.ceil(steps))
 
 
 def _check_step(g: _grid.Grid, dt: float, alpha: float):
@@ -274,10 +277,11 @@ def simulate(
     An unconditional event fires at t = 0 (held := z1).  After every step
     the update policy of ``mode`` is evaluated on the post-step state and
     the hold is refreshed when it fires; recorded step values are the
-    pre-refresh ones.  Continuous damping and the periodic policy fire at
-    the rows that P (``trigger.hold_rows``) divides.  Every row the scan
-    tests, the t = 0 one included, is taken from the step kernel's buffers
-    by one loop body.
+    pre-refresh ones.  Every mode but the event-triggered one holds at the
+    rows that P (``trigger.hold_rows``) divides; an uncontrolled run's P is
+    the record's length, so it holds z1 from t = 0 on with gain 0, and the
+    hold drives nothing.  Every row the scan tests, the t = 0 one included,
+    is taken from the step kernel's buffers by one loop body.
 
     The loop takes blocks of steps: the kernel steps a block at once and
     writes the block's norm sums into the series columns
@@ -302,7 +306,8 @@ def simulate(
 
     The Lyapunov column uses the certificate's cross-weight when one is
     given, else it degenerates to the energy.  Uncontrolled runs force
-    alpha = 0 and record NaN deviation/threshold/predicate columns.
+    alpha = 0 and record NaN threshold/predicate columns.  A horizon whose
+    record cannot be allocated is a ConfigurationError.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -324,12 +329,13 @@ def simulate(
 
     m = n_steps + 1
     # the norms, written in place by the loop in the order of the kernel's
-    # sums (cross is <z, v>), then the eta0 column the scan tests
-    cols = np.full((6, m), np.nan)
-    nz, ngz, nv, ne, cross, eta = cols
-    event = np.zeros(m, dtype=bool)
+    # sums, then the eta0 column the scan tests
+    try:
+        cols, event = np.full((6, m), np.nan), np.zeros(m, dtype=bool)
+    except (MemoryError, ValueError) as exc:  # ValueError: more rows than an array may have
+        raise ConfigurationError(f"the {m} rows of dt = {dt} to t_end = {config.t_end} cannot be held: {exc}") from exc
     if trigger_params is not None and not uncontrolled:
-        eta[:] = _trigger.eta0(np.arange(m) * dt, trigger_params)
+        cols[5] = _trigger.eta0(np.arange(m) * dt, trigger_params)
 
     _check_step(g, dt, a)
     w = g.weight
@@ -364,11 +370,11 @@ def simulate(
                 if not row:  # t = 0: refuse degenerate data; the event there is unconditional
                     v_0 = _trigger.threshold_scale((nz_j, nv_j, w * s_gz[0], w * s_zv[0]), eps, a, "v0")
                     _lyapunov.require_nondegenerate(v_0, g, "Lyapunov value")
-                    event[0] = not uncontrolled
+                    event[0] = True
                 if event_triggered:
                     fire = _trigger.predicate_from_norms(ne_j, nz_j, nv_j, eta_b[j], trigger_params) >= 0.0
-                else:  # the schedule's rows; an uncontrolled run never holds
-                    fire = not uncontrolled and row % period_rows == 0
+                else:  # the schedule's rows
+                    fire = row % period_rows == 0
                 if fire:
                     event[row] = True
                     kernel.hold(j)
@@ -380,12 +386,10 @@ def simulate(
             i = row + 1
             n = min(period_rows - row % period_rows, size, m - i)
         np.multiply(cols[:5], w, out=cols[:5])  # the norms from their sums
-    if uncontrolled:  # no hold acts, so there is no deviation to record
-        ne.fill(np.nan)
-    meta = {"alpha": a, "t_end": config.t_end, "period": period, "grid": _grid.grid_meta(g)}
+    meta = {"t_end": config.t_end, "period": period, "grid": _grid.grid_meta(g)}
     return build_record(
         dict(zip(_lyapunov.RunRecord.COLUMNS, cols[:5]), event=event),
-        certificate=certificate, trigger_params=trigger_params, mode=mode, dt=dt, meta=meta, eta0=eta,
+        certificate=certificate, trigger_params=trigger_params, mode=mode, dt=dt, meta=meta, eta0=cols[5],
     )
 
 
@@ -398,11 +402,10 @@ def build_record(
     meta: dict | None = None,
     eta0: np.ndarray | None = None,
 ) -> _lyapunov.RunRecord:
-    """The record of a run from what its loop computes, the series
-    ``RunRecord.COLUMNS`` (an uncontrolled run's ``norm_e_sq`` and
-    ``event`` may be left out: NaN and no events), and its certificate,
-    trigger and mode; :func:`simulate` and ``runio.load_run`` both build
-    their records here.
+    """The record of a run from what its loop computes, the six series
+    ``RunRecord.COLUMNS`` in every mode, and its certificate, trigger and
+    mode; :func:`simulate` and ``runio.load_run`` both build their records
+    here.
 
     The other series are rebuilt: ``t = k dt``, E and V by
     ``lyapunov.energy_lyapunov`` with the certificate's eps and alpha
@@ -413,7 +416,6 @@ def build_record(
     """
     m = columns["norm_z_sq"].size
     nan = np.full(m, np.nan)
-    cols = {"norm_e_sq": nan, "event": np.zeros(m, dtype=bool), **columns}
     uncontrolled = mode == "uncontrolled"
     eps = certificate.epsilon if certificate is not None else 0.0
     a = certificate.alpha if certificate is not None and not uncontrolled else 0.0
@@ -421,14 +423,14 @@ def build_record(
     pred = nan
     with np.errstate(over="ignore", invalid="ignore"):  # numpy warns on 0 * inf where Python floats do not
         energy, lyap = _lyapunov.energy_lyapunov(
-            cols["norm_z_sq"], cols["norm_v_sq"], cols["norm_gradz_sq"], cols["inner_zv"], eps, a
+            columns["norm_z_sq"], columns["norm_v_sq"], columns["norm_gradz_sq"], columns["inner_zv"], eps, a
         )
         if trigger_params is not None and not uncontrolled:
             eta0 = _trigger.eta0(t, trigger_params) if eta0 is None else eta0
             pred = _trigger.predicate_from_norms(
-                cols["norm_e_sq"], cols["norm_z_sq"], cols["norm_v_sq"], eta0, trigger_params
+                columns["norm_e_sq"], columns["norm_z_sq"], columns["norm_v_sq"], eta0, trigger_params
             )
     return _lyapunov.RunRecord(
-        t=t, energy=energy, lyapunov=lyap, eta0=nan if eta0 is None else eta0, trigger_value=pred, **cols,
+        t=t, energy=energy, lyapunov=lyap, eta0=nan if eta0 is None else eta0, trigger_value=pred, **columns,
         certificate=certificate, trigger=trigger_params, mode=mode, dt=dt, meta={} if meta is None else meta,
     )

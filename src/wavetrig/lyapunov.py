@@ -119,8 +119,9 @@ class EventLog:
 class RunRecord:
     """Per-step time series of a completed simulation.
 
-    All arrays share one length; ``t`` is uniform with spacing ``dt``.  The
-    deviation/threshold/predicate columns hold NaN for uncontrolled runs.
+    All arrays share one length; ``t`` is uniform with spacing ``dt``.  An
+    uncontrolled run's one event is at t = 0, where it samples the hold it
+    never refreshes, and its threshold and predicate columns hold NaN.
     Values at an event step are the pre-refresh ones, so the predicate
     column is the value that caused the firing.  The columns are the whole
     record: ``events`` is a view of the event rows.  ``inner_zv`` is the
@@ -164,7 +165,7 @@ class RunRecord:
 
     @cached_property
     def events(self) -> EventLog:
-        """The event rows as an EventLog, empty for an uncontrolled run."""
+        """The event rows as an EventLog; the first is t = 0's in every run."""
         rows = np.flatnonzero(self.event)
         return EventLog(self.t[rows], self.trigger_value[rows], self.norm_e_sq[rows], self.eta0[rows])
 

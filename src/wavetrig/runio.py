@@ -54,13 +54,11 @@ from .lyapunov import RunRecord
 from .trigger import ETA0_VARIANTS, TriggerParams, threshold_scale
 
 __all__ = [
-    "SERIES_COLUMNS", "SERIES_COLUMNS_UNCONTROLLED", "writing", "write_table", "save_run", "load_run",
+    "SERIES_COLUMNS", "writing", "write_table", "save_run", "load_run",
     "write_certificate", "read_certificate",
 ]
 
 SERIES_COLUMNS = RunRecord.COLUMNS
-# no hold acts in an uncontrolled run: it has no deviation and no events
-SERIES_COLUMNS_UNCONTROLLED = tuple(name for name in SERIES_COLUMNS if name not in ("norm_e_sq", "event"))
 _BLOCK_ROWS = 1024  # rows of a table formatted and written at a time
 # numpy writes 1e-99 <= |x| <= 1e99 and reads two-digit exponents, each one slot
 # word "e+dd": no run's table holds a three-digit one, so Python's path takes those
@@ -229,8 +227,7 @@ def save_run(record: RunRecord, outdir: str | Path, summary_extra: dict | None =
     out = Path(outdir)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
-        names = SERIES_COLUMNS_UNCONTROLLED if record.mode == "uncontrolled" else SERIES_COLUMNS
-        write_table(out / "series.csv", {name: getattr(record, name) for name in names}, ints=("event",))
+        write_table(out / "series.csv", {name: getattr(record, name) for name in SERIES_COLUMNS}, ints=("event",))
 
         write_table(out / "events.csv", _event_table(record.events.times), ints=("k",))
 
@@ -252,10 +249,9 @@ def _parse_series(path: Path) -> dict[str, np.ndarray]:
     try:
         with open(path, "rb") as fh:
             header = fh.readline().decode().rstrip("\r\n").split(",")
-            if header not in (list(SERIES_COLUMNS), list(SERIES_COLUMNS_UNCONTROLLED)):
+            if header != list(SERIES_COLUMNS):
                 raise DataFormatError(
-                    f"unexpected series header in {path}: {','.join(header)}; expected "
-                    f"{','.join(SERIES_COLUMNS)}, or {','.join(SERIES_COLUMNS_UNCONTROLLED)} for an uncontrolled run"
+                    f"unexpected series header in {path}: {','.join(header)}; expected {','.join(SERIES_COLUMNS)}"
                 )
             data = _read_rows(fh, [name == "event" for name in header], f"malformed series table in {path}")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
@@ -383,7 +379,7 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     # it overflows, and a blow-up raises before a NaN is written: a negative or
     # NaN cell there is refused, not checked
     for name in ("norm_z_sq", "norm_gradz_sq", "norm_v_sq", "norm_e_sq"):
-        bad = np.flatnonzero(~(cols[name] >= 0)) if name in cols else []
+        bad = np.flatnonzero(~(cols[name] >= 0))
         if len(bad):
             raise DataFormatError(
                 f"{name} of {series_path} is {float(cols[name][bad[0]])!r} in row {bad[0]}, not a squared norm"
@@ -403,9 +399,8 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     if step_count(t_end, dt) != n_steps:
         raise DataFormatError(f"summary n_steps {n_steps!r} is not the steps of dt = {dt} to t_end = {t_end}")
     mode = summary.get("mode")
-    # an uncontrolled run, and only one, is written without the hold's columns
-    if mode not in MODES or (mode == "uncontrolled") != ("event" not in cols):
-        raise DataFormatError(f"summary mode {mode!r} does not fit the series header of {d}")
+    if mode not in MODES:
+        raise DataFormatError(f"summary mode {mode!r} of {d} is not one of {MODES}")
     # a periodic run refreshes its hold every meta.period, which simulate records;
     # a summary without one (an event-triggered run relabelled, say) is not a periodic run's
     period = meta.get("period")
@@ -424,10 +419,6 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
         raise DataFormatError(f"summary of the {mode} run in {d} lacks its certificate or eta0_scale")
     if mode == "uncontrolled" and (certificate is not None or scale is not None):
         raise DataFormatError(f"summary of the uncontrolled run in {d} has a certificate or eta0_scale")
-    # the gain the loop ran with: the certificate's, and none in an uncontrolled run
-    alpha, run_alpha = meta.get("alpha"), 0.0 if certificate is None else certificate.alpha
-    if type(alpha) not in (int, float) or alpha != run_alpha:
-        raise DataFormatError(f"summary meta.alpha {alpha!r} in {d} is not the run's gain {run_alpha}")
     # the config echo, when the summary has one (perfbench's have none), must set up the run: its grid,
     # certificate (given the stored one if it names a file), mode, t_end, dt, period if named, eta0 variant
     echo, variants = summary.get("config"), ETA0_VARIANTS
@@ -455,11 +446,10 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
             )
         trigger_params = TriggerParams.from_certificate(certificate, scale)
     # 0/1 flags, with the unconditional event at t = 0
-    if "event" in cols:
-        event = cols["event"]
-        if not (((event == 0) | (event == 1)).all() and event[0] == 1):
-            raise DataFormatError(f"the event column of {series_path} is not 0/1 flags with an event at t = 0")
-        cols["event"] = event == 1
+    event = cols["event"]
+    if not (((event == 0) | (event == 1)).all() and event[0] == 1):
+        raise DataFormatError(f"the event column of {series_path} is not 0/1 flags with an event at t = 0")
+    cols["event"] = event == 1
     record = build_record(cols, certificate, trigger_params, mode, dt, meta)
     # events.csv is the record's event table as save_run writes it, with either line end
     try:

@@ -133,7 +133,8 @@ def hold_rows(mode: str, dt: float, period: float | None, rows: int) -> int:
     divides.  P is 1 for continuous damping; for a periodic run, the steps
     of dt that reach ``period``, rounded as ``dynamics.step_count`` rounds
     the horizon, and at most ``rows``, so a huge period does not overflow;
-    ``rows``, no hold due after t = 0, for the other modes."""
+    ``rows``, no hold due after t = 0, for the other modes: an
+    uncontrolled run holds its t = 0 sample with gain 0."""
     if mode == "continuous-damping":
         return 1
     if mode == "periodic":
@@ -142,15 +143,15 @@ def hold_rows(mode: str, dt: float, period: float | None, rows: int) -> int:
 
 
 def check_schedule(record: RunRecord) -> CheckReport:
-    """The event flags of a continuous-damping or periodic record against
-    its policy: the hold is refreshed at exactly the rows that
-    :func:`hold_rows` divides, with the record's ``meta.period``.  ``worst``
-    is the time of the first row off the schedule, -inf when there is none.
-    The event-triggered schedule is the trigger invariant's
-    (``lyapunov.check_trigger_invariant``).
+    """The event flags of a continuous-damping, periodic or uncontrolled
+    record against its policy: the hold is refreshed at exactly the rows
+    that :func:`hold_rows` divides, with the record's ``meta.period`` (row 0
+    alone for an uncontrolled run).  ``worst`` is the time of the first row
+    off the schedule, -inf when there is none.  The event-triggered
+    schedule is the trigger invariant's (``lyapunov.check_trigger_invariant``).
     """
-    if record.mode not in ("continuous-damping", "periodic"):
-        raise ConfigurationError(f"no schedule to check for a {record.mode} run")
+    if record.mode == "event-triggered":
+        raise ConfigurationError("an event-triggered run has no schedule; its trigger invariant is checked instead")
     ev = record.event
     want = np.arange(ev.size) % hold_rows(record.mode, record.dt, record.meta.get("period"), ev.size) == 0
     holds = ev == want

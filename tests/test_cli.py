@@ -21,7 +21,7 @@ from wavetrig.design import DesignInput, build_certificate, certified_constants
 from wavetrig.dynamics import MODES, build_record
 from wavetrig.errors import ConfigurationError, WavetrigError
 from wavetrig.grid import C_OMEGA_SOURCES, grid_meta
-from wavetrig.runio import SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, load_run, read_certificate
+from wavetrig.runio import SERIES_COLUMNS, load_run, read_certificate, save_run
 from wavetrig.trigger import ETA0_VARIANTS, check_schedule, threshold_scale
 
 
@@ -557,18 +557,6 @@ def test_cmd_verify_reads_events_csv_with_either_line_end_and_needs_it(sim_run, 
     assert main(["verify", str(rundir)]) == 66
 
 
-def test_verify_refuses_a_gain_in_an_uncontrolled_runs_meta(tmp_path, capsys):
-    # an uncontrolled run's loop runs with alpha = 0, whatever the config's alpha
-    _, path = small_config(tmp_path, mode="uncontrolled", t_end=1.0)
-    assert main(["simulate", "--config", str(path)]) == 0
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert summary["meta"]["alpha"] == 0.0
-    (tmp_path / "run" / "summary.json").write_text(json.dumps(dict(summary, meta=dict(summary["meta"], alpha=1.0))))
-    capsys.readouterr()
-    assert main(["verify", str(tmp_path / "run")]) == 65
-    assert "meta.alpha 1.0" in capsys.readouterr().err
-
-
 def test_cmd_verify_fails_a_nan_in_inner_zv(tmp_path, capsys):
     # <z, v> sums products of either sign, which can overflow to inf - inf:
     # load_run takes a NaN there, and V, built from it, fails the checks
@@ -599,15 +587,69 @@ def test_cmd_verify_accepts_the_writers_cells_with_either_line_end(tmp_path):
     assert main(["verify", str(tmp_path / "run")]) == 0
 
 
-def test_simulate_uncontrolled_drops_event_columns(tmp_path):
+def test_simulate_uncontrolled_writes_the_series_of_every_mode(tmp_path):
+    # every mode writes one header: an uncontrolled run holds its t = 0 sample
+    # of v with gain 0, so its one event is row 0's and norm_e_sq is ||v - z1||^2
     cfg, path = small_config(tmp_path, mode="uncontrolled", out=str(tmp_path / "unc"))
     assert main(["simulate", "--config", str(path)]) == 0
     header = (tmp_path / "unc" / "series.csv").read_text().splitlines()[0]
-    assert header == ",".join(SERIES_COLUMNS_UNCONTROLLED)
-    # conservative baseline: energy drift below 1e-3 relative
+    assert header == ",".join(SERIES_COLUMNS)
     record, _ = load_run(tmp_path / "unc")
+    assert np.flatnonzero(record.event).tolist() == [0]
+    assert np.isfinite(record.norm_e_sq).all() and record.norm_e_sq[0] == 0.0 and record.norm_e_sq.max() > 0
+    # conservative baseline: energy drift below 1e-3 relative
     drift = np.max(np.abs(record.energy - record.energy[0])) / record.energy[0]
     assert drift < 1e-3
+
+
+def test_verify_checks_an_uncontrolled_runs_schedule_and_dwell(tmp_path, capsys):
+    # the hold is sampled at t = 0 alone: verify gates that schedule and reports one event
+    _, path = small_config(tmp_path, mode="uncontrolled", t_end=3.0)
+    assert main(["simulate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "schedule: PASS" in out and "zeno: PASS (events=1 " in out
+    # a copy with a second event, at row 200, rebuilt and saved as a run is: its schedule fails
+    record, _ = load_run(tmp_path / "run")
+    columns = {name: getattr(record, name).copy() for name in SERIES_COLUMNS}
+    columns["event"][200] = True
+    save_run(build_record(columns, None, None, "uncontrolled", record.dt, record.meta), tmp_path / "extra")
+    assert main(["verify", str(tmp_path / "extra")]) == 1
+    assert "schedule: FAIL (violations=1 worst=2.000e+00)" in capsys.readouterr().out
+
+
+def test_verify_refuses_an_uncontrolled_run_without_the_hold_columns(tmp_path, capsys):
+    # an uncontrolled run was once written without norm_e_sq and event; no reader keeps that layout
+    _, path = small_config(tmp_path, mode="uncontrolled", t_end=1.0)
+    assert main(["simulate", "--config", str(path)]) == 0
+    series = tmp_path / "run" / "series.csv"
+    rows = [line.split(",") for line in series.read_text().splitlines()]
+    series.write_text("".join(",".join(row[:3] + row[4:5]) + "\r\n" for row in rows))
+    assert series.read_text().splitlines()[0] == "norm_z_sq,norm_gradz_sq,norm_v_sq,inner_zv"
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run")]) == 65
+    assert "unexpected series header" in capsys.readouterr().err
+
+
+# each fails at once: 4.26 PiB of rows (beyond the address space), more rows than an array
+# may have, and a step count that overflows
+@pytest.mark.parametrize("flags", [
+    ["--t-end", "1e12"], ["--dt", "1e-300", "--t-end", "1"], ["--dt", "1e-320", "--t-end", "1e300"],
+], ids=["4.26-PiB", "beyond-max-dimension", "overflowing-count"])
+def test_a_horizon_that_cannot_be_recorded_is_refused_before_anything_is_written(tmp_path, capsys, flags):
+    out = tmp_path / "h"
+    assert main(["simulate", *flags, "--n", "49", "--out", str(out)]) == 64
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_reports_a_horizon_that_cannot_be_recorded_as_a_failed_cell(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--alphas", "1", "--lengths", "1", "--t-end", "1e12", "--n", "49", "--out", str(out)]) == 1
+    assert "cell alpha=1 L=1 failed: the 100000000000001 rows" in capsys.readouterr().err
+    assert len((out / "sweep.csv").read_text().splitlines()) == 2
+    assert not (out / "cell_a1_L1").exists()
 
 
 def test_simulate_degenerate_data_exits_5(tmp_path):
@@ -787,6 +829,7 @@ SUMMARY_TAMPERS = {
     "empty-certificate": lambda s: dict(s, certificate={}),
     "unknown-mode": lambda s: dict(s, mode="bogus-mode"),
     "no-mode": lambda s: {k: v for k, v in s.items() if k != "mode"},
+    # relabelled uncontrolled, it still carries its certificate and eta0_scale
     "uncontrolled-with-event-columns": lambda s: dict(s, mode="uncontrolled"),
     "no-dt": lambda s: {k: v for k, v in s.items() if k != "dt"},
     "dt-string": lambda s: dict(s, dt=str(s["dt"])),
@@ -832,10 +875,6 @@ SUMMARY_TAMPERS = {
     "grid-of-length-1e300": lambda s: dict(
         s, meta=dict(s["meta"], grid=grid_meta(wt.build_grid(wt.Interval(1e300, 49))))
     ),
-    # meta.alpha is the gain the loop ran with, the certificate's
-    "meta-alpha-5": lambda s: dict(s, meta=dict(s["meta"], alpha=5.0)),
-    "meta-alpha-string": lambda s: dict(s, meta=dict(s["meta"], alpha=str(s["meta"]["alpha"]))),
-    "no-meta-alpha": lambda s: dict(s, meta={k: v for k, v in s["meta"].items() if k != "alpha"}),
     # its h^2 underflows to 0: no grid has those lengths
     "grid-of-length-1e-200": lambda s: _grid_meta(s, lengths=[1e-200]),
     # the config echo names the run's grid and designs its certificate
@@ -951,7 +990,7 @@ def test_verify_accepts_a_summary_with_the_keys_that_repeated_others(sim_run, tm
         period=s["meta"]["period"],
         delta_emp=s["checks"]["envelope"]["details"]["delta_emp"],
         eta0_variant=s["config"]["design"]["eta0_variant"],
-        meta=dict(s["meta"], n_steps=s["n_steps"]),
+        meta=dict(s["meta"], n_steps=s["n_steps"], alpha=s["certificate"]["alpha"]),
     )
     (rundir / "summary.json").write_text(json.dumps(s))
     assert main(["verify", str(rundir)]) == 0

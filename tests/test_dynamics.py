@@ -270,12 +270,16 @@ def test_simulate_periodic_mode(small_setup):
         wt.simulate(z0, z1, 1.0, g, integ, params, cert, mode="periodic")
 
 
-def test_simulate_uncontrolled_has_no_events(small_setup):
+def test_simulate_uncontrolled_samples_once_at_t0(small_setup):
+    # the hold is sampled at t = 0 and never refreshed, with gain 0: the
+    # record has the columns of every mode, one event and ||v - z1||^2
     g, cert, params, z0, z1, integ = small_setup
     rec = wt.simulate(z0, z1, 1.0, g, integ, mode="uncontrolled")
-    assert len(rec.events) == 0
-    assert not rec.event.any()
-    assert np.isnan(rec.norm_e_sq[1:]).all()
+    assert len(rec.events) == 1 and np.flatnonzero(rec.event).tolist() == [0]
+    # z1 = 0 is the sample held, so the deviation is v itself
+    assert rec.norm_e_sq.tobytes() == rec.norm_v_sq.tobytes() and rec.norm_v_sq.max() > 0
+    # no trigger drives the run
+    assert np.isnan(rec.eta0).all() and np.isnan(rec.trigger_value).all()
 
 
 def test_simulate_continuous_updates_every_step(small_setup):
@@ -468,14 +472,15 @@ def test_kernel_with_the_hold_left_out_holds_v(shape):
         assert getattr(left_out, name).tobytes() == getattr(given, name).tobytes(), name
 
 
-def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):
+def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span, alpha):
     """The norm columns (``RunRecord.COLUMNS``) and events of the run ``rec``
-    are, bit for bit, those of a loop written with the kernel's arithmetic,
-    one row at a time: each row is its anchor times exp(-i w r dt), r rows
-    on, from a table of cos and sin of r (-w dt), r = 1..span; the anchors
-    are t = 0, every hold and every span-th row after an anchor.  The loop
-    decides its own events: a periodic hold every ceil(period / dt) rows."""
-    dt, alpha, period = rec.dt, rec.meta["alpha"], rec.meta["period"]
+    of gain ``alpha`` are, bit for bit, those of a loop written with the
+    kernel's arithmetic, one row at a time: each row is its anchor times
+    exp(-i w r dt), r rows on, from a table of cos and sin of r (-w dt),
+    r = 1..span; the anchors are t = 0, every hold and every span-th row
+    after an anchor.  The loop decides its own events: a periodic hold
+    every ceil(period / dt) rows, and an uncontrolled run's at t = 0 alone."""
+    dt, period = rec.dt, rec.meta["period"]
     w = np.sqrt(eigenvalues(g))
     winv = 1.0 / w
     angle = np.arange(1.0, span + 1.0)[:, None] * (w * -dt)
@@ -498,7 +503,7 @@ def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):
         sums.append([*np.vecdot(rows, rows), np.vecdot(zh, vh)])
         nz, nv, ne = (g.weight * sums[-1][k] for k in (0, 2, 3))
         if not row:  # unconditional, and a hold of z1 there changes nothing
-            events.append(rec.mode != "uncontrolled")
+            events.append(True)
             continue
         if rec.mode == "event-triggered":
             fire = predicate_from_norms(ne, nz, nv, wt.eta0(row * dt, params), params) >= 0.0
@@ -514,10 +519,7 @@ def assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span):
             anchor, r = q, 0
     assert np.array_equal(rec.event, events)
     for name, col in zip(wt.RunRecord.COLUMNS, np.array(sums).T * g.weight):
-        if rec.mode == "uncontrolled" and name == "norm_e_sq":  # no hold acts
-            assert np.isnan(rec.norm_e_sq).all()
-        else:
-            assert getattr(rec, name).tobytes() == col.tobytes(), (rec.mode, name)
+        assert getattr(rec, name).tobytes() == col.tobytes(), (rec.mode, name)
 
 
 def anchored_run(shape, mode):
@@ -526,7 +528,7 @@ def anchored_run(shape, mode):
     params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
     rec = wt.simulate(z0, z1, 1.0, g, wt.IntegratorConfig(t_end=2.0), params, mode=mode, period=0.1)
     assert (rec.event[1:].sum() >= 2) == (mode != "uncontrolled")  # events after t = 0 cut blocks
-    return g, z0, z1, params, rec
+    return g, z0, z1, params, rec, 0.0 if mode == "uncontrolled" else 1.0  # the gain the loop runs with
 
 
 @pytest.mark.parametrize("budget", ["small", "default"])
@@ -540,10 +542,10 @@ def test_record_does_not_depend_on_the_block_size(shape, mode, budget, monkeypat
     span = 3 if budget == "small" else dynamics._BLOCK_BYTES // (48 * m)
     monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 48 * m * span)
     blocks = record_blocks(monkeypatch)
-    g, z0, z1, params, rec = anchored_run(shape, mode)
+    g, z0, z1, params, rec, alpha = anchored_run(shape, mode)
     longest = max(k for k, _ in blocks)  # periodic blocks end at the due rows
     assert longest == span if mode in ("event-triggered", "uncontrolled") else longest <= span
-    assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span)
+    assert_record_is_the_anchor_loop(g, z0, z1, rec, params, span, alpha)
 
 
 def record_blocks(monkeypatch) -> list:
@@ -654,8 +656,8 @@ def test_one_row_phase_table_turns_as_the_sequential_product(monkeypatch):
     blocks = record_blocks(monkeypatch)
     for shape in (wt.Interval(1.0, 49), wt.Rectangle(1.0, 0.8, 15, 11)):
         for mode in dynamics.MODES:
-            g, z0, z1, params, rec = anchored_run(shape, mode)
-            assert_record_is_the_anchor_loop(g, z0, z1, rec, params, 1)
+            g, z0, z1, params, rec, alpha = anchored_run(shape, mode)
+            assert_record_is_the_anchor_loop(g, z0, z1, rec, params, 1, alpha)
     assert {k for k, _ in blocks} == {1}
 
 

@@ -78,7 +78,7 @@ the ``uncontrolled`` summary, stayed the same.
 
 The ``series.csv`` hashes were re-recorded once more when the file came to
 hold only what the step loop computes, ``norm_z_sq, norm_gradz_sq,
-norm_v_sq, norm_e_sq, inner_zv, event`` (an uncontrolled run writes no
+norm_v_sq, norm_e_sq, inner_zv, event`` (an uncontrolled run then wrote no
 ``norm_e_sq`` and no ``event``), and ``load_run`` began to rebuild ``t``,
 E, V, ``eta0`` and ``trigger_value`` from it.  The numbers did not move:
 :func:`test_load_run_rebuilds_the_simulated_record` checks that every
@@ -167,6 +167,19 @@ when the envelope check came to cover all of ``[0, T]``: its details gained
 rows to the envelope.  With that one entry taken out, each new summary
 hashes to its old value; every ``series.csv`` and ``events.csv`` hash
 stayed the same.
+
+The ``summary.json`` hashes were re-recorded, and the ``uncontrolled``
+case's three hashes with them, when an uncontrolled run came to be
+recorded as every other run is: it samples the hold once, at ``t = 0``,
+with gain 0.  Its ``series.csv`` gained the ``norm_e_sq`` and ``event``
+columns (``||v - z1||^2``, and one event at row 0), and its other four
+columns are byte-identical to the old file's; its ``events.csv`` holds
+that one event, and its summary the gating ``schedule`` check and the
+``zeno`` report that it now gets.  At the same time ``meta.alpha``, a
+copy of the certificate's ``alpha`` (0 for an uncontrolled run), left
+every summary.  With ``meta.alpha`` put back, each controlled case's new
+summary hashes to its old value; every controlled ``series.csv`` and
+``events.csv`` hash stayed the same.
 """
 
 import hashlib
@@ -208,57 +221,57 @@ GOLDEN = {
     "event-triggered": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "883078fdb497b08e17cea1d38ecf9d505157294cc53d928976743ca892a5ae7e",
+        "5adc6c8f5c18846c76a4bae8f9c71d2f6ea5023af79a6e3684e40d8e5001b809",
     ),
     "continuous-damping": (
         "bee3d2e45a83ca42db8fb258969439f21687176febcebb26bba9054229a89ed4",
         "0e313f3c8fa9e124251f1475ec942a9aa3d5961c3df1b8079a0071d680df7f5e",
-        "74c1ec22727acc1ba0d1d7acabbdd402e4114c580d4ab239020accd2574fc687",
+        "1103dd534a94e32fc46a5ad68bcef23821b9a2fa86df4f143248d35bdf20be12",
     ),
     "periodic-matched": (
         "466ddcc642e9fb3ecff01040fc3c9670569f155f1bd2595db9fc7ae3542ed638",
         "5a52610557ddb125ea48713bad019aefda2156d1074b77f49395a4915d977119",
-        "994686d601cf662ad9cf304a2a8ba6628669c6f91bd9d9d72f9ed760e0429400",
+        "aa2807a6e3a0a3ea200f4755fb6269c3bcb22789f888cba696ee52bd5f7dfb27",
     ),
     "periodic-fixed": (
         "e2c51478ac171be80ac61cbf359020ce23479f3236e75d3666bc899954b1c981",
         "4cb0363583b93983cd5faa7584c670ef905d1dbbc70d41897cb23e31561ba7cf",
-        "8c92c99105142e7b7177e3f091d794ce48d65b9cb9558f2b6cbe5c045038f71e",
+        "aa7db465f9d0c41b9ac641b32bf9517be38227e555a91c8b06f99fa279bcb3a8",
     ),
     "uncontrolled": (
-        "dcc83a1bd3339988d139139e6d2f238ab41147d4850d38537e634ff89f80ed3c",
-        "06296cb6887fc937be326eac6773c49c7146f672eb3e3a8cae8d839a8f05b551",
-        "191804890ae57105147a845f4fcd328ee73c50b959678f05ce9a8924f599af77",
+        "101b5fbdaf39f79fc6d512d15ac69b0124f422b580038f59bd220452eb05cda4",
+        "ca090ce49e7e16403bb485040576726f3ab7262057dbb0f4790509d9cd56bada",
+        "a609d3f3b76c34ea95676cf2eb6825802a6977b1c254263ef4af4e0aa070ee70",
     ),
     "v0-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "b27f2ed2cf6ef13f552373a3e95092eb60ed7dd33047fdf224925a9ab32e3154",
+        "79f9a6cfafde1853fff9ec2d4d6141c4bbb2e04113dba8f2f57be6e93cc9e4ef",
     ),
     "reduced-cross": (
         "85860132844d27044d5e2feac3e7be22684db6851099e34803e553b5c1f8a97c",
         "ea9b3a0b5c6d836bef6558b698aa7b7f40f3f15a7d8578c39478770171193337",
-        "b634dc0cc06678139aa70697facb101441e72dcbec438b1f476b51cea4df07fd",
+        "23f8a559ef41a73ebbfb83afeaa6ec9ba4e3ee306c1d41ea75dcdc2d61eda724",
     ),
     "reduced": (
         "10e4d564af9ec46892ecf3553225a57eb54b131eab4369833ea8f71a1cc65f2b",
         "8dda0caab6adebffb309784ecb88b93022f08b25955da089b943fc567bdb2aa0",
-        "3af5c744e1cbab84d04794c2b1f40cd014cdd97f6335246e52b9c6aad31cdc71",
+        "184fd3bf9e56fcb70dc72e712abedba33353cbddb9b31ed8903d75763bcc37cc",
     ),
     "rectangle": (
         "c99203fcbb779a2e1d05ed65ea8ecd33148297f4ad95d717e288ad3b9ddc9519",
         "c162191ef63f56d89da650a7ffc37dacf2dc3d37491a0df958cde249b37eddd5",
-        "f55e4c0a2e8a12e487dfb1f940cd3446da8a6ccc3ebec2313849a38de53feb84",
+        "75965e16ddd26bfd252645cab40042069e928c181a2841b9c0ccbbaca5aaee8e",
     ),
     "file": (
         "7954b52829f614abeb96d9a6226a8f5e99849d5413f0228eccd2498eb6fc62b4",
         "d28572d72940f585040167cd9d8ec7eaee874ea7944c73ce476c41cb7282290f",
-        "bd30dfcdc8c6cb72f888186c70c30b830e9f33fffa4c68c226eb236fc28c1f9c",
+        "8f5e6f46553465f4b14393c1653025ccd7caecd8e2308d82b0c453e9ef7236c0",
     ),
     "certificate": (
         "2d9b3062b65ddf398767b3150e4a2c99420cb6bbd7f5ef70db57808f49bcfac9",
         "307c07ebc4b51b6ac44c18b526ce3ad81c1ebffd39922c42c2b62763025aee54",
-        "26e55cb0284282e38dd4e0f2bfe37a12b958aa9b8a90a7c21dca6cd70e351a94",
+        "f806bb894ec7a63cad6e88c3c82a1901d2a330fd4ac76a65984564ef7962d6e4",
     ),
 }
 

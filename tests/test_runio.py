@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavetrig import runio
-from wavetrig.dynamics import build_record
+from wavetrig.dynamics import MODES, build_record
 from wavetrig.errors import DataFormatError
-from wavetrig.runio import _BLOCK_ROWS, SERIES_COLUMNS, SERIES_COLUMNS_UNCONTROLLED, save_run, write_table
+from wavetrig.runio import _BLOCK_ROWS, SERIES_COLUMNS, save_run, write_table
 
 
 def fmt(x) -> str:
@@ -44,21 +44,25 @@ def series(draw, elements=cells, min_rows=1):
     return columns
 
 
+# the float columns of series.csv: a table of them alone is written and read
+# by the series codec with no int column among them
+FLOAT_COLUMNS = tuple(name for name in SERIES_COLUMNS if name != "event")
+
+
 @settings(max_examples=100, deadline=None)
-@given(columns=series(), uncontrolled=st.booleans())
-def test_series_writer_matches_csv_writer(columns, uncontrolled):
-    mode = "uncontrolled" if uncontrolled else "event-triggered"
-    names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
-    expected = reference_series(names, columns)
+@given(columns=series(), mode=st.sampled_from(MODES))
+def test_series_writer_matches_csv_writer(columns, mode):
+    # every mode writes the same header
+    expected = reference_series(SERIES_COLUMNS, columns)
     record = build_record(columns, certificate=None, trigger_params=None, mode=mode, dt=1.0)
     with tempfile.TemporaryDirectory() as tmp:
         save_run(record, tmp)
         assert (Path(tmp) / "series.csv").read_bytes() == expected
 
 
-@pytest.mark.parametrize("uncontrolled", [False, True], ids=["controlled", "uncontrolled"])
+@pytest.mark.parametrize("mode", ["event-triggered", "uncontrolled"], ids=["controlled", "uncontrolled"])
 @pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=["block-1", "block", "block+1", "2block+1"])
-def test_series_writer_matches_csv_writer_across_row_blocks(blocks, uncontrolled):
+def test_series_writer_matches_csv_writer_across_row_blocks(blocks, mode):
     # save_run formats and writes series.csv a block of rows at a time; rows
     # on both sides of a block's edge, the special values among them, must
     # be what the one-row-at-a-time reference writes
@@ -73,12 +77,10 @@ def test_series_writer_matches_csv_writer_across_row_blocks(blocks, uncontrolled
         for edge in range(_BLOCK_ROWS, n, _BLOCK_ROWS):
             columns[name][edge - 1:edge + 1] = specials[k % 4::4]
     columns["event"] = rng.random(n) < 0.1
-    mode = "uncontrolled" if uncontrolled else "event-triggered"
-    names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
     record = build_record(columns, certificate=None, trigger_params=None, mode=mode, dt=1.0)
     with tempfile.TemporaryDirectory() as tmp:
         save_run(record, tmp)
-        assert (Path(tmp) / "series.csv").read_bytes() == reference_series(names, columns)
+        assert (Path(tmp) / "series.csv").read_bytes() == reference_series(SERIES_COLUMNS, columns)
 
 
 def assert_cells_are_python_formatted(path, table, ints=()):
@@ -204,6 +206,14 @@ def read_series(path, chunk=runio._CHUNK) -> dict:
         return runio._parse_series(Path(path))
 
 
+def read_floats(path, chunk=runio._CHUNK) -> dict:
+    """A table of float columns that write_table wrote, as the series reader's
+    row decoder (``runio._read_rows``) returns it, under its header's names."""
+    with open(path, "rb") as fh, mock.patch.object(runio, "_CHUNK", chunk):
+        header = fh.readline().decode().rstrip("\r\n").split(",")
+        return dict(zip(header, runio._read_rows(fh, [False] * len(header), f"table {path}")))
+
+
 # the writer's fallback classes and both sides of its range: zeros,
 # subnormals, nan, inf, values either side of 1e-99 and 1e99 (and of
 # 1e-280 and 1e280), and floats with 3-digit exponents; and floats within
@@ -222,17 +232,19 @@ round_trip_cells = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(columns=series(round_trip_cells, min_rows=2), uncontrolled=st.booleans(), chunk=st.integers(1, 400), lf=st.booleans())
-def test_reader_returns_every_float_the_writer_wrote(columns, uncontrolled, chunk, lf):
+@given(columns=series(round_trip_cells, min_rows=2), floats_only=st.booleans(), chunk=st.integers(1, 400), lf=st.booleans())
+def test_reader_returns_every_float_the_writer_wrote(columns, floats_only, chunk, lf):
     # a chunk of 1 to 400 bytes puts its edges on both sides of rows of
-    # about 150 bytes; the file is read with the writer's "\r\n" and with "\n"
-    names = SERIES_COLUMNS_UNCONTROLLED if uncontrolled else SERIES_COLUMNS
+    # about 150 bytes; the file is read with the writer's "\r\n" and with "\n".
+    # A series table is read by the series reader, a table of its float
+    # columns alone (one run of columns) by its row decoder
+    names = FLOAT_COLUMNS if floats_only else SERIES_COLUMNS
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.csv"
         write_table(path, {name: columns[name] for name in names}, ints=("event",))
         if lf:
             path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
-        got = read_series(path, chunk)
+        got = (read_floats if floats_only else read_series)(path, chunk)
     assert list(got) == list(names)
     for name in names:
         assert got[name].flags.c_contiguous
@@ -242,11 +254,11 @@ def test_reader_returns_every_float_the_writer_wrote(columns, uncontrolled, chun
 @pytest.mark.parametrize("values", ENCODER_CASES.values(), ids=ENCODER_CASES.keys())
 def test_reader_returns_every_hard_float_the_writer_wrote(tmp_path, values):
     # the writer's edge cases, 200,000 random bit patterns, 200,000 doubles within
-    # 1e-99..1e99 and 200,000 bit patterns within ±105 decades among them, four to a row
-    columns = np.resize(values, (-(-len(values) // 4), 4)).T
-    write_table(tmp_path / "series.csv", dict(zip(SERIES_COLUMNS_UNCONTROLLED, columns)))
-    got = read_series(tmp_path / "series.csv")
-    for name, column in zip(SERIES_COLUMNS_UNCONTROLLED, columns):
+    # 1e-99..1e99 and 200,000 bit patterns within ±105 decades among them, five to a row
+    columns = np.resize(values, (-(-len(values) // 5), 5)).T
+    write_table(tmp_path / "series.csv", dict(zip(FLOAT_COLUMNS, columns)))
+    got = read_floats(tmp_path / "series.csv")
+    for name, column in zip(FLOAT_COLUMNS, columns):
         assert_same_floats(got[name], column)
 
 
@@ -292,12 +304,12 @@ def test_reader_reads_any_18_digit_decimal_as_float_does(cells):
 
 
 def _read_cells(path, cells: list[str]) -> np.ndarray:
-    """``cells``, four to a row of an uncontrolled series table at ``path``, as the reader returns them."""
-    padded = cells + ["1.00000000000000000e+00"] * (-len(cells) % 4)
-    rows = [",".join(padded[i:i + 4]) for i in range(0, len(padded), 4)]
-    path.write_text("\r\n".join([",".join(SERIES_COLUMNS_UNCONTROLLED), *rows, ""]))
-    got = read_series(path)
-    return np.column_stack([got[name] for name in SERIES_COLUMNS_UNCONTROLLED]).ravel()[:len(cells)]
+    """``cells``, five to a row of a table of the series' float columns at ``path``, as the reader returns them."""
+    padded = cells + ["1.00000000000000000e+00"] * (-len(cells) % 5)
+    rows = [",".join(padded[i:i + 5]) for i in range(0, len(padded), 5)]
+    path.write_text("\r\n".join([",".join(FLOAT_COLUMNS), *rows, ""]))
+    got = read_floats(path)
+    return np.column_stack([got[name] for name in FLOAT_COLUMNS]).ravel()[:len(cells)]
 
 
 def _fast_path(cells: list[str]) -> np.ndarray:
@@ -328,11 +340,11 @@ def test_reader_leaves_ties_and_the_writers_python_cells_to_float(tmp_path):
 def test_reader_refuses_a_cell_it_cannot_place(tmp_path):
     # the reader's own refusals, each with its line: the command line's
     # tampers (test_cli) cover the cells one by one
-    header = ",".join(SERIES_COLUMNS_UNCONTROLLED)
-    row = ",".join([fmt(0.25)] * 4)
+    header = ",".join(SERIES_COLUMNS)
+    row = ",".join([fmt(0.25)] * 5 + ["1"])
     cases = {
         "unterminated": (f"{header}\r\n{row}\r\n{row}", "line 3 is not terminated"),
-        "ragged": (f"{header}\n{row}\n{row},{fmt(1)}\n", "line 3 does not have 4 cells"),
+        "ragged": (f"{header}\n{row}\n{row},{fmt(1)}\n", "line 3 does not have 6 cells"),
         "empty": (f"{header}\n{row}\n{row.replace(fmt(0.25), '', 1)}\n", "line 3: b'' is not a cell"),
         "cr-inside": (f"{header}\n{row}\n{row.replace(',', chr(13) + ',', 1)}\n", "line 3: b'2.50"),
         "one-row": (f"{header}\n{row}\n", "fewer than 2 rows"),

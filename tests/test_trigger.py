@@ -10,7 +10,7 @@ import wavetrig as wt
 from wavetrig.dynamics import WaveState
 from wavetrig.errors import ConfigurationError
 from wavetrig.grid import Field, h1_seminorm_sq, l2_norm_sq
-from wavetrig.initial import sine_mode
+from wavetrig.initial import bump, sine_mode
 from wavetrig.lyapunov import energy_lyapunov
 from wavetrig.trigger import EventLog, check_schedule, hold_rows, predicate_from_norms
 
@@ -257,7 +257,19 @@ def test_schedule_check_replays_the_policy_from_the_flags(mode):
     assert not report.passed and report.worst == rec.t[row] and report.n_violations == 1
 
 
-@pytest.mark.parametrize("mode", ["event-triggered", "uncontrolled"])
+def test_schedule_check_holds_an_uncontrolled_run_to_its_t0_sample():
+    # its hold is sampled at t = 0 alone: a second event is the one violation
+    g = wt.build_grid(wt.Interval(1.0, 49))
+    rec = wt.simulate(sine_mode(g, 1), bump(g), 1.0, g, wt.IntegratorConfig(t_end=1.0), mode="uncontrolled")
+    report = check_schedule(rec)
+    assert report.passed and report.details == {"n_events": 1, "n_due": 1}
+    event = rec.event.copy()
+    event[50] = True
+    report = check_schedule(dataclasses.replace(rec, event=event))
+    assert not report.passed and report.worst == rec.t[50] and report.n_violations == 1
+
+
+@pytest.mark.parametrize("mode", ["event-triggered"])
 def test_schedule_check_leaves_other_modes_to_their_own_checks(mode):
     g = wt.build_grid(wt.Interval(1.0, 49))
     params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
