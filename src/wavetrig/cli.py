@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -185,15 +186,17 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_list(text: str, what: str) -> list[float]:
-    """The floats of a comma-separated sweep list.  A cell's directory names
-    its values as ``{:g}`` prints them, so two that print alike are refused:
-    the second cell's run would overwrite the first's."""
+    """The finite floats of a comma-separated sweep list.  A cell's directory
+    names its values as ``{:g}`` prints them, so two that print alike are
+    refused: the second cell's run would overwrite the first's."""
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad {what} list {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"empty {what} list")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"bad {what} list {text!r}: every {what} must be a finite number")
     seen = {}
     for v in values:
         if (name := f"{v:g}") in seen:

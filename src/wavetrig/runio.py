@@ -9,8 +9,12 @@ and requires ``events.csv`` to be that record's event table, byte for byte.
 Floats are written as ``%.17e``, 18 significant digits, so a write/read cycle
 is bit-exact and identical runs produce byte-identical series files.
 
-The tables are encoded in numpy, a block of rows at a time, to the bytes of
-Python's ``b"%.17e" % x`` and ``b"%d" % x``: a float's significand
+A table of fewer than _PY_CELLS cells (an ``events.csv`` of up to 66 events,
+a ``sweep.csv`` of up to 24 rows, the ``series.csv`` of a run of up to 32
+steps) is formatted row by row with Python's ``b"%.17e" % x`` and
+``b"%d" % x``, whose cost grows with its cells, where numpy's block encoder
+pays about 60 array calls whatever a table's size. Larger tables are encoded
+in numpy, a block of rows at a time, to the same bytes: a float's significand
 ``|x| 10^(17 - E)`` is a double-double (Dekker's exact product with 10^k as
 ``hi + lo``), rounded half to even. Its error, under 1e-13, is far inside the
 1e-12 margin near a rounding tie or a decade's end where a cell is left to
@@ -60,6 +64,13 @@ __all__ = [
 
 SERIES_COLUMNS = RunRecord.COLUMNS
 _BLOCK_ROWS = 1024  # rows of a table formatted and written at a time
+# a table of fewer cells is formatted by Python, about 0.45 us a cell, and a larger
+# one in numpy, 65-95 us a table and 0.1 us a cell (minima of 7 x 300 calls on a
+# 2-vCPU AVX-512 Xeon): 3 columns take 14/86/107 us in Python against 90/107/112 us
+# in numpy at 9/64/81 rows, 6 columns cross at 32 rows (95 against 86 us), the
+# 8-column sweep table near 56
+_PY_CELLS = 200
+_FORMAT = (b"%.17e", b"%d")  # Python's format of a float cell and, at is_int, an int cell
 # numpy writes 1e-99 <= |x| <= 1e99 and reads two-digit exponents, each one slot
 # word "e+dd": no run's table holds a three-digit one, so Python's path takes those
 _E_MAX = 99
@@ -75,12 +86,6 @@ _FLOAT_CELL = rb"-?[0-9]\.[0-9]{17}e[+-][0-9]{2,3}|-?inf|nan"
 _INT_CELL = rb"0|-?[1-9][0-9]*"
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars/arrays show up in check details
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 @contextmanager
 def writing(path: str | Path):
     """Raise an OSError met while creating or writing ``path`` as an OutputError."""
@@ -91,26 +96,31 @@ def writing(path: str | Path):
 
 
 def _table_bytes(table: dict, ints: tuple):
-    """The bytes of :func:`write_table`'s file of ``table``, a block of rows at a time."""
+    """The bytes of :func:`write_table`'s file of ``table``: row by row in Python
+    if it has fewer than _PY_CELLS cells, else a block of rows at a time in numpy."""
     columns = [np.asarray(col, dtype=float) for col in table.values()]
     is_int = [name in ints for name in table]
-    # the slots of a block's rows, with the separators laid once: a block
-    # writes each cell from byte 4 of its slot on (_encode_block)
-    slots = np.zeros((min(len(columns[0]), _BLOCK_ROWS), len(columns), _SLOT), np.uint8)
-    slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
-    slots[:, 1:, 0] = ord(",")
-    runs = _runs(is_int, _int_cells, _float_cells)
     yield ",".join(table).encode()  # each row starts with the line break before it
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
-        yield _encode_block(block, slots[:len(block)], runs, is_int)
+    if len(columns[0]) * len(columns) < _PY_CELLS:
+        line = b"\r\n" + b",".join(_FORMAT[i] for i in is_int)
+        yield b"".join(line % row for row in zip(*(col.tolist() for col in columns), strict=True))
+    else:
+        # the slots of a block's rows, with the separators laid once: a block
+        # writes each cell from byte 4 of its slot on (_encode_block)
+        slots = np.zeros((min(len(columns[0]), _BLOCK_ROWS), len(columns), _SLOT), np.uint8)
+        slots[:, 0, :2] = np.frombuffer(b"\r\n", np.uint8)
+        slots[:, 1:, 0] = ord(",")
+        runs = _runs(is_int, _int_cells, _float_cells)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+            yield _encode_block(block, slots[:len(block)], runs, is_int)
     yield b"\r\n"
 
 
 def write_table(path: Path, table: dict, ints: tuple = ()):
     """Write the columns of ``table`` under a header of its keys, as csv.writer
     would with ``b"%d" % x`` for the columns named in ``ints`` (a flag or count
-    taken as a float) and ``b"%.17e" % x`` for the others, a block of rows at a time."""
+    taken as a float) and ``b"%.17e" % x`` for the others (see :func:`_table_bytes`)."""
     with open(path, "wb") as fh:
         fh.writelines(_table_bytes(table, ints))
 
@@ -140,7 +150,7 @@ def _encode_block(block: np.ndarray, slots: np.ndarray, runs: list, is_int: list
         done[:, cols] = encode(block[:, cols], slots[:, cols])
     if done.all():
         return slots.tobytes().translate(None, b"\0")
-    fallback = [(b"%d" if is_int[c] else b"%.17e") % float(block[r, c]) for r, c in np.argwhere(~done)]
+    fallback = [_FORMAT[is_int[c]] % float(block[r, c]) for r, c in np.argwhere(~done)]
     marked = slots.copy()
     marked[~done, 2:] = 0
     marked[~done, 2] = 1  # the mark where a cell's Python text goes
@@ -218,7 +228,7 @@ def _int_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
 
 def _write_json(path: str | Path, obj: dict):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

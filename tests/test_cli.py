@@ -105,6 +105,8 @@ def test_config_validates_mode_and_sources():
     {"z0": {"kind": "sine", "k": 1, "amplitude": 5}},
     {"z1": {"kind": "zero", "k": 2}},
     {"z1": {"kind": {"sine": 1}}},
+    {"domain": {"kind": "interval", "n": 49}},
+    {"z0": {"kind": "file"}},
 ])
 def test_malformed_config_exits_64(tmp_path, capsys, bad):
     path = tmp_path / "bad.json"
@@ -1293,6 +1295,22 @@ def test_cmd_sweep_refuses_values_that_share_a_cell_directory(tmp_path, capsys, 
     code = main(["sweep", "--alphas", alphas, "--lengths", lengths, "--n", "49", "--t-end", "1", "--out", str(out)])
     assert code == 64
     assert values in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas, lengths, message", [
+    ("nan,1", "1", "bad alpha list 'nan,1': every alpha must be a finite number"),
+    ("1", "inf", "bad length list 'inf': every length must be a finite number"),
+    ("1", "1,-inf", "bad length list '1,-inf': every length must be a finite number"),
+    ("1,x", "1", "bad alpha list '1,x': could not convert string to float: 'x'"),
+], ids=["nan-alpha", "inf-length", "minus-inf-length", "not-a-number"])
+def test_cmd_sweep_refuses_a_list_value_that_is_not_a_finite_number(tmp_path, capsys, alphas, lengths, message):
+    # a cell of a non-finite value cannot be designed: the sweep is refused
+    # before any cell runs, not written with that cell as a failed one
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--alphas", alphas, "--lengths", lengths, "--n", "19", "--t-end", "1", "--out", str(out)])
+    assert code == 64
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

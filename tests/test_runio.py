@@ -37,8 +37,8 @@ cells = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.i
 
 
 @st.composite
-def series(draw, elements=cells, min_rows=1):
-    n = draw(st.integers(min_value=min_rows, max_value=12))
+def series(draw, elements=cells, min_rows=1, max_rows=12):
+    n = draw(st.integers(min_value=min_rows, max_value=max_rows))
     columns = {name: draw(hnp.arrays(float, n, elements=elements)) for name in SERIES_COLUMNS if name != "event"}
     columns["event"] = draw(hnp.arrays(bool, n))
     return columns
@@ -49,10 +49,19 @@ def series(draw, elements=cells, min_rows=1):
 FLOAT_COLUMNS = tuple(name for name in SERIES_COLUMNS if name != "event")
 
 
+# the most rows of a series.csv that Python formats; from one more row up numpy encodes it
+PY_SERIES_ROWS = (runio._PY_CELLS - 1) // len(SERIES_COLUMNS)
+
+
 @settings(max_examples=100, deadline=None)
-@given(columns=series(), mode=st.sampled_from(MODES))
+@given(
+    columns=st.one_of(
+        series(max_rows=PY_SERIES_ROWS), series(min_rows=PY_SERIES_ROWS + 1, max_rows=2 * PY_SERIES_ROWS)
+    ),
+    mode=st.sampled_from(MODES),
+)
 def test_series_writer_matches_csv_writer(columns, mode):
-    # every mode writes the same header
+    # every mode writes the same header, in Python's formatting and in numpy's
     expected = reference_series(SERIES_COLUMNS, columns)
     record = build_record(columns, certificate=None, trigger_params=None, mode=mode, dt=1.0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,6 +104,25 @@ def assert_cells_are_python_formatted(path, table, ints=()):
         assert len(rows) == len(values)
         wrong = [(x, row[j]) for x, row in zip(values, rows) if row[j] != fmt % x]
         assert not wrong, f"{name}: {wrong[:5]}"
+
+
+@pytest.mark.parametrize("ints", [(), ("x",)], ids=["float", "int"])
+@pytest.mark.parametrize("cells", [-1, 0, 1], ids=["below", "at", "above"])
+def test_write_table_formats_either_side_of_the_python_crossover_as_python_does(tmp_path, cells, ints):
+    # a table of fewer than _PY_CELLS cells is formatted by Python, one of
+    # _PY_CELLS or more by numpy's block encoder; both write Python's bytes,
+    # the cells that numpy leaves to Python's fallback included
+    n = runio._PY_CELLS + cells
+    rng = np.random.default_rng(n)
+    if ints:  # counts of up to 9 digits, flags, and cells %d truncates
+        x = rng.integers(0, 10**9, n).astype(float)
+        x[:6] = [0, 1, -0.5, 2.7, 99_999_999, 1e8]
+    else:  # in and beyond 1e-99..1e99, zeros, nan, inf, a subnormal and a carry
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-120, 120, n)
+        x[:6] = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e153]
+    with mock.patch.object(runio, "_encode_block", wraps=runio._encode_block) as encode:
+        assert_cells_are_python_formatted(tmp_path / "t.csv", {"x": x}, ints)
+    assert encode.called == (cells >= 0)
 
 
 def _both_signs(x):
