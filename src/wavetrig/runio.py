@@ -9,8 +9,8 @@ and requires ``events.csv`` to be that record's event table, byte for byte.
 Floats are written as ``%.17e``, 18 significant digits, so a write/read cycle
 is bit-exact and identical runs produce byte-identical series files.
 
-A table of fewer than _PY_CELLS cells (an ``events.csv`` of up to 66 events,
-a ``sweep.csv`` of up to 24 rows, the ``series.csv`` of a run of up to 32
+A table of fewer than _PY_CELLS cells (an ``events.csv`` of up to 53 events,
+a ``sweep.csv`` of up to 19 rows, the ``series.csv`` of a run of up to 25
 steps) is formatted row by row with Python's ``b"%.17e" % x`` and
 ``b"%d" % x``, whose cost grows with its cells, where numpy's block encoder
 pays about 60 array calls whatever a table's size. Larger tables are encoded
@@ -65,11 +65,12 @@ __all__ = [
 SERIES_COLUMNS = RunRecord.COLUMNS
 _BLOCK_ROWS = 1024  # rows of a table formatted and written at a time
 # a table of fewer cells is formatted by Python, about 0.45 us a cell, and a larger
-# one in numpy, 65-95 us a table and 0.1 us a cell (minima of 7 x 300 calls on a
-# 2-vCPU AVX-512 Xeon): 3 columns take 14/86/107 us in Python against 90/107/112 us
-# in numpy at 9/64/81 rows, 6 columns cross at 32 rows (95 against 86 us), the
-# 8-column sweep table near 56
-_PY_CELLS = 200
+# one in numpy, 65-95 us a table and 0.1 us a cell. Minima of 9 x 3 x 200 calls of
+# each path, interleaved in one process on a 2-vCPU AVX-512 Xeon: the 6-column
+# series.csv crosses first, 75/78/82/84 us in Python against 78/82/82/81 us in
+# numpy at 25/26/27/28 rows (150/156/162/168 cells); events.csv, 3 columns, still
+# wins at 66 rows (81 against 95 us), and the 8-column sweep.csv at 25 (92 against 184)
+_PY_CELLS = 160
 _FORMAT = (b"%.17e", b"%d")  # Python's format of a float cell and, at is_int, an int cell
 # numpy writes 1e-99 <= |x| <= 1e99 and reads two-digit exponents, each one slot
 # word "e+dd": no run's table holds a three-digit one, so Python's path takes those

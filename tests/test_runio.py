@@ -53,20 +53,35 @@ FLOAT_COLUMNS = tuple(name for name in SERIES_COLUMNS if name != "event")
 PY_SERIES_ROWS = (runio._PY_CELLS - 1) // len(SERIES_COLUMNS)
 
 
+def series_either_side(elements=cells, min_rows=1):
+    """Series of up to PY_SERIES_ROWS rows, which Python formats, or of more, up to
+    twice as many, which numpy's block encoder writes."""
+    return st.one_of(
+        series(elements, min_rows, PY_SERIES_ROWS), series(elements, PY_SERIES_ROWS + 1, 2 * PY_SERIES_ROWS)
+    )
+
+
+def encoder_calls():
+    """runio._encode_block, wrapped to record whether numpy's block encoder ran."""
+    return mock.patch.object(runio, "_encode_block", wraps=runio._encode_block)
+
+
+def numpy_rows(values, columns: int) -> int:
+    """The rows of a table of ``columns`` columns that holds ``values``, at least
+    as many as make it a table that numpy's block encoder writes."""
+    return max(-(-len(values) // columns), -(-runio._PY_CELLS // columns))
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    columns=st.one_of(
-        series(max_rows=PY_SERIES_ROWS), series(min_rows=PY_SERIES_ROWS + 1, max_rows=2 * PY_SERIES_ROWS)
-    ),
-    mode=st.sampled_from(MODES),
-)
+@given(columns=series_either_side(), mode=st.sampled_from(MODES))
 def test_series_writer_matches_csv_writer(columns, mode):
     # every mode writes the same header, in Python's formatting and in numpy's
     expected = reference_series(SERIES_COLUMNS, columns)
     record = build_record(columns, certificate=None, trigger_params=None, mode=mode, dt=1.0)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, encoder_calls() as encode:
         save_run(record, tmp)
         assert (Path(tmp) / "series.csv").read_bytes() == expected
+    assert encode.called == (len(columns["event"]) > PY_SERIES_ROWS)
 
 
 @pytest.mark.parametrize("mode", ["event-triggered", "uncontrolled"], ids=["controlled", "uncontrolled"])
@@ -120,7 +135,7 @@ def test_write_table_formats_either_side_of_the_python_crossover_as_python_does(
     else:  # in and beyond 1e-99..1e99, zeros, nan, inf, a subnormal and a carry
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-120, 120, n)
         x[:6] = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e153]
-    with mock.patch.object(runio, "_encode_block", wraps=runio._encode_block) as encode:
+    with encoder_calls() as encode:
         assert_cells_are_python_formatted(tmp_path / "t.csv", {"x": x}, ints)
     assert encode.called == (cells >= 0)
 
@@ -186,7 +201,11 @@ ENCODER_CASES = {
 
 @pytest.mark.parametrize("values", ENCODER_CASES.values(), ids=ENCODER_CASES.keys())
 def test_write_table_formats_every_hard_float_as_python_does(tmp_path, values):
-    assert_cells_are_python_formatted(tmp_path / "t.csv", {"a": values, "b": values[::-1]})
+    # a case of fewer cells than numpy's block encoder takes is repeated up to them
+    values = np.resize(values, numpy_rows(values, 2))
+    with encoder_calls() as encode:
+        assert_cells_are_python_formatted(tmp_path / "t.csv", {"a": values, "b": values[::-1]})
+    assert encode.called
 
 
 def test_encoder_cases_reach_a_tie_a_carry_and_a_subnormal():
@@ -260,16 +279,22 @@ round_trip_cells = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(columns=series(round_trip_cells, min_rows=2), floats_only=st.booleans(), chunk=st.integers(1, 400), lf=st.booleans())
+@given(
+    columns=series_either_side(round_trip_cells, min_rows=2),
+    floats_only=st.booleans(), chunk=st.integers(1, 400), lf=st.booleans(),
+)
 def test_reader_returns_every_float_the_writer_wrote(columns, floats_only, chunk, lf):
     # a chunk of 1 to 400 bytes puts its edges on both sides of rows of
     # about 150 bytes; the file is read with the writer's "\r\n" and with "\n".
     # A series table is read by the series reader, a table of its float
-    # columns alone (one run of columns) by its row decoder
+    # columns alone (one run of columns) by its row decoder; either is
+    # written by Python or by numpy's block encoder, as its cells fall
     names = FLOAT_COLUMNS if floats_only else SERIES_COLUMNS
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.csv"
-        write_table(path, {name: columns[name] for name in names}, ints=("event",))
+        with encoder_calls() as encode:
+            write_table(path, {name: columns[name] for name in names}, ints=("event",))
+        assert encode.called == (len(columns["event"]) * len(names) >= runio._PY_CELLS)
         if lf:
             path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
         got = (read_floats if floats_only else read_series)(path, chunk)
@@ -282,9 +307,12 @@ def test_reader_returns_every_float_the_writer_wrote(columns, floats_only, chunk
 @pytest.mark.parametrize("values", ENCODER_CASES.values(), ids=ENCODER_CASES.keys())
 def test_reader_returns_every_hard_float_the_writer_wrote(tmp_path, values):
     # the writer's edge cases, 200,000 random bit patterns, 200,000 doubles within
-    # 1e-99..1e99 and 200,000 bit patterns within ±105 decades among them, five to a row
-    columns = np.resize(values, (-(-len(values) // 5), 5)).T
-    write_table(tmp_path / "series.csv", dict(zip(FLOAT_COLUMNS, columns)))
+    # 1e-99..1e99 and 200,000 bit patterns within ±105 decades among them, five to a
+    # row, a case of fewer cells than numpy's block encoder takes repeated up to them
+    columns = np.resize(values, (numpy_rows(values, 5), 5)).T
+    with encoder_calls() as encode:
+        write_table(tmp_path / "series.csv", dict(zip(FLOAT_COLUMNS, columns)))
+    assert encode.called
     got = read_floats(tmp_path / "series.csv")
     for name, column in zip(FLOAT_COLUMNS, columns):
         assert_same_floats(got[name], column)
