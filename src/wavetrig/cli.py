@@ -26,7 +26,7 @@ from . import dynamics as _dynamics
 from . import lyapunov as _lyapunov
 from . import runio as _runio
 from . import trigger as _trigger
-from .config import RunConfig, c_omega, load_config, run_certificate
+from .config import RunConfig, c_omega, load_config, run_certificate, set_up
 from .errors import ConfigurationError, DataFormatError, InfeasibleDomainError, MissingInputError, OutputError, UsageError, WavetrigError
 from .grid import C_OMEGA_SOURCES
 from .initial import build_field
@@ -77,18 +77,16 @@ def run_checks(record: _lyapunov.RunRecord) -> tuple[dict, bool]:
 
 
 def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
-    """Design (if needed), simulate, and check one configured run."""
-    g = cfg.build_grid()
+    """Set up (designing if needed), simulate, and check one configured run."""
+    controlled = cfg.mode != "uncontrolled"
+    g, certificate, integ = set_up(cfg, _runio.read_certificate(cfg.certificate_path)
+                                   if controlled and cfg.certificate_path else None)
     z0 = build_field(g, cfg.z0)
     z1 = build_field(g, cfg.z1)
-    integ = _dynamics.IntegratorConfig(t_end=cfg.t_end, dt=cfg.dt, cfl_fraction=cfg.cfl_fraction)
 
-    certificate = None
     trigger_params = None
     period = cfg.period
-    if cfg.mode != "uncontrolled":
-        given = _runio.read_certificate(cfg.certificate_path) if cfg.certificate_path else None
-        certificate = run_certificate(cfg, g, given)
+    if controlled:
         scale = _trigger.initial_threshold_scale(
             z0, z1, certificate.epsilon, cfg.alpha, g, variant=cfg.design.eta0_variant
         )
@@ -102,13 +100,7 @@ def run_from_config(cfg: RunConfig) -> tuple[_lyapunov.RunRecord, dict]:
             period = stats.mean_dwell
 
     t0 = time.perf_counter()
-    record = _dynamics.simulate(
-        z0, z1, cfg.alpha, g, integ,
-        trigger_params=trigger_params,
-        certificate=certificate,
-        mode=cfg.mode,
-        period=period,
-    )
+    record = _dynamics.simulate(z0, z1, cfg.alpha, g, integ, trigger_params, certificate, mode=cfg.mode, period=period)
     wall = time.perf_counter() - t0
     reports, ok = run_checks(record)
     return record, {"checks": reports, "checks_passed": ok, "wall_clock_s": wall, "config": cfg.to_dict()}
@@ -186,7 +178,7 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_list(text: str, what: str) -> list[float]:
-    """The finite floats of a comma-separated sweep list.  A cell's directory
+    """The finite positive floats of a comma-separated sweep list.  A cell's directory
     names its values as ``{:g}`` prints them, so two that print alike are
     refused: the second cell's run would overwrite the first's."""
     try:
@@ -195,8 +187,8 @@ def _parse_list(text: str, what: str) -> list[float]:
         raise UsageError(f"bad {what} list {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"empty {what} list")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"bad {what} list {text!r}: every {what} must be a finite number")
+    if not all(0 < v < math.inf for v in values):  # no cell of a value <= 0 or NaN can run
+        raise UsageError(f"bad {what} list {text!r}: every {what} must be a finite number above 0")
     seen = {}
     for v in values:
         if (name := f"{v:g}") in seen:

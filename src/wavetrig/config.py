@@ -1,6 +1,6 @@
 """Run configuration: a JSON-serializable dataclass tree covering domain,
 damping gain, initial data, integration, design knobs, and run mode, and a
-run's certificate, designed on its grid or given, that fits that grid."""
+run's set-up: its grid, integrator and certificate (designed or given)."""
 
 from __future__ import annotations
 
@@ -11,13 +11,13 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .design import DesignInput, StabilityCertificate, build_certificate, c_omega_fits
-from .dynamics import MODES
+from .dynamics import MODES, IntegratorConfig
 from .errors import ConfigurationError, UsageError
 from .grid import C_OMEGA_SOURCES, Grid, Interval, Rectangle, build_grid, poincare_constant
 from .trigger import ETA0_VARIANTS
 
 __all__ = ["C_OMEGA_SOURCES", "DesignSpec", "RunConfig", "integer", "finite", "known_keys", "check_choice",
-           "load_config", "c_omega", "run_certificate"]
+           "load_config", "c_omega", "run_certificate", "set_up"]
 
 _JSON_TYPES = {"str": str, "dict": dict}
 
@@ -173,3 +173,12 @@ def run_certificate(cfg: RunConfig, g: Grid, given: StabilityCertificate | None 
         raise ConfigurationError(f"{what} (alpha = {cert.alpha}, C_Omega = {cert.c_omega}, {cert.c_omega_source}) does not "
                                  f"fit this run (alpha = {cfg.alpha}, lengths {g.lengths}, counts {g.counts})")
     return cert
+
+
+def set_up(cfg: RunConfig, given: StabilityCertificate | None = None) -> tuple[Grid, StabilityCertificate | None, IntegratorConfig]:
+    """A run's grid, certificate (``run_certificate`` with ``given``; none when uncontrolled) and
+    integrator, for ``simulate`` and ``verify`` alike. The integrator is made before the design,
+    so a bad ``t_end`` or ``dt`` is refused ahead of an infeasible domain."""
+    g = cfg.build_grid()
+    integ = IntegratorConfig(cfg.t_end, cfg.dt, cfg.cfl_fraction)
+    return g, None if cfg.mode == "uncontrolled" else run_certificate(cfg, g, given), integ

@@ -49,9 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, run_certificate
+from .config import RunConfig, set_up
 from .design import StabilityCertificate, c_omega_fits
-from .dynamics import MODES, IntegratorConfig, build_record, step_count
+from .dynamics import MODES, build_record, step_count
 from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
 from .grid import grid_from_meta
 from .lyapunov import RunRecord
@@ -436,9 +436,8 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     if echo is not None:
         try:
             cfg = RunConfig.from_dict(echo)
-            grid, given = cfg.build_grid(), certificate if cfg.certificate_path else None
-            made = (grid, None if cfg.mode == "uncontrolled" else run_certificate(cfg, grid, given), cfg.mode,
-                    cfg.t_end, IntegratorConfig(cfg.t_end, cfg.dt, cfg.cfl_fraction).resolve_dt(grid))
+            grid, cert, integ = set_up(cfg, certificate if cfg.certificate_path else None)
+            made = (grid, cert, cfg.mode, cfg.t_end, integ.resolve_dt(grid))
         except (ArithmeticError, WavetrigError) as exc:
             raise DataFormatError(f"the config echo of {summary_path} is not a config that sets up a run: {exc}") from exc
         if made != (g, certificate, mode, t_end, dt) or cfg.period not in (None, period):

@@ -678,6 +678,42 @@ def test_simulate_with_preloaded_certificate(tmp_path):
     assert summary["certificate"]["c_omega_source"] == "discrete"
 
 
+@pytest.mark.parametrize("flags", [[], ["--mode", "uncontrolled"], ["--mode", "periodic", "--period", "0.1"], "given"],
+                         ids=["default", "uncontrolled", "periodic", "given-certificate"])
+def test_set_up_is_the_set_up_that_simulate_records(tmp_path, flags):
+    # config.set_up is the one statement of a run's grid, certificate and dt,
+    # for simulate and for verify's echo check alike
+    if flags == "given":
+        assert main(["design", "--out", str(tmp_path / "cert")]) == 0
+        flags = ["--certificate", str(tmp_path / "cert" / "certificate.json")]
+    out = tmp_path / "run"
+    assert main(["simulate", *flags, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    cfg = RunConfig.from_dict(summary["config"])
+    given = read_certificate(cfg.certificate_path) if cfg.certificate_path else None
+    grid, cert, integ = wavetrig_config.set_up(cfg, given)
+    assert grid_meta(grid) == summary["meta"]["grid"]
+    stored = summary["certificate"]
+    assert (cert is None) == (stored is None) == (cfg.mode == "uncontrolled")
+    assert cert is None or cert.to_dict() == stored
+    assert integ.resolve_dt(grid) == summary["dt"]
+
+
+@pytest.mark.parametrize("overrides, flags, code, message", [
+    ({"domain": {"kind": "interval", "length": 1.0, "n": 1}}, ["--certificate", "missing.json"], 66, "certificate file"),
+    ({"t_end": -1.0}, [], 64, "horizon must be positive"),
+    ({"domain": {"kind": "interval", "length": 5.0, "n": 19}}, [], 2, "requires C_Omega < sqrt(2)"),
+], ids=["certificate-before-domain", "horizon-before-initial-data", "design-before-initial-data"])
+def test_simulate_reports_the_first_fault_of_its_set_up(tmp_path, capsys, overrides, flags, code, message):
+    # config.set_up runs before the initial data is read, and a controlled
+    # run's --certificate file is read before set_up
+    cfg, path = small_config(tmp_path, z0={"kind": "file", "path": str(tmp_path / "missing.npy")}, **overrides)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), *flags, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_refuses_certificate_for_another_alpha(tmp_path):
     cfg, path = small_config(tmp_path)
     assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
@@ -1310,6 +1346,20 @@ def test_cmd_sweep_refuses_a_list_value_that_is_not_a_finite_number(tmp_path, ca
     out = tmp_path / "sweep"
     code = main(["sweep", "--alphas", alphas, "--lengths", lengths, "--n", "19", "--t-end", "1", "--out", str(out)])
     assert code == 64
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--alphas", "0,1", "--lengths", "1"], "bad alpha list '0,1': every alpha must be a finite number above 0"),
+    (["--alphas", "1", "--lengths", "0,1"], "bad length list '0,1': every length must be a finite number above 0"),
+    (["--alphas=-1,1", "--lengths", "1"], "bad alpha list '-1,1': every alpha must be a finite number above 0"),
+], ids=["zero-alpha", "zero-length", "negative-alpha"])
+def test_cmd_sweep_refuses_a_list_value_that_is_not_positive(tmp_path, capsys, argv, message):
+    # no cell of such a value can run (simulate --alpha 0 exits 64): the sweep
+    # is refused before its directory is made, not run with a failed cell
+    out = tmp_path / "sweep"
+    assert main(["sweep", *argv, "--n", "19", "--t-end", "1", "--out", str(out)]) == 64
     assert message in capsys.readouterr().err
     assert not out.exists()
 
