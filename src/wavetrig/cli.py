@@ -16,6 +16,7 @@ Exit codes; from 2 up each is the ``exit_code`` of a ``wavetrig.errors`` class:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -243,6 +244,12 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("sweep tabulates each cell's certificate; an uncontrolled run has none")
     alphas = _parse_list(args.alphas, "alpha")
     lengths = _parse_list(args.lengths, "length")
+    # every cell reads the same initial data (nodal values need only n), but after its design,
+    # which an infeasible cell never passes: read it once here, on a unit interval of the
+    # sweep's n, before anything is written
+    g = dataclasses.replace(cfg, domain={**cfg.domain, "length": 1.0}).build_grid()
+    for spec in (cfg.z0, cfg.z1):
+        build_field(g, spec)
     out_root = Path(cfg.out)
     with _runio.writing(out_root):
         out_root.mkdir(parents=True, exist_ok=True)

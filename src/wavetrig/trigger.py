@@ -80,12 +80,14 @@ class DwellStats:
 
 def eta0(t: float | np.ndarray, params: TriggerParams) -> float | np.ndarray:
     """Threshold floor eta0_scale * exp(-theta t), strictly decreasing, at a time or an array
-    of times: math.exp entry by entry gives each the scalar call's bits (np.exp may differ)."""
+    of times, each entry with ``math.exp``'s bits.  The exponential is numpy's complex exp of
+    ``x + 0i``, which is libm's ``exp(x)`` times ``cos 0 = 1``, in one C loop over the array;
+    ``np.exp`` on reals is numpy's own vectorised exp, a few entries an ulp off libm's."""
     times = np.asarray(t, dtype=float)
     if (times < 0).any():
         raise ConfigurationError(f"time must be nonnegative, got {t}")
-    decay = np.fromiter(map(math.exp, (times * -params.theta).ravel().tolist()), float, times.size)
-    return params.eta0_scale * (decay.reshape(times.shape) if times.ndim else float(decay[0]))
+    decay = np.exp(times * -params.theta + 0j).real
+    return params.eta0_scale * (decay if times.ndim else float(decay))
 
 
 def predicate_from_norms(

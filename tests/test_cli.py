@@ -1310,6 +1310,28 @@ def test_cmd_sweep_initial_data_error_is_the_sweeps_not_a_cells(tmp_path, capsys
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("lengths", ["5,6", "1,6"], ids=["no-feasible-cell", "one-feasible-cell"])
+def test_cmd_sweep_reads_its_initial_data_before_it_writes(tmp_path, capsys, lengths):
+    # a cell reads the initial data only after its design, which an infeasible
+    # cell (L = 5 or 6) never passes: the sweep reads it first, so a missing
+    # file exits 66 with no --out directory, whichever cells are feasible
+    cfg, path = small_config(tmp_path, z0={"kind": "file", "path": str(tmp_path / "nope.npy")})
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(path), "--alphas", "1", "--lengths", lengths, "--t-end", "1", "--out", str(out)])
+    assert code == 66
+    assert "nope.npy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_sweep_refuses_a_node_count_no_cell_can_use(tmp_path, capsys):
+    # the initial data are read on a grid of the sweep's n, so an n below 2 is
+    # the sweep's configuration error (exit 64), not a failed row per cell
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--alphas", "1", "--lengths", "1,2", "--n", "1", "--t-end", "1", "--out", str(out)]) == 64
+    assert "2 or more nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_sweep_empty_list_exits_64(tmp_path):
     cfg, path = small_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--alphas", "", "--lengths", "1"]) == 64

@@ -593,14 +593,17 @@ def test_periodic_hold_is_counted_in_rows():
 
 def test_eta0_column_is_the_scalar_floor_at_every_row():
     # simulate fills the column with one call on the array of row times; an
-    # entry must be the scalar call's, bit for bit (np.exp would move some
-    # entries by an ulp, and the golden hashes with them)
+    # entry must be the scalar call's, and libm's exp through math.exp, bit
+    # for bit (np.exp on reals would move some entries by an ulp, and the
+    # golden hashes with them)
     g = wt.build_grid(wt.Interval(1.0, 49))
     params = wt.TriggerParams(gamma0=0.2, gamma1=0.2, theta=0.5, eta0_scale=0.2)
     rec = wt.simulate(sine_mode(g, 1), bump(g), 1.0, g, wt.IntegratorConfig(t_end=20.0), params)
     assert rec.t.size > 1000 and rec.event[1:].any()
     want = [wt.eta0(i * rec.dt, params) for i in range(rec.t.size)]
     assert rec.eta0.tobytes() == np.array(want).tobytes()
+    libm = [params.eta0_scale * math.exp(-params.theta * (i * rec.dt)) for i in range(rec.t.size)]
+    assert rec.eta0.tobytes() == np.array(libm).tobytes()
 
 
 @pytest.mark.parametrize("shape, size", [

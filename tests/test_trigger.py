@@ -72,6 +72,22 @@ def test_eta0_strictly_decreasing_and_positive(params):
     assert (np.diff(vals) < 0).all()
 
 
+def test_eta0_has_libm_bits_at_every_entry():
+    # eta0 takes exp as numpy's complex exp of x + 0i, which must be libm's
+    # exp(x) bit for bit, as math.exp is; np.exp on reals is not, and the
+    # golden hashes would move.  interval-long's 16,001 row times at its
+    # certificate's theta, then times far enough out that the floor is
+    # subnormal and then 0
+    p = wt.TriggerParams(gamma0=0.1, gamma1=0.25, theta=0.30013406884749, eta0_scale=0.75)
+    times = np.concatenate([np.arange(16001) * 0.0025, np.linspace(2300.0, 2600.0, 30001)])
+    want = np.array([p.eta0_scale * math.exp(-p.theta * t) for t in times.tolist()])
+    assert 0.0 < want[want > 0].min() < np.finfo(float).tiny and (want == 0).any()
+    assert wt.eta0(times, p).tobytes() == want.tobytes()
+    scalars = [wt.eta0(t, p) for t in times[::97].tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == want[::97].tobytes()
+
+
 def test_eta0_rejects_negative_time(params):
     with pytest.raises(Exception):
         wt.eta0(-1.0, params)
