@@ -177,8 +177,9 @@ def run_certificate(cfg: RunConfig, g: Grid, given: StabilityCertificate | None 
 
 def set_up(cfg: RunConfig, given: StabilityCertificate | None = None) -> tuple[Grid, StabilityCertificate | None, IntegratorConfig]:
     """A run's grid, certificate (``run_certificate`` with ``given``; none when uncontrolled) and
-    integrator, for ``simulate`` and ``verify`` alike. The integrator is made before the design,
-    so a bad ``t_end`` or ``dt`` is refused ahead of an infeasible domain."""
+    integrator, for ``simulate`` and ``verify`` alike: ``runio.load_run`` sets up a summary's echo, or
+    the config its own keys state, and compares each key that repeats the set-up. The integrator is
+    made before the design, so a bad ``t_end`` or ``dt`` is refused ahead of an infeasible domain."""
     g = cfg.build_grid()
     integ = IntegratorConfig(cfg.t_end, cfg.dt, cfg.cfl_fraction)
     return g, None if cfg.mode == "uncontrolled" else run_certificate(cfg, g, given), integ

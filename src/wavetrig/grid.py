@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError, NumericalError, ShapeError
+from .errors import ConfigurationError, NumericalError, ShapeError
 
 __all__ = [
     "Interval",
@@ -58,7 +58,7 @@ __all__ = [
     "POINCARE_SOURCES",
     "C_OMEGA_SOURCES",
     "poincare_constant",
-    "grid_meta", "grid_from_meta",
+    "grid_meta",
 ]
 
 
@@ -307,16 +307,3 @@ def grid_meta(g: Grid) -> dict:
     and the margin by which C_Omega = 1/sqrt(lam1 (1 - margin)) is raised."""
     return {"lengths": list(g.lengths), "counts": list(g.counts), "spacings": list(g.spacings),
             "lam1": _lam1(g), "poincare_margin": POINCARE_MARGIN}
-
-
-def grid_from_meta(meta) -> Grid:
-    """The grid that a run's ``meta.grid`` names by its lengths and counts.  Raises
-    DataFormatError unless the counts are ints and ``meta`` is its :func:`grid_meta`, to the last bit."""
-    try:
-        counts = meta["counts"]
-        g = build_grid((Interval if len(counts) == 1 else Rectangle)(*meta["lengths"], *counts))
-        if all(type(n) is int for n in counts) and grid_meta(g) == meta:
-            return g
-    except (TypeError, LookupError, ConfigurationError):
-        pass
-    raise DataFormatError(f"summary meta.grid {meta!r} is not the grid of its lengths and counts")

@@ -6,6 +6,10 @@ by one JSON writer.
 :func:`load_run` rebuilds ``t``, E, V, eta0 and the predicate from it with
 the code :func:`~wavetrig.dynamics.simulate` uses (``dynamics.build_record``),
 and requires ``events.csv`` to be that record's event table, byte for byte.
+It sets the run up again with ``config.set_up`` from the summary's config echo,
+or else its own keys (:func:`_stated_config`), and refuses a summary whose
+``mode``, ``dt``, ``n_steps``, ``meta.t_end``, ``meta.grid`` or certificate is
+not what that makes, in JSON type too: so a ``dt`` above the CFL limit is refused.
 Floats are written as ``%.17e``, 18 significant digits, so a write/read cycle
 is bit-exact and identical runs produce byte-identical series files.
 
@@ -50,10 +54,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, set_up
-from .design import StabilityCertificate, c_omega_fits
-from .dynamics import MODES, build_record, step_count
+from .design import StabilityCertificate
+from .dynamics import build_record, step_count
 from .errors import DataFormatError, MissingInputError, OutputError, WavetrigError
-from .grid import grid_from_meta
+from .grid import grid_meta
 from .lyapunov import RunRecord
 from .trigger import ETA0_VARIANTS, TriggerParams, threshold_scale
 
@@ -373,6 +377,25 @@ def _int_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np
     return digit.astype(float), (end - start == 1) & (digit < 10)
 
 
+# a JSON value's text with sorted keys, a certificate's of its fields: equal texts are equal in JSON type too
+_canonical = functools.partial(json.dumps, sort_keys=True, default=vars)
+
+
+def _stated_config(summary: dict) -> RunConfig:
+    """The config a summary with no echo states: the domain of ``meta.grid``'s lengths and
+    counts, its mode, dt, ``meta.t_end`` and ``meta.period``, its certificate's alpha, and
+    cfl_fraction 1, which no summary records but which accepts every dt a run can have."""
+    meta, cert = summary["meta"], summary.get("certificate")
+    try:
+        lengths, counts = list(meta["grid"]["lengths"]), list(meta["grid"]["counts"])
+        names = ("length", "n") if len(counts) == 1 else ("a", "b", "nx", "ny")
+        domain = {"kind": "interval" if len(counts) == 1 else "rectangle", **dict(zip(names, lengths + counts, strict=True))}
+    except (TypeError, LookupError, ValueError) as exc:
+        raise DataFormatError(f"meta.grid {meta.get('grid')!r} does not name a grid by its lengths and counts") from exc
+    return RunConfig(domain=domain, alpha=cert.get("alpha") if isinstance(cert, dict) else 1.0, dt=summary.get("dt"),
+                     cfl_fraction=1.0, t_end=meta.get("t_end"), mode=summary.get("mode"), period=meta.get("period"))
+
+
 def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     """Rebuild a RunRecord (and the summary dict) from a run directory."""
     d = Path(rundir)
@@ -396,53 +419,41 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
                 f"{name} of {series_path} is {float(cols[name][bad[0]])!r} in row {bad[0]}, not a squared norm"
             )
     n = cols["norm_z_sq"].size
-    # the summary fixes the time axis: n_steps is simulate's step count of
-    # dt to the horizon meta.t_end, so a rescaled dt is refused
-    dt, n_steps, meta = summary.get("dt"), summary.get("n_steps"), summary.get("meta")
-    if type(dt) not in (int, float) or not 0 < dt <= sys.float_info.max:
-        raise DataFormatError(f"summary dt {dt!r} is not a positive number")
-    dt = float(dt)  # an int beyond the float range is refused above
-    t_end = meta.get("t_end") if isinstance(meta, dict) else None
-    if type(t_end) not in (int, float) or not 0 < t_end <= sys.float_info.max or not t_end / dt < n:
-        raise DataFormatError(f"summary meta.t_end {t_end!r} is not a horizon of the {n} rows of {series_path}")
-    if type(n_steps) is not int or n != n_steps + 1:
-        raise DataFormatError(f"summary n_steps {n_steps!r} does not fit the {n} rows of {series_path}")
-    if step_count(t_end, dt) != n_steps:
-        raise DataFormatError(f"summary n_steps {n_steps!r} is not the steps of dt = {dt} to t_end = {t_end}")
-    mode = summary.get("mode")
-    if mode not in MODES:
-        raise DataFormatError(f"summary mode {mode!r} of {d} is not one of {MODES}")
+    mode, meta, scale, cert = (summary.get(key) for key in ("mode", "meta", "eta0_scale", "certificate"))
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"summary meta {meta!r} of {d} is not a JSON object")
+    # a controlled run is checked against both (without either, its checks would be
+    # switched off), an uncontrolled one against neither: set_up makes it no certificate
+    if mode != "uncontrolled" and (cert is None or scale is None):
+        raise DataFormatError(f"summary of the {mode} run in {d} lacks its certificate or eta0_scale")
+    if mode == "uncontrolled" and scale is not None:
+        raise DataFormatError(f"summary of the uncontrolled run in {d} has an eta0_scale")
+    # set_up makes the run of the config echo or, with none (perfbench's), the summary's own keys,
+    # given the stored certificate unless the echo designs one; each key that repeats it must match
+    echo = summary.get("config")
+    source = "its config echo" if echo is not None else "its own keys"
+    try:
+        cfg = RunConfig.from_dict(echo) if echo is not None else _stated_config(summary)
+        given = StabilityCertificate.from_dict(cert) if cert is not None and (echo is None or cfg.certificate_path) else None
+        grid, certificate, integ = set_up(cfg, given)
+        dt = integ.resolve_dt(grid)
+        made = {"mode": cfg.mode, "dt": dt, "n_steps": step_count(cfg.t_end, dt), "meta.t_end": cfg.t_end,
+                "meta.grid": grid_meta(grid), "certificate": certificate,
+                "meta.period": meta.get("period") if cfg.period is None else cfg.period}  # the echo's, if it names one
+    except (ArithmeticError, WavetrigError) as exc:
+        raise DataFormatError(f"config.set_up makes no run of {source} in {summary_path}: {exc}") from exc
+    stated = {key: (meta if "." in key else summary).get(key.rpartition(".")[2]) for key in made}
+    if _canonical(stated) != _canonical(made):
+        keys = [key for key in made if _canonical(stated[key]) != _canonical(made[key])]
+        raise DataFormatError(f"summary {', '.join(keys)} of {d}: not what config.set_up makes of {source}")
+    if n != made["n_steps"] + 1:
+        raise DataFormatError(f"summary n_steps {made['n_steps']} does not fit the {n} rows of {series_path}")
     # a periodic run refreshes its hold every meta.period, which simulate records;
     # a summary without one (an event-triggered run relabelled, say) is not a periodic run's
     period = meta.get("period")
     if mode == "periodic" and (type(period) not in (int, float) or not 0 < period <= sys.float_info.max):
         raise DataFormatError(f"summary meta.period {period!r} of the periodic run in {d} is not a positive number")
-    # the grid is rebuilt from meta.grid, and a certificate's C_Omega must be its grid's
-    g = grid_from_meta(meta.get("grid"))
-    cert = summary.get("certificate")
-    certificate = StabilityCertificate.from_dict(cert) if cert is not None else None
-    if certificate is not None and not c_omega_fits(certificate, g):
-        raise DataFormatError(f"the certificate's C_Omega {certificate.c_omega} in {d} is not its grid's by its source")
-    scale = summary.get("eta0_scale")
-    # a controlled run is checked against both (without either, its checks would be switched
-    # off), an uncontrolled one against neither
-    if mode != "uncontrolled" and (certificate is None or scale is None):
-        raise DataFormatError(f"summary of the {mode} run in {d} lacks its certificate or eta0_scale")
-    if mode == "uncontrolled" and (certificate is not None or scale is not None):
-        raise DataFormatError(f"summary of the uncontrolled run in {d} has a certificate or eta0_scale")
-    # the config echo, when the summary has one (perfbench's have none), must set up the run: its grid,
-    # certificate (given the stored one if it names a file), mode, t_end, dt, period if named, eta0 variant
-    echo, variants = summary.get("config"), ETA0_VARIANTS
-    if echo is not None:
-        try:
-            cfg = RunConfig.from_dict(echo)
-            grid, cert, integ = set_up(cfg, certificate if cfg.certificate_path else None)
-            made = (grid, cert, cfg.mode, cfg.t_end, integ.resolve_dt(grid))
-        except (ArithmeticError, WavetrigError) as exc:
-            raise DataFormatError(f"the config echo of {summary_path} is not a config that sets up a run: {exc}") from exc
-        if made != (g, certificate, mode, t_end, dt) or cfg.period not in (None, period):
-            raise DataFormatError(f"the config echo of {summary_path} does not set up the run in {d}")
-        variants = (cfg.design.eta0_variant,)
+    variants = ETA0_VARIANTS if echo is None else (cfg.design.eta0_variant,)
     # eta0 and the predicate are rebuilt from the certificate and the scale, which must be
     # a positive V[0] with the certificate's eps and alpha, for the echo's eta0 variant or either
     trigger_params = None
@@ -460,7 +471,7 @@ def load_run(rundir: str | Path) -> tuple[RunRecord, dict]:
     if not (((event == 0) | (event == 1)).all() and event[0] == 1):
         raise DataFormatError(f"the event column of {series_path} is not 0/1 flags with an event at t = 0")
     cols["event"] = event == 1
-    record = build_record(cols, certificate, trigger_params, mode, dt, meta)
+    record = build_record(cols, certificate, trigger_params, mode, float(dt), meta)
     # events.csv is the record's event table as save_run writes it, with either line end
     try:
         events = events_path.read_bytes()

@@ -907,6 +907,10 @@ SUMMARY_TAMPERS = {
         s, spacings=[math.nextafter(h, math.inf) for h in s["meta"]["grid"]["spacings"]]
     ),
     "lengths-missing": lambda s: _grid_meta(s, lengths=None),
+    **{
+        f"grid-without-{key}": lambda s, key=key: _grid_meta(s, **{key: None})
+        for key in ("counts", "spacings", "lam1", "poincare_margin")
+    },
     "count-string": lambda s: _grid_meta(s, counts=[str(n) for n in s["meta"]["grid"]["counts"]]),
     "no-grid": lambda s: dict(s, meta={k: v for k, v in s["meta"].items() if k != "grid"}),
     # its lam1 underflows to 0, so it has no Poincare constant to fit
@@ -951,10 +955,73 @@ def test_verify_refuses_a_malformed_summary(sim_run, tmp_path, capsys, tamper):
     assert "data format error" in capsys.readouterr().err
 
 
+def _without_echo(s):
+    """The summary with its config echo removed, as perfbench writes summaries."""
+    return {k: v for k, v in s.items() if k != "config"} if isinstance(s, dict) else s
+
+
+# the tampers that edit the echo, and so leave a summary with none as it was; and
+# a relabel that only the echo contradicts: with no echo the relabelled run is read
+# as a periodic one, and fails its schedule check
+ECHO_TAMPERS = {name for name in SUMMARY_TAMPERS if name.startswith("echo-")}
+ECHO_ONLY_RELABEL = "periodic-period-0.5-echo-unedited"
+
+
+@pytest.mark.parametrize("name", [name for name in SUMMARY_TAMPERS if name not in ECHO_TAMPERS])
+def test_verify_refuses_a_malformed_summary_with_no_echo(sim_run, tmp_path, capsys, name):
+    # the same edits on a summary with no config echo: config.set_up is given its own keys
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    summary = json.loads((rundir / "summary.json").read_text())
+    (rundir / "summary.json").write_text(json.dumps(_without_echo(SUMMARY_TAMPERS[name](summary))))
+    if name == ECHO_ONLY_RELABEL:
+        assert main(["verify", str(rundir)]) == 1
+        return
+    assert main(["verify", str(rundir)]) == 65
+    assert "data format error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper, key", [("n-steps-one-more", "n_steps"), ("lam1-one-ulp-more", "meta.grid")])
+@pytest.mark.parametrize("echo", [True, False], ids=["echo", "no-echo"])
+def test_a_refused_set_up_names_its_key_and_what_set_the_run_up(sim_run, tmp_path, capsys, tamper, key, echo):
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    summary = SUMMARY_TAMPERS[tamper](json.loads((rundir / "summary.json").read_text()))
+    (rundir / "summary.json").write_text(json.dumps(summary if echo else _without_echo(summary)))
+    assert main(["verify", str(rundir)]) == 65
+    err = capsys.readouterr().err
+    assert f"summary {key} of" in err and ("its config echo" if echo else "its own keys") in err
+
+
+@pytest.mark.parametrize("overrides", [
+    *({"mode": mode} for mode in MODES),
+    {"domain": {"kind": "rectangle", "a": 1.0, "b": 1.0, "nx": 15, "ny": 15}},
+], ids=[*MODES, "rect-15x15"])
+def test_a_run_whose_summary_has_no_echo_verifies(tmp_path, overrides):
+    _, path = small_config(tmp_path, t_end=3.0, **overrides)
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary_path = tmp_path / "run" / "summary.json"
+    summary_path.write_text(json.dumps(_without_echo(json.loads(summary_path.read_text()))))
+    assert main(["verify", str(tmp_path / "run")]) == 0
+
+
+def test_verify_refuses_a_tripled_dt_in_a_summary_with_no_echo(sim_run, tmp_path, capsys):
+    # dt and meta.t_end tripled, and events.csv rewritten on the tripled time axis, so
+    # that n_steps, the row count and the event table all agree: the run's own grid
+    # does not allow that dt at any CFL fraction, so the time axis is refused, not checked
+    rundir = shutil.copytree(sim_run[2] / "run", tmp_path / "run")
+    record, summary = load_run(rundir)
+    summary = _without_echo(summary)
+    summary["dt"] *= 3
+    summary["meta"]["t_end"] *= 3
+    (rundir / "summary.json").write_text(json.dumps(summary))
+    runio.write_table(rundir / "events.csv", runio._event_table(np.flatnonzero(record.event) * summary["dt"]), ints=("k",))
+    assert main(["verify", str(rundir)]) == 65
+    assert "exceeds cfl_fraction * cfl_max_dt" in capsys.readouterr().err
+
+
 def test_verify_checks_the_echo_of_a_run_given_no_certificate(tmp_path, capsys):
     # a --certificate run's certificate is not what its config designs, so its
     # echo's design is not compared; without certificate_path the same edit
-    # exits 65, and a summary with no echo (perfbench's) is not compared at all
+    # exits 65, and a summary with no echo (perfbench's) is set up from its own keys
     cfg, path = small_config(tmp_path, t_end=1.0)
     assert main(["design", "--config", str(path), "--out", str(tmp_path / "cert")]) == 0
     cert = str(tmp_path / "cert" / "certificate.json")

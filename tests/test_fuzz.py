@@ -118,6 +118,16 @@ def test_mutated_summary_exits_with_a_documented_code(base, data):
     assert _verify(base, _dump(_mutate(base["summary"], edits))) in CODES
 
 
+@FUZZ
+@given(data=st.data())
+def test_mutated_summary_with_no_echo_exits_with_a_documented_code(base, data):
+    # a summary with no config echo, as perfbench writes, is set up from its own keys:
+    # every example takes that path, where above only a draw that deletes config does
+    summary = {k: v for k, v in base["summary"].items() if k != "config"}
+    edits = data.draw(mutations(summary))
+    assert _verify(base, _dump(_mutate(summary, edits))) in CODES
+
+
 @pytest.mark.parametrize("target", ["config", "certificate", "summary"])
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(raw=st.one_of(st.binary(max_size=40), st.sampled_from([b"\xff\xfe{}", b"[1, 2]", b"null", b"{}", b"1e999"])))
